@@ -3,6 +3,7 @@
 use crate::plan::QueryPlan;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, TryLockError};
 use treenum_automata::StepwiseTva;
 use treenum_balance::build::build_balanced_term;
@@ -10,12 +11,11 @@ use treenum_balance::term::{Term, TermNodeId};
 use treenum_balance::update::{apply_edit, apply_edits};
 use treenum_circuits::{internal_box_content, BoxContent, BoxId, Circuit, StateGate};
 use treenum_enumeration::boxenum::BoxEnumMode;
-use treenum_enumeration::dedup::enumerate_root_with;
 use treenum_enumeration::index::IndexStats;
-use treenum_enumeration::{EnumIndex, EnumScratch, EnumStats};
+use treenum_enumeration::{EnumIndex, EnumScratch, EnumSource, EnumStats};
 use treenum_trees::edit::EditOp;
 use treenum_trees::unranked::{NodeId, UnrankedTree};
-use treenum_trees::valuation::{Assignment, Singleton};
+use treenum_trees::valuation::{Assignment, Singleton, VarSet};
 use treenum_trees::Label;
 
 /// Structural statistics of the enumeration structure (reported by benchmarks and
@@ -77,6 +77,27 @@ pub struct TreeEnumerator {
     /// engine again, or a second reader thread) falls back to a throwaway
     /// scratch — or brings its own via [`TreeEnumerator::for_each_with`].
     scratch: Mutex<EnumScratch>,
+    /// Identifies this engine's current structure (see
+    /// [`TreeEnumerator::stamp`]): drawn from a process-global counter at
+    /// construction and again by every `&mut` method that changes the
+    /// circuit, the index or the enumeration mode.
+    stamp: u64,
+}
+
+/// Source of [`TreeEnumerator::stamp`] values: never reused in a process.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_stamp() -> u64 {
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
+
+/// The assignment an output of the machine denotes.
+fn assignment_of(parts: &[(VarSet, u32)]) -> Assignment {
+    Assignment::from_singletons(
+        parts
+            .iter()
+            .flat_map(|&(vars, token)| vars.iter().map(move |v| Singleton::new(v, NodeId(token)))),
+    )
 }
 
 /// Compile-time proof that the engine can be shared across threads (the
@@ -167,6 +188,7 @@ impl TreeEnumerator {
             depth_mark: Vec::new(),
             depth_val: Vec::new(),
             scratch: Mutex::new(EnumScratch::new()),
+            stamp: fresh_stamp(),
         };
         let order = engine.term.subtree_postorder(engine.term.root());
         for n in order {
@@ -234,6 +256,16 @@ impl TreeEnumerator {
     /// naive reference implementation (used by baselines and differential tests).
     pub fn set_box_enum_mode(&mut self, mode: BoxEnumMode) {
         self.mode = mode;
+        self.stamp = fresh_stamp();
+    }
+
+    /// A value identifying the current enumeration structure: unique to
+    /// this engine in this process, and replaced by every `&mut` method
+    /// that changes the circuit, the index or the enumeration mode.  Equal
+    /// stamps therefore mean the same answers in the same order — which is
+    /// what keys a run parked by [`TreeEnumerator::page_with`].
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// A read-only view of the current tree.
@@ -334,6 +366,33 @@ impl TreeEnumerator {
         (root_box, gates, empty)
     }
 
+    /// Runs `f` on the engine's pooled scratch.  A re-entrant or concurrent
+    /// call (the lock is held) gets a throwaway scratch instead; a poisoned
+    /// lock — a previous sink panicked mid-enumeration — is recovered, since
+    /// the pools only hold owned buffers and every run starts by abandoning
+    /// whatever the previous one left behind.
+    fn with_scratch<R>(&self, f: impl FnOnce(&mut EnumScratch) -> R) -> R {
+        match self.scratch.try_lock() {
+            Ok(mut scratch) => f(&mut scratch),
+            Err(TryLockError::Poisoned(p)) => f(&mut p.into_inner()),
+            Err(TryLockError::WouldBlock) => f(&mut EnumScratch::new()),
+        }
+    }
+
+    fn source(&self) -> EnumSource<'_> {
+        let index = match self.mode {
+            BoxEnumMode::Indexed => Some(&self.index),
+            BoxEnumMode::Reference => None,
+        };
+        EnumSource::new(&self.circuit, index, self.mode)
+    }
+
+    /// Starts the enumeration machine on the root query.
+    fn start(&self, scratch: &mut EnumScratch) {
+        let (root_box, gates, empty) = self.root_query();
+        scratch.start_root(self.source(), root_box, &gates, empty);
+    }
+
     /// Enumerates every satisfying assignment, invoking `sink` once per answer,
     /// without duplicates.  Return [`ControlFlow::Break`] from the sink to stop early.
     ///
@@ -342,15 +401,7 @@ impl TreeEnumerator {
     /// allocation-free inside the per-answer loop; if the sink re-enters the
     /// same engine, the nested enumeration runs on a throwaway scratch.
     pub fn for_each(&self, sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>) {
-        match self.scratch.try_lock() {
-            Ok(mut scratch) => self.for_each_with(&mut scratch, sink),
-            // Poisoned: a previous sink panicked mid-enumeration.  The pools
-            // only hold owned buffers, so they are structurally sound —
-            // recover the scratch rather than degrading to throwaway
-            // allocations forever.
-            Err(TryLockError::Poisoned(p)) => self.for_each_with(&mut p.into_inner(), sink),
-            Err(TryLockError::WouldBlock) => self.for_each_with(&mut EnumScratch::new(), sink),
-        }
+        self.with_scratch(|scratch| self.for_each_with(scratch, sink))
     }
 
     /// [`TreeEnumerator::for_each`] with a caller-provided [`EnumScratch`].
@@ -365,27 +416,14 @@ impl TreeEnumerator {
         scratch: &mut EnumScratch,
         sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>,
     ) {
-        let (root_box, gates, empty) = self.root_query();
-        let index = match self.mode {
-            BoxEnumMode::Indexed => Some(&self.index),
-            BoxEnumMode::Reference => None,
-        };
-        let _ = enumerate_root_with(
-            scratch,
-            &self.circuit,
-            index,
-            self.mode,
-            root_box,
-            &gates,
-            empty,
-            &mut |parts| {
-                let assignment =
-                    Assignment::from_singletons(parts.iter().flat_map(|&(vars, token)| {
-                        vars.iter().map(move |v| Singleton::new(v, NodeId(token)))
-                    }));
-                sink(assignment)
-            },
-        );
+        self.start(scratch);
+        let src = self.source();
+        while scratch.next_answer(src) {
+            if sink(assignment_of(scratch.answer())).is_break() {
+                scratch.abandon();
+                return;
+            }
+        }
     }
 
     /// Collects all satisfying assignments (convenience wrapper around
@@ -427,6 +465,58 @@ impl TreeEnumerator {
         out
     }
 
+    /// [`TreeEnumerator::page_with`] on the engine's pooled scratch (a lost
+    /// `try_lock` pages on a throwaway scratch, i.e. restarts).
+    pub fn page(&self, position: usize, k: usize) -> (Vec<Assignment>, bool) {
+        self.with_scratch(|scratch| self.page_with(scratch, position, k))
+    }
+
+    /// Up to `k` answers starting at `position` of the [`for_each`] order,
+    /// and whether another answer follows them.
+    ///
+    /// When another answer follows, the machine stays parked in `scratch`
+    /// on that look-ahead answer, keyed by ([`TreeEnumerator::stamp`],
+    /// `position + k`): the next page asked of this engine at exactly that
+    /// position with the same scratch resumes the suspended walk, costing
+    /// `O(k)` answers of delay instead of re-enumerating the prefix.  Any
+    /// other call is a miss and restarts, skipping `position` answers
+    /// without building them — another scratch, an edited engine (new
+    /// stamp), a replayed or out-of-order position, or any enumeration run
+    /// on the scratch in between.  Misses cost `O(position + k)` answers and
+    /// return the same page.  [`EnumStats::pages_resumed`] and
+    /// [`EnumStats::pages_restarted`] count the two paths.
+    ///
+    /// [`for_each`]: TreeEnumerator::for_each
+    pub fn page_with(
+        &self,
+        scratch: &mut EnumScratch,
+        position: usize,
+        k: usize,
+    ) -> (Vec<Assignment>, bool) {
+        let src = self.source();
+        // A resumed run already holds the answer at `position`.
+        let mut held = scratch.resume_page(self.stamp, position);
+        if !held {
+            self.start(scratch);
+            for _ in 0..position {
+                if !scratch.next_answer(src) {
+                    return (Vec::new(), false);
+                }
+            }
+        }
+        let mut answers = Vec::with_capacity(k.min(4096));
+        loop {
+            if !std::mem::take(&mut held) && !scratch.next_answer(src) {
+                return (answers, false);
+            }
+            if answers.len() == k {
+                scratch.park(self.stamp, position + k);
+                return (answers, true);
+            }
+            answers.push(assignment_of(scratch.answer()));
+        }
+    }
+
     /// Applies an edit operation (Definition 7.1) to the underlying tree and repairs
     /// the term, the circuit boxes and the index entries of exactly the dirtied
     /// nodes (Lemma 7.3).  Returns the node created by an insertion, if any.
@@ -442,6 +532,7 @@ impl TreeEnumerator {
     // hot-path: the per-edit update; the O(polylog) amortized bound assumes
     // no allocation beyond the epoch-marked scratch it already owns.
     pub fn apply(&mut self, op: &EditOp) -> Option<NodeId> {
+        self.stamp = fresh_stamp();
         let report = apply_edit(&mut self.tree, &mut self.term, &mut self.phi, op);
         // Free the boxes of removed term nodes first (their arena slots may be reused
         // by the new nodes created by the same edit).
@@ -518,6 +609,7 @@ impl TreeEnumerator {
             // analyze: allow(alloc): `Vec::new` of the empty result never allocates
             return Vec::new();
         }
+        self.stamp = fresh_stamp();
         let batch = apply_edits(&mut self.tree, &mut self.term, &mut self.phi, ops);
         self.scratch_epoch += 1;
         let epoch = self.scratch_epoch;

@@ -4,29 +4,26 @@
 //! contains a var- or ×-gate ∪-reachable from `Γ` ("interesting boxes"), and produces
 //! for each one the ∪-reachability relation `R(B', Γ)`.
 //!
-//! Two implementations are provided:
+//! Both implementations run as the walk frames of the resumable enumeration
+//! machine ([`crate::machine`]), on the [`EnumScratch`] pools:
 //!
-//! * [`box_enum_reference`]: the straightforward walk of the box tree described at
-//!   the end of Section 5, with delay `O(depth(C) · w²/64)` — simple, certainly
-//!   correct, used as the differential-testing oracle (it allocates freely;
-//!   [`box_enum_reference_pooled`] is the same walk on the [`EnumScratch`]
-//!   pools, used by [`BoxEnumMode::Reference`] so the reference mode can be
-//!   held to the same zero-alloc steady-state discipline as the hot path);
-//! * [`box_enum_indexed`]: Algorithm 3, which uses the precomputed `fib`/`fbb`
-//!   jump pointers of the index (Definition 6.1) to skip uninteresting boxes, making
-//!   the delay essentially independent of the circuit depth (Lemma 6.4).  This is
-//!   the hot path: every relation it materializes comes from the
-//!   [`EnumScratch`] pools and every child-step relation comes precomposed from
-//!   the index, so a warm steady-state run performs no heap allocation
-//!   (guarded by [`crate::scratch::EnumStats`]).
+//! * [`BoxEnumMode::Reference`]: the straightforward walk of the box tree
+//!   described at the end of Section 5, with delay `O(depth(C) · w²/64)`;
+//! * [`BoxEnumMode::Indexed`]: Algorithm 3, which uses the precomputed
+//!   `fib`/`fbb` jump pointers of the index (Definition 6.1) to skip
+//!   uninteresting boxes, making the delay essentially independent of the
+//!   circuit depth (Lemma 6.4).  This is the hot path: every child-step
+//!   relation comes precomposed from the index, so a warm steady-state run
+//!   performs no heap allocation (guarded by [`crate::scratch::EnumStats`]).
 //!
-//! Both sinks receive the scratch back on every emission — the recursion is
-//! re-entrant (`enum-s` recurses into `box-enum` from inside the sink), so the
-//! scratch is threaded through rather than borrowed across calls.
+//! [`box_enum`] runs either one alone and hands every interesting box to a
+//! sink; the allocating recursive walk [`box_enum_reference`] stays as the
+//! box-level test oracle both are checked against.
 
 use crate::bitset::GateSet;
 use crate::index::EnumIndex;
-use crate::relation::{child_relation, child_relation_into, Relation};
+use crate::machine::EnumSource;
+use crate::relation::{child_relation, Relation};
 use crate::scratch::EnumScratch;
 use std::ops::ControlFlow;
 use treenum_circuits::{BoxId, Circuit, Side, UnionInput};
@@ -42,8 +39,7 @@ pub enum BoxEnumMode {
 }
 
 /// The callback type receiving `(B', R(B', Γ))` pairs (plus the scratch, which
-/// the sink may use for its own pooled storage and must thread into nested
-/// enumeration calls).
+/// the sink may use for its own pooled storage).
 pub type BoxSink<'s> = dyn FnMut(&mut EnumScratch, BoxId, &Relation) -> ControlFlow<()> + 's;
 
 fn is_interesting(circuit: &Circuit, b: BoxId, sources: &GateSet) -> bool {
@@ -59,7 +55,7 @@ fn is_interesting(circuit: &Circuit, b: BoxId, sources: &GateSet) -> bool {
 /// [`is_interesting`] reading the reachable sources straight off the
 /// relation's rows, so the pooled reference walk needs no materialized
 /// source [`GateSet`].
-fn is_interesting_rel(circuit: &Circuit, b: BoxId, r: &Relation) -> bool {
+pub(crate) fn is_interesting_rel(circuit: &Circuit, b: BoxId, r: &Relation) -> bool {
     let gates = circuit.union_gates(b);
     (0..r.rows()).any(|gi| {
         !r.row_is_empty(gi)
@@ -116,13 +112,9 @@ fn walk_reference(
     ControlFlow::Continue(())
 }
 
-/// The scratch-pooled variant of [`box_enum_reference`]: the same top-down
-/// walk, but every relation (initial, child step, composition) comes from the
-/// [`EnumScratch`] pools, so a warm steady-state run performs no heap
-/// allocation — letting differential tests assert zero-alloc parity between
-/// the reference and indexed modes instead of only on the hot path.  The
-/// unpooled [`box_enum_reference`] stays as the allocation-agnostic oracle
-/// the pooled variants are checked against.
+/// Reference mode on the [`EnumScratch`] pools: the same top-down walk as
+/// [`box_enum_reference`] (emission order included), run by the machine's
+/// walk frames, so a warm steady-state run performs no heap allocation.
 pub fn box_enum_reference_pooled(
     circuit: &Circuit,
     scratch: &mut EnumScratch,
@@ -130,52 +122,20 @@ pub fn box_enum_reference_pooled(
     gamma: &GateSet,
     sink: &mut BoxSink<'_>,
 ) -> ControlFlow<()> {
-    let w = circuit.box_width(b);
-    let mut r0 = scratch.take_relation(w, w);
-    for g in gamma.iter() {
-        r0.set(g, g);
-    }
-    let flow = walk_reference_pooled(circuit, scratch, b, &r0, sink);
-    scratch.put_relation(r0);
-    flow
-}
-
-fn walk_reference_pooled(
-    circuit: &Circuit,
-    scratch: &mut EnumScratch,
-    b: BoxId,
-    r: &Relation,
-    sink: &mut BoxSink<'_>,
-) -> ControlFlow<()> {
-    if r.is_empty() {
-        return ControlFlow::Continue(());
-    }
-    if is_interesting_rel(circuit, b, r) {
-        sink(scratch, b, r)?;
-    }
-    let Some((l, rt)) = circuit.children(b) else {
-        return ControlFlow::Continue(());
-    };
-    let w = circuit.box_width(b);
-    let mut flow = ControlFlow::Continue(());
-    for (side, child) in [(Side::Left, l), (Side::Right, rt)] {
-        let mut step = scratch.take_relation(circuit.box_width(child), w);
-        child_relation_into(circuit, b, side, &mut step);
-        let mut rc = scratch.take_relation(step.rows(), r.cols());
-        step.compose_into(r, &mut rc);
-        scratch.put_relation(step);
-        if !rc.is_empty() {
-            flow = walk_reference_pooled(circuit, scratch, child, &rc, sink);
-        }
-        scratch.put_relation(rc);
-        flow?;
-    }
-    flow
+    box_enum(
+        circuit,
+        None,
+        BoxEnumMode::Reference,
+        scratch,
+        b,
+        gamma,
+        sink,
+    )
 }
 
 /// Algorithm 3: jump to the first interesting box with `fib`, cover its subtree, then
-/// walk the bidirectional boxes on the path with `fbb`, recursing into their right
-/// subtrees.
+/// walk the path down to it, covering the off-path subtrees of the bidirectional
+/// boxes.
 pub fn box_enum_indexed(
     circuit: &Circuit,
     index: &EnumIndex,
@@ -184,118 +144,19 @@ pub fn box_enum_indexed(
     gamma: &GateSet,
     sink: &mut BoxSink<'_>,
 ) -> ControlFlow<()> {
-    if gamma.is_empty() {
-        return ControlFlow::Continue(());
-    }
-    let w = circuit.box_width(b);
-    let mut r0 = scratch.take_relation(w, w);
-    for g in gamma.iter() {
-        r0.set(g, g);
-    }
-    let flow = b_enum(circuit, index, scratch, b, &r0, sink);
-    scratch.put_relation(r0);
-    flow
-}
-
-// hot-path: the per-answer B-ENUM recursion; every relation it touches must
-// come from (and return to) the `EnumScratch` pools, never the allocator.
-fn b_enum(
-    circuit: &Circuit,
-    index: &EnumIndex,
-    scratch: &mut EnumScratch,
-    b: BoxId,
-    r: &Relation,
-    sink: &mut BoxSink<'_>,
-) -> ControlFlow<()> {
-    debug_assert!(!r.is_empty(), "b-enum called with an empty relation");
-    let bi = index.of(b);
-    // Line 4–6: jump to the first interesting box and output its relation.
-    let b1_slot = bi
-        .fib_of_set((0..r.rows()).filter(|&i| !r.row_is_empty(i)))
-        .expect("every ∪-gate reaches an interesting box");
-    let b1 = bi.closure[b1_slot as usize];
-    let rel1 = &bi.rel[b1_slot as usize];
-    let mut r1 = scratch.take_relation(rel1.rows(), r.cols());
-    rel1.compose_into(r, &mut r1);
-    let mut flow = sink(scratch, b1, &r1);
-    // Lines 7–10: recurse into both subtrees of the first interesting box.
-    if flow.is_continue() {
-        if let Some((bl, br)) = circuit.children(b1) {
-            let (cl, cr) = index
-                .of(b1)
-                .child_rels()
-                .expect("internal box stores child relations");
-            let mut rl = scratch.take_relation(cl.rows(), r1.cols());
-            cl.compose_into(&r1, &mut rl);
-            if !rl.is_empty() {
-                flow = b_enum(circuit, index, scratch, bl, &rl, sink);
-            }
-            scratch.put_relation(rl);
-            if flow.is_continue() {
-                let mut rr = scratch.take_relation(cr.rows(), r1.cols());
-                cr.compose_into(&r1, &mut rr);
-                if !rr.is_empty() {
-                    flow = b_enum(circuit, index, scratch, br, &rr, sink);
-                }
-                scratch.put_relation(rr);
-            }
-        }
-    }
-    scratch.put_relation(r1);
-    if flow.is_break() || b == b1 {
-        return flow;
-    }
-    // Lines 11–17 of Algorithm 3 jump between the *bidirectional* boxes on the path
-    // from `b` to `b1` and recurse into their off-path subtrees.  We implement the
-    // same traversal as a walk down that path: path boxes strictly above `b1` are
-    // never interesting (otherwise `fib` would have returned them), so the only work
-    // is to recurse into the off-path side wherever the ∪-reachable wavefront
-    // branches away from the path.  The walk costs `O(w²/64)` per path box (the
-    // child steps come precomposed from the index); with the balanced terms of
-    // Section 7 the path has length `O(log n)`.
-    let mut current_box = b;
-    let mut cur = scratch.take_relation(r.rows(), r.cols());
-    cur.copy_from(r);
-    while current_box != b1 && flow.is_continue() {
-        if cur.is_empty() {
-            break;
-        }
-        let (bl, br) = circuit
-            .children(current_box)
-            .expect("a strict ancestor of the first interesting box is internal");
-        let (cl, cr) = index
-            .of(current_box)
-            .child_rels()
-            .expect("internal box stores child relations");
-        let towards_left = circuit.is_ancestor(bl, b1);
-        let (path_child, path_step, off_child, off_step) = if towards_left {
-            (bl, cl, br, cr)
-        } else {
-            (br, cr, bl, cl)
-        };
-        let mut off = scratch.take_relation(off_step.rows(), cur.cols());
-        off_step.compose_into(&cur, &mut off);
-        if !off.is_empty() {
-            flow = b_enum(circuit, index, scratch, off_child, &off, sink);
-        }
-        scratch.put_relation(off);
-        if flow.is_break() {
-            break;
-        }
-        let mut next = scratch.take_relation(path_step.rows(), cur.cols());
-        path_step.compose_into(&cur, &mut next);
-        scratch.put_relation(std::mem::replace(&mut cur, next));
-        current_box = path_child;
-    }
-    scratch.put_relation(cur);
-    flow
+    box_enum(
+        circuit,
+        Some(index),
+        BoxEnumMode::Indexed,
+        scratch,
+        b,
+        gamma,
+        sink,
+    )
 }
 
 /// Runs either implementation depending on `mode` (the index may be `None` only in
-/// reference mode).  Reference mode runs the scratch-pooled walk
-/// ([`box_enum_reference_pooled`]), so both modes are allocation-free once
-/// warm; the unpooled [`box_enum_reference`] remains available directly as
-/// the allocation-agnostic oracle.
+/// reference mode).
 pub fn box_enum(
     circuit: &Circuit,
     index: Option<&EnumIndex>,
@@ -305,13 +166,7 @@ pub fn box_enum(
     gamma: &GateSet,
     sink: &mut BoxSink<'_>,
 ) -> ControlFlow<()> {
-    match mode {
-        BoxEnumMode::Reference => box_enum_reference_pooled(circuit, scratch, b, gamma, sink),
-        BoxEnumMode::Indexed => {
-            let index = index.expect("indexed box-enum requires the index structure");
-            box_enum_indexed(circuit, index, scratch, b, gamma, sink)
-        }
-    }
+    scratch.walk_boxes(EnumSource::new(circuit, index, mode), b, gamma, sink)
 }
 
 /// Collects the output of a `box-enum` run (for tests).

@@ -2,29 +2,26 @@
 //!
 //! Given a boxed set `Γ`, [`enumerate_boxed_set`] enumerates `S(Γ)` without
 //! duplicates.  For every produced assignment `S` it also reports the provenance
-//! `Prov(S, Γ) = {g ∈ Γ | S ∈ S(g)}`, which is what the recursive calls on the inputs
-//! of ×-gates need in order to avoid duplicates across multiple ×-gates
-//! (see Section 5 of the paper).
+//! `Prov(S, Γ) = {g ∈ Γ | S ∈ S(g)}`, which is what the nested enumerations of
+//! the inputs of ×-gates need in order to avoid duplicates across multiple
+//! ×-gates (see Section 5 of the paper).
 //!
-//! The enumeration is callback-driven: the caller supplies a sink that may stop the
-//! enumeration early by returning [`ControlFlow::Break`].
-//!
-//! The recursion carries an [`EnumScratch`]: all grouping, provenance and
-//! assignment storage is pooled and reused across answers, so a warm
-//! steady-state enumeration performs no heap allocation (the
-//! [`crate::scratch::EnumStats`] counters guard this).  Assignments are
-//! emitted as the contents of a shared stack — left factors of a ×-gate stay
-//! pushed while the right factors enumerate below them — so no assignment
-//! vector is cloned per answer.  Use the `*_with` entry points to reuse a
-//! scratch across enumerations; the plain entry points create a throwaway one.
+//! These entry points are callback-driven drivers of the resumable
+//! enumeration machine ([`crate::machine`]): the caller supplies a sink that
+//! may stop the enumeration early by returning [`ControlFlow::Break`].  All
+//! grouping, provenance and assignment storage lives in an [`EnumScratch`]
+//! and is reused across answers, so a warm steady-state enumeration performs
+//! no heap allocation (the [`crate::scratch::EnumStats`] counters guard
+//! this).  Use the `*_with` entry points to reuse a scratch across
+//! enumerations; the plain entry points create a throwaway one.
 
 use crate::bitset::GateSet;
-use crate::boxenum::{box_enum, BoxEnumMode};
+use crate::boxenum::BoxEnumMode;
 use crate::index::EnumIndex;
-use crate::relation::Relation;
+use crate::machine::EnumSource;
 use crate::scratch::EnumScratch;
 use std::ops::ControlFlow;
-use treenum_circuits::{BoxId, Circuit, UnionInput};
+use treenum_circuits::{BoxId, Circuit};
 use treenum_trees::valuation::VarSet;
 
 /// An assignment as produced by the enumerator: a list of `⟨Y : leaf_token⟩` parts.
@@ -34,19 +31,6 @@ pub type OutputAssignment = Vec<(VarSet, u32)>;
 
 /// The sink type receiving `(assignment, provenance)` pairs.
 pub type AssignmentSink<'s> = dyn FnMut(&OutputAssignment, &GateSet) -> ControlFlow<()> + 's;
-
-/// The internal sink: threads the scratch and the shared assignment stack
-/// back to the caller (the recursion is re-entrant, so neither can be
-/// captured by the closures).
-type InnerSink<'s> =
-    dyn FnMut(&mut EnumScratch, &mut OutputAssignment, &GateSet) -> ControlFlow<()> + 's;
-
-/// Context shared by the recursive calls.
-struct Ctx<'a> {
-    circuit: &'a Circuit,
-    index: Option<&'a EnumIndex>,
-    mode: BoxEnumMode,
-}
 
 /// Enumerates `S(Γ)` for the boxed set `gamma` of box `b`, without duplicates,
 /// reporting each assignment together with its provenance relative to `gamma`.
@@ -76,26 +60,11 @@ pub fn enumerate_boxed_set_with(
     gamma: &GateSet,
     sink: &mut AssignmentSink<'_>,
 ) -> ControlFlow<()> {
-    let ctx = Ctx {
-        circuit,
-        index,
-        mode,
-    };
-    let mut asg = scratch.take_assignment();
-    debug_assert!(asg.is_empty());
-    let flow = enum_s(
-        &ctx,
-        scratch,
-        &mut asg,
-        b,
-        gamma,
-        &mut |scratch, asg, prov| {
-            scratch.count_answer();
-            sink(asg, prov)
-        },
-    );
-    scratch.put_assignment(asg);
-    flow
+    let src = EnumSource::new(circuit, index, mode);
+    scratch.start_boxed_set(src, b, gamma);
+    drive(scratch, src, &mut |s: &EnumScratch| {
+        sink(s.answer(), s.provenance())
+    })
 }
 
 /// Enumerates all satisfying assignments represented by the root of an assignment
@@ -137,29 +106,25 @@ pub fn enumerate_root_with(
     empty_accepted: bool,
     sink: &mut dyn FnMut(&OutputAssignment) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    if empty_accepted {
-        static EMPTY: Vec<(VarSet, u32)> = Vec::new();
-        scratch.count_answer();
-        sink(&EMPTY)?;
+    let src = EnumSource::new(circuit, index, mode);
+    scratch.start_root(src, root_box, root_gates, empty_accepted);
+    drive(scratch, src, &mut |s: &EnumScratch| sink(s.answer()))
+}
+
+/// Feeds every answer of the started run to `sink`; a break abandons the
+/// run, returning its buffers to the pools.
+fn drive(
+    scratch: &mut EnumScratch,
+    src: EnumSource<'_>,
+    sink: &mut dyn FnMut(&EnumScratch) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    while scratch.next_answer(src) {
+        if sink(scratch).is_break() {
+            scratch.abandon();
+            return ControlFlow::Break(());
+        }
     }
-    if root_gates.is_empty() {
-        return ControlFlow::Continue(());
-    }
-    let mut gamma = scratch.take_gate_set(circuit.box_width(root_box));
-    for &g in root_gates {
-        gamma.insert(g as usize);
-    }
-    let flow = enumerate_boxed_set_with(
-        scratch,
-        circuit,
-        index,
-        mode,
-        root_box,
-        &gamma,
-        &mut |s, _prov| sink(s),
-    );
-    scratch.put_gate_set(gamma);
-    flow
+    ControlFlow::Continue(())
 }
 
 /// Convenience wrapper collecting all assignments into a vector (tests, baselines,
@@ -186,171 +151,6 @@ pub fn collect_all(
         },
     );
     out
-}
-
-// hot-path: the per-answer ENUM-S loop; the delay bound assumes zero
-// allocation per emitted assignment (pools come from `EnumScratch`).
-fn enum_s(
-    ctx: &Ctx<'_>,
-    scratch: &mut EnumScratch,
-    asg: &mut OutputAssignment,
-    b: BoxId,
-    gamma: &GateSet,
-    sink: &mut InnerSink<'_>,
-) -> ControlFlow<()> {
-    if gamma.is_empty() {
-        return ControlFlow::Continue(());
-    }
-    box_enum(
-        ctx.circuit,
-        ctx.index,
-        ctx.mode,
-        scratch,
-        b,
-        gamma,
-        &mut |scratch, bprime, r| emit_box(ctx, scratch, asg, bprime, r, sink),
-    )
-}
-
-/// Handles one interesting box emitted by `box-enum`: emits the var-gate
-/// groups (Algorithm 2 lines 5–7), then recurses through the ×-gates
-/// (lines 8–16).  `r` relates the ∪-gates of `bprime` (rows) to the gates of
-/// `gamma`'s box (columns); only columns in `gamma` are populated.
-fn emit_box(
-    ctx: &Ctx<'_>,
-    scratch: &mut EnumScratch,
-    asg: &mut OutputAssignment,
-    bprime: BoxId,
-    r: &Relation,
-    sink: &mut InnerSink<'_>,
-) -> ControlFlow<()> {
-    let width_prime = ctx.circuit.box_width(bprime);
-    let gates = ctx.circuit.union_gates(bprime);
-
-    // First pass: size the grouping table (its capacity must cover every
-    // insertion up front — it never grows mid-pass).
-    let mut var_inputs = 0usize;
-    for gi in 0..r.rows() {
-        if r.row_is_empty(gi) {
-            continue;
-        }
-        var_inputs += gates[gi]
-            .inputs
-            .iter()
-            .filter(|i| matches!(i, UnionInput::Var { .. }))
-            .count();
-    }
-
-    // --- var-gates (lines 5–7) ---
-    // Var inputs with identical labels are the same var-gate (S_var is
-    // injective), so group them in the epoch-marked table and union the
-    // owners for the provenance.
-    // --- ×-gates (lines 8–16) ---
-    let mut triples = scratch.take_triples(); // (left, right, owner)
-    scratch.begin_groups(var_inputs);
-    for gi in 0..r.rows() {
-        if r.row_is_empty(gi) {
-            continue;
-        }
-        for input in &gates[gi].inputs {
-            match *input {
-                UnionInput::Var { vars, leaf_token } => {
-                    scratch.insert_group(vars, leaf_token, gi, width_prime);
-                }
-                UnionInput::Times { left, right } => {
-                    scratch.push_triple(&mut triples, (left, right, gi as u32));
-                }
-                UnionInput::Child { .. } => {}
-            }
-        }
-    }
-
-    // Drain the groups (deterministic `(token, vars)` order, provenance
-    // precomputed) before emitting: the sink may re-enter `enum-s`, which
-    // reuses the grouping table.
-    let mut parts = scratch.take_parts();
-    scratch.drain_groups_into(r, &mut parts);
-    let mut flow = ControlFlow::Continue(());
-    for part in &parts {
-        asg.push((part.vars, part.token));
-        flow = sink(scratch, asg, &part.prov);
-        asg.pop();
-        if flow.is_break() {
-            break;
-        }
-    }
-    scratch.put_parts(parts);
-
-    if flow.is_continue() && !triples.is_empty() {
-        let (bl, br) = ctx
-            .circuit
-            .children(bprime)
-            .expect("×-gates can only appear in internal boxes");
-        let left_width = ctx.circuit.box_width(bl);
-        let right_width = ctx.circuit.box_width(br);
-        let mut gamma_left = scratch.take_gate_set(left_width);
-        for &(l, _, _) in &triples {
-            gamma_left.insert(l as usize);
-        }
-
-        flow = enum_s(
-            ctx,
-            scratch,
-            asg,
-            bl,
-            &gamma_left,
-            &mut |scratch, asg, prov_l| {
-                // ×-gates whose left input captures the assignment currently
-                // on the stack.
-                let mut surviving = scratch.take_triples();
-                for &t in triples.iter() {
-                    if prov_l.contains(t.0 as usize) {
-                        scratch.push_triple(&mut surviving, t);
-                    }
-                }
-                if surviving.is_empty() {
-                    scratch.put_triples(surviving);
-                    return ControlFlow::Continue(());
-                }
-                let mut gamma_right = scratch.take_gate_set(right_width);
-                for &(_, rr, _) in &surviving {
-                    gamma_right.insert(rr as usize);
-                }
-                let flow = enum_s(
-                    ctx,
-                    scratch,
-                    asg,
-                    br,
-                    &gamma_right,
-                    &mut |scratch, asg, prov_r| {
-                        let mut owners = scratch.take_gate_set(width_prime);
-                        for &(_, rr, owner) in &surviving {
-                            if prov_r.contains(rr as usize) {
-                                owners.insert(owner as usize);
-                            }
-                        }
-                        let flow = if owners.is_empty() {
-                            ControlFlow::Continue(())
-                        } else {
-                            let mut prov = scratch.take_gate_set(r.cols());
-                            r.image_of_into(&owners, &mut prov);
-                            let flow = sink(scratch, asg, &prov);
-                            scratch.put_gate_set(prov);
-                            flow
-                        };
-                        scratch.put_gate_set(owners);
-                        flow
-                    },
-                );
-                scratch.put_gate_set(gamma_right);
-                scratch.put_triples(surviving);
-                flow
-            },
-        );
-        scratch.put_gate_set(gamma_left);
-    }
-    scratch.put_triples(triples);
-    flow
 }
 
 #[cfg(test)]

@@ -1,116 +1,126 @@
-//! An `Iterator` adapter over the callback-driven enumerator.
+//! An `Iterator` over the resumable enumeration machine.
 //!
-//! The paper presents the recursive enumeration as running "in another thread" that
-//! pauses after each output until the next value is requested (Section 4).  We follow
-//! the same idea: the producer runs on a worker thread and pushes each assignment
-//! into a bounded channel of capacity 1; dropping the iterator disconnects the
-//! channel, which makes the producer stop at its next output.
+//! The paper presents the enumeration as a process that pauses after each
+//! output until the next value is requested (Section 4).  The machine
+//! ([`crate::machine`]) is that process with its state kept in an
+//! [`EnumScratch`], so the iterator simply advances it once per `next()`:
+//! nothing runs ahead of the consumer, and dropping the iterator stops the
+//! enumeration where it is.
 
 use crate::dedup::OutputAssignment;
-use crossbeam::channel::{bounded, Receiver};
-use std::ops::ControlFlow;
-use std::thread::JoinHandle;
+use crate::machine::EnumSource;
+use crate::scratch::{EnumScratch, EnumStats};
+use treenum_circuits::BoxId;
 
-/// A pull-based iterator over assignments produced by a callback-driven producer.
-pub struct AssignmentIter {
-    receiver: Option<Receiver<OutputAssignment>>,
-    handle: Option<JoinHandle<()>>,
+/// A pull-based iterator over the assignments of a circuit root (see
+/// [`crate::dedup::enumerate_root`] for the arguments).
+pub struct AssignmentIter<'a> {
+    src: EnumSource<'a>,
+    scratch: EnumScratch,
 }
 
-impl AssignmentIter {
-    /// Spawns `producer` on a worker thread.  The producer receives a sink to push
-    /// assignments into; it must stop when the sink returns [`ControlFlow::Break`]
-    /// (which happens when the iterator is dropped).
-    pub fn spawn<F>(producer: F) -> Self
-    where
-        F: FnOnce(&mut dyn FnMut(&OutputAssignment) -> ControlFlow<()>) + Send + 'static,
-    {
-        let (tx, rx) = bounded::<OutputAssignment>(1);
-        let handle = std::thread::spawn(move || {
-            let mut sink = |s: &OutputAssignment| {
-                if tx.send(s.clone()).is_err() {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            };
-            producer(&mut sink);
-        });
-        AssignmentIter {
-            receiver: Some(rx),
-            handle: Some(handle),
-        }
+impl<'a> AssignmentIter<'a> {
+    /// Starts the enumeration of the root gates `root_gates` of `root_box`
+    /// (preceded by the empty assignment when `empty_accepted` holds).
+    pub fn new(
+        src: EnumSource<'a>,
+        root_box: BoxId,
+        root_gates: &[u32],
+        empty_accepted: bool,
+    ) -> Self {
+        let mut scratch = EnumScratch::new();
+        scratch.start_root(src, root_box, root_gates, empty_accepted);
+        AssignmentIter { src, scratch }
+    }
+
+    /// The counters of the iterator's scratch: `answers` is the number of
+    /// answers produced so far.
+    pub fn stats(&self) -> EnumStats {
+        self.scratch.stats()
     }
 }
 
-impl Iterator for AssignmentIter {
+impl Iterator for AssignmentIter<'_> {
     type Item = OutputAssignment;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let rx = self.receiver.as_ref()?;
-        match rx.recv() {
-            Ok(item) => Some(item),
-            Err(_) => {
-                // Producer finished; join it.
-                self.receiver = None;
-                if let Some(h) = self.handle.take() {
-                    let _ = h.join();
-                }
-                None
-            }
-        }
-    }
-}
-
-impl Drop for AssignmentIter {
-    fn drop(&mut self) {
-        // Disconnect first so the producer unblocks, then join.
-        self.receiver = None;
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.scratch
+            .next_answer(self.src)
+            .then(|| self.scratch.answer().clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use treenum_trees::valuation::VarSet;
+    use crate::boxenum::BoxEnumMode;
+    use crate::dedup::collect_all;
+    use crate::index::EnumIndex;
+    use treenum_automata::binary::select_a_leaves;
+    use treenum_circuits::{build_assignment_circuit, AssignmentCircuit};
+    use treenum_trees::binary::BinaryTree;
+    use treenum_trees::{Alphabet, Label, Var};
+
+    /// A comb of `n + 1` `a`-leaves (or `f`-leaves when `a_leaves` is
+    /// false) under `f`-nodes, with the select-`a`-leaves query.
+    fn comb(n: usize, a_leaves: bool) -> (AssignmentCircuit, EnumIndex, Vec<u32>, bool) {
+        let sigma = Alphabet::from_names(["a", "f"]);
+        let a = sigma.get("a").unwrap();
+        let f = sigma.get("f").unwrap();
+        let leaf: Label = if a_leaves { a } else { f };
+        let tva = select_a_leaves(a, f, Var(0));
+        let mut t = BinaryTree::leaf(leaf);
+        let mut cur = t.root();
+        for _ in 0..n {
+            let l = t.add_leaf(leaf);
+            cur = t.add_internal(f, cur, l);
+        }
+        t.set_root(cur);
+        let ac = build_assignment_circuit(&tva, &t);
+        let index = EnumIndex::build(&ac.circuit);
+        let (gates, empty) = ac.root_query(&tva, &t);
+        (ac, index, gates, empty)
+    }
 
     #[test]
     fn yields_all_items_then_ends() {
-        let iter = AssignmentIter::spawn(|sink| {
-            for i in 0..5u32 {
-                if sink(&vec![(VarSet::first_n(1), i)]).is_break() {
-                    return;
-                }
-            }
-        });
-        let items: Vec<_> = iter.collect();
+        let (ac, index, gates, empty) = comb(4, true);
+        let src = EnumSource::new(&ac.circuit, Some(&index), BoxEnumMode::Indexed);
+        let root = ac.circuit.root();
+        let items: Vec<_> = AssignmentIter::new(src, root, &gates, empty).collect();
         assert_eq!(items.len(), 5);
-        assert_eq!(items[3][0].1, 3);
+        let expected = collect_all(
+            &ac.circuit,
+            Some(&index),
+            BoxEnumMode::Indexed,
+            root,
+            &gates,
+            empty,
+        );
+        assert_eq!(
+            items, expected,
+            "same answers, same order as the callback driver"
+        );
     }
 
     #[test]
     fn dropping_the_iterator_stops_the_producer() {
-        let mut iter = AssignmentIter::spawn(|sink| {
-            // An "infinite" producer: must be stopped by the consumer.
-            let mut i = 0u32;
-            loop {
-                if sink(&vec![(VarSet::first_n(1), i)]).is_break() {
-                    return;
-                }
-                i += 1;
-            }
-        });
+        let (ac, index, gates, empty) = comb(64, true);
+        let src = EnumSource::new(&ac.circuit, Some(&index), BoxEnumMode::Indexed);
+        let mut iter = AssignmentIter::new(src, ac.circuit.root(), &gates, empty);
         assert!(iter.next().is_some());
         assert!(iter.next().is_some());
+        // Pull-based: nothing was produced beyond what the consumer asked for.
+        assert_eq!(iter.stats().answers, 2);
         drop(iter); // must not hang
     }
 
     #[test]
     fn empty_producer_yields_nothing() {
-        let iter = AssignmentIter::spawn(|_sink| {});
+        let (ac, index, gates, empty) = comb(3, false);
+        assert!(gates.is_empty() && !empty, "no a-leaf, no answer");
+        let src = EnumSource::new(&ac.circuit, Some(&index), BoxEnumMode::Indexed);
+        let iter = AssignmentIter::new(src, ac.circuit.root(), &gates, empty);
         assert_eq!(iter.count(), 0);
     }
 }

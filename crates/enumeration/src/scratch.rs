@@ -7,22 +7,25 @@
 //! (Algorithm 3) need between answers:
 //!
 //! * free pools of [`GateSet`]s, [`Relation`]s, ×-gate triple buffers and
-//!   var-part buffers, recycled take/put-style through the recursion (the
-//!   recursion is re-entrant, so objects are moved out of the scratch while
-//!   in use and returned afterwards — pools never hand out borrows);
+//!   var-part buffers, recycled take/put-style by the enumeration machine
+//!   (objects are moved out of the scratch while in use and returned
+//!   afterwards — pools never hand out borrows);
 //! * an epoch-marked dense grouping table for the var-gate grouping of
 //!   Algorithm 2 line 5–7, replacing the per-call
 //!   `HashMap<(VarSet, leaf_token), GateSet>` (the epoch trick mirrors the
 //!   update path's dirty bitmaps: beginning a new grouping is O(1), no
 //!   clearing);
-//! * the shared assignment stack: answers are emitted as the stack contents,
-//!   so no assignment vector is cloned per answer;
+//! * the stacks of the enumeration machine ([`crate::machine`]), including
+//!   the shared assignment stack — answers are emitted as the stack
+//!   contents, so no assignment vector is cloned per answer — and the key of
+//!   a run parked between pages;
 //! * the [`EnumStats`] counters that make the discipline observable —
 //!   `tests/delay_invariants.rs` asserts they stay flat across steady-state
 //!   enumerations, exactly like `IndexStats::child_index_clones` guards the
 //!   index rebuild path.
 
 use crate::bitset::GateSet;
+use crate::machine::Machine;
 use crate::relation::Relation;
 use treenum_trees::valuation::VarSet;
 
@@ -31,8 +34,8 @@ use treenum_trees::valuation::VarSet;
 /// After a warm-up enumeration, a steady-state run (same circuit, no edits)
 /// must leave `per_answer_allocs`, `relation_clones` and `group_map_rebuilds`
 /// unchanged; tests assert the deltas are zero.  Edits that *grow* the tree
-/// may legitimately deepen the recursion and grow the pools once — the next
-/// run is flat again.
+/// may legitimately deepen the machine's stacks and grow the pools once —
+/// the next run is flat again.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EnumStats {
     /// Answers emitted through this scratch (top-level `enum-s` emissions).
@@ -48,11 +51,18 @@ pub struct EnumStats {
     /// Times the var-group table had to be rebuilt at a larger capacity.
     /// Grows only while warming up to the widest box seen.
     pub group_map_rebuilds: u64,
+    /// Pages served by resuming a run parked in this scratch
+    /// ([`EnumScratch::resume_page`] hits): O(k) answers of work, no
+    /// re-enumerated prefix.
+    pub pages_resumed: u64,
+    /// Pages at a non-zero position that found no matching parked run and
+    /// had to restart, skipping `position` answers.
+    pub pages_restarted: u64,
 }
 
 /// One var-gate group of Algorithm 2 lines 5–7, drained out of the grouping
 /// table with its provenance precomputed (the grouping table is shared scratch
-/// and may be reused by nested recursion before the group is emitted).
+/// and is reused by the next box before the group is emitted).
 #[derive(Debug)]
 pub(crate) struct VarPart {
     pub vars: VarSet,
@@ -117,8 +127,8 @@ pub struct EnumScratch {
     triples: Vec<Vec<Triple>>,
     parts: Vec<Vec<VarPart>>,
     group: GroupTable,
-    /// The shared assignment stack (taken/put by `enumerate_boxed_set_with`).
-    assignment: Vec<(VarSet, u32)>,
+    /// The enumeration machine's stacks (and its parked position, if any).
+    pub(crate) m: Machine,
     /// High-water marks: every pooled buffer is padded towards these on
     /// take, so pooled capacities converge to a fixpoint (one size fits
     /// every call site) and steady-state reuse is allocation-free no matter
@@ -127,7 +137,7 @@ pub struct EnumScratch {
     max_rel_words: usize,
     max_triples: usize,
     max_parts: usize,
-    stats: EnumStats,
+    pub(crate) stats: EnumStats,
 }
 
 impl EnumScratch {
@@ -159,7 +169,7 @@ impl EnumScratch {
 
     /// Reserves room for one more element, counting a reallocation.
     #[inline]
-    fn reserve_one<T>(vec: &mut Vec<T>, stats: &mut EnumStats) {
+    pub(crate) fn reserve_one<T>(vec: &mut Vec<T>, stats: &mut EnumStats) {
         if vec.len() == vec.capacity() {
             stats.per_answer_allocs += 1;
             vec.reserve(1);
@@ -246,15 +256,6 @@ impl EnumScratch {
         self.parts.push(v);
     }
 
-    pub(crate) fn take_assignment(&mut self) -> Vec<(VarSet, u32)> {
-        std::mem::take(&mut self.assignment)
-    }
-
-    pub(crate) fn put_assignment(&mut self, mut asg: Vec<(VarSet, u32)>) {
-        asg.clear();
-        self.assignment = asg;
-    }
-
     /// Starts a grouping pass that will see at most `expected` insertions of
     /// owner gates over a universe of `width` ∪-gates.
     pub(crate) fn begin_groups(&mut self, expected: usize) {
@@ -303,7 +304,7 @@ impl EnumScratch {
     /// Drains the live groups in deterministic `(token, vars)` order,
     /// appending one [`VarPart`] per group with its provenance `owners ∘ r`
     /// precomputed.  The table is reusable immediately afterwards (nested
-    /// recursion may regroup before the drained parts are emitted).
+    /// levels may regroup before the drained parts are emitted).
     pub(crate) fn drain_groups_into(&mut self, r: &Relation, parts: &mut Vec<VarPart>) {
         let mut order = std::mem::take(&mut self.group.order);
         order.clear();

@@ -356,10 +356,12 @@ pub enum ServeError {
     /// never alias a different query.
     UnknownQuery,
     /// A [`PageCursor`] was presented to a snapshot at a different
-    /// generation than the one it was minted at.  Cursor positions are only
-    /// meaningful within one immutable snapshot; re-read page 1 on the new
-    /// generation (or keep the original [`Snapshot`] alive to finish the
-    /// scan — pinning the generation is exactly what snapshots are for).
+    /// generation than the one it was minted at, or to a reader of a
+    /// different query than the one that minted it.  Cursor positions are
+    /// only meaningful within one query's enumeration of one immutable
+    /// snapshot; re-read page 1 on the new generation or query (or keep the
+    /// original [`Snapshot`] alive to finish the scan — pinning the
+    /// generation is exactly what snapshots are for).
     StaleCursor,
 }
 
@@ -391,7 +393,7 @@ impl std::fmt::Display for ServeError {
             ServeError::StaleCursor => {
                 write!(
                     f,
-                    "page cursor was minted at a different snapshot generation"
+                    "page cursor was minted for a different query or snapshot generation"
                 )
             }
         }

@@ -204,6 +204,7 @@ impl Snapshot {
         match self.inner.engine(id) {
             Some(engine) => Ok(QueryReader {
                 engine,
+                id,
                 generation: self.inner.generation,
             }),
             None => Err(ServeError::UnknownQuery),
@@ -226,6 +227,7 @@ impl Snapshot {
 #[derive(Clone, Copy)]
 pub struct QueryReader<'a> {
     engine: &'a TreeEnumerator,
+    id: QueryId,
     generation: u64,
 }
 
@@ -273,25 +275,30 @@ impl QueryReader<'_> {
     /// [`QueryReader::page_with`] for the cursor contract.
     pub fn page(&self, cursor: Option<PageCursor>, k: usize) -> Result<Page, ServeError> {
         let position = self.cursor_position(cursor)?;
-        let mut answers = Vec::new();
-        let mut more = false;
-        let mut seen = 0usize;
-        self.engine
-            .for_each(&mut |a| Self::page_step(&mut seen, position, k, &mut answers, &mut more, a));
+        let (answers, more) = self.engine.page(position, k);
         Ok(self.page_from(position, answers, more))
     }
 
     /// [`QueryReader::page`] with a caller-owned [`EnumScratch`].
     ///
-    /// Cursor contract: a [`PageCursor`] is valid only against snapshots at
-    /// the **same generation** it was produced at — enumeration order is
-    /// deterministic for a fixed structure, so re-reading the same pinned
-    /// generation resumes exactly where the previous page stopped, no matter
-    /// how many flushes the shard published in between.  A cursor presented
-    /// at any other generation fails with [`ServeError::StaleCursor`]
-    /// (positions are not comparable across structure changes).  Skipping to
-    /// the cursor costs `O(position)` answers of enumeration plus `O(k)` for
-    /// the page, per the paper's linear-delay regime.
+    /// Cursor contract: a [`PageCursor`] is valid only for the **query** it
+    /// was minted by and against snapshots at the **same generation** —
+    /// enumeration order is deterministic for a fixed structure, so
+    /// re-reading the same pinned generation resumes exactly where the
+    /// previous page stopped, no matter how many flushes the shard published
+    /// in between.  A cursor presented at any other generation, or to
+    /// another query's reader, fails with [`ServeError::StaleCursor`]
+    /// (positions are not comparable across structures).
+    ///
+    /// Cost: the page that returns a cursor leaves the enumeration parked in
+    /// the scratch on the next answer, so feeding that cursor back with the
+    /// same scratch (the engine's pooled one for [`QueryReader::page`])
+    /// resumes the suspended walk in `O(k)` answers.  A miss costs
+    /// `O(position + k)`: it restarts and skips `position` answers without
+    /// building them.  Misses are a different scratch (including a lost
+    /// `try_lock` on the pooled one), a replayed or out-of-order cursor, or
+    /// any other enumeration of the scratch between the two pages (e.g. two
+    /// interleaved scans).  Either way the page is the same.
     pub fn page_with(
         &self,
         scratch: &mut EnumScratch,
@@ -299,47 +306,23 @@ impl QueryReader<'_> {
         k: usize,
     ) -> Result<Page, ServeError> {
         let position = self.cursor_position(cursor)?;
-        let mut answers = Vec::new();
-        let mut more = false;
-        let mut seen = 0usize;
-        self.engine.for_each_with(scratch, &mut |a| {
-            Self::page_step(&mut seen, position, k, &mut answers, &mut more, a)
-        });
+        let (answers, more) = self.engine.page_with(scratch, position, k);
         Ok(self.page_from(position, answers, more))
     }
 
     fn cursor_position(&self, cursor: Option<PageCursor>) -> Result<usize, ServeError> {
         match cursor {
-            Some(c) if c.generation != self.generation => Err(ServeError::StaleCursor),
+            Some(c) if c.generation != self.generation || c.query != self.id => {
+                Err(ServeError::StaleCursor)
+            }
             Some(c) => Ok(c.position),
             None => Ok(0),
         }
     }
 
-    fn page_step(
-        seen: &mut usize,
-        position: usize,
-        k: usize,
-        answers: &mut Vec<Assignment>,
-        more: &mut bool,
-        a: Assignment,
-    ) -> ControlFlow<()> {
-        if *seen < position {
-            *seen += 1;
-            return ControlFlow::Continue(());
-        }
-        if answers.len() < k {
-            answers.push(a);
-            ControlFlow::Continue(())
-        } else {
-            // A (k+1)-th answer exists: the page is full but not final.
-            *more = true;
-            ControlFlow::Break(())
-        }
-    }
-
     fn page_from(&self, position: usize, answers: Vec<Assignment>, more: bool) -> Page {
         let next = more.then_some(PageCursor {
+            query: self.id,
             generation: self.generation,
             position: position + answers.len(),
         });
@@ -347,18 +330,25 @@ impl QueryReader<'_> {
     }
 }
 
-/// Resume point of a paginated read, pinned to one snapshot generation.
+/// Resume point of a paginated read, pinned to one query and one snapshot
+/// generation.
 ///
 /// Produced by [`QueryReader::page`]/[`QueryReader::page_with`]; feed it back
-/// to a reader **at the same generation** to fetch the next page.  See
-/// [`QueryReader::page_with`] for the stability contract.
+/// to a reader of **the same query at the same generation** to fetch the
+/// next page.  See [`QueryReader::page_with`] for the stability contract.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PageCursor {
+    query: QueryId,
     generation: u64,
     position: usize,
 }
 
 impl PageCursor {
+    /// The query this cursor pages.
+    pub fn query(&self) -> QueryId {
+        self.query
+    }
+
     /// The generation this cursor is valid against.
     pub fn generation(&self) -> u64 {
         self.generation

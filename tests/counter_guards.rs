@@ -25,7 +25,9 @@ fn select_b(sigma: &Alphabet) -> treenum::automata::StepwiseTva {
 
 /// `EnumStats`: `answers` counts every emitted assignment; the allocation
 /// counters (`per_answer_allocs`, `relation_clones`, `group_map_rebuilds`)
-/// stay flat across a steady-state re-enumeration of the same engine.
+/// stay flat across a steady-state re-enumeration of the same engine; the
+/// page counters (`pages_resumed`, `pages_restarted`) split resumed pages
+/// from restarted ones.
 #[test]
 fn enum_stats_counters_track_the_zero_alloc_discipline() {
     let mut sigma = Alphabet::from_names(["a", "b", "c"]);
@@ -55,6 +57,15 @@ fn enum_stats_counters_track_the_zero_alloc_discipline() {
         steady.relation_clones, 0,
         "the enumeration path cloned a relation"
     );
+    // Pagination: the second page resumes the run the first one parked;
+    // a replay of the same cursor has nothing parked and restarts.
+    assert!(n > 2, "guard scenario must span two pages");
+    let _ = engine.page(0, 1);
+    let _ = engine.page(1, 1);
+    let _ = engine.page(1, 1);
+    let paged = engine.enum_stats();
+    assert_eq!(paged.pages_resumed, steady.pages_resumed + 1);
+    assert_eq!(paged.pages_restarted, steady.pages_restarted + 1);
 }
 
 /// `IndexStats`: the build stores relations and counts entry rebuilds; a

@@ -9,7 +9,8 @@
 //!   canonical `TranslationKey`, not in cache residency;
 //! * **pinned-generation pagination** — a `PageCursor` walks one immutable
 //!   snapshot to completion regardless of concurrent flushes, and is
-//!   rejected with `StaleCursor` by any other generation;
+//!   rejected with `StaleCursor` by any other generation — and by any other
+//!   query's reader on the same snapshot;
 //! * **deterministic deregistration** — the id dies at the detach point for
 //!   *new* snapshots while held snapshots keep serving, and the primary
 //!   query is pinned for the server's lifetime.
@@ -272,6 +273,47 @@ fn pinned_generation_pagination_survives_concurrent_flushes() {
             .unwrap()
             .page(Some(stale), 3)
             .err(),
+        Some(ServeError::StaleCursor)
+    );
+}
+
+#[test]
+fn cursors_are_bound_to_the_query_that_minted_them() {
+    let mut sigma = sigma();
+    let query = select_b(&sigma);
+    let tree = random_tree(&mut sigma, 90, TreeShape::Random, 41);
+    let server = TreeServer::new(vec![tree], &query, sigma.len(), ServeConfig::default());
+    let other = queries::select_label(sigma.len(), sigma.get("c").unwrap(), Var(0));
+    let other_id = server.register(&other, sigma.len()).unwrap().id;
+    let snap = server.snapshot(0);
+    let primary = snap.query(QueryId::PRIMARY).unwrap();
+    let reader = snap.query(other_id).unwrap();
+
+    let cursor = primary
+        .page(None, 2)
+        .unwrap()
+        .next
+        .expect("mid-scan cursor");
+    assert_eq!(cursor.query(), QueryId::PRIMARY);
+    assert_eq!(cursor.generation(), reader.generation(), "same snapshot");
+    // Same generation, different query: rejected on both page paths
+    // instead of silently paging the other query from this offset.
+    assert_eq!(
+        reader.page(Some(cursor), 2).err(),
+        Some(ServeError::StaleCursor)
+    );
+    let mut scratch = EnumScratch::new();
+    assert_eq!(
+        reader.page_with(&mut scratch, Some(cursor), 2).err(),
+        Some(ServeError::StaleCursor)
+    );
+    // Each reader keeps accepting its own cursors.
+    let own = reader.page(None, 2).unwrap().next.expect("mid-scan cursor");
+    assert_eq!(own.query(), other_id);
+    assert!(reader.page(Some(own), 2).is_ok());
+    assert!(primary.page(Some(cursor), 2).is_ok());
+    assert_eq!(
+        primary.page(Some(own), 2).err(),
         Some(ServeError::StaleCursor)
     );
 }
