@@ -10,9 +10,10 @@
 //!   height `O(log n)` representing it (centroid-style splitting of forests and
 //!   contexts).
 //! * [`update`]: maintenance of the term under the edit operations of Definition 7.1.
-//!   Each edit splices `O(1)` term nodes and then restores `α`-weight balance by
-//!   rebuilding the highest unbalanced subterm (scapegoat-style partial rebuilding:
-//!   amortized `O(log n)` work per edit, worst-case `O(log n)` height at all times).
+//!   A batch of edits splices `O(1)` term nodes per edit and then restores balance
+//!   by rebuilding the lowest unbalanced subterm above each too-deep node
+//!   (scapegoat-style partial rebuilding: amortized `O(log n)` work per edit,
+//!   `O(log n)` height after every batch).  A single edit is a one-op batch.
 //!   The set of affected term nodes — the paper's *tree hollowing* trunk — is
 //!   reported so that the circuit and index can be repaired bottom-up (Lemma 7.3).
 //! * [`translate`]: the Lemma 7.4 automaton translation — from a stepwise unranked

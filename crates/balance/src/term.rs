@@ -177,6 +177,12 @@ pub struct Term {
     nodes: Vec<Node>,
     free_list: Vec<u32>,
     root: Option<TermNodeId>,
+    /// Memo of [`Term::depth_memoized`], parallel to `nodes`: slot `i` holds
+    /// `(e, d)`, and node `i` has depth `d` iff `e == depth_epoch`.
+    depth_memo: Vec<(u32, u32)>,
+    /// Bumped by every change of shape, which forgets every memoized depth.
+    /// Never 0 once a node exists, so never-written slots never match.
+    depth_epoch: u32,
 }
 
 impl Term {
@@ -196,6 +202,7 @@ impl Term {
     /// Declares `n` the root.
     pub fn set_root(&mut self, n: TermNodeId) {
         assert!(self.node(n).parent.is_none());
+        self.forget_depths();
         self.root = Some(n);
     }
 
@@ -212,6 +219,7 @@ impl Term {
     }
 
     fn alloc(&mut self, node: Node) -> TermNodeId {
+        self.forget_depths();
         if let Some(i) = self.free_list.pop() {
             self.nodes[i as usize] = node;
             TermNodeId(i)
@@ -353,6 +361,56 @@ impl Term {
         d
     }
 
+    /// Depth of `n` below the root, memoized until the term next changes
+    /// shape.
+    ///
+    /// A lookup walks up only until a memoized ancestor (or the root) and
+    /// memoizes the walked path on the way back, so the depths of many nodes
+    /// that share spines — a batch's dirty union — cost `O(nodes visited)`
+    /// overall instead of `O(nodes · height)`.
+    pub fn depth_memoized(&mut self, n: TermNodeId) -> u32 {
+        if self.depth_memo.len() < self.nodes.len() {
+            self.depth_memo.resize(self.nodes.len(), (0, 0));
+        }
+        let epoch = self.depth_epoch;
+        // Up: count the unmemoized nodes until a memoized ancestor or past
+        // the root.
+        let mut unset = 0u32;
+        let mut cur = Some(n);
+        let mut above = None;
+        while let Some(c) = cur {
+            let (e, d) = self.depth_memo[c.index()];
+            if e == epoch {
+                above = Some(d);
+                break;
+            }
+            unset += 1;
+            cur = self.parent(c);
+        }
+        let depth = match above {
+            Some(d) => d + unset,
+            None => unset - 1,
+        };
+        // Down the same path, memoizing the `unset` walked nodes.
+        let mut c = n;
+        for d in (depth + 1 - unset..=depth).rev() {
+            self.depth_memo[c.index()] = (epoch, d);
+            if let Some(p) = self.parent(c) {
+                c = p;
+            }
+        }
+        depth
+    }
+
+    fn forget_depths(&mut self) {
+        self.depth_epoch = self.depth_epoch.wrapping_add(1);
+        if self.depth_epoch == 0 {
+            // A wrapped epoch would revive stale slots: clear them instead.
+            self.depth_memo.fill((0, 0));
+            self.depth_epoch = 1;
+        }
+    }
+
     /// Height of the term.
     pub fn height(&self) -> usize {
         self.subtree_postorder(self.root())
@@ -376,6 +434,7 @@ impl Term {
             assert_eq!(r, old, "old is not a child of parent");
             (l, new)
         };
+        self.forget_depths();
         self.node_mut(parent).children = Some(children);
         self.node_mut(old).parent = None;
         self.node_mut(new).parent = Some(parent);
@@ -385,6 +444,7 @@ impl Term {
     /// Replaces the root of the term by a detached node.
     pub fn replace_root(&mut self, new: TermNodeId) {
         assert!(self.node(new).parent.is_none());
+        self.forget_depths();
         self.root = Some(new);
     }
 
@@ -406,6 +466,7 @@ impl Term {
             self.node(n).parent.is_none(),
             "free_subtree on an attached node"
         );
+        self.forget_depths();
         let mut stack = vec![n];
         while let Some(x) = stack.pop() {
             if let Some((l, r)) = self.node(x).children {
@@ -590,6 +651,33 @@ mod tests {
         term.recompute_weights_upwards(root);
         term.check_invariants();
         assert_eq!(term.weight(root), 3);
+    }
+
+    #[test]
+    fn memoized_depths_follow_shape_changes() {
+        let mut term = Term::new();
+        let a = leaf_c(&mut term, 0, 0);
+        let b = leaf_t(&mut term, 1, 1);
+        let root = term.add_op(TermOp::OdotVH, a, b);
+        term.set_root(root);
+        assert_eq!(term.depth_memoized(b), 1);
+        assert_eq!(term.depth_memoized(root), 0);
+        // Splice (b2 ⊕HH c) in for b: b2 is memoized deeper than b was.
+        let b2 = leaf_t(&mut term, 1, 1);
+        let c = leaf_t(&mut term, 2, 2);
+        let forest = term.add_op(TermOp::OplusHH, b2, c);
+        term.replace_child(root, b, forest);
+        term.free_subtree(b);
+        for n in term.subtree_postorder(root) {
+            assert_eq!(term.depth_memoized(n) as usize, term.depth(n));
+        }
+        // A new root above the old one shifts every memoized depth.
+        let x = leaf_t(&mut term, 0, 3);
+        let top = term.add_op(TermOp::OplusHH, x, root);
+        term.replace_root(top);
+        for n in term.subtree_postorder(top) {
+            assert_eq!(term.depth_memoized(n) as usize, term.depth(n));
+        }
     }
 
     #[test]

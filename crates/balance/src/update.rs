@@ -2,16 +2,18 @@
 //!
 //! Every edit is first realized by an `O(1)` splice of term nodes anchored at the
 //! term leaf of the edited tree node (this is the paper's *tree hollowing*: the new
-//! term reuses all untouched subterms).  The splice can degrade balance, so we then
-//! apply scapegoat-style partial rebuilding: if the spliced leaf ended up too deep
-//! relative to `log₂` of the term weight, the highest offending subterm is rebuilt
-//! from scratch with the balanced construction of [`crate::build`].  This gives
-//! amortized logarithmic work per edit and keeps the term height logarithmic, which
-//! is what the circuit-repair cost of Lemma 7.3 depends on.
+//! term reuses all untouched subterms).  The splice can degrade balance, so
+//! [`apply_edits`] then applies scapegoat-style partial rebuilding: while some
+//! touched node is too deep relative to `log₂` of the term weight, the lowest
+//! ancestor whose subterm is too deep for its own weight is rebuilt from scratch
+//! with the balanced construction of [`crate::build`].  This gives amortized
+//! logarithmic work per edit and keeps the term height logarithmic, which is what
+//! the circuit-repair cost of Lemma 7.3 depends on.  A single edit is a one-op
+//! batch.
 //!
-//! [`apply_edit`] reports every term node whose subterm changed (`dirty`, bottom-up)
-//! and every freed node, so the engine can repair the assignment circuit and the
-//! enumeration index for exactly those boxes.
+//! [`apply_edits`] reports every term node whose subterm changed (`dirty`,
+//! bottom-up) and every freed node, so the engine can repair the assignment
+//! circuit and the enumeration index for exactly those boxes.
 
 use crate::build::{build_context_subterm, build_forest_subterm};
 use crate::term::{Sort, Term, TermNodeId, TermNodeKind, TermOp};
@@ -69,18 +71,18 @@ impl BatchReport {
 /// Applies every edit of `ops` in order, deferring the scapegoat rebalancing
 /// to **one** end-of-batch sweep, and returns the per-edit reports (plus one
 /// report per end-of-batch rebuild) bundled for a single deduplicated
-/// downstream repair pass.
+/// downstream repair pass.  This is the only term update: a single edit is a
+/// one-op batch.
 ///
-/// The resulting *tree* is identical to `ops.len()` separate [`apply_edit`]
-/// calls; the *term* may differ structurally (it is rebalanced once instead
-/// of after every op) but satisfies the same invariants and the same height
-/// bound once the batch completes.  Deferring matters for clustered batches:
-/// an insert flood into one hot subtree triggers several mid-batch scapegoat
-/// rebuilds under sequential application — each rebuilding (and re-dirtying)
-/// a growing subtree — where the batch pays for at most a few rebuilds of
-/// the final shape.  Mid-batch the term can transiently exceed the depth
-/// limit by at most `ops.len()`, which only lengthens the spines of the
-/// batch's own dirty reports.
+/// The resulting *tree* does not depend on how `ops` is split into batches;
+/// the *term* may (it is rebalanced once per batch instead of once per op)
+/// but satisfies the same invariants and the same height bound once the
+/// batch completes.  Deferring matters for clustered batches: an insert
+/// flood into one hot subtree would otherwise pay several rebuilds of a
+/// growing pocket, where the batch pays for at most a few rebuilds of the
+/// final shape.  Mid-batch the term can transiently exceed the depth limit
+/// by at most `ops.len()`, which only lengthens the spines of the batch's
+/// own dirty reports.
 pub fn apply_edits(
     tree: &mut UnrankedTree,
     term: &mut Term,
@@ -89,38 +91,25 @@ pub fn apply_edits(
 ) -> BatchReport {
     let mut reports: Vec<UpdateReport> = ops
         .iter()
-        .map(|op| apply_edit_unbalanced(tree, term, phi, op))
+        .map(|op| splice_edit(tree, term, phi, op))
         .collect();
     // One rebalancing sweep over everything the batch touched, repeated
     // until no touched node is too deep (each pass rebuilds the lowest
     // violating ancestor of the currently deepest violator — the flooded
-    // pocket, see `Scapegoat::Lowest`; a rebuilt subtree is internally
-    // balanced, so at most a few passes run even for floods).  Depths are
-    // computed through a memo slab — the touched set holds k near-complete
-    // spines, and bare `term.depth` walks would cost O(k · log²n) per sweep.
-    let mut touched: Vec<TermNodeId> = reports
-        .iter()
-        .flat_map(|r| r.dirty.iter().copied())
-        .collect();
-    let mut depths: Vec<u32> = Vec::new();
+    // pocket, see `rebalance_scapegoat`; a rebuilt subtree is internally
+    // balanced, so at most a few passes run even for floods).  The touched
+    // set holds k near-complete spines, so depths go through the term's memo
+    // — bare `term.depth` walks would cost O(k · log²n) per sweep.
+    let mut touched: Vec<TermNodeId> =
+        Vec::with_capacity(reports.iter().map(|r| r.dirty.len()).sum());
+    touched.extend(reports.iter().flat_map(|r| r.dirty.iter().copied()));
     loop {
         touched.retain(|&n| term.is_live(n));
-        // Small touched sets (single-edit batches) are cheaper to walk
-        // directly than to zero an arena-sized memo slab for.
-        let deepest = if touched.len() <= 128 {
-            touched.iter().map(|&n| (term.depth(n) as u32, n)).max()
-        } else {
-            depths.clear();
-            depths.resize(term.arena_len(), DEPTH_UNSET);
-            touched
-                .iter()
-                .map(|&n| (memo_depth(term, &mut depths, n), n))
-                .max()
-        };
+        let deepest = touched.iter().map(|&n| (term.depth_memoized(n), n)).max();
         let Some((depth, deepest)) = deepest else {
             break;
         };
-        match rebalance_scapegoat(tree, term, phi, deepest, depth as usize, Scapegoat::Lowest) {
+        match rebalance_scapegoat(tree, term, phi, deepest, depth as usize) {
             None => break,
             Some(extra) => {
                 touched.extend(extra.dirty.iter().copied());
@@ -131,63 +120,10 @@ pub fn apply_edits(
     BatchReport { reports }
 }
 
-/// Sentinel for "depth not yet memoized" in [`memo_depth`]'s slab.
-const DEPTH_UNSET: u32 = u32::MAX;
-
-/// Term depth of `n` through a memo slab indexed by arena slot: walks up only
-/// until a memoized ancestor (or the root), then assigns depths back down, so
-/// a sweep over many nodes sharing spines costs O(nodes visited) overall.
-fn memo_depth(term: &Term, depths: &mut [u32], n: TermNodeId) -> u32 {
-    let mut cur = n;
-    let mut walked = 0u32;
-    while depths[cur.index()] == DEPTH_UNSET {
-        walked += 1;
-        match term.parent(cur) {
-            Some(p) => cur = p,
-            None => {
-                // `cur` is the root: seed it and stop (its slot was counted).
-                depths[cur.index()] = 0;
-                walked -= 1;
-                break;
-            }
-        }
-    }
-    let mut depth = depths[cur.index()] + walked;
-    let result = depth;
-    // Second pass down the same path, filling the memo.
-    let mut cur = n;
-    while depths[cur.index()] == DEPTH_UNSET {
-        depths[cur.index()] = depth;
-        depth -= 1;
-        cur = term
-            .parent(cur)
-            .expect("unset node below a seeded ancestor");
-    }
-    result
-}
-
-/// Applies `op` to both the unranked tree and its balanced term (keeping the `φ`
-/// mapping up to date), and reports the affected term nodes.
-pub fn apply_edit(
-    tree: &mut UnrankedTree,
-    term: &mut Term,
-    phi: &mut HashMap<NodeId, TermNodeId>,
-    op: &EditOp,
-) -> UpdateReport {
-    let mut report = apply_edit_unbalanced(tree, term, phi, op);
-    // Rebalance if the splice left some touched node too deep.
-    let rebalance = rebalance_if_needed(tree, term, phi, &report.dirty);
-    if let Some(mut extra) = rebalance {
-        report.dirty.append(&mut extra.dirty);
-        report.freed.append(&mut extra.freed);
-    }
-    report
-}
-
-/// The `O(1)` splice of [`apply_edit`] *without* the scapegoat rebalancing
-/// check — the batch path ([`apply_edits`]) defers rebalancing to one sweep
-/// at the end of the batch.
-fn apply_edit_unbalanced(
+/// The `O(1)` splice realizing `op` on both the unranked tree and its balanced
+/// term (keeping the `φ` mapping up to date), *without* rebalancing —
+/// [`apply_edits`] rebalances once per batch.
+fn splice_edit(
     tree: &mut UnrankedTree,
     term: &mut Term,
     phi: &mut HashMap<NodeId, TermNodeId>,
@@ -511,51 +447,19 @@ fn rebuild_subterm(
     }
 }
 
-/// Scapegoat-style rebalancing: if any touched node is deeper than
-/// `DEPTH_SLACK · (log₂(n) + 1)`, rebuild the highest ancestor whose subterm is too
-/// deep relative to its own weight.
-fn rebalance_if_needed(
-    tree: &UnrankedTree,
-    term: &mut Term,
-    phi: &mut HashMap<NodeId, TermNodeId>,
-    touched: &[TermNodeId],
-) -> Option<UpdateReport> {
-    let deepest = touched
-        .iter()
-        .copied()
-        .filter(|&n| term.is_live(n))
-        .max_by_key(|&n| term.depth(n))?;
-    let depth = term.depth(deepest);
-    rebalance_scapegoat(tree, term, phi, deepest, depth, Scapegoat::Highest)
-}
-
-/// Which violating ancestor a rebalance rebuilds (see [`rebalance_scapegoat`]).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Scapegoat {
-    /// The highest ancestor whose subterm is too deep for its weight — the
-    /// classic choice of the per-edit path: rare, large rebuilds.
-    Highest,
-    /// The lowest such ancestor — the flooded pocket itself.  Used by the
-    /// batch sweep: pocket rebuilds are small and land inside the batch's
-    /// shared dirty spine (the downstream repair dedups them), and the sweep
-    /// loop re-checks until no touched node violates the global limit, so
-    /// the end-of-batch height bound matches the per-edit path's.
-    Lowest,
-}
-
-/// The rebuild half of a rebalance, with the deepest touched node (and its
-/// depth) already determined by the caller: walks the ancestors of `deepest`,
-/// finds the `pick`-selected ancestor whose subterm depth exceeds the budget
-/// for its own weight, and rebuilds it.  Both rebalancing policies share this
-/// one walk so the weight-budget formula cannot silently diverge between the
-/// per-edit and batch paths.
+/// Scapegoat-style rebalancing, with the deepest touched node (and its depth)
+/// already determined by the caller: if that depth exceeds
+/// `DEPTH_SLACK · (log₂(n) + 1)`, walks the ancestors of `deepest` and rebuilds
+/// the lowest one whose subterm is too deep relative to its own weight — the
+/// flooded pocket itself.  Pocket rebuilds are small and land inside the
+/// batch's shared dirty spine; the caller's sweep re-checks until no touched
+/// node violates the global limit, which restores the height bound.
 fn rebalance_scapegoat(
     tree: &UnrankedTree,
     term: &mut Term,
     phi: &mut HashMap<NodeId, TermNodeId>,
     deepest: TermNodeId,
     depth: usize,
-    pick: Scapegoat,
 ) -> Option<UpdateReport> {
     let total = term.weight(term.root()).max(2);
     let limit = DEPTH_SLACK * (total.ilog2() as usize + 1);
@@ -563,30 +467,19 @@ fn rebalance_scapegoat(
         return None;
     }
     let mut below = 0usize;
-    let mut scapegoat = None;
-    let mut topmost = deepest;
     let mut cur = deepest;
     while let Some(p) = term.parent(cur) {
         below += 1;
+        cur = p;
         let w = term.weight(p).max(2);
         if below > DEPTH_SLACK * (w.ilog2() as usize + 1) {
-            scapegoat = Some(p);
-            if pick == Scapegoat::Lowest {
-                break;
-            }
+            break;
         }
-        cur = p;
-        topmost = p;
     }
-    // `scapegoat` is only None when the absolute depth comes from accumulated
-    // slack without any single subtree violating its own budget; rebuilding
-    // from the topmost ancestor (the root) restores the bound regardless.
-    Some(rebuild_subterm(
-        tree,
-        term,
-        phi,
-        scapegoat.unwrap_or(topmost),
-    ))
+    // Without a violating ancestor the walk ends at the root: the absolute
+    // depth comes from accumulated slack, and rebuilding the whole term
+    // restores the bound regardless.
+    Some(rebuild_subterm(tree, term, phi, cur))
 }
 
 #[cfg(test)]
@@ -618,6 +511,23 @@ mod tests {
         );
     }
 
+    /// One edit as a one-op batch, its reports merged into one.
+    fn apply_one(
+        tree: &mut UnrankedTree,
+        term: &mut Term,
+        phi: &mut HashMap<NodeId, TermNodeId>,
+        op: &EditOp,
+    ) -> UpdateReport {
+        let batch = apply_edits(tree, term, phi, std::slice::from_ref(op));
+        let mut merged = UpdateReport::default();
+        for r in batch.reports {
+            merged.dirty.extend(r.dirty);
+            merged.freed.extend(r.freed);
+            merged.inserted = merged.inserted.or(r.inserted);
+        }
+        merged
+    }
+
     #[test]
     fn single_edits_keep_the_term_consistent() {
         let sigma = Alphabet::from_names(["a", "b", "c"]);
@@ -627,7 +537,7 @@ mod tests {
         let (mut term, mut phi) = build_balanced_term(&tree);
         // insert below the (leaf) root
         let r = tree.root();
-        let rep = apply_edit(
+        let rep = apply_one(
             &mut tree,
             &mut term,
             &mut phi,
@@ -639,7 +549,7 @@ mod tests {
         let c1 = rep.inserted.unwrap();
         check_consistency(&tree, &term, &phi);
         // insert a right sibling
-        apply_edit(
+        apply_one(
             &mut tree,
             &mut term,
             &mut phi,
@@ -650,7 +560,7 @@ mod tests {
         );
         check_consistency(&tree, &term, &phi);
         // insert a new first child (anchored left of c1)
-        apply_edit(
+        apply_one(
             &mut tree,
             &mut term,
             &mut phi,
@@ -661,7 +571,7 @@ mod tests {
         );
         check_consistency(&tree, &term, &phi);
         // relabel
-        apply_edit(
+        apply_one(
             &mut tree,
             &mut term,
             &mut phi,
@@ -670,7 +580,7 @@ mod tests {
         check_consistency(&tree, &term, &phi);
         assert_eq!(tree.label(c1), a);
         // delete a leaf whose parent keeps other children
-        apply_edit(
+        apply_one(
             &mut tree,
             &mut term,
             &mut phi,
@@ -680,7 +590,7 @@ mod tests {
         // delete down to a single node again
         let remaining: Vec<NodeId> = tree.children(r).collect();
         for n in remaining {
-            apply_edit(
+            apply_one(
                 &mut tree,
                 &mut term,
                 &mut phi,
@@ -701,7 +611,7 @@ mod tests {
             let mut stream = EditStream::balanced_mix(labels.clone(), seed * 31 + 7);
             for step in 0..120 {
                 let op = stream.next_for(&tree);
-                apply_edit(&mut tree, &mut term, &mut phi, &op);
+                apply_one(&mut tree, &mut term, &mut phi, &op);
                 if step % 20 == 19 {
                     check_consistency(&tree, &term, &phi);
                 }
@@ -723,7 +633,7 @@ mod tests {
                 parent: cur,
                 label: a,
             };
-            let rep = apply_edit(&mut tree, &mut term, &mut phi, &op);
+            let rep = apply_one(&mut tree, &mut term, &mut phi, &op);
             cur = rep.inserted.unwrap();
         }
         check_consistency(&tree, &term, &phi);
@@ -735,49 +645,51 @@ mod tests {
         );
     }
 
+    /// Chunked batches against one-op batches of the same ops: the trees
+    /// evolve identically (same inserted `NodeId`s), and after every chunk
+    /// the batch term decodes to an independently edited shadow tree.
     #[test]
-    fn apply_edits_matches_sequential_apply_edit_on_the_tree() {
+    fn apply_edits_matches_one_op_batches_on_the_tree() {
         let mut sigma = Alphabet::from_names(["a", "b", "c"]);
         let labels: Vec<_> = sigma.labels().collect();
+        let chunks = treenum_trees::generate::oracle_scale(18, 9);
         for seed in 0..4u64 {
             let mut tree_batch = random_tree(&mut sigma, 20, TreeShape::Random, seed);
             let mut tree_seq = tree_batch.clone();
             let (mut term_batch, mut phi_batch) = build_balanced_term(&tree_batch);
             let (mut term_seq, mut phi_seq) = build_balanced_term(&tree_seq);
-            // Generate a consistent op sequence on a third shadow copy.
+            // Each chunk is generated on the shadow copy just before it is
+            // applied, so the shadow is the expected tree after every chunk.
             let mut shadow = tree_batch.clone();
             let mut stream = EditStream::balanced_mix(labels.clone(), seed * 13 + 5);
-            let mut ops = Vec::new();
-            for _ in 0..60 {
-                ops.push(stream.next_applied(&mut shadow));
-            }
-            for chunk in ops.chunks(7) {
-                let batch = apply_edits(&mut tree_batch, &mut term_batch, &mut phi_batch, chunk);
+            for _ in 0..chunks {
+                let chunk: Vec<EditOp> = (0..7).map(|_| stream.next_applied(&mut shadow)).collect();
+                let batch = apply_edits(&mut tree_batch, &mut term_batch, &mut phi_batch, &chunk);
                 // One report per op, plus possibly end-of-batch rebalance
                 // reports (which never carry an insertion).
                 assert!(batch.reports.len() >= chunk.len());
                 let mut seq_inserted = Vec::new();
-                for op in chunk {
-                    let seq_rep = apply_edit(&mut tree_seq, &mut term_seq, &mut phi_seq, op);
+                for op in &chunk {
+                    let seq_rep = apply_one(&mut tree_seq, &mut term_seq, &mut phi_seq, op);
                     seq_inserted.extend(seq_rep.inserted);
                 }
                 // The trees evolve identically (same NodeIds); the terms may
-                // differ structurally (rebalancing is deferred in the batch)
-                // but both must stay consistent encodings.
+                // differ structurally (rebalancing runs once per batch) but
+                // both must stay consistent encodings of the shadow tree.
                 assert_eq!(batch.inserted().collect::<Vec<_>>(), seq_inserted);
                 check_consistency(&tree_batch, &term_batch, &phi_batch);
                 check_consistency(&tree_seq, &term_seq, &phi_seq);
                 assert!(tree_batch.structurally_equal(&tree_seq));
+                assert!(decode_term(&term_batch, &tree_batch).structurally_equal(&shadow));
             }
-            assert!(tree_batch.structurally_equal(&shadow));
         }
     }
 
     #[test]
     fn batched_insert_floods_keep_height_logarithmic() {
         // The deferred end-of-batch rebalancing must restore the same height
-        // bound the per-edit path maintains, even for pure insert floods at
-        // one spot (the adversarial case for deferral).
+        // bound one-op batches maintain, even for pure insert floods at one
+        // spot (the adversarial case for deferral).
         let sigma = Alphabet::from_names(["a"]);
         let a = sigma.get("a").unwrap();
         let mut tree = UnrankedTree::new(a);
@@ -817,7 +729,7 @@ mod tests {
         let mut tree = UnrankedTree::new(a);
         let (mut term, mut phi) = build_balanced_term(&tree);
         let root = tree.root();
-        let rep = apply_edit(
+        let rep = apply_one(
             &mut tree,
             &mut term,
             &mut phi,

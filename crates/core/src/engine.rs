@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex, TryLockError};
 use treenum_automata::StepwiseTva;
 use treenum_balance::build::build_balanced_term;
 use treenum_balance::term::{Term, TermNodeId};
-use treenum_balance::update::{apply_edit, apply_edits};
+use treenum_balance::update::apply_edits;
 use treenum_circuits::{internal_box_content, BoxContent, BoxId, Circuit, StateGate};
 use treenum_enumeration::boxenum::BoxEnumMode;
 use treenum_enumeration::index::IndexStats;
@@ -53,21 +53,14 @@ pub struct TreeEnumerator {
     box_of: Vec<Option<BoxId>>,
     index: EnumIndex,
     mode: BoxEnumMode,
-    /// Epoch-marked scratch bitmaps for `apply` (a slot is "set" iff it holds
-    /// the current epoch): O(spine) per edit instead of O(n) re-zeroing.
+    /// Epoch-marked scratch bitmaps for `apply_batch` (a slot is "set" iff it
+    /// holds the current epoch): O(spine) per batch instead of O(n) re-zeroing.
     scratch_epoch: u64,
     term_mark: Vec<u64>,
-    /// Boxes whose content or child links changed this edit.
+    /// Boxes whose content or child links changed this batch.
     content_mark: Vec<u64>,
-    /// Boxes whose index entry changed this edit.
+    /// Boxes whose index entry changed this batch.
     entry_mark: Vec<u64>,
-    /// Per-batch memoized term depths (`depth_mark[i] == epoch` means
-    /// `depth_val[i]` is current): the batch repair sorts the dirty union by
-    /// depth, and computing each depth by a fresh parent walk would cost
-    /// O(|union| · height) — after a scapegoat rebuild the union holds whole
-    /// subtrees, so the walks are memoized to O(|union|) total.
-    depth_mark: Vec<u64>,
-    depth_val: Vec<u32>,
     /// Reusable per-answer enumeration scratch (pools + counters), kept warm
     /// across `apply`/re-enumeration cycles.  A `Mutex` because enumeration
     /// takes `&self` and the engine is shared across reader threads by the
@@ -123,44 +116,6 @@ fn marked(marks: &[u64], epoch: u64, i: usize) -> bool {
     marks.get(i).copied() == Some(epoch)
 }
 
-/// Memoized term depth for the batch repair: walks up until a node with a
-/// cached depth (or the root), then assigns depths top-down along the walked
-/// path, so every node's depth is computed once per batch.
-fn cached_depth(
-    term: &treenum_balance::term::Term,
-    epoch: u64,
-    marks: &mut Vec<u64>,
-    vals: &mut Vec<u32>,
-    path: &mut Vec<TermNodeId>,
-    n: TermNodeId,
-) -> u32 {
-    path.clear();
-    let mut cur = n;
-    while !marked(marks, epoch, cur.index()) {
-        path.push(cur);
-        match term.parent(cur) {
-            Some(p) => cur = p,
-            None => break,
-        }
-    }
-    // If the walk stopped at a cached ancestor, continue from its depth; if
-    // it pushed the (uncached) root, the wrapping add below assigns it 0.
-    let mut depth = if marked(marks, epoch, cur.index()) {
-        vals[cur.index()]
-    } else {
-        u32::MAX
-    };
-    for &node in path.iter().rev() {
-        depth = depth.wrapping_add(1);
-        mark(marks, epoch, node.index());
-        if node.index() >= vals.len() {
-            vals.resize(node.index() + 1, 0);
-        }
-        vals[node.index()] = depth;
-    }
-    depth
-}
-
 impl TreeEnumerator {
     /// Preprocessing: builds the enumeration structure for `query` (a stepwise TVA
     /// over `base_alphabet_len` labels) on `tree`.
@@ -185,8 +140,6 @@ impl TreeEnumerator {
             term_mark: Vec::new(),
             content_mark: Vec::new(),
             entry_mark: Vec::new(),
-            depth_mark: Vec::new(),
-            depth_val: Vec::new(),
             scratch: Mutex::new(EnumScratch::new()),
             stamp: fresh_stamp(),
         };
@@ -517,11 +470,32 @@ impl TreeEnumerator {
         }
     }
 
-    /// Applies an edit operation (Definition 7.1) to the underlying tree and repairs
-    /// the term, the circuit boxes and the index entries of exactly the dirtied
-    /// nodes (Lemma 7.3).  Returns the node created by an insertion, if any.
+    /// Applies one edit operation (Definition 7.1): a one-op
+    /// [`TreeEnumerator::apply_batch`].  Returns the node created by an
+    /// insertion, if any.
+    pub fn apply(&mut self, op: &EditOp) -> Option<NodeId> {
+        self.apply_batch(std::slice::from_ref(op)).pop()
+    }
+
+    /// Applies a batch of `k` edit operations (Definition 7.1) to the
+    /// underlying tree and repairs the term, then the circuit boxes and index
+    /// entries of exactly the dirtied term nodes (Lemma 7.3), in **one**
+    /// deduplicated pass.  Returns the nodes created by the batch's
+    /// insertions, in operation order.
     ///
-    /// Two layers of spine-only narrowing on top of the dirty report:
+    /// The resulting tree, inserted nodes and answers do not depend on how a
+    /// stream of edits is split into batches; the balanced *term* may, because
+    /// [`apply_edits`] rebalances once per batch (same invariants and height
+    /// bound either way).  Edits that land in one subtree share most of their
+    /// `O(log n)` dirty spine, so the per-edit reports are folded into an
+    /// epoch-marked dirty set first — replayed in order, because a term arena
+    /// slot freed by one edit can be reused (and re-dirtied) by a later one —
+    /// and the union is then repaired bottom-up once.  Repair cost is
+    /// `O(|union of spines|)`, not `O(k · log n)`;
+    /// [`IndexStats::spine_nodes_deduped`] counts the sharing and
+    /// [`IndexStats::batch_rebuilds`] the passes.
+    ///
+    /// Two layers of spine-only narrowing on top of the dirty set:
     ///
     /// * a box whose recomputed content and child links are unchanged is left in
     ///   place (gamma changes usually fixpoint a few steps up the spine, so the
@@ -529,81 +503,8 @@ impl TreeEnumerator {
     /// * an index entry is rebuilt only if the box itself changed or a
     ///   descendant's index entry was rebuilt — unchanged boxes above a
     ///   fixpointed spine keep their entries too.
-    // hot-path: the per-edit update; the O(polylog) amortized bound assumes
-    // no allocation beyond the epoch-marked scratch it already owns.
-    pub fn apply(&mut self, op: &EditOp) -> Option<NodeId> {
-        self.stamp = fresh_stamp();
-        let report = apply_edit(&mut self.tree, &mut self.term, &mut self.phi, op);
-        // Free the boxes of removed term nodes first (their arena slots may be reused
-        // by the new nodes created by the same edit).
-        for freed in &report.freed {
-            if let Some(b) = self.take_box_of(*freed) {
-                self.index.remove_box(b);
-                if self.circuit.is_live(b) {
-                    self.circuit.free_single(b);
-                }
-            }
-        }
-        // Dedup the dirty list keeping the first (bottom-up) occurrence: splice +
-        // rebalance reports can mention the same spine node twice.
-        self.scratch_epoch += 1;
-        let epoch = self.scratch_epoch;
-        let mut dirty: Vec<TermNodeId> = Vec::with_capacity(report.dirty.len());
-        for &d in &report.dirty {
-            if !self.term.is_live(d) || marked(&self.term_mark, epoch, d.index()) {
-                continue;
-            }
-            mark(&mut self.term_mark, epoch, d.index());
-            dirty.push(d);
-        }
-        // Repair the dirtied boxes bottom-up: content, then child links.
-        for &d in &dirty {
-            let (b, changed) = self.rebuild_box_for(d);
-            if changed {
-                mark(&mut self.content_mark, epoch, b.index());
-            }
-        }
-        let root_box = self.box_of(self.term.root());
-        self.circuit.set_root_force(root_box);
-        // Repair index entries bottom-up.  An entry is stale iff the box's own
-        // wires changed or a child's *entry* changed; a rebuilt-but-identical
-        // child entry stops the propagation (the entry is a function of the
-        // box's wires and the children's entries only).
-        for &d in &dirty {
-            let b = self.box_of(d);
-            let entry_stale = marked(&self.content_mark, epoch, b.index())
-                || self.circuit.children(b).is_some_and(|(l, r)| {
-                    marked(&self.entry_mark, epoch, l.index())
-                        || marked(&self.entry_mark, epoch, r.index())
-                })
-                || !self.index.has(b);
-            if entry_stale && self.index.rebuild_box_changed(&self.circuit, b) {
-                mark(&mut self.entry_mark, epoch, b.index());
-            }
-        }
-        report.inserted
-    }
-
-    /// Applies a batch of `k` edit operations with **one** deduplicated
-    /// circuit/index repair pass instead of `k` independent passes.  Returns
-    /// the nodes created by the batch's insertions, in operation order.
-    ///
-    /// The resulting *tree* is identical to `k` sequential
-    /// [`TreeEnumerator::apply`] calls and the answers are too; the balanced
-    /// *term* may differ structurally, because [`apply_edits`] runs the
-    /// splices op by op but defers scapegoat rebalancing to one end-of-batch
-    /// sweep (same invariants and height bound once the batch completes).
-    /// Edits that land in one subtree share most of their `O(log n)` dirty
-    /// spine, so the per-edit reports are folded into an epoch-marked dirty
-    /// set first — replayed in order, because a term arena slot freed by one
-    /// edit can be reused (and re-dirtied) by a later one — and the union is
-    /// then repaired bottom-up once, with the same content/index-entry
-    /// fixpoint early exits as the single-edit path.  Repair cost is
-    /// `O(|union of spines|)`, not `O(k · log n)`;
-    /// [`IndexStats::spine_nodes_deduped`] counts the sharing and
-    /// [`IndexStats::batch_rebuilds`] the passes.
-    // hot-path: the k-edit update; per-edit work must stay proportional to
-    // the deduplicated spine union, with only per-batch O(k) buffers below.
+    // hot-path: the update; per-edit work must stay proportional to the
+    // deduplicated spine union, with only per-batch O(k) buffers below.
     pub fn apply_batch(&mut self, ops: &[EditOp]) -> Vec<NodeId> {
         if ops.is_empty() {
             // analyze: allow(alloc): `Vec::new` of the empty result never allocates
@@ -614,7 +515,7 @@ impl TreeEnumerator {
         self.scratch_epoch += 1;
         let epoch = self.scratch_epoch;
         // analyze: allow(alloc): one per-batch buffer, amortized over k edits
-        let mut dirty: Vec<TermNodeId> = Vec::new();
+        let mut dirty: Vec<TermNodeId> = Vec::with_capacity(batch.dirty_len());
         let mut deduped = 0u64;
         for report in &batch.reports {
             // Free the boxes of removed term nodes first (their arena slots
@@ -642,40 +543,23 @@ impl TreeEnumerator {
                 dirty.push(d);
             }
         }
-        // The union of the dirty spines, children before parents: sort by
+        // One report's dirty list is already bottom-up and duplicate-free.
+        // The union of several is put children before parents by sorting on
         // term depth descending (a child is strictly deeper than its parent,
         // and every changed child of a dirty node is itself dirty).  A slot
         // freed and re-dirtied mid-batch can appear twice in `dirty`; the
-        // occurrences share one (depth, id) key, so `dedup` removes the
-        // extra one after the sort.  Depths are memoized per batch (see
-        // `cached_depth`) — a fresh parent walk per node would degrade to
-        // O(|union| · height) when a rebalance puts whole subtrees in the
-        // union.
-        // analyze: allow(alloc): per-batch depth-walk scratch, same story
-        let mut path: Vec<TermNodeId> = Vec::new();
-        let mut by_depth: Vec<(u32, TermNodeId)> = dirty
-            .iter()
-            .filter(|&&d| self.term.is_live(d) && marked(&self.term_mark, epoch, d.index()))
-            .map(|&d| {
-                (
-                    cached_depth(
-                        &self.term,
-                        epoch,
-                        &mut self.depth_mark,
-                        &mut self.depth_val,
-                        &mut path,
-                        d,
-                    ),
-                    d,
-                )
-            })
-            // analyze: allow(alloc): the per-batch spine-union buffer.
-            .collect();
-        by_depth.sort_unstable_by_key(|&(depth, d)| (std::cmp::Reverse(depth), d.0));
-        by_depth.dedup();
-        // One repair pass: contents bottom-up, then index entries bottom-up,
-        // with the same fixpoint early exits as the single-edit path.
-        for &(_, d) in &by_depth {
+        // occurrences share one (depth, id) key, so `dedup` removes the extra
+        // one after the sort.  Depths come from the term's memo, which the
+        // rebalancing sweep's last pass filled for every live touched node.
+        if batch.reports.len() > 1 {
+            let (term, marks) = (&mut self.term, &self.term_mark);
+            dirty.retain(|&d| term.is_live(d) && marked(marks, epoch, d.index()));
+            // analyze: allow(alloc): per-batch key buffer (one depth per node)
+            dirty.sort_by_cached_key(|&d| (std::cmp::Reverse(term.depth_memoized(d)), d.0));
+            dirty.dedup();
+        }
+        // Contents bottom-up, then index entries bottom-up.
+        for &d in &dirty {
             let (b, changed) = self.rebuild_box_for(d);
             if changed {
                 mark(&mut self.content_mark, epoch, b.index());
@@ -683,7 +567,11 @@ impl TreeEnumerator {
         }
         let root_box = self.box_of(self.term.root());
         self.circuit.set_root_force(root_box);
-        for &(_, d) in &by_depth {
+        // An entry is stale iff the box's own wires changed or a child's
+        // *entry* changed; a rebuilt-but-identical child entry stops the
+        // propagation (the entry is a function of the box's wires and the
+        // children's entries only).
+        for &d in &dirty {
             let b = self.box_of(d);
             let entry_stale = marked(&self.content_mark, epoch, b.index())
                 || self.circuit.children(b).is_some_and(|(l, r)| {
@@ -695,7 +583,7 @@ impl TreeEnumerator {
                 mark(&mut self.entry_mark, epoch, b.index());
             }
         }
-        self.index.record_batch(deduped, by_depth.len() as u64);
+        self.index.record_batch(deduped, dirty.len() as u64);
         // analyze: allow(alloc): the caller-facing O(k) result vector.
         batch.inserted().collect()
     }
@@ -890,31 +778,34 @@ mod tests {
         engine.check_consistency();
     }
 
+    /// 9-op batches against one-op batches (`apply`) of the same ops: same
+    /// inserted nodes and answers, and after every batch the answers of a
+    /// from-scratch engine on the independently edited shadow tree.
     #[test]
     fn apply_batch_matches_sequential_apply() {
         let mut sigma = Alphabet::from_names(["a", "b", "c"]);
         let labels: Vec<_> = sigma.labels().collect();
         let b = sigma.get("b").unwrap();
         let query = queries::select_label(sigma.len(), b, Var(0));
+        let batches = treenum_trees::generate::oracle_scale(16, 8);
         for seed in 0..3u64 {
             let tree = random_tree(&mut sigma, 18, TreeShape::Random, 50 + seed);
             let mut batch_engine = TreeEnumerator::new(tree.clone(), &query, sigma.len());
             let mut seq_engine = TreeEnumerator::new(tree.clone(), &query, sigma.len());
             let mut shadow = tree;
             let mut stream = EditStream::balanced_mix(labels.clone(), 90 + seed);
-            let mut ops = Vec::new();
-            for _ in 0..70 {
-                ops.push(stream.next_applied(&mut shadow));
-            }
-            for chunk in ops.chunks(9) {
-                let batch_inserted = batch_engine.apply_batch(chunk);
+            for _ in 0..batches {
+                // Generated on the shadow just before it is applied, so the
+                // shadow is the expected tree after every batch.
+                let chunk: Vec<EditOp> = (0..9).map(|_| stream.next_applied(&mut shadow)).collect();
+                let batch_inserted = batch_engine.apply_batch(&chunk);
                 let seq_inserted: Vec<NodeId> =
                     chunk.iter().filter_map(|op| seq_engine.apply(op)).collect();
                 assert_eq!(batch_inserted, seq_inserted);
-                assert_eq!(
-                    sorted(batch_engine.assignments()),
-                    sorted(seq_engine.assignments())
-                );
+                let answers = sorted(batch_engine.assignments());
+                assert_eq!(answers, sorted(seq_engine.assignments()));
+                let cold = TreeEnumerator::new(shadow.clone(), &query, sigma.len());
+                assert_eq!(answers, sorted(cold.assignments()));
             }
             batch_engine.check_consistency();
             seq_engine.check_consistency();

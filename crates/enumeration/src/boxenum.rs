@@ -112,51 +112,15 @@ fn walk_reference(
     ControlFlow::Continue(())
 }
 
-/// Reference mode on the [`EnumScratch`] pools: the same top-down walk as
-/// [`box_enum_reference`] (emission order included), run by the machine's
-/// walk frames, so a warm steady-state run performs no heap allocation.
-pub fn box_enum_reference_pooled(
-    circuit: &Circuit,
-    scratch: &mut EnumScratch,
-    b: BoxId,
-    gamma: &GateSet,
-    sink: &mut BoxSink<'_>,
-) -> ControlFlow<()> {
-    box_enum(
-        circuit,
-        None,
-        BoxEnumMode::Reference,
-        scratch,
-        b,
-        gamma,
-        sink,
-    )
-}
-
-/// Algorithm 3: jump to the first interesting box with `fib`, cover its subtree, then
-/// walk the path down to it, covering the off-path subtrees of the bidirectional
-/// boxes.
-pub fn box_enum_indexed(
-    circuit: &Circuit,
-    index: &EnumIndex,
-    scratch: &mut EnumScratch,
-    b: BoxId,
-    gamma: &GateSet,
-    sink: &mut BoxSink<'_>,
-) -> ControlFlow<()> {
-    box_enum(
-        circuit,
-        Some(index),
-        BoxEnumMode::Indexed,
-        scratch,
-        b,
-        gamma,
-        sink,
-    )
-}
-
 /// Runs either implementation depending on `mode` (the index may be `None` only in
-/// reference mode).
+/// reference mode), on the [`EnumScratch`] pools:
+///
+/// * [`BoxEnumMode::Indexed`] is Algorithm 3: jump to the first interesting box
+///   with `fib`, cover its subtree, then walk the path down to it, covering the
+///   off-path subtrees of the bidirectional boxes;
+/// * [`BoxEnumMode::Reference`] is the top-down walk of [`box_enum_reference`]
+///   (emission order included), so a warm steady-state run performs no heap
+///   allocation.
 pub fn box_enum(
     circuit: &Circuit,
     index: Option<&EnumIndex>,
@@ -378,8 +342,10 @@ mod tests {
                 let unpooled = collect_reference_unpooled(&ac.circuit, root, &gamma);
                 let mut scratch = EnumScratch::new();
                 let mut pooled = Vec::new();
-                let _ = box_enum_reference_pooled(
+                let _ = box_enum(
                     &ac.circuit,
+                    None,
+                    BoxEnumMode::Reference,
                     &mut scratch,
                     root,
                     &gamma,
@@ -410,11 +376,18 @@ mod tests {
         let mut scratch = EnumScratch::new();
         let run = |scratch: &mut EnumScratch| {
             let mut count = 0usize;
-            let _ =
-                box_enum_reference_pooled(&ac.circuit, scratch, root, &gamma, &mut |_s, _b, _r| {
+            let _ = box_enum(
+                &ac.circuit,
+                None,
+                BoxEnumMode::Reference,
+                scratch,
+                root,
+                &gamma,
+                &mut |_s, _b, _r| {
                     count += 1;
                     ControlFlow::Continue(())
-                });
+                },
+            );
             count
         };
         // Two warm-up passes per the warm-up protocol, then steady state.
@@ -446,15 +419,22 @@ mod tests {
         let mut scratch = EnumScratch::new();
         let run = |scratch: &mut EnumScratch, stop_after: usize| {
             let mut count = 0usize;
-            let _ =
-                box_enum_reference_pooled(&ac.circuit, scratch, root, &gamma, &mut |_s, _b, _r| {
+            let _ = box_enum(
+                &ac.circuit,
+                None,
+                BoxEnumMode::Reference,
+                scratch,
+                root,
+                &gamma,
+                &mut |_s, _b, _r| {
                     count += 1;
                     if count >= stop_after {
                         ControlFlow::Break(())
                     } else {
                         ControlFlow::Continue(())
                     }
-                });
+                },
+            );
             count
         };
         let total = run(&mut scratch, usize::MAX);
@@ -512,9 +492,10 @@ mod tests {
         let mut scratch = EnumScratch::new();
         let run = |scratch: &mut EnumScratch| {
             let mut count = 0usize;
-            let _ = box_enum_indexed(
+            let _ = box_enum(
                 &ac.circuit,
-                &index,
+                Some(&index),
+                BoxEnumMode::Indexed,
                 scratch,
                 root,
                 &gamma,

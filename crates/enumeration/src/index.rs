@@ -117,7 +117,7 @@ pub struct IndexStats {
     /// because the child's closure did not contain the target.
     pub relation_walk_fallbacks: u64,
     /// Number of batch repair passes ([`EnumIndex::record_batch`] calls — one
-    /// per `TreeEnumerator::apply_batch`).
+    /// per `TreeEnumerator::apply_batch`, so one per `apply` too).
     pub batch_rebuilds: u64,
     /// Dirty-spine entries a batch repair skipped because an earlier edit of
     /// the same batch had already queued the node: edits landing in one

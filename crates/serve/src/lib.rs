@@ -336,7 +336,7 @@ pub enum ServeError {
     /// The shard's durable state is confirmed unrecoverable (a failed heal,
     /// or corruption found during recovery); the shard serves its last good
     /// state read-only and rejects all writes.
-    /// See [`ShardRecovery::quarantined`] and [`ShardStats::quarantined`].
+    /// See [`ShardRecovery::quarantined`] and [`ShardStats::health`].
     Quarantined,
     /// A [`TreeServer::read_with_deadline`] could not acquire a snapshot
     /// before its deadline (the publication lock stayed write-held — e.g. a
@@ -736,7 +736,6 @@ impl TreeServer {
             .store(cfg.initial_batch as u64, Ordering::Relaxed);
         metrics.queries_served.store(1, Ordering::Relaxed);
         if quarantined {
-            metrics.quarantined.store(true, Ordering::Release);
             metrics.set_health(ShardHealth::Quarantined);
         }
         let (tx, rx) = bounded(cfg.queue_capacity);
@@ -753,7 +752,6 @@ impl TreeServer {
             window: cfg.initial_batch,
             buf: Vec::new(),
             durable,
-            quarantined,
             heal,
             chaos,
             seq0,
@@ -943,7 +941,7 @@ impl TreeServer {
     /// shard rejects ingest immediately.
     pub fn ingest(&self, shard: usize, op: EditOp) -> Result<(), ServeError> {
         let h = &self.shards[shard];
-        if h.metrics.quarantined.load(Ordering::Acquire) {
+        if h.metrics.health() == ShardHealth::Quarantined {
             return Err(ServeError::Quarantined);
         }
         if h.metrics.queue_depth.load(Ordering::Relaxed) >= self.cfg.shed_depth as u64 {

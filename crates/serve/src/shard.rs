@@ -436,10 +436,6 @@ pub(crate) struct ShardWriter {
     /// Set when a fault dropped unacked ops since the last barrier; the next
     /// ack reports [`ServeError::Degraded`] and clears it.
     pub(crate) dropped_cycle: bool,
-    /// Sticky failure state: the durable log failed (or recovery declared
-    /// the shard unrecoverable), so the shard serves its last published
-    /// snapshot read-only and rejects all ingest.
-    pub(crate) quarantined: bool,
 }
 
 impl ShardWriter {
@@ -464,10 +460,10 @@ impl ShardWriter {
             if self.write.is_none() && self.retired.is_none() {
                 self.rebuild_writable_from_front();
             }
-            if self.quarantined {
-                // Nothing to heal; keep serving acks/reads read-only.
+            if self.metrics.health() == ShardHealth::Quarantined {
+                // Nothing to heal (the `Degraded` above did not stick); keep
+                // serving acks/reads read-only.
                 self.drop_buf_unacked();
-                self.metrics.set_health(ShardHealth::Quarantined);
             } else if self.heal.is_some() {
                 // The buffer's logged prefix survives in the WAL; recovery
                 // re-applies it and only truly unlogged ops count as lost.
@@ -544,7 +540,7 @@ impl ShardWriter {
     }
 
     fn ack_value(&mut self) -> Result<u64, ServeError> {
-        if self.quarantined {
+        if self.metrics.health() == ShardHealth::Quarantined {
             Err(ServeError::Quarantined)
         } else if std::mem::take(&mut self.dropped_cycle) {
             // A fault dropped unacked ops since the last barrier: report the
@@ -671,7 +667,7 @@ impl ShardWriter {
     ///    poison batch (counted, `Degraded`-acked) on a non-durable one;
     /// 3. only a failed heal quarantines, terminally.
     fn flush_buf(&mut self) {
-        if self.quarantined {
+        if self.metrics.health() == ShardHealth::Quarantined {
             self.drop_buf_unacked();
             return;
         }
@@ -851,7 +847,7 @@ impl ShardWriter {
     /// engine is built from the shared tree and the widened membership is
     /// published as a size-0 generation.  Idempotent on a duplicate id.
     fn handle_attach(&mut self, id: QueryId, plan: Arc<QueryPlan>) -> Result<u64, ServeError> {
-        if self.quarantined {
+        if self.metrics.health() == ShardHealth::Quarantined {
             return Err(ServeError::Quarantined);
         }
         if self.plans.iter().any(|(q, _)| *q == id) {
@@ -879,7 +875,7 @@ impl ShardWriter {
     /// is reclaimed.  The pinned primary and unknown ids are rejected with
     /// [`ServeError::UnknownQuery`].
     fn handle_detach(&mut self, id: QueryId) -> Result<u64, ServeError> {
-        if self.quarantined {
+        if self.metrics.health() == ShardHealth::Quarantined {
             return Err(ServeError::Quarantined);
         }
         if id == QueryId::PRIMARY || !self.plans.iter().any(|(q, _)| *q == id) {
@@ -1087,10 +1083,8 @@ impl ShardWriter {
     /// Terminal quarantine: count the in-flight buffer as unacked loss, mark
     /// the metrics (before any ack can be sent), and stop accepting writes.
     fn quarantine_now(&mut self, _reason: &str) {
-        self.quarantined = true;
-        self.drop_buf_unacked();
-        self.metrics.quarantined.store(true, Ordering::Release);
         self.metrics.set_health(ShardHealth::Quarantined);
+        self.drop_buf_unacked();
     }
 
     /// Obtains the writable engine set: the held one, the

@@ -2,7 +2,7 @@
 //! per-flush log, and the [`ServeStats`] snapshot surface.
 
 use crate::lock::lock_unpoisoned;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 
 /// The per-shard health state machine of the self-healing serve layer.
@@ -120,7 +120,6 @@ pub(crate) struct ShardMetrics {
     pub wal_errors: AtomicU64,
     pub snapshot_errors: AtomicU64,
     pub backpressure_timeouts: AtomicU64,
-    pub quarantined: AtomicBool,
     pub health: AtomicU8,
     pub panics_caught: AtomicU64,
     pub heals: AtomicU64,
@@ -135,9 +134,22 @@ pub(crate) struct ShardMetrics {
 }
 
 impl ShardMetrics {
+    /// Moves the shard to `h`, unless it is already quarantined:
+    /// `Quarantined` is terminal, so a later transition (the supervisor
+    /// marks every caught panic `Degraded` first) must never reopen ingest.
     pub(crate) fn set_health(&self, h: ShardHealth) {
-        self.health.store(h.as_u8(), Ordering::Release);
+        let quarantined = ShardHealth::Quarantined.as_u8();
+        let _ = self
+            .health
+            .fetch_update(Ordering::Release, Ordering::Acquire, |cur| {
+                (cur != quarantined).then_some(h.as_u8())
+            });
     }
+
+    pub(crate) fn health(&self) -> ShardHealth {
+        ShardHealth::from_u8(self.health.load(Ordering::Acquire))
+    }
+
     pub(crate) fn record_flush(&self, rec: FlushRecord) {
         self.applied.fetch_add(rec.size as u64, Ordering::Relaxed);
         self.spine_deduped
@@ -168,8 +180,7 @@ impl ShardMetrics {
             wal_errors: self.wal_errors.load(Ordering::Relaxed),
             snapshot_errors: self.snapshot_errors.load(Ordering::Relaxed),
             backpressure_timeouts: self.backpressure_timeouts.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Acquire),
-            health: ShardHealth::from_u8(self.health.load(Ordering::Acquire)),
+            health: self.health(),
             panics_caught: self.panics_caught.load(Ordering::Relaxed),
             heals: self.heals.load(Ordering::Relaxed),
             ops_dropped_unacked: self.ops_dropped_unacked.load(Ordering::Relaxed),
@@ -233,12 +244,10 @@ pub struct ShardStats {
     /// Ingest attempts that gave up waiting for queue space
     /// ([`crate::ServeError::Backpressure`] returned to the caller).
     pub backpressure_timeouts: u64,
-    /// The shard is quarantined: it serves its last good state read-only and
-    /// rejects ingest, because its durable log failed or recovery found it
-    /// corrupt beyond repair.  Equivalent to `health == Quarantined`; kept as
-    /// a plain flag for dashboards that predate the health state machine.
-    pub quarantined: bool,
     /// The shard's current position in the self-healing state machine.
+    /// `Quarantined` means it serves its last good state read-only and
+    /// rejects ingest, because its durable log failed or recovery found it
+    /// corrupt beyond repair.
     pub health: ShardHealth,
     /// Writer-thread panics caught by the supervisor (per-batch guard or the
     /// outer safety net).  Each one either healed or quarantined the shard.
@@ -348,5 +357,32 @@ impl ServeStats {
     /// `true` iff every shard is [`ShardHealth::Healthy`].
     pub fn all_healthy(&self) -> bool {
         self.shards.iter().all(|s| s.health == ShardHealth::Healthy)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quarantine_is_sticky() {
+        let m = ShardMetrics::default();
+        assert_eq!(m.health(), ShardHealth::Healthy);
+        m.set_health(ShardHealth::Degraded);
+        m.set_health(ShardHealth::Recovering);
+        m.set_health(ShardHealth::Healthy);
+        assert_eq!(m.health(), ShardHealth::Healthy);
+        m.set_health(ShardHealth::Quarantined);
+        // A caught panic marks `Degraded` before re-checking quarantine; no
+        // later transition may reopen ingest on a quarantined shard.
+        for h in [
+            ShardHealth::Degraded,
+            ShardHealth::Recovering,
+            ShardHealth::Healthy,
+        ] {
+            m.set_health(h);
+            assert_eq!(m.health(), ShardHealth::Quarantined);
+            assert_eq!(m.stats().health, ShardHealth::Quarantined);
+        }
     }
 }

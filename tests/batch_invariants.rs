@@ -1,10 +1,13 @@
 //! Property tests guarding the batch update path (`TreeEnumerator::apply_batch`):
 //!
-//! * batch-vs-sequential oracle identity — applying 200+-op streams in
-//!   batches of k ∈ {1, 2, 7, 64} must produce answer multisets, inserted
-//!   nodes, and a `check_consistency`-clean state identical to k sequential
-//!   `apply` calls, across the `balanced_mix`, `skewed` and `burst`
-//!   strategies and two query families;
+//! * batch-vs-sequential-vs-from-scratch oracle — applying 200+-op streams
+//!   (`oracle_scale`: 80 in debug builds) in batches of k ∈ {1, 2, 7, 64}
+//!   must produce the same inserted nodes and answer multisets as k
+//!   sequential `apply` calls (each a one-op batch), and after **every**
+//!   batch the same answers as a from-scratch `TreeEnumerator::new` on the
+//!   independently edited shadow tree, ending in a `check_consistency`-clean
+//!   state — across the `balanced_mix`, `skewed` and `burst` strategies and
+//!   two query families;
 //! * batches that insert and then delete the same node (net no-op batches)
 //!   leave the structure consistent and the answers unchanged;
 //! * burst delete-run batches that erase a whole subtree in one pass exercise
@@ -38,7 +41,8 @@ fn query_families(sigma: &Alphabet) -> Vec<(&'static str, StepwiseTva)> {
 }
 
 /// Drives `total_ops`+ operations through both engines in batches of `k`,
-/// comparing answers after every batch and the full state at the end.
+/// comparing answers with each other and with a from-scratch engine on the
+/// shadow tree after every batch, and the full state at the end.
 fn batch_vs_sequential(
     make: fn(Vec<Label>, u64) -> EditStream,
     tag: &str,
@@ -64,10 +68,17 @@ fn batch_vs_sequential(
                 batch_inserted, seq_inserted,
                 "{tag}/{name} k={k}: inserted nodes diverged in batch {batch_no}"
             );
+            let answers = sorted(batch_engine.assignments());
             assert_eq!(
-                sorted(batch_engine.assignments()),
+                answers,
                 sorted(seq_engine.assignments()),
                 "{tag}/{name} k={k}: answers diverged after batch {batch_no}"
+            );
+            let cold = TreeEnumerator::new(shadow.clone(), &query, sigma.len());
+            assert_eq!(
+                answers,
+                sorted(cold.assignments()),
+                "{tag}/{name} k={k}: answers differ from a rebuild after batch {batch_no}"
             );
             applied += ops.len();
             batch_no += 1;

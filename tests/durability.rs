@@ -25,7 +25,9 @@ use std::sync::Arc;
 use std::time::Duration;
 use treenum::automata::queries;
 use treenum::core::{QueryPlan, TreeEnumerator};
-use treenum::serve::{DurabilityConfig, ServeConfig, ServeError, SyncPolicy, TreeServer};
+use treenum::serve::{
+    DurabilityConfig, ServeConfig, ServeError, ShardHealth, SyncPolicy, TreeServer,
+};
 use treenum::trees::generate::{random_tree, TreeShape};
 use treenum::trees::valuation::Assignment;
 use treenum::trees::{Alphabet, EditFeed, EditOp, EditStream, Label, Var};
@@ -116,7 +118,7 @@ fn clean_restart_recovers_every_op_across_strategies() {
             );
             assert_eq!(stats.wal_errors, 0, "{sname}");
             assert_eq!(stats.snapshot_errors, 0, "{sname}");
-            assert!(!stats.quarantined, "{sname}");
+            assert_ne!(stats.health, ShardHealth::Quarantined, "{sname}");
         }
         let (server, outcome) = TreeServer::recover_with_storage(
             Arc::clone(&plan),
@@ -215,8 +217,9 @@ fn randomized_kill_points_never_lose_an_acked_op() {
                 }
                 if fs.triggered() {
                     let crashed = server.shard_stats(0);
-                    assert!(
-                        crashed.quarantined,
+                    assert_eq!(
+                        crashed.health,
+                        ShardHealth::Quarantined,
                         "{sname}/{kind:?}/k={k}: a dead disk must quarantine the shard"
                     );
                     assert!(
@@ -261,7 +264,7 @@ fn randomized_kill_points_never_lose_an_acked_op() {
                     "{sname}/{kind:?}/k={k}: recovered state must equal the oracle replay \
                      of the durable prefix"
                 );
-                assert!(!recovered.shard_stats(0).quarantined);
+                assert_ne!(recovered.shard_stats(0).health, ShardHealth::Quarantined);
                 report_lines.push(format!(
                     "{sname} {kind:?} {k} {acked} {} {} {}",
                     rep.ops_recovered, rep.torn_tail, rep.wal_bytes_dropped
@@ -314,7 +317,7 @@ fn unrecoverable_corruption_quarantines_instead_of_panicking() {
     // The corruption is silent: the running server noticed nothing.
     let stats = server.shard_stats(0);
     assert!(fs.triggered());
-    assert!(!stats.quarantined);
+    assert_ne!(stats.health, ShardHealth::Quarantined);
     assert_eq!(stats.wal_errors, 0);
     assert_eq!(stats.backpressure_timeouts, 0);
     drop(server);
@@ -343,7 +346,7 @@ fn unrecoverable_corruption_quarantines_instead_of_panicking() {
     // … while writes are rejected without touching the dead lineage.
     assert_eq!(recovered.ingest(0, ops[0]), Err(ServeError::Quarantined));
     assert_eq!(recovered.flush(0), Err(ServeError::Quarantined));
-    assert!(recovered.shard_stats(0).quarantined);
+    assert_eq!(recovered.shard_stats(0).health, ShardHealth::Quarantined);
     std::fs::remove_dir_all(&dir).ok();
 }
 

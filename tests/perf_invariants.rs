@@ -7,7 +7,10 @@
 //!   early exits, index-entry fixpoint propagation) leaves the engine with the
 //!   same answer set as a from-scratch `TreeEnumerator::new` on the edited
 //!   tree, for several query families;
-//! * the dense-slab index never clones child entries on the update path.
+//! * the dense-slab index never clones child entries on the update path;
+//! * a first-child chain flood through `apply` rebuilds `O(log n)` index
+//!   entries per edit (scapegoat rebuilds stay local instead of rebuilding
+//!   the whole term) and ends consistent with a from-scratch rebuild.
 
 use std::sync::Arc;
 use treenum::automata::{queries, StepwiseTva};
@@ -15,7 +18,7 @@ use treenum::balance::{translate_stepwise, translate_stepwise_cached};
 use treenum::core::{QueryPlan, TreeEnumerator};
 use treenum::trees::generate::{oracle_scale, random_tree, EditStream, TreeShape};
 use treenum::trees::valuation::Assignment;
-use treenum::trees::{Alphabet, Var};
+use treenum::trees::{Alphabet, EditOp, Var};
 
 fn query_families(sigma: &Alphabet) -> Vec<(&'static str, StepwiseTva)> {
     let a = sigma.get("a").unwrap();
@@ -123,4 +126,37 @@ fn long_edit_streams_match_from_scratch_rebuilds() {
             );
         }
     }
+}
+
+/// A first-child chain flood through `apply` (each edit a one-op batch) must
+/// keep its repair logarithmic: every scapegoat rebuild is the lowest
+/// too-deep subterm, not the whole term, so the index entries rebuilt per
+/// edit stay within a constant times `log₂ n`.
+#[test]
+fn chain_flood_repair_stays_logarithmic_per_edit() {
+    let mut sigma = Alphabet::from_names(["a", "b", "c"]);
+    let b = sigma.get("b").unwrap();
+    let query = queries::select_label(sigma.len(), b, Var(0));
+    let tree = random_tree(&mut sigma, 3000, TreeShape::Random, 5);
+    let mut engine = TreeEnumerator::new(tree, &query, sigma.len());
+    let flood = 1500;
+    let before = engine.index_stats().box_rebuilds;
+    let mut anchor = engine.tree().root();
+    for _ in 0..flood {
+        let op = EditOp::InsertFirstChild {
+            parent: anchor,
+            label: b,
+        };
+        anchor = engine.apply(&op).expect("an insertion yields a node");
+    }
+    let n = engine.tree().len();
+    let per_edit = (engine.index_stats().box_rebuilds - before) as f64 / flood as f64;
+    let bound = 4.0 * ((n as f64).log2() + 1.0);
+    assert!(
+        per_edit <= bound,
+        "chain flood rebuilt {per_edit:.1} index entries per edit (bound {bound:.1} for n = {n})"
+    );
+    engine.check_consistency();
+    let cold = TreeEnumerator::new(engine.tree().clone(), &query, sigma.len());
+    assert_eq!(sorted(engine.assignments()), sorted(cold.assignments()));
 }
