@@ -9,7 +9,8 @@
 //! most of their O(log n) spine — amortize the repair across the batch.  The
 //! workload and measurement methodology live in `treenum_bench::run_e8` /
 //! `measure_batch_apply`, shared with the `bench_summary` runner, and the
-//! committed `BENCH_*.json` records are gated by CI (`--check-e8`).
+//! committed `BENCH_*.json` `batch_*` records are gated by CI
+//! (`bench_summary --check`, gate `E8_GATE`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use treenum_bench::run_e8;

@@ -8,7 +8,8 @@
 //! `ingest_available_ppm_{clean,faulty}/<n>` record the caller-visible
 //! ingest cost and first-try availability through the same cycles.  The
 //! workload lives in `treenum_bench::run_e13`, shared with the
-//! `bench_summary` runner; CI gates the `read_*` p95s (`--check-e13`).
+//! `bench_summary` runner; CI gates the `read_*` p95s (`bench_summary
+//! --check`, gate `E13_GATE`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use treenum_bench::run_e13;

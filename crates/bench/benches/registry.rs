@@ -9,7 +9,7 @@
 //! size-0 flush records, publications independent of Q).  The workload lives
 //! in `treenum_bench::run_e11`, shared with the `bench_summary` runner, and
 //! the committed `BENCH_*.json` `read_*` records are gated by CI
-//! (`--check-e11`).
+//! (`bench_summary --check`, gate `E11_GATE`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use treenum_bench::run_e11;

@@ -10,7 +10,7 @@
 //! dirty-spine sharing ratio) and the fixed `k = 1` publish-per-op baseline.
 //! The workload and measurement methodology live in `treenum_bench::run_e9`,
 //! shared with the `bench_summary` runner, and the committed `BENCH_*.json`
-//! `read_*` records are gated by CI (`--check-e9`).
+//! `read_*` records are gated by CI (`bench_summary --check`, gate `E9_GATE`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use treenum_bench::run_e9;

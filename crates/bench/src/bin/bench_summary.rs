@@ -1,104 +1,59 @@
 //! Runs compact versions of experiments E1–E9/E11/E12/E13 and writes a JSON
-//! summary.
+//! summary, or runs the CI bench gates.
 //!
 //! ```text
-//! bench_summary [--profile full|smoke|e2|e8|e9|e11|e12|e13] [--out PATH]
-//!               [--check-e2 BASELINE.json] [--check-e8 BASELINE.json]
-//!               [--check-e9 BASELINE.json] [--check-e11 BASELINE.json]
-//!               [--check-e13 BASELINE.json] [--tolerance FRACTION]
+//! bench_summary [--profile full|smoke|e12] [--out PATH]
+//! bench_summary --check BASELINE.json [--out PATH]
 //! ```
 //!
 //! The committed trajectory files at the repository root are produced with the
 //! `full` profile (`--out BENCH_baseline.json` before a perf change,
 //! `--out BENCH_after.json` after); CI runs the `smoke` profile to keep the
-//! bench code compiling and running, plus `--profile e2 --check-e2
-//! BENCH_after.json`, `--profile e8 --check-e8 BENCH_after.json`,
-//! `--profile e9 --check-e9 BENCH_after.json`, `--profile e11 --check-e11
-//! BENCH_after.json` and `--profile e13 --check-e13 BENCH_after.json`,
-//! which exit non-zero when any freshly measured p95 of the gated group (E2
-//! per-answer delay / E8 amortized per-edit batch latency / E9 snapshot-read
-//! delay under concurrent ingest / E11 multiplexed read delay across
-//! registered queries / E13 read delay through writer-fault heal cycles)
-//! regresses more than the tolerance (default 0.25 = 25%)
-//! against the committed baseline.  The E11 gate additionally holds the
-//! fresh q=16 arm to within 1.5× the fresh q=1 arm's read p95 — the
-//! snapshot-multiplexing contract — independent of the baseline.  The E8
-//! and E11 gates re-measure any record the first pass flags (best of 3 /
-//! best of 2 extra runs) before reporting a regression — a genuine slowdown
-//! reproduces, a scheduling stall on the shared runner does not.  Every requested gate runs and prints its comparisons before the
-//! process exits, so one run shows every regression.  The `e12` profile
-//! records the crash-recovery group only; splice its `E12_recovery` records
-//! into `BENCH_after.json` rather than re-recording the gated groups.
+//! bench code compiling and running.  The `e12` profile records the
+//! crash-recovery group only; splice its `E12_recovery` records into
+//! `BENCH_after.json` rather than re-recording the gated groups.
+//!
+//! `--check` runs every gate of `treenum_bench::trajectory::GATES` in turn —
+//! E2 per-answer delay, E8 amortized per-edit batch latency, E9 snapshot-read
+//! delay under concurrent ingest, E11 multiplexed read delay across
+//! registered queries, E13 read delay through writer-fault heal cycles —
+//! each re-measured at the committed sizes with the gate's own budgets and
+//! judged against the committed baseline at the gate's own bars.  Gates with
+//! a re-measure policy re-run their experiment before confirming a flagged
+//! row.  Every row of every gate is printed, and the process exits non-zero
+//! once at the end if any gate failed.  `--out` then holds the first-pass
+//! records of all gates.
+//!
 //! Without `--out` the JSON goes to stdout.
 
 use criterion::Criterion;
 use std::path::{Path, PathBuf};
 use treenum_bench::summary::{run_summary, SummaryProfile};
-use treenum_bench::trajectory::{
-    check_e11_regression, check_e13_regression, check_e2_regression, check_e8_regression,
-    check_e9_regression, e8_allowed_ratio, GroupComparison, Trajectory, E11_MULTIPLEX_SLACK,
-};
-use treenum_bench::{
-    bench_alphabet, bench_tree, e8_strategies, measure_batch_apply, run_e11, select_b_query,
-};
-use treenum_trees::generate::TreeShape;
+use treenum_bench::trajectory::{check, remeasure, Trajectory, GATES};
 
 fn main() {
-    let mut profile = SummaryProfile::full();
+    let mut profile: Option<SummaryProfile> = None;
     let mut out: Option<PathBuf> = None;
-    let mut check_e2: Option<PathBuf> = None;
-    let mut check_e8: Option<PathBuf> = None;
-    let mut check_e9: Option<PathBuf> = None;
-    let mut check_e11: Option<PathBuf> = None;
-    let mut check_e13: Option<PathBuf> = None;
-    let mut tolerance = 0.25f64;
+    let mut baseline: Option<Trajectory> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--profile" => {
                 let name = args.next().unwrap_or_else(|| usage("missing profile name"));
-                profile = SummaryProfile::by_name(&name)
-                    .unwrap_or_else(|| usage(&format!("unknown profile {name:?}")));
+                profile = Some(
+                    SummaryProfile::by_name(&name)
+                        .unwrap_or_else(|| usage(&format!("unknown profile {name:?}"))),
+                );
             }
             "--out" => {
                 let path = args.next().unwrap_or_else(|| usage("missing output path"));
                 out = Some(PathBuf::from(path));
             }
-            "--check-e2" => {
+            "--check" => {
                 let path = args
                     .next()
                     .unwrap_or_else(|| usage("missing baseline path"));
-                check_e2 = Some(PathBuf::from(path));
-            }
-            "--check-e8" => {
-                let path = args
-                    .next()
-                    .unwrap_or_else(|| usage("missing baseline path"));
-                check_e8 = Some(PathBuf::from(path));
-            }
-            "--check-e9" => {
-                let path = args
-                    .next()
-                    .unwrap_or_else(|| usage("missing baseline path"));
-                check_e9 = Some(PathBuf::from(path));
-            }
-            "--check-e11" => {
-                let path = args
-                    .next()
-                    .unwrap_or_else(|| usage("missing baseline path"));
-                check_e11 = Some(PathBuf::from(path));
-            }
-            "--check-e13" => {
-                let path = args
-                    .next()
-                    .unwrap_or_else(|| usage("missing baseline path"));
-                check_e13 = Some(PathBuf::from(path));
-            }
-            "--tolerance" => {
-                let value = args.next().unwrap_or_else(|| usage("missing tolerance"));
-                tolerance = value
-                    .parse()
-                    .unwrap_or_else(|_| usage(&format!("bad tolerance {value:?}")));
+                baseline = Some(Trajectory::load(Path::new(&path)).unwrap_or_else(|e| usage(&e)));
             }
             "--help" | "-h" => usage(""),
             other => usage(&format!("unexpected argument {other:?}")),
@@ -106,407 +61,97 @@ fn main() {
     }
 
     let mut criterion = Criterion::default();
-    run_summary(&mut criterion, &profile);
-    let meta = [("profile", profile.name)];
+    match (baseline, profile) {
+        (Some(_), Some(_)) => usage("--check runs the gates' own profiles; drop --profile"),
+        (Some(baseline), None) => {
+            let failed = run_gates(&baseline, &mut criterion);
+            emit(&criterion, "check", out.as_deref());
+            if failed {
+                std::process::exit(1);
+            }
+        }
+        (None, profile) => {
+            let profile = profile.unwrap_or_else(SummaryProfile::full);
+            run_summary(&mut criterion, &profile);
+            emit(&criterion, profile.name, out.as_deref());
+        }
+    }
+}
+
+/// Runs every gate of [`GATES`] into `criterion`, printing every row.
+/// Returns `true` when any gate failed (a confirmed regression or a fresh
+/// run the gate cannot judge).
+fn run_gates(baseline: &Trajectory, criterion: &mut Criterion) -> bool {
+    let mut failed = false;
+    for spec in GATES {
+        let label = spec.group;
+        let profile = spec.profile();
+        run_summary(criterion, &profile);
+        let mut rows = match check(spec, baseline, criterion.records()) {
+            Ok(rows) => rows,
+            Err(e) => {
+                eprintln!("error: {label}: {e:?}");
+                failed = true;
+                continue;
+            }
+        };
+        if spec.remeasure > 0 {
+            for row in rows.iter().filter(|r| r.regressed) {
+                eprintln!(
+                    "{label} {}: first pass {:.2}x — re-measuring (best of {})",
+                    row.name, row.ratio, spec.remeasure
+                );
+            }
+            remeasure(spec, &mut rows, || {
+                let mut scratch = Criterion::default();
+                run_summary(&mut scratch, &profile);
+                scratch.records().to_vec()
+            });
+        }
+        for row in &rows {
+            eprintln!(
+                "{label} {}: reference {} ns, now {} ns ({:.2}x, bar {:.2}x){}",
+                row.name,
+                row.baseline_p95_ns,
+                row.fresh_p95_ns,
+                row.ratio,
+                row.bar,
+                if row.regressed { "  REGRESSION" } else { "" }
+            );
+        }
+        let regressed = rows.iter().filter(|r| r.regressed).count();
+        if regressed > 0 {
+            eprintln!(
+                "error: {label}: {regressed} of {} rows regressed",
+                rows.len()
+            );
+            failed = true;
+        } else {
+            eprintln!(
+                "{label} check passed ({} rows within their bars)",
+                rows.len()
+            );
+        }
+    }
+    failed
+}
+
+/// Writes the recorded benchmarks as JSON to `out`, or to stdout.
+fn emit(criterion: &Criterion, profile: &str, out: Option<&Path>) {
+    let meta = [("profile", profile)];
     match out {
         Some(path) => {
             criterion
-                .write_summary_json(&path, &meta)
+                .write_summary_json(path, &meta)
                 .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
             eprintln!(
-                "wrote {} ({} benchmarks, profile {})",
+                "wrote {} ({} benchmarks, profile {profile})",
                 path.display(),
                 criterion.records().len(),
-                profile.name
             );
         }
         None => print!("{}", criterion.summary_json(&meta)),
     }
-
-    // Run every requested gate before exiting, so a single CI run reports
-    // every regression instead of stopping at the first failing gate.
-    let mut failed = false;
-    if let Some(baseline_path) = check_e2 {
-        failed |= run_gate(
-            "E2 p95",
-            check_e2_regression,
-            &baseline_path,
-            &criterion,
-            tolerance,
-        );
-    }
-    if let Some(baseline_path) = check_e8 {
-        failed |= run_e8_gate(&baseline_path, &criterion, &profile, tolerance);
-    }
-    if let Some(baseline_path) = check_e9 {
-        failed |= run_gate(
-            "E9 read-delay p95",
-            check_e9_regression,
-            &baseline_path,
-            &criterion,
-            tolerance,
-        );
-    }
-    if let Some(baseline_path) = check_e11 {
-        failed |= run_e11_gate(&baseline_path, &criterion, &profile, tolerance);
-    }
-    if let Some(baseline_path) = check_e13 {
-        failed |= run_gate(
-            "E13 read-through-faults p95",
-            check_e13_regression,
-            &baseline_path,
-            &criterion,
-            tolerance,
-        );
-    }
-    if failed {
-        std::process::exit(1);
-    }
-}
-
-/// The signature shared by the gate checkers in `treenum_bench::trajectory`.
-type GateCheck =
-    fn(&Trajectory, &[criterion::BenchRecord], f64) -> Result<Vec<GroupComparison>, String>;
-
-/// Compares the fresh run's p95s against a committed baseline file through
-/// `check`, printing every comparison.  Returns `true` when the gate failed
-/// (a regression, a gated record missing from the fresh run, or an unreadable
-/// baseline) — the caller aggregates failures across gates and exits once at
-/// the end.
-fn run_gate(
-    label: &str,
-    check: GateCheck,
-    baseline_path: &Path,
-    criterion: &Criterion,
-    tolerance: f64,
-) -> bool {
-    let baseline = match Trajectory::load(baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return true;
-        }
-    };
-    let comparisons = match check(&baseline, criterion.records(), tolerance) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return true;
-        }
-    };
-    let mut regressed = false;
-    for c in &comparisons {
-        eprintln!(
-            "{label} {}: baseline {} ns, now {} ns ({:.2}x){}",
-            c.name,
-            c.baseline_p95_ns,
-            c.fresh_p95_ns,
-            c.ratio,
-            if c.regressed { "  REGRESSION" } else { "" }
-        );
-        regressed |= c.regressed;
-    }
-    if regressed {
-        eprintln!(
-            "error: {label} regressed more than {:.0}% against {}",
-            tolerance * 100.0,
-            baseline_path.display()
-        );
-        return true;
-    }
-    eprintln!(
-        "{label} check passed ({} records within {:.0}% of {})",
-        comparisons.len(),
-        tolerance * 100.0,
-        baseline_path.display()
-    );
-    false
-}
-
-/// The E8 gate with a flake guard.  Amortized batch p95s on a shared 1-CPU
-/// runner occasionally catch a scheduler stall in a measured sample, so
-/// every record the first pass flags is re-measured up to three times (same
-/// tree seed, stream seed and timing budgets as the recorded run) and
-/// judged on the *minimum* p95: a genuine regression reproduces in all
-/// three runs, a one-off stall does not.  The verdict bar is
-/// [`e8_allowed_ratio`] — identical to the first pass, including the
-/// widened `_k1/` tolerance.
-fn run_e8_gate(
-    baseline_path: &Path,
-    criterion: &Criterion,
-    profile: &SummaryProfile,
-    tolerance: f64,
-) -> bool {
-    let label = "E8 amortized p95";
-    let baseline = match Trajectory::load(baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return true;
-        }
-    };
-    let comparisons = match check_e8_regression(&baseline, criterion.records(), tolerance) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return true;
-        }
-    };
-    let mut regressed = false;
-    for c in &comparisons {
-        let mut fresh_p95 = c.fresh_p95_ns;
-        let mut ratio = c.ratio;
-        let mut flagged = c.regressed;
-        if flagged {
-            eprintln!(
-                "{label} {}: first pass {:.2}x over baseline — re-measuring (min of 3)",
-                c.name, c.ratio
-            );
-            match remeasure_e8(&c.name, profile, 3) {
-                Some(min_p95) => {
-                    fresh_p95 = min_p95;
-                    ratio = min_p95 as f64 / c.baseline_p95_ns as f64;
-                    flagged = ratio > e8_allowed_ratio(&c.name, tolerance);
-                }
-                None => eprintln!(
-                    "warning: cannot re-measure {} (unrecognized record name); \
-                     keeping the first-pass verdict",
-                    c.name
-                ),
-            }
-        }
-        eprintln!(
-            "{label} {}: baseline {} ns, now {} ns ({:.2}x){}",
-            c.name,
-            c.baseline_p95_ns,
-            fresh_p95,
-            ratio,
-            if flagged { "  REGRESSION" } else { "" }
-        );
-        regressed |= flagged;
-    }
-    if regressed {
-        eprintln!(
-            "error: {label} regressed more than {:.0}% against {} \
-             (confirmed by re-measurement)",
-            tolerance * 100.0,
-            baseline_path.display()
-        );
-        return true;
-    }
-    eprintln!(
-        "{label} check passed ({} records within tolerance of {})",
-        comparisons.len(),
-        baseline_path.display()
-    );
-    false
-}
-
-/// Re-runs the measurement behind one `batch_<strategy>_k<k>/<n>` record
-/// `runs` times and returns the smallest p95 (ns).  Mirrors `run_e8`'s
-/// setup exactly — same tree seed (17), stream seed (`1_000 + 31·si + k`)
-/// and the profile's timing budgets — so the numbers are comparable with
-/// the recorded pass.  Returns `None` when the name doesn't parse as an E8
-/// batch record.
-fn remeasure_e8(name: &str, profile: &SummaryProfile, runs: usize) -> Option<u128> {
-    let rest = name.strip_prefix("batch_")?;
-    let (head, n) = rest.split_once('/')?;
-    let n: usize = n.parse().ok()?;
-    let (sname, k) = head.rsplit_once("_k")?;
-    let k: usize = k.parse().ok()?;
-    let (si, (_, make)) = e8_strategies()
-        .into_iter()
-        .enumerate()
-        .find(|(_, (s, _))| *s == sname)?;
-    let (query, alphabet_len) = select_b_query();
-    let labels: Vec<_> = bench_alphabet().labels().collect();
-    let tree = bench_tree(n, TreeShape::Random, 17);
-    let seed = 1_000 + 31 * si as u64 + k as u64;
-    let mut best: Option<u128> = None;
-    for _ in 0..runs {
-        let rec = measure_batch_apply(
-            &tree,
-            &query,
-            alphabet_len,
-            &labels,
-            make,
-            seed,
-            k,
-            true,
-            name.to_string(),
-            profile.warm_up,
-            profile.measurement,
-        );
-        let p95 = rec.p95_ns?;
-        best = Some(best.map_or(p95, |b| b.min(p95)));
-    }
-    best
-}
-
-/// Like `run_gate` for the E11 checker, with the E8 gate's flake discipline:
-/// any comparison the first pass flags is re-measured before a regression is
-/// reported.  Trajectory rows (`read_q<q>_r<r>/<n>`) re-run their arm twice
-/// and are re-judged on the smallest p95; the cross-arm multiplexing row
-/// (`read_q<q>_vs_q1/<n>`) re-runs the `q = 1` and `q = <q>` arms *together*
-/// twice and is re-judged on the best paired ratio, so both sides of the
-/// ratio see the same machine state.  A genuine multiplexing regression
-/// (per-query republication is a Q× cost) reproduces; a scheduler tail that
-/// landed in one arm's p95 does not.
-fn run_e11_gate(
-    baseline_path: &Path,
-    criterion: &Criterion,
-    profile: &SummaryProfile,
-    tolerance: f64,
-) -> bool {
-    let label = "E11 multiplexed read p95";
-    let baseline = match Trajectory::load(baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return true;
-        }
-    };
-    let comparisons = match check_e11_regression(&baseline, criterion.records(), tolerance) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return true;
-        }
-    };
-    let mut regressed = false;
-    for c in &comparisons {
-        let mut baseline_p95 = c.baseline_p95_ns;
-        let mut fresh_p95 = c.fresh_p95_ns;
-        let mut ratio = c.ratio;
-        let mut flagged = c.regressed;
-        if flagged {
-            eprintln!(
-                "{label} {}: first pass {:.2}x — re-measuring (best of 2)",
-                c.name, c.ratio
-            );
-            let cross = c.name.contains("_vs_q1");
-            let remeasured = if cross {
-                // Re-judge the pair on the best ratio; the q1 side of that
-                // attempt replaces the reference so the printed numbers stay
-                // one measurement, not a min-of-mins across attempts.
-                remeasure_e11_pair(&c.name, profile, 2)
-            } else {
-                remeasure_e11_arm(&c.name, profile, 2).map(|p95| (c.baseline_p95_ns, p95))
-            };
-            match remeasured {
-                Some((reference, p95)) => {
-                    baseline_p95 = reference;
-                    fresh_p95 = p95;
-                    ratio = p95 as f64 / reference as f64;
-                    let bar = if cross {
-                        E11_MULTIPLEX_SLACK
-                    } else {
-                        1.0 + tolerance
-                    };
-                    flagged = ratio > bar;
-                }
-                None => eprintln!(
-                    "warning: cannot re-measure {} (unrecognized record name); \
-                     keeping the first-pass verdict",
-                    c.name
-                ),
-            }
-        }
-        eprintln!(
-            "{label} {}: baseline {} ns, now {} ns ({:.2}x){}",
-            c.name,
-            baseline_p95,
-            fresh_p95,
-            ratio,
-            if flagged { "  REGRESSION" } else { "" }
-        );
-        regressed |= flagged;
-    }
-    if regressed {
-        eprintln!(
-            "error: {label} regressed against {} (confirmed by re-measurement)",
-            baseline_path.display()
-        );
-        return true;
-    }
-    eprintln!(
-        "{label} check passed ({} records within tolerance of {})",
-        comparisons.len(),
-        baseline_path.display()
-    );
-    false
-}
-
-/// Re-runs the E11 arm behind one `read_q<q>_r<r>/<n>` record `runs` times
-/// (same seeds and budgets as the recorded pass) and returns the smallest
-/// read p95 (ns).  Returns `None` when the name doesn't parse.
-fn remeasure_e11_arm(name: &str, profile: &SummaryProfile, runs: usize) -> Option<u128> {
-    let (q, rest) = parse_e11_name(name, "_r")?;
-    let (readers, n) = rest.split_once('/')?;
-    let readers: usize = readers.parse().ok()?;
-    let n: usize = n.parse().ok()?;
-    let mut best: Option<u128> = None;
-    for _ in 0..runs {
-        let mut scratch = Criterion::default();
-        run_e11(
-            &mut scratch,
-            &[n],
-            &[q],
-            readers,
-            profile.e2_answers,
-            profile.warm_up,
-            profile.measurement * 3,
-        );
-        let p95 = scratch
-            .records()
-            .iter()
-            .find(|r| r.name == name)
-            .and_then(|r| r.p95_ns)?;
-        best = Some(best.map_or(p95, |b| b.min(p95)));
-    }
-    best
-}
-
-/// Re-runs the `q = 1` and `q = <q>` arms behind one `read_q<q>_vs_q1/<n>`
-/// comparison together, `runs` times, and returns the `(q1_p95, q_p95)`
-/// pair of the attempt with the smallest cross-arm ratio.  Both arms of
-/// each attempt run back to back in one `run_e11` invocation, so the ratio
-/// always compares measurements taken under the same machine state.
-fn remeasure_e11_pair(name: &str, profile: &SummaryProfile, runs: usize) -> Option<(u128, u128)> {
-    let (q, rest) = parse_e11_name(name, "_vs_q1/")?;
-    let n: usize = rest.parse().ok()?;
-    let readers = profile.e9_readers;
-    let mut best: Option<(u128, u128)> = None;
-    for _ in 0..runs {
-        let mut scratch = Criterion::default();
-        run_e11(
-            &mut scratch,
-            &[n],
-            &[1, q],
-            readers,
-            profile.e2_answers,
-            profile.warm_up,
-            profile.measurement * 3,
-        );
-        let p95_of = |arm_q: usize| {
-            scratch
-                .records()
-                .iter()
-                .find(|r| r.name == format!("read_q{arm_q}_r{readers}/{n}"))
-                .and_then(|r| r.p95_ns)
-        };
-        let pair = (p95_of(1)?, p95_of(q)?);
-        let ratio = |(a, b): (u128, u128)| b as f64 / a as f64;
-        best = Some(best.map_or(pair, |b| if ratio(pair) < ratio(b) { pair } else { b }));
-    }
-    best
-}
-
-/// Splits `read_q<q><sep>…` into the `q` arm and whatever follows `sep`.
-fn parse_e11_name<'a>(name: &'a str, sep: &str) -> Option<(usize, &'a str)> {
-    let rest = name.strip_prefix("read_q")?;
-    let (q, rest) = rest.split_once(sep)?;
-    Some((q.parse().ok()?, rest))
 }
 
 fn usage(error: &str) -> ! {
@@ -514,10 +159,8 @@ fn usage(error: &str) -> ! {
         eprintln!("error: {error}");
     }
     eprintln!(
-        "usage: bench_summary [--profile full|smoke|e2|e8|e9|e11|e12|e13] [--out PATH] \
-         [--check-e2 BASELINE.json] [--check-e8 BASELINE.json] \
-         [--check-e9 BASELINE.json] [--check-e11 BASELINE.json] \
-         [--check-e13 BASELINE.json] [--tolerance FRACTION]"
+        "usage: bench_summary [--profile full|smoke|e12] [--out PATH]\n       \
+         bench_summary --check BASELINE.json [--out PATH]"
     );
     std::process::exit(if error.is_empty() { 0 } else { 2 });
 }

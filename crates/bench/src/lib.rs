@@ -248,7 +248,8 @@ pub fn measure_batch_apply(
 /// {uniform, skewed, burst} workloads at every tree size in `sizes`.  Both
 /// arms replay the *same* deterministic batches (same seed, lockstep shadow
 /// trees), so `seq/batch` is a true per-workload speedup; the committed
-/// trajectory records both, and CI gates the `batch_*` p95s (`--check-e8`).
+/// trajectory records both, and CI gates the `batch_*` p95s
+/// ([`trajectory::E8_GATE`]).
 pub fn run_e8(
     c: &mut criterion::Criterion,
     sizes: &[usize],
@@ -462,9 +463,9 @@ fn e9_scenario(
 /// concurrent ingest — comparable to E2's `per_answer_select_b/<n>`, same
 /// query and answer count), `ingest_adaptive_<strategy>/<n>` and
 /// `ingest_fixed1_<strategy>/<n>` (per-edit amortized flush cost including
-/// reclaim and publish).  CI gates the `read_*` p95s (`--check-e9`); the
-/// ingest arms document the coalescing win (their mean is flush-time /
-/// ops-applied over the measurement window).
+/// reclaim and publish).  CI gates the `read_*` p95s
+/// ([`trajectory::E9_GATE`]); the ingest arms document the coalescing win
+/// (their mean is flush-time / ops-applied over the measurement window).
 pub fn run_e9(
     c: &mut criterion::Criterion,
     sizes: &[usize],
@@ -598,8 +599,8 @@ pub fn distinct_queries(count: usize) -> Vec<StepwiseTva> {
 ///   `q - 1` registered queries round-robin (read, never recorded).  The
 ///   recorded work *and its cadence* are therefore identical across arms —
 ///   the interleaved sweep over the other queries is the treatment, the
-///   primary is the probe.  Gated by `--check-e11`, which also holds the
-///   fresh `q = 16` arm to within [`trajectory::E11_MULTIPLEX_SLACK`]× the
+///   primary is the probe.  Gated by [`trajectory::E11_GATE`], which also
+///   holds the fresh `q = 16` arm to within its cross-arm bar (1.5×) of the
 ///   fresh `q = 1` arm's p95 — the multiplexing contract is precisely that
 ///   a query's reads do not degrade as others register.
 /// * `admission_q<q>/<n>` — wall time of one [`treenum_serve::TreeServer::register`]
@@ -993,8 +994,8 @@ pub fn run_e12(
 ///
 /// * `read_{clean,faulty}_r<readers>/<n>` — per-answer snapshot-read delay
 ///   sampled straight through the fault–recover cycles.  Gated by
-///   `--check-e13`: reads degrading under writer failure is exactly the
-///   regression the self-healing layer exists to prevent.
+///   [`trajectory::E13_GATE`]: reads degrading under writer failure is
+///   exactly the regression the self-healing layer exists to prevent.
 /// * `ingest_{clean,faulty}/<n>` — caller-visible per-op ingest wall time,
 ///   backpressure retries included.  Recorded, not gated (scheduler noise).
 /// * `ingest_available_ppm_{clean,faulty}/<n>` — first-try ingest

@@ -7,9 +7,11 @@
 //! Perf PRs record a baseline before touching the hot path and an "after" file
 //! once done, so the repository carries its own performance trajectory.
 //!
-//! Two profiles are provided: `full` (the numbers quoted in EXPERIMENTS.md,
-//! tens of seconds) and `smoke` (tiny sizes, a few seconds — run by CI so the
-//! bench code cannot bit-rot).
+//! Three profiles are provided: `full` (the numbers quoted in EXPERIMENTS.md,
+//! tens of seconds), `smoke` (tiny sizes, a few seconds — run by CI so the
+//! bench code cannot bit-rot) and `e12` (crash recovery only).  The CI bench
+//! gates derive their profiles from the gate table
+//! ([`crate::trajectory::GATES`]).
 
 use criterion::{BenchRecord, BenchmarkId, Criterion};
 use std::ops::ControlFlow;
@@ -79,9 +81,9 @@ pub struct SummaryProfile {
     pub measurement: Duration,
     /// Nominal sample count (sizes the stub's timing batches).
     pub sample_size: usize,
-    /// Which experiments to run (`None` = all of E1–E8).  The `e2` / `e8`
-    /// profiles restrict the run to one experiment so CI can gate on its
-    /// percentiles without paying for the full sweep.
+    /// Which experiments to run (`None` = all of them).  The `e12` profile
+    /// and each gate's [`GateSpec::profile`](crate::trajectory::GateSpec::profile)
+    /// restrict the run to one experiment.
     pub experiments: Option<&'static [&'static str]>,
 }
 
@@ -149,73 +151,12 @@ impl SummaryProfile {
         }
     }
 
-    /// The delay experiment only, at the `full` sizes but with reduced timing
-    /// budgets: the workload behind CI's E2 p95 regression gate.  The record
-    /// names match the committed `BENCH_baseline.json` (same sizes), so the
-    /// comparison is apples to apples.
-    pub fn e2() -> Self {
-        SummaryProfile {
-            name: "e2",
-            // Empty legacy sizes: the first-200 arm carries no percentiles,
-            // so the gate run skips it and measures only the six per-answer
-            // records the p95 comparison actually uses.
-            tree_sizes: vec![],
-            warm_up: Duration::from_millis(100),
-            measurement: Duration::from_millis(400),
-            experiments: Some(&["E2"]),
-            ..Self::full()
-        }
-    }
-
-    /// The batch-update experiment only, at the `full` sizes but with reduced
-    /// timing budgets: the workload behind CI's E8 amortized-p95 regression
-    /// gate.  The record names match the committed trajectory (same sizes and
-    /// batch sizes), so the comparison is apples to apples.
-    pub fn e8() -> Self {
-        SummaryProfile {
-            name: "e8",
-            warm_up: Duration::from_millis(50),
-            measurement: Duration::from_millis(200),
-            experiments: Some(&["E8"]),
-            ..Self::full()
-        }
-    }
-
-    /// The concurrent-serving experiment only, at the `full` sizes but with a
-    /// reduced measurement budget: the workload behind CI's E9 read-delay p95
-    /// regression gate.  The record names match the committed trajectory
-    /// (same sizes and reader counts), so the comparison is apples to apples.
-    pub fn e9() -> Self {
-        SummaryProfile {
-            name: "e9",
-            warm_up: Duration::from_millis(100),
-            measurement: Duration::from_millis(400),
-            experiments: Some(&["E9"]),
-            ..Self::full()
-        }
-    }
-
-    /// The query-registry experiment only, at the `full` sizes but with a
-    /// reduced measurement budget: the workload behind CI's E11 multiplexed
-    /// read-delay p95 gate.  The record names match the committed trajectory
-    /// (same sizes, reader and query counts), so the comparison is apples to
-    /// apples.
-    pub fn e11() -> Self {
-        SummaryProfile {
-            name: "e11",
-            warm_up: Duration::from_millis(100),
-            measurement: Duration::from_millis(400),
-            experiments: Some(&["E11"]),
-            ..Self::full()
-        }
-    }
-
     /// The crash-recovery experiment only, at the `full` sizes: measures
     /// recovery time and the durability tax without paying for the full
     /// sweep.  Its records are *spliced into* `BENCH_after.json` (run with
     /// `--out` to a scratch file, merge the `E12_recovery` group) — never
     /// re-record the other groups alongside it, that would shift the
-    /// E2/E8/E9 gate baselines.
+    /// gate baselines.
     pub fn e12() -> Self {
         SummaryProfile {
             name: "e12",
@@ -224,30 +165,12 @@ impl SummaryProfile {
         }
     }
 
-    /// The chaos-serving experiment only, at the `full` sizes: the workload
-    /// behind CI's E13 read-through-faults p95 regression gate.  The record
-    /// names match the committed trajectory (same sizes, reader count and
-    /// fault cycles), so the comparison is apples to apples.
-    pub fn e13() -> Self {
-        SummaryProfile {
-            name: "e13",
-            experiments: Some(&["E13"]),
-            ..Self::full()
-        }
-    }
-
-    /// Parses a profile name (`full` / `smoke` / `e2` / `e8` / `e9` /
-    /// `e11` / `e12` / `e13`).
+    /// Parses a profile name (`full` / `smoke` / `e12`).
     pub fn by_name(name: &str) -> Option<Self> {
         match name {
             "full" => Some(Self::full()),
             "smoke" => Some(Self::smoke()),
-            "e2" => Some(Self::e2()),
-            "e8" => Some(Self::e8()),
-            "e9" => Some(Self::e9()),
-            "e11" => Some(Self::e11()),
             "e12" => Some(Self::e12()),
-            "e13" => Some(Self::e13()),
             _ => None,
         }
     }
