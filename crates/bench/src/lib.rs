@@ -844,8 +844,9 @@ pub fn run_e11(
 /// Record names (group `E12_recovery`):
 ///
 /// * `recover_tail<t>/<n>` — full [`treenum_serve::TreeServer::recover`]
-///   wall time (snapshot load + decode + `t`-op WAL-tail replay through one
-///   `apply_batch` + engine rebuild + fresh recovery snapshot) over a
+///   wall time (snapshot load + decode + `t`-op WAL-tail replay onto the
+///   tree + one build of the recovered copy and its clone + fresh recovery
+///   snapshot) over a
 ///   size-`n` tree, one sample per repetition, each against a freshly built
 ///   lineage (recovery itself compacts the lineage, so reps cannot reuse
 ///   one).

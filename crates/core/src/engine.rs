@@ -1,4 +1,14 @@
 //! The incremental tree enumeration engine (Theorem 8.1).
+//!
+//! The engine splits along the paper's own seam.  The balanced
+//! forest-algebra term depends only on the tree (Section 7), so a
+//! [`Document`] — tree, term and the tree-to-term map `φ` — is shared by
+//! every query over that tree.  The circuit and the enumeration index
+//! depend on the automaton (Sections 3 and 8), so each query owns a
+//! [`QueryIndex`] derived from the document.  An edit batch updates the
+//! document once ([`Document::apply_batch`]); its [`DocumentBatch`] report
+//! then repairs each query's index ([`QueryIndex::repair`]).
+//! [`TreeEnumerator`] is one document plus one query index.
 
 use crate::plan::QueryPlan;
 use std::collections::HashMap;
@@ -35,49 +45,52 @@ pub struct EnumerationStats {
     pub circuit_boxes: usize,
 }
 
-/// The update-aware enumeration structure for a stepwise TVA query on an unranked
-/// tree: linear-time preprocessing, delay independent of the tree, logarithmic-time
-/// updates (Theorem 8.1).
-///
-/// The query-only parts (translated automaton, leaf box skeletons) live in a
-/// shared [`QueryPlan`]; constructing many enumerators for the same query pays
-/// the quartic translation once.  The term-to-box mapping is a dense slab
-/// parallel to the term arena — no hashing on the per-edit path.
-pub struct TreeEnumerator {
+/// The query-independent part of the engine: the unranked tree, its
+/// balanced forest-algebra term and the map `φ` from tree nodes to term
+/// leaves.  Any number of [`QueryIndex`]es can be built from, and repaired
+/// against, one document.
+#[derive(Clone)]
+pub struct Document {
     tree: UnrankedTree,
     term: Term,
     phi: HashMap<NodeId, TermNodeId>,
-    plan: Arc<QueryPlan>,
-    circuit: Circuit,
-    /// `box_of[n.index()]`: the circuit box of term node `n`.
-    box_of: Vec<Option<BoxId>>,
-    index: EnumIndex,
-    mode: BoxEnumMode,
-    /// Epoch-marked scratch bitmaps for `apply_batch` (a slot is "set" iff it
-    /// holds the current epoch): O(spine) per batch instead of O(n) re-zeroing.
-    scratch_epoch: u64,
+    /// Epoch-marked dirty set of `apply_batch` (a slot is "set" iff it
+    /// holds the current epoch): O(spine) per batch instead of O(n)
+    /// re-zeroing.
+    epoch: u64,
     term_mark: Vec<u64>,
-    /// Boxes whose content or child links changed this batch.
-    content_mark: Vec<u64>,
-    /// Boxes whose index entry changed this batch.
-    entry_mark: Vec<u64>,
-    /// Reusable per-answer enumeration scratch (pools + counters), kept warm
-    /// across `apply`/re-enumeration cycles.  A `Mutex` because enumeration
-    /// takes `&self` and the engine is shared across reader threads by the
-    /// serving layer (`treenum-serve`); the lock is taken once per
-    /// *enumeration*, not per answer, so it stays off the delay path.  A
-    /// re-entrant or concurrent enumeration (a sink that enumerates the same
-    /// engine again, or a second reader thread) falls back to a throwaway
-    /// scratch — or brings its own via [`TreeEnumerator::for_each_with`].
-    scratch: Mutex<EnumScratch>,
-    /// Identifies this engine's current structure (see
-    /// [`TreeEnumerator::stamp`]): drawn from a process-global counter at
-    /// construction and again by every `&mut` method that changes the
-    /// circuit, the index or the enumeration mode.
-    stamp: u64,
 }
 
-/// Source of [`TreeEnumerator::stamp`] values: never reused in a process.
+/// What one [`Document::apply_batch`] changed in the term: the input of
+/// [`QueryIndex::repair`] for every query over the document.
+#[derive(Clone, Debug, Default)]
+pub struct DocumentBatch {
+    /// Term nodes the batch removed, in application order.  A freed arena
+    /// slot can be reused later in the same batch, so a slot listed here
+    /// may also be in `dirty`; its old box must be freed before `dirty` is
+    /// repaired.
+    freed: Vec<TermNodeId>,
+    /// Live term nodes whose subterm changed, each once, children before
+    /// parents.
+    dirty: Vec<TermNodeId>,
+    deduped: u64,
+    inserted: Vec<NodeId>,
+}
+
+impl DocumentBatch {
+    /// Dirty-spine entries skipped because an earlier edit of the batch had
+    /// already queued them (the batch's sharing).
+    pub fn deduped(&self) -> u64 {
+        self.deduped
+    }
+
+    /// Number of distinct term nodes every query's repair visits.
+    pub fn dirty_len(&self) -> usize {
+        self.dirty.len()
+    }
+}
+
+/// Source of [`QueryIndex::stamp`] values: never reused in a process.
 static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 
 fn fresh_stamp() -> u64 {
@@ -99,10 +112,12 @@ fn assignment_of(parts: &[(VarSet, u32)]) -> Assignment {
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<TreeEnumerator>();
+    assert_send_sync::<Document>();
+    assert_send_sync::<QueryIndex>();
     assert_send_sync::<QueryPlan>();
 };
 
-/// Epoch bitmap helper: `marks[i] == epoch` means "set this edit".
+/// Epoch bitmap helper: `marks[i] == epoch` means "set this batch".
 #[inline]
 fn mark(marks: &mut Vec<u64>, epoch: u64, i: usize) {
     if i >= marks.len() {
@@ -116,51 +131,181 @@ fn marked(marks: &[u64], epoch: u64, i: usize) -> bool {
     marks.get(i).copied() == Some(epoch)
 }
 
-impl TreeEnumerator {
-    /// Preprocessing: builds the enumeration structure for `query` (a stepwise TVA
-    /// over `base_alphabet_len` labels) on `tree`.
-    pub fn new(tree: UnrankedTree, query: &StepwiseTva, base_alphabet_len: usize) -> Self {
-        Self::with_plan(tree, QueryPlan::for_query(query, base_alphabet_len))
-    }
-
-    /// Preprocessing with an explicit (possibly pre-shared) query plan.
-    pub fn with_plan(tree: UnrankedTree, plan: Arc<QueryPlan>) -> Self {
+impl Document {
+    /// Encodes `tree` as a balanced term (linear time, Section 7).
+    pub fn new(tree: UnrankedTree) -> Self {
         let (term, phi) = build_balanced_term(&tree);
-        let num_states = plan.tva().num_states();
-        let mut engine = TreeEnumerator {
+        Document {
             tree,
             term,
             phi,
+            epoch: 0,
+            term_mark: Vec::new(),
+        }
+    }
+
+    /// A read-only view of the current tree.
+    pub fn tree(&self) -> &UnrankedTree {
+        &self.tree
+    }
+
+    /// Applies a batch of `k` edit operations (Definition 7.1) to the tree
+    /// and splices and rebalances the term, then folds the per-edit dirty
+    /// spines into **one** deduplicated, bottom-up list (Lemma 7.3).
+    ///
+    /// The per-edit reports are replayed in order into an epoch-marked
+    /// dirty set, because a term arena slot freed by one edit can be reused
+    /// (and re-dirtied) by a later one.  Edits that land in one subtree
+    /// share most of their `O(log n)` spine, so the union is usually much
+    /// smaller than `k · log n`; [`DocumentBatch::deduped`] counts the
+    /// sharing.
+    // hot-path: the update; per-edit work must stay proportional to the
+    // deduplicated spine union, with only per-batch O(k) buffers below.
+    pub fn apply_batch(&mut self, ops: &[EditOp]) -> DocumentBatch {
+        if ops.is_empty() {
+            return DocumentBatch::default();
+        }
+        let batch = apply_edits(&mut self.tree, &mut self.term, &mut self.phi, ops);
+        self.epoch += 1;
+        let epoch = self.epoch;
+        // analyze: allow(alloc): one per-batch buffer, amortized over k edits
+        let mut dirty: Vec<TermNodeId> = Vec::with_capacity(batch.dirty_len());
+        // analyze: allow(alloc): one per-batch buffer, amortized over k edits
+        let mut freed: Vec<TermNodeId> = Vec::new();
+        let mut deduped = 0u64;
+        for report in &batch.reports {
+            for &f in &report.freed {
+                freed.push(f);
+                // A slot dirtied by an earlier edit and freed here must not
+                // be repaired as the old node; unmarking lets a later edit
+                // that reuses the slot queue it afresh.
+                if marked(&self.term_mark, epoch, f.index()) {
+                    self.term_mark[f.index()] = 0;
+                }
+            }
+            for &d in &report.dirty {
+                if marked(&self.term_mark, epoch, d.index()) {
+                    deduped += 1;
+                    continue;
+                }
+                mark(&mut self.term_mark, epoch, d.index());
+                dirty.push(d);
+            }
+        }
+        // One report's dirty list is already bottom-up and duplicate-free.
+        // The union of several is put children before parents by sorting on
+        // term depth descending (a child is strictly deeper than its parent,
+        // and every changed child of a dirty node is itself dirty).  A slot
+        // freed and re-dirtied mid-batch can appear twice in `dirty`; the
+        // occurrences share one (depth, id) key, so `dedup` removes the extra
+        // one after the sort.  Depths come from the term's memo, which the
+        // rebalancing sweep's last pass filled for every live touched node.
+        if batch.reports.len() > 1 {
+            let (term, marks) = (&mut self.term, &self.term_mark);
+            dirty.retain(|&d| term.is_live(d) && marked(marks, epoch, d.index()));
+            // analyze: allow(alloc): per-batch key buffer (one depth per node)
+            dirty.sort_by_cached_key(|&d| (std::cmp::Reverse(term.depth_memoized(d)), d.0));
+            dirty.dedup();
+        }
+        DocumentBatch {
+            freed,
+            dirty,
+            deduped,
+            // analyze: allow(alloc): the caller-facing O(k) result vector.
+            inserted: batch.inserted().collect(),
+        }
+    }
+
+    /// Checks the term invariants and that `φ` covers the tree.
+    pub fn check_consistency(&self) {
+        self.term.check_invariants();
+        assert_eq!(self.phi.len(), self.tree.len());
+    }
+}
+
+/// The per-query part of the engine: the assignment circuit over a
+/// [`Document`]'s term (one box per term node, Lemma 3.7), the enumeration
+/// index (Lemma 6.3) and a pooled enumeration scratch.
+///
+/// The query-only parts (translated automaton, leaf box skeletons) live in a
+/// shared [`QueryPlan`].  The term-to-box mapping is a dense slab parallel
+/// to the term arena — no hashing on the per-edit path.  A `QueryIndex` is
+/// only meaningful together with the document it was built from and
+/// repaired against; enumeration needs the index alone.
+///
+/// Cloning copies the structure, starts an empty pooled scratch and draws a
+/// fresh [`QueryIndex::stamp`], so a run parked on the original never
+/// resumes on the clone.
+pub struct QueryIndex {
+    plan: Arc<QueryPlan>,
+    circuit: Circuit,
+    /// `box_of[n.index()]`: the circuit box of term node `n`.
+    box_of: Vec<Option<BoxId>>,
+    index: EnumIndex,
+    mode: BoxEnumMode,
+    /// Epoch-marked scratch bitmaps of `repair` (see [`Document`]).
+    epoch: u64,
+    /// Boxes whose content or child links changed this batch.
+    content_mark: Vec<u64>,
+    /// Boxes whose index entry changed this batch.
+    entry_mark: Vec<u64>,
+    /// Reusable per-answer enumeration scratch (pools + counters), kept warm
+    /// across repair/re-enumeration cycles.  A `Mutex` because enumeration
+    /// takes `&self` and the index is shared across reader threads by the
+    /// serving layer (`treenum-serve`); the lock is taken once per
+    /// *enumeration*, not per answer, so it stays off the delay path.  A
+    /// re-entrant or concurrent enumeration (a sink that enumerates the same
+    /// index again, or a second reader thread) falls back to a throwaway
+    /// scratch — or brings its own via [`QueryIndex::for_each_with`].
+    scratch: Mutex<EnumScratch>,
+    /// Identifies this index's current structure (see
+    /// [`QueryIndex::stamp`]): drawn from a process-global counter at
+    /// construction and clone, and again by every `&mut` method that
+    /// changes the circuit, the index or the enumeration mode.
+    stamp: u64,
+}
+
+impl Clone for QueryIndex {
+    fn clone(&self) -> Self {
+        QueryIndex {
+            plan: Arc::clone(&self.plan),
+            circuit: self.circuit.clone(),
+            box_of: self.box_of.clone(),
+            index: self.index.clone(),
+            mode: self.mode,
+            epoch: self.epoch,
+            content_mark: Vec::new(),
+            entry_mark: Vec::new(),
+            scratch: Mutex::new(EnumScratch::new()),
+            stamp: fresh_stamp(),
+        }
+    }
+}
+
+impl QueryIndex {
+    /// Builds the circuit and the enumeration index of `plan`'s query over
+    /// `doc`'s term, bottom-up (linear in the term size).
+    pub fn build(doc: &Document, plan: Arc<QueryPlan>) -> Self {
+        let num_states = plan.tva().num_states();
+        let mut q = QueryIndex {
             plan,
             circuit: Circuit::new(num_states),
             box_of: Vec::new(),
             index: EnumIndex::default(),
             mode: BoxEnumMode::Indexed,
-            scratch_epoch: 0,
-            term_mark: Vec::new(),
+            epoch: 0,
             content_mark: Vec::new(),
             entry_mark: Vec::new(),
             scratch: Mutex::new(EnumScratch::new()),
             stamp: fresh_stamp(),
         };
-        let order = engine.term.subtree_postorder(engine.term.root());
-        for n in order {
-            engine.rebuild_box_for(n);
+        for n in doc.term.subtree_postorder(doc.term.root()) {
+            q.rebuild_box_for(doc, n);
         }
-        let root_box = engine.box_of(engine.term.root());
-        engine.circuit.set_root_force(root_box);
-        engine.index = EnumIndex::build(&engine.circuit);
-        engine
-    }
-
-    /// The shared per-query plan (translation + circuit skeletons).
-    pub fn plan(&self) -> &Arc<QueryPlan> {
-        &self.plan
-    }
-
-    /// Allocation counters of the enumeration index (see [`IndexStats`]).
-    pub fn index_stats(&self) -> IndexStats {
-        self.index.stats()
+        let root_box = q.box_of(doc.term.root());
+        q.circuit.set_root_force(root_box);
+        q.index = EnumIndex::build(&q.circuit);
+        q
     }
 
     /// Allocation counters of the per-answer enumeration loop (see
@@ -168,8 +313,8 @@ impl TreeEnumerator {
     /// enumerations leave `per_answer_allocs`, `relation_clones` and
     /// `group_map_rebuilds` unchanged.
     ///
-    /// Mid-enumeration (called from inside a [`TreeEnumerator::for_each`]
-    /// sink, while the engine's scratch is lent to the running enumeration)
+    /// Mid-enumeration (called from inside a [`QueryIndex::for_each`]
+    /// sink, while the pooled scratch is lent to the running enumeration)
     /// the live counters are unreadable; a default (all-zero) snapshot is
     /// returned instead of panicking, mirroring `for_each`'s own re-entrancy
     /// fallback.
@@ -193,10 +338,10 @@ impl TreeEnumerator {
         self.box_of.get(n.index()).copied().flatten()
     }
 
-    fn set_box_of(&mut self, n: TermNodeId, b: BoxId) {
+    fn set_box_of(&mut self, doc: &Document, n: TermNodeId, b: BoxId) {
         if n.index() >= self.box_of.len() {
             self.box_of
-                .resize(self.term.arena_len().max(n.index() + 1), None);
+                .resize(doc.term.arena_len().max(n.index() + 1), None);
         }
         self.box_of[n.index()] = Some(b);
     }
@@ -205,72 +350,62 @@ impl TreeEnumerator {
         self.box_of.get_mut(n.index()).and_then(Option::take)
     }
 
-    /// Switches between the jump-pointer `box-enum` of Algorithm 3 (default) and the
-    /// naive reference implementation (used by baselines and differential tests).
-    pub fn set_box_enum_mode(&mut self, mode: BoxEnumMode) {
-        self.mode = mode;
-        self.stamp = fresh_stamp();
-    }
-
     /// A value identifying the current enumeration structure: unique to
-    /// this engine in this process, and replaced by every `&mut` method
-    /// that changes the circuit, the index or the enumeration mode.  Equal
-    /// stamps therefore mean the same answers in the same order — which is
-    /// what keys a run parked by [`TreeEnumerator::page_with`].
+    /// this index in this process, and replaced by every `&mut` method
+    /// that changes the circuit, the index or the enumeration mode (and by
+    /// a clone).  Equal stamps therefore mean the same answers in the same
+    /// order — which is what keys a run parked by
+    /// [`QueryIndex::page_with`].
     pub fn stamp(&self) -> u64 {
         self.stamp
     }
 
-    /// A read-only view of the current tree.
-    pub fn tree(&self) -> &UnrankedTree {
-        &self.tree
-    }
-
-    /// Structural statistics of the current enumeration structure.
-    pub fn stats(&self) -> EnumerationStats {
+    /// Structural statistics of this query's structure over `doc`.
+    pub fn stats(&self, doc: &Document) -> EnumerationStats {
         EnumerationStats {
-            tree_size: self.tree.len(),
-            term_height: self.term.height(),
+            tree_size: doc.tree.len(),
+            term_height: doc.term.height(),
             automaton_states: self.plan.tva().num_states(),
             circuit_width: self.circuit.width(),
             circuit_boxes: self.circuit.num_boxes(),
         }
     }
 
-    fn term_label(&self, n: TermNodeId) -> Label {
-        self.plan.alphabet().label_of(self.term.kind(n))
+    fn term_label(&self, doc: &Document, n: TermNodeId) -> Label {
+        self.plan.alphabet().label_of(doc.term.kind(n))
+    }
+
+    /// The from-scratch content of term node `n`'s box, given current child
+    /// boxes.
+    fn content_for(&self, doc: &Document, n: TermNodeId) -> BoxContent {
+        let label = self.term_label(doc, n);
+        match doc.term.children(n) {
+            None => {
+                let node = doc
+                    .term
+                    .leaf_tree_node(n)
+                    .expect("term leaves map to tree nodes");
+                self.plan.leaf_content(label, node.0)
+            }
+            Some((l, r)) => internal_box_content(
+                self.plan.tva(),
+                label,
+                self.circuit.gamma(self.box_of(l)),
+                self.circuit.gamma(self.box_of(r)),
+            ),
+        }
     }
 
     /// (Re)computes the circuit box of term node `n` (children boxes must be
     /// current).  Returns the box and whether its content or child links
     /// actually changed — ancestors whose recomputed content is identical need
     /// no index repair (the spine-only early exit of the update path).
-    fn rebuild_box_for(&mut self, n: TermNodeId) -> (BoxId, bool) {
-        let label = self.term_label(n);
-        let content: BoxContent = match self.term.children(n) {
-            None => {
-                let node = self
-                    .term
-                    .leaf_tree_node(n)
-                    .expect("term leaves map to tree nodes");
-                self.plan.leaf_content(label, node.0)
-            }
-            Some((l, r)) => {
-                let bl = self.box_of(l);
-                let br = self.box_of(r);
-                internal_box_content(
-                    self.plan.tva(),
-                    label,
-                    self.circuit.gamma(bl),
-                    self.circuit.gamma(br),
-                )
-            }
-        };
-        let children = self
+    fn rebuild_box_for(&mut self, doc: &Document, n: TermNodeId) -> (BoxId, bool) {
+        let content = self.content_for(doc, n);
+        let children = doc
             .term
             .children(n)
             .map(|(l, r)| (self.box_of(l), self.box_of(r)));
-        let leaf_token = self.term.leaf_tree_node(n).map(|node| node.0);
         match self.box_of_checked(n).filter(|&b| self.circuit.is_live(b)) {
             Some(b) => {
                 // Same child ids are not enough: a freed slot reused by a fresh
@@ -290,18 +425,83 @@ impl TreeEnumerator {
                 (b, content_changed || !children_ok)
             }
             None => {
+                let leaf_token = doc.term.leaf_tree_node(n).map(|node| node.0);
                 let b = self.circuit.add_orphan_box(content, leaf_token);
                 self.circuit.set_children(b, children);
-                self.set_box_of(n, b);
+                self.set_box_of(doc, n, b);
                 (b, true)
             }
         }
     }
 
+    /// Repairs the circuit boxes and index entries of exactly the term
+    /// nodes `batch` dirtied (Lemma 7.3), in one bottom-up pass, after
+    /// `doc.apply_batch` produced `batch`.  Every query over `doc` must be
+    /// repaired with every batch, in order.  An empty batch is a no-op.
+    ///
+    /// Two layers of spine-only narrowing on top of the dirty set:
+    ///
+    /// * a box whose recomputed content and child links are unchanged is left in
+    ///   place (gamma changes usually fixpoint a few steps up the spine, so the
+    ///   ancestors above that point keep their contents);
+    /// * an index entry is rebuilt only if the box itself changed or a
+    ///   descendant's index entry was rebuilt — unchanged boxes above a
+    ///   fixpointed spine keep their entries too.
+    ///
+    /// [`IndexStats::spine_nodes_deduped`] counts the batch's sharing and
+    /// [`IndexStats::batch_rebuilds`] the passes.
+    // hot-path: the update; per-edit work must stay proportional to the
+    // deduplicated spine union.
+    pub fn repair(&mut self, doc: &Document, batch: &DocumentBatch) {
+        if batch.dirty.is_empty() && batch.freed.is_empty() {
+            return;
+        }
+        self.stamp = fresh_stamp();
+        self.epoch += 1;
+        let epoch = self.epoch;
+        // Free the boxes of removed term nodes first (their arena slots may
+        // have been reused by nodes created later in the same batch).
+        for &freed in &batch.freed {
+            if let Some(b) = self.take_box_of(freed) {
+                self.index.remove_box(b);
+                if self.circuit.is_live(b) {
+                    self.circuit.free_single(b);
+                }
+            }
+        }
+        // Contents bottom-up, then index entries bottom-up.
+        for &d in &batch.dirty {
+            let (b, changed) = self.rebuild_box_for(doc, d);
+            if changed {
+                mark(&mut self.content_mark, epoch, b.index());
+            }
+        }
+        let root_box = self.box_of(doc.term.root());
+        self.circuit.set_root_force(root_box);
+        // An entry is stale iff the box's own wires changed or a child's
+        // *entry* changed; a rebuilt-but-identical child entry stops the
+        // propagation (the entry is a function of the box's wires and the
+        // children's entries only).
+        for &d in &batch.dirty {
+            let b = self.box_of(d);
+            let entry_stale = marked(&self.content_mark, epoch, b.index())
+                || self.circuit.children(b).is_some_and(|(l, r)| {
+                    marked(&self.entry_mark, epoch, l.index())
+                        || marked(&self.entry_mark, epoch, r.index())
+                })
+                || !self.index.has(b);
+            if entry_stale && self.index.rebuild_box_changed(&self.circuit, b) {
+                mark(&mut self.entry_mark, epoch, b.index());
+            }
+        }
+        self.index
+            .record_batch(batch.deduped, batch.dirty.len() as u64);
+    }
+
     /// The root ∪-gates of the final states and whether the empty assignment is
     /// accepted.
     fn root_query(&self) -> (BoxId, Vec<u32>, bool) {
-        let root_box = self.box_of(self.term.root());
+        let root_box = self.circuit.root();
         let gamma = self.circuit.gamma(root_box);
         let mut gates = Vec::new();
         let mut empty = false;
@@ -319,8 +519,8 @@ impl TreeEnumerator {
         (root_box, gates, empty)
     }
 
-    /// Runs `f` on the engine's pooled scratch.  A re-entrant or concurrent
-    /// call (the lock is held) gets a throwaway scratch instead; a poisoned
+    /// Runs `f` on the pooled scratch.  A re-entrant or concurrent call
+    /// (the lock is held) gets a throwaway scratch instead; a poisoned
     /// lock — a previous sink panicked mid-enumeration — is recovered, since
     /// the pools only hold owned buffers and every run starts by abandoning
     /// whatever the previous one left behind.
@@ -349,21 +549,21 @@ impl TreeEnumerator {
     /// Enumerates every satisfying assignment, invoking `sink` once per answer,
     /// without duplicates.  Return [`ControlFlow::Break`] from the sink to stop early.
     ///
-    /// The engine's pooled [`EnumScratch`] is reused across calls (and across
-    /// [`TreeEnumerator::apply`] cycles), so steady-state enumeration is
+    /// The pooled [`EnumScratch`] is reused across calls (and across
+    /// [`QueryIndex::repair`] cycles), so steady-state enumeration is
     /// allocation-free inside the per-answer loop; if the sink re-enters the
-    /// same engine, the nested enumeration runs on a throwaway scratch.
+    /// same index, the nested enumeration runs on a throwaway scratch.
     pub fn for_each(&self, sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>) {
         self.with_scratch(|scratch| self.for_each_with(scratch, sink))
     }
 
-    /// [`TreeEnumerator::for_each`] with a caller-provided [`EnumScratch`].
+    /// [`QueryIndex::for_each`] with a caller-provided [`EnumScratch`].
     ///
-    /// Concurrent readers sharing one engine (the serving layer's snapshot
-    /// readers) contend on the engine's single pooled scratch: only one wins
-    /// the `try_lock`, the rest re-allocate per enumeration.  A reader that
+    /// Concurrent readers sharing one index (the serving layer's snapshot
+    /// readers) contend on its single pooled scratch: only one wins the
+    /// `try_lock`, the rest re-allocate per enumeration.  A reader that
     /// keeps its own scratch across calls stays allocation-free in steady
-    /// state regardless of how many other readers enumerate the same engine.
+    /// state regardless of how many other readers enumerate the same index.
     pub fn for_each_with(
         &self,
         scratch: &mut EnumScratch,
@@ -380,7 +580,7 @@ impl TreeEnumerator {
     }
 
     /// Collects all satisfying assignments (convenience wrapper around
-    /// [`TreeEnumerator::for_each`]).
+    /// [`QueryIndex::for_each`]).
     pub fn assignments(&self) -> Vec<Assignment> {
         let mut out = Vec::new();
         self.for_each(&mut |a| {
@@ -418,8 +618,8 @@ impl TreeEnumerator {
         out
     }
 
-    /// [`TreeEnumerator::page_with`] on the engine's pooled scratch (a lost
-    /// `try_lock` pages on a throwaway scratch, i.e. restarts).
+    /// [`QueryIndex::page_with`] on the pooled scratch (a lost `try_lock`
+    /// pages on a throwaway scratch, i.e. restarts).
     pub fn page(&self, position: usize, k: usize) -> (Vec<Assignment>, bool) {
         self.with_scratch(|scratch| self.page_with(scratch, position, k))
     }
@@ -428,18 +628,18 @@ impl TreeEnumerator {
     /// and whether another answer follows them.
     ///
     /// When another answer follows, the machine stays parked in `scratch`
-    /// on that look-ahead answer, keyed by ([`TreeEnumerator::stamp`],
-    /// `position + k`): the next page asked of this engine at exactly that
+    /// on that look-ahead answer, keyed by ([`QueryIndex::stamp`],
+    /// `position + k`): the next page asked of this index at exactly that
     /// position with the same scratch resumes the suspended walk, costing
     /// `O(k)` answers of delay instead of re-enumerating the prefix.  Any
     /// other call is a miss and restarts, skipping `position` answers
-    /// without building them — another scratch, an edited engine (new
-    /// stamp), a replayed or out-of-order position, or any enumeration run
-    /// on the scratch in between.  Misses cost `O(position + k)` answers and
-    /// return the same page.  [`EnumStats::pages_resumed`] and
+    /// without building them — another scratch, a repaired or cloned index
+    /// (new stamp), a replayed or out-of-order position, or any enumeration
+    /// run on the scratch in between.  Misses cost `O(position + k)`
+    /// answers and return the same page.  [`EnumStats::pages_resumed`] and
     /// [`EnumStats::pages_restarted`] count the two paths.
     ///
-    /// [`for_each`]: TreeEnumerator::for_each
+    /// [`for_each`]: QueryIndex::for_each
     pub fn page_with(
         &self,
         scratch: &mut EnumScratch,
@@ -470,143 +670,17 @@ impl TreeEnumerator {
         }
     }
 
-    /// Applies one edit operation (Definition 7.1): a one-op
-    /// [`TreeEnumerator::apply_batch`].  Returns the node created by an
-    /// insertion, if any.
-    pub fn apply(&mut self, op: &EditOp) -> Option<NodeId> {
-        self.apply_batch(std::slice::from_ref(op)).pop()
-    }
-
-    /// Applies a batch of `k` edit operations (Definition 7.1) to the
-    /// underlying tree and repairs the term, then the circuit boxes and index
-    /// entries of exactly the dirtied term nodes (Lemma 7.3), in **one**
-    /// deduplicated pass.  Returns the nodes created by the batch's
-    /// insertions, in operation order.
-    ///
-    /// The resulting tree, inserted nodes and answers do not depend on how a
-    /// stream of edits is split into batches; the balanced *term* may, because
-    /// [`apply_edits`] rebalances once per batch (same invariants and height
-    /// bound either way).  Edits that land in one subtree share most of their
-    /// `O(log n)` dirty spine, so the per-edit reports are folded into an
-    /// epoch-marked dirty set first — replayed in order, because a term arena
-    /// slot freed by one edit can be reused (and re-dirtied) by a later one —
-    /// and the union is then repaired bottom-up once.  Repair cost is
-    /// `O(|union of spines|)`, not `O(k · log n)`;
-    /// [`IndexStats::spine_nodes_deduped`] counts the sharing and
-    /// [`IndexStats::batch_rebuilds`] the passes.
-    ///
-    /// Two layers of spine-only narrowing on top of the dirty set:
-    ///
-    /// * a box whose recomputed content and child links are unchanged is left in
-    ///   place (gamma changes usually fixpoint a few steps up the spine, so the
-    ///   ancestors above that point keep their contents);
-    /// * an index entry is rebuilt only if the box itself changed or a
-    ///   descendant's index entry was rebuilt — unchanged boxes above a
-    ///   fixpointed spine keep their entries too.
-    // hot-path: the update; per-edit work must stay proportional to the
-    // deduplicated spine union, with only per-batch O(k) buffers below.
-    pub fn apply_batch(&mut self, ops: &[EditOp]) -> Vec<NodeId> {
-        if ops.is_empty() {
-            // analyze: allow(alloc): `Vec::new` of the empty result never allocates
-            return Vec::new();
-        }
-        self.stamp = fresh_stamp();
-        let batch = apply_edits(&mut self.tree, &mut self.term, &mut self.phi, ops);
-        self.scratch_epoch += 1;
-        let epoch = self.scratch_epoch;
-        // analyze: allow(alloc): one per-batch buffer, amortized over k edits
-        let mut dirty: Vec<TermNodeId> = Vec::with_capacity(batch.dirty_len());
-        let mut deduped = 0u64;
-        for report in &batch.reports {
-            // Free the boxes of removed term nodes first (their arena slots
-            // may be reused by nodes created later in the same batch).
-            for freed in &report.freed {
-                if let Some(b) = self.take_box_of(*freed) {
-                    self.index.remove_box(b);
-                    if self.circuit.is_live(b) {
-                        self.circuit.free_single(b);
-                    }
-                }
-                // A slot dirtied by an earlier edit and freed here must not
-                // be repaired as the old node; unmarking lets a later edit
-                // that reuses the slot queue it afresh.
-                if marked(&self.term_mark, epoch, freed.index()) {
-                    self.term_mark[freed.index()] = 0;
-                }
-            }
-            for &d in &report.dirty {
-                if marked(&self.term_mark, epoch, d.index()) {
-                    deduped += 1;
-                    continue;
-                }
-                mark(&mut self.term_mark, epoch, d.index());
-                dirty.push(d);
-            }
-        }
-        // One report's dirty list is already bottom-up and duplicate-free.
-        // The union of several is put children before parents by sorting on
-        // term depth descending (a child is strictly deeper than its parent,
-        // and every changed child of a dirty node is itself dirty).  A slot
-        // freed and re-dirtied mid-batch can appear twice in `dirty`; the
-        // occurrences share one (depth, id) key, so `dedup` removes the extra
-        // one after the sort.  Depths come from the term's memo, which the
-        // rebalancing sweep's last pass filled for every live touched node.
-        if batch.reports.len() > 1 {
-            let (term, marks) = (&mut self.term, &self.term_mark);
-            dirty.retain(|&d| term.is_live(d) && marked(marks, epoch, d.index()));
-            // analyze: allow(alloc): per-batch key buffer (one depth per node)
-            dirty.sort_by_cached_key(|&d| (std::cmp::Reverse(term.depth_memoized(d)), d.0));
-            dirty.dedup();
-        }
-        // Contents bottom-up, then index entries bottom-up.
-        for &d in &dirty {
-            let (b, changed) = self.rebuild_box_for(d);
-            if changed {
-                mark(&mut self.content_mark, epoch, b.index());
-            }
-        }
-        let root_box = self.box_of(self.term.root());
-        self.circuit.set_root_force(root_box);
-        // An entry is stale iff the box's own wires changed or a child's
-        // *entry* changed; a rebuilt-but-identical child entry stops the
-        // propagation (the entry is a function of the box's wires and the
-        // children's entries only).
-        for &d in &dirty {
-            let b = self.box_of(d);
-            let entry_stale = marked(&self.content_mark, epoch, b.index())
-                || self.circuit.children(b).is_some_and(|(l, r)| {
-                    marked(&self.entry_mark, epoch, l.index())
-                        || marked(&self.entry_mark, epoch, r.index())
-                })
-                || !self.index.has(b);
-            if entry_stale && self.index.rebuild_box_changed(&self.circuit, b) {
-                mark(&mut self.entry_mark, epoch, b.index());
-            }
-        }
-        self.index.record_batch(deduped, dirty.len() as u64);
-        // analyze: allow(alloc): the caller-facing O(k) result vector.
-        batch.inserted().collect()
-    }
-
-    /// Number of term nodes touched by the last kind of update on average is
-    /// logarithmic; this helper reports the current term height for inspection.
-    pub fn term_height(&self) -> usize {
-        self.term.height()
-    }
-
-    /// Checks internal consistency (box tree mirrors the term, index entries exist,
-    /// contents and index entries match a from-scratch rebuild); used by tests
-    /// after update sequences.
-    pub fn check_consistency(&self) {
-        self.term.check_invariants();
-        assert_eq!(self.phi.len(), self.tree.len());
-        for n in self.term.subtree_postorder(self.term.root()) {
+    /// Checks that this index mirrors `doc` (box tree mirrors the term,
+    /// index entries exist, contents and index entries match a from-scratch
+    /// rebuild); used by tests after update sequences.
+    pub fn check_consistency(&self, doc: &Document) {
+        for n in doc.term.subtree_postorder(doc.term.root()) {
             let b = self
                 .box_of_checked(n)
                 .expect("missing box for a live term node");
             assert!(self.circuit.is_live(b));
             assert!(self.index.has(b), "missing index entry for a live box");
-            match self.term.children(n) {
+            match doc.term.children(n) {
                 None => assert!(self.circuit.is_leaf(b)),
                 Some((l, r)) => {
                     assert_eq!(
@@ -616,27 +690,14 @@ impl TreeEnumerator {
                 }
             }
         }
+        assert_eq!(self.circuit.root(), self.box_of(doc.term.root()));
         // The spine-only early exits must leave every box content equal to a
         // from-scratch recomputation (checked bottom-up, so the child gammas a
         // parent is checked against have themselves been validated first).
-        for n in self.term.subtree_postorder(self.term.root()) {
-            let b = self.box_of(n);
-            let label = self.term_label(n);
-            let expected = match self.term.children(n) {
-                None => {
-                    let node = self.term.leaf_tree_node(n).unwrap();
-                    self.plan.leaf_content(label, node.0)
-                }
-                Some((l, r)) => internal_box_content(
-                    self.plan.tva(),
-                    label,
-                    self.circuit.gamma(self.box_of(l)),
-                    self.circuit.gamma(self.box_of(r)),
-                ),
-            };
+        for n in doc.term.subtree_postorder(doc.term.root()) {
             assert_eq!(
-                *self.circuit.content(b),
-                expected,
+                *self.circuit.content(self.box_of(n)),
+                self.content_for(doc, n),
                 "stale box content for {n:?}"
             );
         }
@@ -647,12 +708,160 @@ impl TreeEnumerator {
         }
         self.circuit.validate();
     }
+}
+
+/// The update-aware enumeration structure for a stepwise TVA query on an unranked
+/// tree: linear-time preprocessing, delay independent of the tree, logarithmic-time
+/// updates (Theorem 8.1).
+///
+/// One [`Document`] plus one [`QueryIndex`] over it.  Constructing many
+/// enumerators for the same query through one shared [`QueryPlan`] pays the
+/// quartic translation once; several queries over one tree should share a
+/// document instead (as the serving layer does).
+pub struct TreeEnumerator {
+    doc: Document,
+    query: QueryIndex,
+}
+
+impl TreeEnumerator {
+    /// Preprocessing: builds the enumeration structure for `query` (a stepwise TVA
+    /// over `base_alphabet_len` labels) on `tree`.
+    pub fn new(tree: UnrankedTree, query: &StepwiseTva, base_alphabet_len: usize) -> Self {
+        Self::with_plan(tree, QueryPlan::for_query(query, base_alphabet_len))
+    }
+
+    /// Preprocessing with an explicit (possibly pre-shared) query plan.
+    pub fn with_plan(tree: UnrankedTree, plan: Arc<QueryPlan>) -> Self {
+        let doc = Document::new(tree);
+        let query = QueryIndex::build(&doc, plan);
+        TreeEnumerator { doc, query }
+    }
+
+    /// The shared per-query plan (translation + circuit skeletons).
+    pub fn plan(&self) -> &Arc<QueryPlan> {
+        &self.query.plan
+    }
+
+    /// Allocation counters of the enumeration index (see [`IndexStats`]).
+    pub fn index_stats(&self) -> IndexStats {
+        self.query.index.stats()
+    }
+
+    /// Allocation counters of the per-answer enumeration loop (see
+    /// [`QueryIndex::enum_stats`]).
+    pub fn enum_stats(&self) -> EnumStats {
+        self.query.enum_stats()
+    }
+
+    /// Switches between the jump-pointer `box-enum` of Algorithm 3 (default) and the
+    /// naive reference implementation (used by baselines and differential tests).
+    pub fn set_box_enum_mode(&mut self, mode: BoxEnumMode) {
+        self.query.mode = mode;
+        self.query.stamp = fresh_stamp();
+    }
+
+    /// See [`QueryIndex::stamp`].
+    pub fn stamp(&self) -> u64 {
+        self.query.stamp()
+    }
+
+    /// A read-only view of the current tree.
+    pub fn tree(&self) -> &UnrankedTree {
+        &self.doc.tree
+    }
+
+    /// Structural statistics of the current enumeration structure.
+    pub fn stats(&self) -> EnumerationStats {
+        self.query.stats(&self.doc)
+    }
+
+    /// See [`QueryIndex::for_each`].
+    pub fn for_each(&self, sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>) {
+        self.query.for_each(sink)
+    }
+
+    /// See [`QueryIndex::for_each_with`].
+    pub fn for_each_with(
+        &self,
+        scratch: &mut EnumScratch,
+        sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>,
+    ) {
+        self.query.for_each_with(scratch, sink)
+    }
+
+    /// Collects all satisfying assignments.
+    pub fn assignments(&self) -> Vec<Assignment> {
+        self.query.assignments()
+    }
+
+    /// Counts the satisfying assignments by enumerating them.
+    pub fn count(&self) -> usize {
+        self.query.count()
+    }
+
+    /// Returns the first `k` assignments (exercising the early-termination path that
+    /// the delay guarantee is about).
+    pub fn first_k(&self, k: usize) -> Vec<Assignment> {
+        self.query.first_k(k)
+    }
+
+    /// See [`QueryIndex::page`].
+    pub fn page(&self, position: usize, k: usize) -> (Vec<Assignment>, bool) {
+        self.query.page(position, k)
+    }
+
+    /// See [`QueryIndex::page_with`].
+    pub fn page_with(
+        &self,
+        scratch: &mut EnumScratch,
+        position: usize,
+        k: usize,
+    ) -> (Vec<Assignment>, bool) {
+        self.query.page_with(scratch, position, k)
+    }
+
+    /// Applies one edit operation (Definition 7.1): a one-op
+    /// [`TreeEnumerator::apply_batch`].  Returns the node created by an
+    /// insertion, if any.
+    pub fn apply(&mut self, op: &EditOp) -> Option<NodeId> {
+        self.apply_batch(std::slice::from_ref(op)).pop()
+    }
+
+    /// Applies a batch of `k` edit operations (Definition 7.1): one
+    /// [`Document::apply_batch`], then one [`QueryIndex::repair`] of the
+    /// deduplicated dirty spine union.  Repair cost is
+    /// `O(|union of spines|)`, not `O(k · log n)`.  Returns the nodes
+    /// created by the batch's insertions, in operation order.
+    ///
+    /// The resulting tree, inserted nodes and answers do not depend on how a
+    /// stream of edits is split into batches; the balanced *term* may, because
+    /// [`apply_edits`] rebalances once per batch (same invariants and height
+    /// bound either way).
+    pub fn apply_batch(&mut self, ops: &[EditOp]) -> Vec<NodeId> {
+        let batch = self.doc.apply_batch(ops);
+        self.query.repair(&self.doc, &batch);
+        batch.inserted
+    }
+
+    /// The current height of the balanced term (logarithmic in the tree
+    /// size, Section 7).
+    pub fn term_height(&self) -> usize {
+        self.doc.term.height()
+    }
+
+    /// Checks internal consistency of the document and the query index
+    /// (see [`QueryIndex::check_consistency`]); used by tests after update
+    /// sequences.
+    pub fn check_consistency(&self) {
+        self.doc.check_consistency();
+        self.query.check_consistency(&self.doc);
+    }
 
     /// The satisfying assignments computed by the brute-force oracle on the current
     /// tree (test helper; exponential, only for small trees).
     pub fn brute_force_oracle(&self, query: &StepwiseTva) -> Vec<Assignment> {
         let mut answers: Vec<Assignment> = query
-            .satisfying_assignments(&self.tree)
+            .satisfying_assignments(self.tree())
             .into_iter()
             .collect();
         answers.sort();
@@ -843,7 +1052,7 @@ mod tests {
         let engine = TreeEnumerator::new(tree, &query, sigma.len());
         let stats = engine.stats();
         assert_eq!(stats.tree_size, 500);
-        assert_eq!(stats.circuit_boxes, engine.term.len());
+        assert_eq!(stats.circuit_boxes, engine.doc.term.len());
         assert!(
             stats.term_height <= 70,
             "term height {} not logarithmic",
@@ -869,5 +1078,132 @@ mod tests {
         engine.set_box_enum_mode(BoxEnumMode::Reference);
         let reference = sorted(engine.assignments());
         assert_eq!(indexed, reference);
+    }
+
+    /// One document shared by three query indexes (unary, pair, Boolean)
+    /// against three independent engines fed the same ops, in one-op and
+    /// 9-op batches, through a stream whose deletes free term slots that
+    /// later inserts reuse.
+    #[test]
+    fn shared_document_matches_independent_engines() {
+        let mut sigma = Alphabet::from_names(["a", "b", "c"]);
+        let labels: Vec<_> = sigma.labels().collect();
+        let a = sigma.get("a").unwrap();
+        let b = sigma.get("b").unwrap();
+        let queries = [
+            queries::select_label(sigma.len(), b, Var(0)),
+            queries::ancestor_descendant(sigma.len(), a, Var(0), b, Var(1)),
+            queries::exists_label(sigma.len(), b),
+        ];
+        let plans: Vec<_> = queries
+            .iter()
+            .map(|q| QueryPlan::for_query(q, sigma.len()))
+            .collect();
+        let batches = treenum_trees::generate::oracle_scale(60, 20);
+        for (seed, k) in [(1u64, 1usize), (2, 9), (3, 9)] {
+            let tree = random_tree(&mut sigma, 24, TreeShape::Random, 40 + seed);
+            let mut doc = Document::new(tree.clone());
+            let mut shared: Vec<QueryIndex> = plans
+                .iter()
+                .map(|p| QueryIndex::build(&doc, Arc::clone(p)))
+                .collect();
+            let mut alone: Vec<TreeEnumerator> = plans
+                .iter()
+                .map(|p| TreeEnumerator::with_plan(tree.clone(), Arc::clone(p)))
+                .collect();
+            let mut shadow = tree;
+            let mut stream = EditStream::balanced_mix(labels.clone(), 70 + seed);
+            let mut freed_before = std::collections::HashSet::new();
+            let mut reused = 0usize;
+            for _ in 0..batches {
+                let chunk: Vec<EditOp> = (0..k).map(|_| stream.next_applied(&mut shadow)).collect();
+                let batch = doc.apply_batch(&chunk);
+                reused += batch
+                    .dirty
+                    .iter()
+                    .filter(|d| freed_before.contains(*d))
+                    .count();
+                freed_before.extend(batch.freed.iter().copied());
+                for q in &mut shared {
+                    q.repair(&doc, &batch);
+                }
+                let mut inserted = Vec::new();
+                for e in &mut alone {
+                    inserted = e.apply_batch(&chunk);
+                }
+                assert_eq!(batch.inserted, inserted);
+                assert!(doc.tree().structurally_equal(&shadow));
+                doc.check_consistency();
+                for (q, e) in shared.iter().zip(&alone) {
+                    q.check_consistency(&doc);
+                    assert_eq!(sorted(q.assignments()), sorted(e.assignments()));
+                }
+            }
+            assert!(reused > 0, "the stream must reuse freed term slots");
+        }
+    }
+
+    /// A cloned document and query index answer like the original, never
+    /// resume a run parked on the original, and evolve independently.
+    #[test]
+    fn clones_answer_alike_restart_parked_pages_and_diverge() {
+        let mut sigma = Alphabet::from_names(["a", "b"]);
+        let labels: Vec<_> = sigma.labels().collect();
+        let a = sigma.get("a").unwrap();
+        let b = sigma.get("b").unwrap();
+        let query = queries::ancestor_descendant(sigma.len(), a, Var(0), b, Var(1));
+        let plan = QueryPlan::for_query(&query, sigma.len());
+        let tree = random_tree(&mut sigma, 40, TreeShape::Deep, 12);
+        let mut doc = Document::new(tree.clone());
+        let mut q = QueryIndex::build(&doc, Arc::clone(&plan));
+        assert!(q.count() > 8, "the test needs several pages");
+
+        // Park a page on the original's pooled scratch and on a caller's.
+        let (first, more) = q.page(0, 3);
+        assert!(more);
+        let mut own = EnumScratch::new();
+        q.page_with(&mut own, 0, 3);
+
+        let mut doc2 = doc.clone();
+        let mut q2 = q.clone();
+        assert_ne!(q2.stamp(), q.stamp());
+
+        // Neither parked run resumes on the clone.
+        let (clone_page, _) = q2.page(3, 3);
+        assert_eq!(q2.enum_stats().pages_restarted, 1);
+        assert_eq!(q2.enum_stats().pages_resumed, 0);
+        let own_restarted = own.stats().pages_restarted;
+        assert_eq!(q2.page_with(&mut own, 3, 3).0, clone_page);
+        assert_eq!(own.stats().pages_restarted, own_restarted + 1);
+        // The original's pooled run was parked before the clone: it resumes.
+        let resumed = q.enum_stats().pages_resumed;
+        assert_eq!(q.page(3, 3).0, clone_page);
+        assert_eq!(q.enum_stats().pages_resumed, resumed + 1);
+        assert_eq!(q2.page(0, 3).0, first);
+        assert_eq!(
+            q2.assignments(),
+            q.assignments(),
+            "same answers, same order"
+        );
+
+        // Different edits on each side: each matches its own fresh engine.
+        let (mut shadow, mut shadow2) = (tree.clone(), tree);
+        let mut stream = EditStream::balanced_mix(labels.clone(), 3);
+        let mut stream2 = EditStream::skewed(labels, 4);
+        for _ in 0..treenum_trees::generate::oracle_scale(12, 6) {
+            let ops: Vec<EditOp> = (0..5).map(|_| stream.next_applied(&mut shadow)).collect();
+            let ops2: Vec<EditOp> = (0..5).map(|_| stream2.next_applied(&mut shadow2)).collect();
+            let batch = doc.apply_batch(&ops);
+            q.repair(&doc, &batch);
+            let batch2 = doc2.apply_batch(&ops2);
+            q2.repair(&doc2, &batch2);
+            let fresh = TreeEnumerator::with_plan(shadow.clone(), Arc::clone(&plan));
+            let fresh2 = TreeEnumerator::with_plan(shadow2.clone(), Arc::clone(&plan));
+            assert_eq!(sorted(q.assignments()), sorted(fresh.assignments()));
+            assert_eq!(sorted(q2.assignments()), sorted(fresh2.assignments()));
+        }
+        assert!(!doc.tree().structurally_equal(doc2.tree()));
+        q.check_consistency(&doc);
+        q2.check_consistency(&doc2);
     }
 }

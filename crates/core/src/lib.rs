@@ -21,7 +21,7 @@ pub mod engine;
 pub mod plan;
 pub mod words;
 
-pub use engine::{EnumerationStats, TreeEnumerator};
+pub use engine::{Document, DocumentBatch, EnumerationStats, QueryIndex, TreeEnumerator};
 pub use plan::{PlanAdmission, PlanCache, PlanCacheStats, QueryPlan};
 pub use treenum_balance::TranslationKey;
 pub use words::WordEnumerator;

@@ -15,7 +15,8 @@
 //! * a snapshot written at a generation boundary records `op_seq`, the
 //!   sequence number of the first op it does *not* contain;
 //! * recovery = newest intact snapshot + replay of the WAL records with
-//!   `seq >= op_seq`, in order, through one `apply_batch`.
+//!   `seq >= op_seq`, in order, onto the snapshot's tree; the serving
+//!   structures are then built once from the replayed tree.
 //!
 //! Under [`SyncPolicy::Always`] no acknowledged op can be lost; under
 //! `EveryN`/`OnFlush` the ingest ack (`flush`) is still a durability
@@ -250,16 +251,14 @@ impl ShardDurability {
     }
 }
 
-/// One shard's recovery result: the snapshot state, the validated WAL tail
-/// to replay through `apply_batch`, the reopened durable handle (absent iff
-/// quarantined), and the report.
+/// One shard's recovery result: the recovered tree, the reopened durable
+/// handle (absent iff quarantined), and the report.
 pub(crate) struct RecoveredShard {
-    /// The tree decoded from the newest intact snapshot (or a placeholder
-    /// single-node tree when quarantined without one).
-    pub(crate) base_tree: UnrankedTree,
-    /// The validated WAL tail: applying these to `base_tree` in order —
-    /// sequentially or as one `apply_batch` — yields the durable state.
-    pub(crate) replay: Vec<EditOp>,
+    /// The durable state: the newest intact snapshot's tree with the
+    /// validated WAL tail replayed onto it.  When quarantined, the best
+    /// effort instead — the snapshot's tree, or a placeholder single-node
+    /// tree without one.
+    pub(crate) tree: UnrankedTree,
     pub(crate) durability: Option<ShardDurability>,
     pub(crate) report: ShardRecovery,
 }
@@ -286,8 +285,7 @@ pub(crate) fn recover_shard(
     let quarantine = |mut report: ShardRecovery, tree: UnrankedTree, reason: String| {
         report.quarantined = Some(reason);
         Ok(RecoveredShard {
-            base_tree: tree,
-            replay: Vec::new(),
+            tree,
             durability: None,
             report,
         })
@@ -363,12 +361,11 @@ pub(crate) fn recover_shard(
             }
         }
     }
-    // Validate applicability on a scratch copy before anything replays for
-    // real: `apply`/`apply_batch` panic on an op that does not fit the
-    // tree, and a snapshot/WAL mismatch must quarantine instead.  The
-    // scratch copy also becomes the post-replay state to snapshot (arena
+    // Validate each op's applicability before replaying it: `apply` panics
+    // on an op that does not fit the tree, and a snapshot/WAL mismatch must
+    // quarantine instead.  The replayed tree is the durable state (arena
     // identity: the engine's `apply_batch` allocates the same `NodeId`s for
-    // the same op sequence).
+    // the same op sequence), snapshotted below and returned for one build.
     let mut replayed = base_tree.clone();
     for (i, op) in ops.iter().enumerate() {
         if !serial::op_applicable(&replayed, op) {
@@ -406,8 +403,7 @@ pub(crate) fn recover_shard(
     };
     durability.persist_snapshot(0, &replayed)?;
     Ok(RecoveredShard {
-        base_tree,
-        replay: ops,
+        tree: replayed,
         durability: Some(durability),
         report,
     })

@@ -1,9 +1,12 @@
 //! # treenum-serve
 //!
-//! A sharded, thread-safe serving facade over [`treenum_core::TreeEnumerator`]:
+//! A sharded, thread-safe serving facade over the engine of `treenum-core`:
 //! many reader threads enumerate **snapshot-consistent** states while a
 //! per-shard writer thread ingests edit operations through a **write-behind
-//! queue** that coalesces them into [`TreeEnumerator::apply_batch`] calls.
+//! queue** that coalesces them into batches.  Each shard copy holds one
+//! [`Document`] (tree, balanced term, `φ`) shared by one [`QueryIndex`] per
+//! registered query, so a batch updates the term once and repairs each
+//! query's circuit and index from the same dirty list.
 //!
 //! The design follows the paper stack's own cost model:
 //!
@@ -20,10 +23,10 @@
 //!   caller as [`ServeError::Backpressure`]).  The shard's writer thread
 //!   coalesces queued ops into batches and
 //!   applies each with **one deduplicated spine repair**
-//!   ([`TreeEnumerator::apply_batch`]), then publishes the result as the next
-//!   snapshot generation.
-//! * **Adaptive coalescing** — the batch repair reports how much of the dirty
-//!   spine the dedup skipped (`spine_nodes_deduped` vs `batch_dirty_nodes`).
+//!   ([`Document::apply_batch`], then [`QueryIndex::repair`] per query), then
+//!   publishes the result as the next snapshot generation.
+//! * **Adaptive coalescing** — the document's batch report says how much of
+//!   the dirty spine the dedup skipped (deduped vs distinct dirty nodes).
 //!   That *sharing ratio* is exactly the signal for whether coalescing pays:
 //!   while edits overlap (hot-subtree skew, bursts) the window grows toward
 //!   [`ServeConfig::max_batch`]; when they stop overlapping it shrinks back,
@@ -45,8 +48,8 @@
 //! [`ServeConfig::plan_cache_capacity`]), and the attach rides each shard's
 //! ordinary ingest queue — ingest never stops.  Every published generation is
 //! then **multiplexed** across all registered queries: a snapshot carries one
-//! engine per query under a single `Arc`/refcount, so publication work is
-//! independent of the number of queries (counter-verified:
+//! document plus one query index per query under a single `Arc`/refcount,
+//! so publication work is independent of the number of queries (counter-verified:
 //! [`ShardStats::generation`] equals [`ShardStats::flushes`] no matter how
 //! many queries are attached).  Per-query reads go through
 //! [`Snapshot::query`], which also offers pinned-generation cursor pagination
@@ -92,7 +95,7 @@
 //!
 //! ## Left-right protocol invariants
 //!
-//! The read/write protocol (two engine copies per shard; see the `shard`
+//! The read/write protocol (two copies per shard; see the `shard`
 //! module docs for the mechanics) is correct exactly when the following hold
 //! in **every** interleaving of the writer thread with any number of reader
 //! threads:
@@ -133,7 +136,7 @@
 //! the read path, and persists a snapshot at every
 //! [`DurabilityConfig::snapshot_every`]-th publication generation.
 //! [`TreeServer::recover`] rebuilds the server after a crash (newest intact
-//! snapshot + WAL-tail replay through one `apply_batch`); shards whose
+//! snapshot + WAL-tail replay onto its tree, then one build); shards whose
 //! durable state is damaged beyond the torn-tail cases come back
 //! *quarantined* — serving reads, rejecting writes — with the reason in the
 //! returned [`RecoveryOutcome`].  See the `durable` module docs for the
@@ -200,7 +203,7 @@ use crossbeam::channel::{bounded, Sender, TrySendError};
 use durable::{list_shard_dirs, recover_shard, shard_dir, HealSource, ShardDurability};
 use lock::{lock_unpoisoned, read_unpoisoned, try_read_unpoisoned};
 use registry::RegistryInner;
-use shard::{Ingest, ShardWriter, SnapInner};
+use shard::{Ingest, ShardCopy, ShardWriter, SnapInner};
 use stats::ShardMetrics;
 use std::io;
 use std::sync::atomic::Ordering;
@@ -208,7 +211,9 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use treenum_automata::{StepwiseTva, Wva};
-use treenum_core::{QueryPlan, TreeEnumerator};
+use treenum_core::QueryPlan;
+#[cfg(doc)]
+use treenum_core::{Document, QueryIndex};
 use treenum_trees::edit::EditOp;
 use treenum_trees::unranked::UnrankedTree;
 use treenum_trees::Label;
@@ -559,6 +564,7 @@ impl TreeServer {
                     durable,
                     heal,
                     chaos.clone(),
+                    0,
                 ))
             })
             .collect::<io::Result<Vec<_>>>()?;
@@ -607,8 +613,8 @@ impl TreeServer {
     }
 
     /// Rebuilds a durable server from what `durability.dir` holds on disk:
-    /// per shard, the newest intact snapshot plus a replay of the WAL tail
-    /// through [`TreeEnumerator::apply_batch`].  Shards whose durable state
+    /// per shard, the newest intact snapshot plus a replay of the WAL tail,
+    /// then one build of the recovered tree.  Shards whose durable state
     /// is corrupt beyond recovery come back **quarantined** (read-only,
     /// best-effort state, reason in the returned [`RecoveryOutcome`]) rather
     /// than failing the whole server.
@@ -657,32 +663,27 @@ impl TreeServer {
         for id in ids {
             let dir = shard_dir(&durability.dir, id);
             let rec = recover_shard(&storage, &dir, id, durability)?;
-            let quarantined = rec.report.quarantined.is_some();
-            // The durable state = snapshot + WAL tail through one batch
-            // repair (batch and sequential replay allocate identical
-            // `NodeId`s, so this matches the tree recovery validated).
-            let mut published = TreeEnumerator::with_plan(rec.base_tree, Arc::clone(&plan));
-            if !rec.replay.is_empty() {
-                published.apply_batch(&rec.replay);
-            }
-            let writable = TreeEnumerator::with_plan(published.tree().clone(), Arc::clone(&plan));
             let heal = HealSource {
                 storage: Arc::clone(&storage),
                 dir,
                 shard: id,
                 cfg: durability.clone(),
             };
-            shards.push(Self::spawn_shard_recovered(
-                published,
-                writable,
+            let shard = Self::spawn_shard(
+                rec.tree,
                 &plan,
                 config,
                 rec.durability,
                 Some(heal),
                 None,
                 rec.report.ops_recovered,
-                quarantined,
-            ));
+            );
+            if rec.report.quarantined.is_some() {
+                // No message reaches the writer before the server returns,
+                // so marking the shard after the spawn is race-free.
+                shard.metrics.set_health(ShardHealth::Quarantined);
+            }
+            shards.push(shard);
             reports.push(rec.report);
         }
         Ok((
@@ -696,7 +697,9 @@ impl TreeServer {
         ))
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Starts one shard's writer thread serving `plan` over `tree`, `seq0`
+    /// durable ops into its lineage.  The published copy is one build and
+    /// the writable copy its clone (see `shard` module docs).
     fn spawn_shard(
         tree: UnrankedTree,
         plan: &Arc<QueryPlan>,
@@ -704,30 +707,13 @@ impl TreeServer {
         durable: Option<ShardDurability>,
         heal: Option<HealSource>,
         chaos: Option<Arc<ChaosSchedule>>,
-    ) -> ShardHandle {
-        // Two independent copies of the enumeration structure over the same
-        // tree: one published, one writable (see `shard` module docs).
-        let published = TreeEnumerator::with_plan(tree.clone(), Arc::clone(plan));
-        let writable = TreeEnumerator::with_plan(tree, Arc::clone(plan));
-        Self::spawn_shard_recovered(
-            published, writable, plan, cfg, durable, heal, chaos, 0, false,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_shard_recovered(
-        published: TreeEnumerator,
-        writable: TreeEnumerator,
-        plan: &Arc<QueryPlan>,
-        cfg: ServeConfig,
-        durable: Option<ShardDurability>,
-        heal: Option<HealSource>,
-        chaos: Option<Arc<ChaosSchedule>>,
         seq0: u64,
-        quarantined: bool,
     ) -> ShardHandle {
+        let plans = vec![(QueryId::PRIMARY, Arc::clone(plan))];
+        let copy = ShardCopy::build(tree, &plans);
+        let writable = copy.clone();
         let front = Arc::new(RwLock::new(Arc::new(SnapInner {
-            engines: vec![(QueryId::PRIMARY, published)],
+            copy,
             generation: 0,
         })));
         let metrics = Arc::new(ShardMetrics::default());
@@ -735,17 +721,14 @@ impl TreeServer {
             .window
             .store(cfg.initial_batch as u64, Ordering::Relaxed);
         metrics.queries_served.store(1, Ordering::Relaxed);
-        if quarantined {
-            metrics.set_health(ShardHealth::Quarantined);
-        }
         let (tx, rx) = bounded(cfg.queue_capacity);
         let writer = ShardWriter {
             rx,
             front: Arc::clone(&front),
             metrics: Arc::clone(&metrics),
             cfg,
-            plans: vec![(QueryId::PRIMARY, Arc::clone(plan))],
-            write: Some(vec![(QueryId::PRIMARY, writable)]),
+            plans,
+            write: Some(writable),
             retired: None,
             lag: Vec::new(),
             generation: 0,
@@ -860,7 +843,7 @@ impl TreeServer {
     }
 
     /// Deregisters a runtime-registered query from every shard: each shard
-    /// drops the query's writable engine at the detach point and publishes
+    /// drops the query's writable index at the detach point and publishes
     /// the narrowed membership, so snapshots from that generation on report
     /// [`ServeError::UnknownQuery`] for `id`.  Snapshots acquired *before*
     /// the detach keep serving the query until they are dropped (snapshot
@@ -1114,6 +1097,7 @@ const _: () = {
 mod tests {
     use super::*;
     use treenum_automata::queries;
+    use treenum_core::TreeEnumerator;
     use treenum_trees::edit::EditFeed;
     use treenum_trees::generate::{random_tree, EditStream, TreeShape};
     use treenum_trees::valuation::{Assignment, Var};
@@ -1149,7 +1133,7 @@ mod tests {
             let generation = server.flush(0).unwrap();
             let snap = server.snapshot(0);
             assert_eq!(snap.generation(), generation);
-            let fresh = TreeEnumerator::with_plan(feed.tree().clone(), Arc::clone(server.plan()));
+            let fresh = TreeEnumerator::new(feed.tree().clone(), &query, sigma.len());
             assert_eq!(
                 sorted(snap.assignments()),
                 sorted(fresh.assignments()),
@@ -1219,7 +1203,7 @@ mod tests {
         assert!(server.shard_stats(1).generation >= 1);
         assert_eq!(server.shard_stats(1).edits_applied, 20);
         let s1 = server.snapshot(1);
-        let fresh = TreeEnumerator::with_plan(feed.tree().clone(), Arc::clone(server.plan()));
+        let fresh = TreeEnumerator::new(feed.tree().clone(), &query, sigma.len());
         assert_eq!(sorted(s1.assignments()), sorted(fresh.assignments()));
     }
 

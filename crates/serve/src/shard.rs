@@ -3,29 +3,33 @@
 //!
 //! # Left-right publication
 //!
-//! A shard owns **two** structurally independent engine sets over the same
-//! logical tree — one [`TreeEnumerator`] per registered query on each side.
-//! At any instant one set is *published* (readers clone an `Arc` to it and
+//! A shard owns **two** structurally independent copies of the same logical
+//! state.  A copy ([`ShardCopy`]) is one [`Document`] — the tree, its
+//! balanced term and `φ`, which depend only on the tree — shared by one
+//! [`QueryIndex`] (circuit + enumeration index) per registered query.  At
+//! any instant one copy is *published* (readers clone an `Arc` to it and
 //! enumerate without any lock held) and the other is *writable* (the ingest
-//! thread applies coalesced batches to every engine in it).  A flush applies
-//! the batch to each writable engine, publishes the whole set with **one**
+//! thread applies coalesced batches to it).  A flush applies the batch to
+//! the writable document **once** and repairs every query index from the
+//! document's one batch report, publishes the whole copy with **one**
 //! bumped generation behind **one** `Arc` (snapshot multiplexing: Q
 //! registered queries share one refcount per publication, not Q
-//! republications), and retires the previously published set; the next flush
-//! reclaims the retired set once the last reader drops it, catches it up by
-//! replaying the batches it missed, and writes into it.  Readers therefore
-//! never block the writer's *apply* work, and the writer never mutates
-//! anything a reader can observe — every snapshot is a complete, immutable
-//! structure at one generation.
+//! republications), and retires the previously published copy; the next
+//! flush reclaims the retired copy once the last reader drops it, catches
+//! it up by replaying the batches it missed, and writes into it.  Readers
+//! therefore never block the writer's *apply* work, and the writer never
+//! mutates anything a reader can observe — every snapshot is a complete,
+//! immutable structure at one generation.  The two copies start as one
+//! build and its clone.
 //!
 //! # Query attach/detach
 //!
 //! Registry control messages ([`Ingest::Attach`]/[`Ingest::Detach`]) ride
 //! the same ingest queue as edit ops, so they are ordered after everything
 //! enqueued before them and never stop ingest.  The writer flushes its
-//! coalescing buffer, adjusts the query membership on the writable set
-//! (building the new query's engine from the current tree, or dropping the
-//! detached one), and publishes a membership-only generation — a size-0
+//! coalescing buffer, adjusts the query membership on the writable copy
+//! (building the new query's circuit and index over the copy's document, or
+//! dropping the detached one), and publishes a membership-only generation — a size-0
 //! flush-log record, keeping the gapless-generation audit trail intact.
 //! The ack carries the generation from which the new membership is visible.
 //!
@@ -33,7 +37,8 @@
 //! ordinary transient readers release within one enumeration.  A reader that
 //! parks on a snapshot indefinitely triggers the bounded-patience fallback:
 //! the writer abandons the retired copy to its holders and rebuilds a fresh
-//! writable copy from the published tree (O(n), counted in
+//! writable copy from the published tree (one document plus one index per
+//! query, O(n·Q), counted in
 //! [`crate::ShardStats::rebuild_fallbacks`]), so ingest always makes
 //! progress.
 //!
@@ -68,42 +73,90 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
-use treenum_core::{EnumerationStats, QueryPlan, TreeEnumerator};
+use treenum_core::{Document, DocumentBatch, EnumerationStats, QueryIndex, QueryPlan};
 use treenum_enumeration::EnumScratch;
 use treenum_trees::edit::EditOp;
 use treenum_trees::unranked::UnrankedTree;
 use treenum_trees::valuation::Assignment;
 
-/// One side's engines: a [`TreeEnumerator`] per registered query, in attach
-/// order.  Index 0 is always the pinned primary query
-/// ([`QueryId::PRIMARY`]) — it anchors the shared tree and the flush-log
-/// sharing signal.
-pub(crate) type EngineSet = Vec<(QueryId, TreeEnumerator)>;
-
-/// The published copy of a shard: one immutable enumeration structure per
-/// registered query, all at one generation, all behind one `Arc`.
-pub(crate) struct SnapInner {
-    pub(crate) engines: EngineSet,
-    pub(crate) generation: u64,
+/// One left-right copy of a shard: one [`Document`] and a [`QueryIndex`]
+/// over it per registered query, in attach order.  Query 0 is always the
+/// pinned primary ([`QueryId::PRIMARY`]).
+#[derive(Clone)]
+pub(crate) struct ShardCopy {
+    doc: Document,
+    queries: Vec<(QueryId, QueryIndex)>,
 }
 
-impl SnapInner {
-    /// The primary query's engine (the set is never empty — the primary is
-    /// pinned for the server's lifetime).
-    pub(crate) fn primary(&self) -> &TreeEnumerator {
-        &self.engines[0].1
+impl ShardCopy {
+    /// One document over `tree` and one query index per plan.
+    pub(crate) fn build(tree: UnrankedTree, plans: &[(QueryId, Arc<QueryPlan>)]) -> Self {
+        let doc = Document::new(tree);
+        let queries = plans
+            .iter()
+            .map(|(id, plan)| (*id, QueryIndex::build(&doc, Arc::clone(plan))))
+            .collect();
+        ShardCopy { doc, queries }
     }
 
-    fn engine(&self, id: QueryId) -> Option<&TreeEnumerator> {
-        self.engines.iter().find(|(q, _)| *q == id).map(|(_, e)| e)
+    /// Applies `ops` to the document once, then repairs every query index
+    /// from the document's batch report (which it returns).
+    fn apply_batch(&mut self, ops: &[EditOp]) -> DocumentBatch {
+        let batch = self.doc.apply_batch(ops);
+        for (_, index) in &mut self.queries {
+            index.repair(&self.doc, &batch);
+        }
+        batch
     }
+
+    /// Aligns the copy with the query membership `plans`: drops the indexes
+    /// of queries detached since the copy was last current, and builds —
+    /// over the copy's own document — the indexes of queries attached since.
+    /// A reclaimed copy can be several membership steps behind (two
+    /// attaches in one control batch leave it two behind), but it owes no op
+    /// replay for the new indexes: membership-only generations carry no
+    /// ops, and lag replay runs before reconciliation.
+    fn reconcile(&mut self, plans: &[(QueryId, Arc<QueryPlan>)]) {
+        self.queries
+            .retain(|(q, _)| plans.iter().any(|(p, _)| p == q));
+        for (id, plan) in plans {
+            if !self.queries.iter().any(|(q, _)| q == id) {
+                let index = QueryIndex::build(&self.doc, Arc::clone(plan));
+                self.queries.push((*id, index));
+            }
+        }
+    }
+
+    /// The primary query's index (never absent — the primary is pinned for
+    /// the server's lifetime).
+    fn primary(&self) -> &QueryIndex {
+        &self.queries[0].1
+    }
+
+    fn query(&self, id: QueryId) -> Option<&QueryIndex> {
+        self.queries
+            .iter()
+            .find(|(q, _)| *q == id)
+            .map(|(_, index)| index)
+    }
+
+    fn tree(&self) -> &UnrankedTree {
+        self.doc.tree()
+    }
+}
+
+/// The published copy of a shard: one immutable document and query index
+/// per registered query, all at one generation, all behind one `Arc`.
+pub(crate) struct SnapInner {
+    pub(crate) copy: ShardCopy,
+    pub(crate) generation: u64,
 }
 
 /// A snapshot-consistent read handle to one shard.
 ///
 /// Cloning is an `Arc` bump; the underlying enumeration structure is never
 /// mutated, so every enumeration over the handle sees exactly the state after
-/// [`Snapshot::generation`] ingest flushes — a half-applied batch is never
+/// [`Snapshot::generation`] publications — a half-applied batch is never
 /// observable.  Holding a snapshot does not block the shard's writer (see the
 /// module docs for the one bounded reclaim interaction).
 #[derive(Clone)]
@@ -115,8 +168,8 @@ impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
             .field("generation", &self.inner.generation)
-            .field("tree_size", &self.inner.primary().tree().len())
-            .field("queries", &self.inner.engines.len())
+            .field("tree_size", &self.inner.copy.tree().len())
+            .field("queries", &self.inner.copy.queries.len())
             .finish()
     }
 }
@@ -126,31 +179,32 @@ impl Snapshot {
         Snapshot { inner }
     }
 
-    /// Number of ingest flushes applied to this snapshot's state.  Generation
-    /// `g` corresponds to the first `g` entries of the shard's flush log.
+    /// Number of generations published up to this snapshot (ingest
+    /// flushes, membership changes and heals).  Generation `g` corresponds
+    /// to the first `g` entries of the shard's flush log.
     pub fn generation(&self) -> u64 {
         self.inner.generation
     }
 
-    /// The snapshot's tree (shared by every registered query's engine).
+    /// The snapshot's tree (shared by every registered query).
     pub fn tree(&self) -> &UnrankedTree {
-        self.inner.primary().tree()
+        self.inner.copy.tree()
     }
 
     /// Structural statistics of the **primary** query's enumeration
     /// structure.
     pub fn stats(&self) -> EnumerationStats {
-        self.inner.primary().stats()
+        self.inner.copy.primary().stats(&self.inner.copy.doc)
     }
 
     /// Enumerates every satisfying assignment of the **primary** query (see
-    /// [`TreeEnumerator::for_each`]).  Concurrent readers of the *same*
+    /// [`QueryIndex::for_each`]).  Concurrent readers of the *same*
     /// snapshot contend on its one pooled scratch; readers that care about
     /// steady-state delay should bring their own via
     /// [`Snapshot::for_each_with`].  For any other registered query go
     /// through [`Snapshot::query`].
     pub fn for_each(&self, sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>) {
-        self.inner.primary().for_each(sink)
+        self.inner.copy.primary().for_each(sink)
     }
 
     /// [`Snapshot::for_each`] with a caller-owned [`EnumScratch`], the
@@ -164,24 +218,24 @@ impl Snapshot {
         scratch: &mut EnumScratch,
         sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>,
     ) {
-        self.inner.primary().for_each_with(scratch, sink)
+        self.inner.copy.primary().for_each_with(scratch, sink)
     }
 
     /// Collects all satisfying assignments of the primary query.
     pub fn assignments(&self) -> Vec<Assignment> {
-        self.inner.primary().assignments()
+        self.inner.copy.primary().assignments()
     }
 
     /// Counts the primary query's satisfying assignments by enumerating
     /// them.
     pub fn count(&self) -> usize {
-        self.inner.primary().count()
+        self.inner.copy.primary().count()
     }
 
     /// The first `k` assignments of the primary query (the early-termination
     /// path).
     pub fn first_k(&self, k: usize) -> Vec<Assignment> {
-        self.inner.primary().first_k(k)
+        self.inner.copy.primary().first_k(k)
     }
 
     /// The queries this snapshot serves, in attach order (index 0 is always
@@ -189,7 +243,7 @@ impl Snapshot {
     /// a query registered after this snapshot was published does not appear
     /// here, and one deregistered after stays readable through this handle.
     pub fn queries(&self) -> Vec<QueryId> {
-        self.inner.engines.iter().map(|(q, _)| *q).collect()
+        self.inner.copy.queries.iter().map(|(q, _)| *q).collect()
     }
 
     /// A read handle onto one registered query of this snapshot, or
@@ -201,9 +255,9 @@ impl Snapshot {
     /// enumerates — including [`QueryReader::page_with`] cursors — is pinned
     /// to this snapshot's generation.
     pub fn query(&self, id: QueryId) -> Result<QueryReader<'_>, ServeError> {
-        match self.inner.engine(id) {
-            Some(engine) => Ok(QueryReader {
-                engine,
+        match self.inner.copy.query(id) {
+            Some(index) => Ok(QueryReader {
+                index,
                 id,
                 generation: self.inner.generation,
             }),
@@ -211,11 +265,13 @@ impl Snapshot {
         }
     }
 
-    /// Full internal consistency check of every registered query's
-    /// enumeration structure (test support; expensive).
+    /// Full internal consistency check of the document and every
+    /// registered query's index over it (test support; expensive).
     pub fn check_consistency(&self) {
-        for (_, engine) in &self.inner.engines {
-            engine.check_consistency()
+        let doc = &self.inner.copy.doc;
+        doc.check_consistency();
+        for (_, index) in &self.inner.copy.queries {
+            index.check_consistency(doc)
         }
     }
 }
@@ -226,7 +282,7 @@ impl Snapshot {
 /// every read — and every pagination cursor — is pinned to one generation.
 #[derive(Clone, Copy)]
 pub struct QueryReader<'a> {
-    engine: &'a TreeEnumerator,
+    index: &'a QueryIndex,
     id: QueryId,
     generation: u64,
 }
@@ -240,11 +296,11 @@ impl QueryReader<'_> {
     /// Enumerates every satisfying assignment of this query (the pooled
     /// scratch path; see [`Snapshot::for_each`] for the contention caveat).
     pub fn for_each(&self, sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>) {
-        self.engine.for_each(sink)
+        self.index.for_each(sink)
     }
 
     /// [`QueryReader::for_each`] with a caller-owned [`EnumScratch`].  One
-    /// scratch serves engines of *different* queries equally well — its
+    /// scratch serves indexes of *different* queries equally well — its
     /// pools are structure-agnostic — so a reader thread cycling over all
     /// registered queries stays allocation-free in steady state.
     pub fn for_each_with(
@@ -252,30 +308,30 @@ impl QueryReader<'_> {
         scratch: &mut EnumScratch,
         sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>,
     ) {
-        self.engine.for_each_with(scratch, sink)
+        self.index.for_each_with(scratch, sink)
     }
 
     /// Collects all satisfying assignments of this query.
     pub fn assignments(&self) -> Vec<Assignment> {
-        self.engine.assignments()
+        self.index.assignments()
     }
 
     /// Counts this query's satisfying assignments by enumerating them.
     pub fn count(&self) -> usize {
-        self.engine.count()
+        self.index.count()
     }
 
     /// The first `k` assignments of this query (the early-termination path).
     pub fn first_k(&self, k: usize) -> Vec<Assignment> {
-        self.engine.first_k(k)
+        self.index.first_k(k)
     }
 
     /// One page of up to `k` assignments starting at `cursor` (`None` for
-    /// the first page), using the engine's pooled scratch.  See
+    /// the first page), using the index's pooled scratch.  See
     /// [`QueryReader::page_with`] for the cursor contract.
     pub fn page(&self, cursor: Option<PageCursor>, k: usize) -> Result<Page, ServeError> {
         let position = self.cursor_position(cursor)?;
-        let (answers, more) = self.engine.page(position, k);
+        let (answers, more) = self.index.page(position, k);
         Ok(self.page_from(position, answers, more))
     }
 
@@ -292,7 +348,7 @@ impl QueryReader<'_> {
     ///
     /// Cost: the page that returns a cursor leaves the enumeration parked in
     /// the scratch on the next answer, so feeding that cursor back with the
-    /// same scratch (the engine's pooled one for [`QueryReader::page`])
+    /// same scratch (the index's pooled one for [`QueryReader::page`])
     /// resumes the suspended walk in `O(k)` answers.  A miss costs
     /// `O(position + k)`: it restarts and skips `position` answers without
     /// building them.  Misses are a different scratch (including a lost
@@ -306,7 +362,7 @@ impl QueryReader<'_> {
         k: usize,
     ) -> Result<Page, ServeError> {
         let position = self.cursor_position(cursor)?;
-        let (answers, more) = self.engine.page_with(scratch, position, k);
+        let (answers, more) = self.index.page_with(scratch, position, k);
         Ok(self.page_from(position, answers, more))
     }
 
@@ -363,7 +419,7 @@ impl PageCursor {
 /// One page of a paginated per-query read.
 #[derive(Clone, Debug)]
 pub struct Page {
-    /// Up to `k` assignments, in the engine's deterministic enumeration
+    /// Up to `k` assignments, in the index's deterministic enumeration
     /// order.
     pub answers: Vec<Assignment>,
     /// Cursor for the next page, or `None` when this page ended the
@@ -385,7 +441,7 @@ pub(crate) enum Ingest {
     /// (everything enqueued before it is applied first); the ack carries the
     /// membership-only generation from which the query is readable.
     Attach(QueryId, Arc<QueryPlan>, Sender<Result<u64, ServeError>>),
-    /// Registry control: drop a query's writer-side engine and publish the
+    /// Registry control: drop a query's writer-side index and publish the
     /// narrowed membership; the ack carries the generation from which the
     /// query is gone.
     Detach(QueryId, Sender<Result<u64, ServeError>>),
@@ -400,12 +456,12 @@ pub(crate) struct ShardWriter {
     pub(crate) metrics: Arc<ShardMetrics>,
     pub(crate) cfg: ServeConfig,
     /// Authoritative query membership (plan per registered query, attach
-    /// order, primary first).  Engine sets are reconciled against this list
+    /// order, primary first).  Copies are reconciled against this list
     /// whenever they change hands, so attach/detach drift between the two
     /// sides resolves at the next reclaim.
     pub(crate) plans: Vec<(QueryId, Arc<QueryPlan>)>,
-    /// The writable engine set, when this side holds it.
-    pub(crate) write: Option<EngineSet>,
+    /// The writable copy, when this side holds it.
+    pub(crate) write: Option<ShardCopy>,
     /// The previously published copy, awaiting reclaim.
     pub(crate) retired: Option<Arc<SnapInner>>,
     /// Batches applied to the published lineage that the retired copy has
@@ -723,59 +779,50 @@ impl ShardWriter {
 
     /// One guarded attempt at the apply+publish half of a flush.  Returns
     /// `false` iff `apply_batch` (or an injected chaos fault) panicked — the
-    /// writable engine set is consumed either way.
+    /// writable copy is consumed either way.
     fn try_apply_publish(&mut self, batch: u64) -> bool {
-        // Time the whole flush cycle — reclaim of the writable set, the
-        // batch apply to every registered query's engine, and the publish
-        // swap — so the per-edit amortized numbers in the flush log reflect
-        // the real cost of pushing one op through the serving pipeline
-        // (E9's ingest arms read them).
+        // Time the whole flush cycle — reclaim of the writable copy, the
+        // batch apply to its document and every registered query's index,
+        // and the publish swap — so the per-edit amortized numbers in the
+        // flush log reflect the real cost of pushing one op through the
+        // serving pipeline (E9's ingest arms read them).
         let start = Instant::now();
-        let engines = self.take_writable();
+        let copy = self.take_writable();
         let chaos = self.chaos.clone();
         let buf = &self.buf;
         let applied = catch_unwind(AssertUnwindSafe(move || {
             if let Some(c) = &chaos {
                 c.on_apply(batch);
             }
-            let mut engines = engines;
-            // The sharing signal comes from the primary engine: every
-            // engine sees the same ops on the same tree, so its ratio is
-            // representative and the adaptive window stays independent of
-            // how many queries are registered.
-            let before = engines[0].1.index_stats();
-            for (_, engine) in engines.iter_mut() {
-                engine.apply_batch(buf);
-            }
-            let after = engines[0].1.index_stats();
-            (engines, before, after)
+            let mut copy = copy;
+            let report = copy.apply_batch(buf);
+            (copy, report)
         }));
-        let (engines, before, after) = match applied {
-            Ok(t) => t,
-            Err(_) => {
-                self.metrics.panics_caught.fetch_add(1, Ordering::Relaxed);
-                self.metrics.set_health(ShardHealth::Degraded);
-                return false;
-            }
+        let Ok((copy, report)) = applied else {
+            self.metrics.panics_caught.fetch_add(1, Ordering::Relaxed);
+            self.metrics.set_health(ShardHealth::Degraded);
+            return false;
         };
+        // The sharing signal is the document's: every query index repairs
+        // the same dirty list, so the adaptive window is independent of how
+        // many queries are registered.
         let rec = FlushRecord {
             size: self.buf.len(),
-            // Filled in by `publish_engines` (it owns the end of the timed
-            // region).
+            // Filled in by `publish` (it owns the end of the timed region).
             nanos: 0,
             window: self.window,
-            spine_deduped: after.spine_nodes_deduped - before.spine_nodes_deduped,
-            spine_dirty: after.batch_dirty_nodes - before.batch_dirty_nodes,
+            spine_deduped: report.deduped(),
+            spine_dirty: report.dirty_len() as u64,
         };
-        self.publish_engines(engines, rec, batch, start);
+        self.publish(copy, rec, batch, start);
         self.lag.extend_from_slice(&self.buf);
         self.applied_ops += self.buf.len() as u64;
         self.buf.clear();
         true
     }
 
-    /// Publishes `engines` as the next generation — **one** pointer swap and
-    /// **one** `Arc` no matter how many queries the set multiplexes —
+    /// Publishes `copy` as the next generation — **one** pointer swap and
+    /// **one** `Arc` no matter how many queries the copy multiplexes —
     /// retiring the old front, recording `rec` (with the timed region closed
     /// here) as the generation's audit-trail entry, and driving the adaptive
     /// window when the record carries a sharing signal.  Also the snapshot
@@ -783,16 +830,10 @@ impl ShardWriter {
     /// the WAL offset, so the op_seq ↔ tree pairing needs no extra
     /// synchronisation (snapshot failure is non-fatal — the WAL still
     /// covers everything since the last good snapshot).
-    fn publish_engines(
-        &mut self,
-        engines: EngineSet,
-        mut rec: FlushRecord,
-        batch: u64,
-        start: Instant,
-    ) {
+    fn publish(&mut self, copy: ShardCopy, mut rec: FlushRecord, batch: u64, start: Instant) {
         self.generation += 1;
         let snap = Arc::new(SnapInner {
-            engines,
+            copy,
             generation: self.generation,
         });
         let published = Arc::clone(&snap);
@@ -828,7 +869,7 @@ impl ShardWriter {
         self.metrics.set_health(ShardHealth::Healthy);
         if let Some(durable) = &mut self.durable {
             if durable.snapshot_due(self.generation) {
-                match durable.persist_snapshot(self.generation, published.primary().tree()) {
+                match durable.persist_snapshot(self.generation, published.copy.tree()) {
                     Ok(()) => {
                         self.metrics
                             .snapshots_persisted
@@ -843,9 +884,10 @@ impl ShardWriter {
     }
 
     /// Attaches `plan` as query `id`: flush already happened (controls are
-    /// processed after `flush_buf`), so the writable set is current; the new
-    /// engine is built from the shared tree and the widened membership is
-    /// published as a size-0 generation.  Idempotent on a duplicate id.
+    /// processed after `flush_buf`), so the writable copy is current; the
+    /// new query's circuit and index are built over the copy's document and
+    /// the widened membership is published as a size-0 generation.
+    /// Idempotent on a duplicate id.
     fn handle_attach(&mut self, id: QueryId, plan: Arc<QueryPlan>) -> Result<u64, ServeError> {
         if self.metrics.health() == ShardHealth::Quarantined {
             return Err(ServeError::Quarantined);
@@ -856,9 +898,9 @@ impl ShardWriter {
         let start = Instant::now();
         self.plans.push((id, plan));
         // `take_writable` reconciles against `plans`, building the new
-        // query's engine from the current tree.
-        let engines = self.take_writable();
-        self.publish_membership(engines, start);
+        // query's index.
+        let copy = self.take_writable();
+        self.publish_membership(copy, start);
         self.metrics
             .queries_attached
             .fetch_add(1, Ordering::Relaxed);
@@ -868,12 +910,12 @@ impl ShardWriter {
         Ok(self.generation)
     }
 
-    /// Detaches query `id`: the writer-side engine drops here (that is the
+    /// Detaches query `id`: the writer-side index drops here (that is the
     /// deterministic part of deregistration), the narrowed membership is
     /// published as a size-0 generation, and the last reader-visible copy is
-    /// released when the final snapshot pinning it drops and the retired set
-    /// is reclaimed.  The pinned primary and unknown ids are rejected with
-    /// [`ServeError::UnknownQuery`].
+    /// released when the final snapshot pinning it drops and the retired
+    /// copy is reclaimed.  The pinned primary and unknown ids are rejected
+    /// with [`ServeError::UnknownQuery`].
     fn handle_detach(&mut self, id: QueryId) -> Result<u64, ServeError> {
         if self.metrics.health() == ShardHealth::Quarantined {
             return Err(ServeError::Quarantined);
@@ -883,9 +925,9 @@ impl ShardWriter {
         }
         let start = Instant::now();
         self.plans.retain(|(q, _)| *q != id);
-        // Reconciliation inside `take_writable` drops the detached engine.
-        let engines = self.take_writable();
-        self.publish_membership(engines, start);
+        // Reconciliation inside `take_writable` drops the detached index.
+        let copy = self.take_writable();
+        self.publish_membership(copy, start);
         self.metrics
             .queries_detached
             .fetch_add(1, Ordering::Relaxed);
@@ -900,7 +942,7 @@ impl ShardWriter {
     /// sizes`) exact, and `lag` is untouched — the freshly retired front is
     /// behind by membership only, which reconciliation (not op replay)
     /// repairs at the next reclaim.
-    fn publish_membership(&mut self, engines: EngineSet, start: Instant) {
+    fn publish_membership(&mut self, copy: ShardCopy, start: Instant) {
         let rec = FlushRecord {
             size: 0,
             nanos: 0,
@@ -908,52 +950,28 @@ impl ShardWriter {
             spine_deduped: 0,
             spine_dirty: 0,
         };
-        self.publish_engines(engines, rec, self.batches, start);
+        self.publish(copy, rec, self.batches, start);
     }
 
-    /// One engine per registered query, each a fresh O(n) build over (a
-    /// clone of) `tree`, in the authoritative membership order.
-    fn build_engines(&self, tree: &UnrankedTree) -> EngineSet {
-        self.plans
-            .iter()
-            .map(|(id, plan)| {
-                (
-                    *id,
-                    TreeEnumerator::with_plan(tree.clone(), Arc::clone(plan)),
-                )
-            })
-            .collect()
-    }
-
-    /// Aligns an engine set with the authoritative query membership
-    /// (`self.plans`): drops engines of queries detached since the set was
-    /// last current, and builds engines — from the set's shared tree — for
-    /// queries attached since.  Because every attach/detach publishes
-    /// immediately, a stale set is at most one membership step behind and
-    /// owes no op replay for the new engines.
-    fn reconcile(&self, engines: &mut EngineSet) {
-        engines.retain(|(q, _)| self.plans.iter().any(|(p, _)| p == q));
-        for (id, plan) in &self.plans {
-            if !engines.iter().any(|(q, _)| q == id) {
-                // Non-empty: the primary query is never detached.
-                let tree = engines[0].1.tree().clone();
-                engines.push((*id, TreeEnumerator::with_plan(tree, Arc::clone(plan))));
-            }
-        }
-    }
-
-    /// Replaces whatever writable/retired state the writer holds with a
-    /// fresh O(n·Q) rebuild from the published tree.  Used after a fault
-    /// tore the writable set: the published tree is the newest coherent
-    /// state, so it subsumes any catch-up lag the lost set owed.
-    fn rebuild_writable_from_front(&mut self) {
+    /// A fresh writable copy built from the published tree, for when the
+    /// previous one is lost (torn by a panic, or abandoned to readers).
+    /// The published tree is the newest coherent state, so it subsumes any
+    /// catch-up lag the lost copy owed.
+    fn rebuild_from_front(&mut self) -> ShardCopy {
         self.metrics
             .rebuild_fallbacks
             .fetch_add(1, Ordering::Relaxed);
-        self.retired = None;
         self.lag.clear();
-        let tree = read_unpoisoned(&self.front).primary().tree().clone();
-        self.write = Some(self.build_engines(&tree));
+        let tree = read_unpoisoned(&self.front).copy.tree().clone();
+        ShardCopy::build(tree, &self.plans)
+    }
+
+    /// Replaces whatever writable/retired state the writer holds with a
+    /// fresh rebuild from the published tree.  Used after a fault tore the
+    /// writable copy.
+    fn rebuild_writable_from_front(&mut self) {
+        self.retired = None;
+        self.write = Some(self.rebuild_from_front());
     }
 
     /// Counts and drops the coalescing buffer as unacked loss, arming the
@@ -998,22 +1016,9 @@ impl ShardWriter {
             self.quarantine_now(&format!("{why}; heal found unrecoverable state: {reason}"));
             return;
         }
-        // Replay onto the primary engine, then fan the healed tree out to
-        // every other registered query (their engines are derived state —
-        // same tree, different circuit/index — so one replay suffices).
-        let (primary_id, primary_plan) = (self.plans[0].0, Arc::clone(&self.plans[0].1));
-        let mut primary = TreeEnumerator::with_plan(rec.base_tree, primary_plan);
-        if !rec.replay.is_empty() {
-            primary.apply_batch(&rec.replay);
-        }
-        let healed_tree = primary.tree().clone();
-        let mut healed: EngineSet = vec![(primary_id, primary)];
-        for (id, plan) in self.plans.iter().skip(1) {
-            healed.push((
-                *id,
-                TreeEnumerator::with_plan(healed_tree.clone(), Arc::clone(plan)),
-            ));
-        }
+        // Recovery already replayed the WAL tail onto its tree: one build
+        // of one document serves every registered query.
+        let healed = ShardCopy::build(rec.tree, &self.plans);
         let durable_seq = rec.report.ops_recovered;
         let visible_seq = self.seq0 + self.applied_ops;
         // Ops of the in-flight buffer that reached the WAL before the fault
@@ -1027,26 +1032,25 @@ impl ShardWriter {
             self.dropped_cycle = true;
         }
         self.buf.clear();
+        self.retired = None;
+        self.lag.clear();
         let new_visible = durable_seq.saturating_sub(visible_seq);
         if new_visible > 0 {
             // The durable state is ahead of the published one: publish it as
             // the next generation, with a flush record sized to the newly
             // visible ops (audit trail: generation g ↔ first g records).
             self.generation += 1;
+            self.write = Some(healed.clone());
             let snap = Arc::new(SnapInner {
-                engines: healed,
+                copy: healed,
                 generation: self.generation,
             });
-            let writable = self.build_engines(&healed_tree);
             {
                 let mut front = write_unpoisoned(&self.front);
                 // Abandon the old front to its holders entirely (drop both
                 // the slot's and any retired handle's reference).
                 let _old = std::mem::replace(&mut *front, snap);
             }
-            self.retired = None;
-            self.lag.clear();
-            self.write = Some(writable);
             self.metrics
                 .generation
                 .store(self.generation, Ordering::Release);
@@ -1060,9 +1064,7 @@ impl ShardWriter {
             self.applied_ops += new_visible;
         } else {
             // Published state already equals the durable state; the healed
-            // engine set simply becomes the fresh writable set.
-            self.retired = None;
-            self.lag.clear();
+            // copy simply becomes the fresh writable copy.
             self.write = Some(healed);
         }
         self.durable = rec.durability;
@@ -1087,15 +1089,23 @@ impl ShardWriter {
         self.drop_buf_unacked();
     }
 
-    /// Obtains the writable engine set: the held one, the
-    /// reclaimed-and-caught-up retired one, or (after bounded patience) a
-    /// fresh O(n·Q) rebuild from the published tree.  Whatever the source,
-    /// the returned set is reconciled against the current query membership.
-    fn take_writable(&mut self) -> EngineSet {
-        if let Some(mut engines) = self.write.take() {
-            self.reconcile(&mut engines);
-            return engines;
-        }
+    /// Obtains the writable copy: the held one, the reclaimed-and-caught-up
+    /// retired one, or (after bounded patience) a fresh rebuild from the
+    /// published tree.  Whatever the source, the returned copy is
+    /// reconciled against the current query membership.
+    fn take_writable(&mut self) -> ShardCopy {
+        let mut copy = match self.write.take() {
+            Some(copy) => copy,
+            None => self.reclaim_retired(),
+        };
+        copy.reconcile(&self.plans);
+        copy
+    }
+
+    /// Reclaims the retired copy once its last reader drops it and replays
+    /// the lag it missed; after bounded patience abandons it to its readers
+    /// and rebuilds from the published tree instead.
+    fn reclaim_retired(&mut self) -> ShardCopy {
         let mut retired = self
             .retired
             .take()
@@ -1104,28 +1114,18 @@ impl ShardWriter {
         loop {
             match Arc::try_unwrap(retired) {
                 Ok(inner) => {
-                    let mut engines = inner.engines;
+                    let mut copy = inner.copy;
                     if !self.lag.is_empty() {
-                        for (_, engine) in engines.iter_mut() {
-                            engine.apply_batch(&self.lag);
-                        }
+                        copy.apply_batch(&self.lag);
                         self.lag.clear();
                     }
-                    self.reconcile(&mut engines);
-                    return engines;
+                    return copy;
+                }
+                Err(arc) if Instant::now() >= patience => {
+                    drop(arc);
+                    return self.rebuild_from_front();
                 }
                 Err(arc) => {
-                    if Instant::now() >= patience {
-                        // Readers are parked on the retired copy; abandon it
-                        // to them and rebuild from the published state.
-                        self.metrics
-                            .rebuild_fallbacks
-                            .fetch_add(1, Ordering::Relaxed);
-                        drop(arc);
-                        let tree = read_unpoisoned(&self.front).primary().tree().clone();
-                        self.lag.clear();
-                        return self.build_engines(&tree);
-                    }
                     self.metrics.reclaim_waits.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(std::time::Duration::from_micros(50));
                     retired = arc;

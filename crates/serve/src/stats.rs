@@ -58,7 +58,9 @@ impl ShardHealth {
     }
 }
 
-/// One ingest flush, as recorded by a shard's writer thread.
+/// One published generation, as recorded by a shard's writer thread: an
+/// ingest flush, a membership-only (attach/detach) publication, or a heal
+/// that published recovered state.
 ///
 /// The log doubles as the serving layer's audit trail: generation `g` of a
 /// shard corresponds exactly to the first `g` records, so the op prefix
@@ -66,7 +68,9 @@ impl ShardHealth {
 /// snapshot-consistency oracle tests replay against.
 #[derive(Clone, Copy, Debug)]
 pub struct FlushRecord {
-    /// Number of edit ops coalesced into this `apply_batch` call.
+    /// Number of edit ops this generation made visible: the coalesced batch
+    /// of an ingest flush, 0 for a membership change, the newly recovered
+    /// ops for a heal.
     pub size: usize,
     /// Wall-clock nanoseconds of the full flush cycle: reclaiming the
     /// writable copy (including any bounded wait for readers), replaying its
@@ -75,10 +79,11 @@ pub struct FlushRecord {
     /// The adaptive window in force when the flush was cut.
     pub window: usize,
     /// Dirty-spine entries skipped because an earlier edit of the batch had
-    /// already queued them (`IndexStats::spine_nodes_deduped` delta).
+    /// already queued them (the document's `DocumentBatch::deduped`; 0 for
+    /// membership and heal records).
     pub spine_deduped: u64,
-    /// Unique dirty-spine nodes the repair pass visited
-    /// (`IndexStats::batch_dirty_nodes` delta).
+    /// Unique dirty-spine nodes every query's repair pass visited (the
+    /// length of the document's `DocumentBatch::dirty`).
     pub spine_dirty: u64,
 }
 
@@ -197,10 +202,11 @@ impl ShardMetrics {
 #[derive(Clone, Copy, Debug, Default)]
 #[non_exhaustive]
 pub struct ShardStats {
-    /// Snapshot generation currently published (= number of flushes applied
-    /// to the visible copy).
+    /// Snapshot generation currently published (= number of flush-log
+    /// records behind the visible copy).
     pub generation: u64,
-    /// Number of ingest flushes (`apply_batch` calls on the publish path).
+    /// Number of flush-log records: one per published generation — ingest
+    /// flushes, membership-only publications and heal publications alike.
     pub flushes: u64,
     /// Ops accepted into the ingest queue.
     pub edits_ingested: u64,
@@ -224,9 +230,9 @@ pub struct ShardStats {
     /// from the published tree (O(n) fallback; nonzero only under
     /// pathologically long-held snapshots).
     pub rebuild_fallbacks: u64,
-    /// Cumulative `IndexStats::spine_nodes_deduped` over all flushes.
+    /// Cumulative [`FlushRecord::spine_deduped`] over all flushes.
     pub spine_deduped: u64,
-    /// Cumulative `IndexStats::batch_dirty_nodes` over all flushes.
+    /// Cumulative [`FlushRecord::spine_dirty`] over all flushes.
     pub spine_dirty: u64,
     /// Edit ops appended to the shard's write-ahead log (0 on a
     /// non-durable shard).
@@ -272,10 +278,11 @@ pub struct ShardStats {
     /// counted).
     pub queries_attached: u64,
     /// Queries detached from this shard at runtime (each detach dropped the
-    /// writer-side engine and published one membership-only generation).
+    /// writer-side query index and published one membership-only
+    /// generation).
     pub queries_detached: u64,
-    /// Gauge: queries the writer currently maintains engines for, including
-    /// the primary.  Snapshot publications stay **one per flush** regardless
+    /// Gauge: queries the writer currently maintains a query index for,
+    /// including the primary.  Snapshot publications stay **one per flush** regardless
     /// of this number — the multiplexing invariant E11 verifies via
     /// `generation == flushes`.
     pub queries_served: usize,

@@ -351,11 +351,13 @@ fn two_shards_serve_independent_streams_concurrently() {
         ServeConfig::default(),
     ));
     let stop = Arc::new(AtomicBool::new(false));
+    let (first_pass_tx, first_pass_rx) = std::sync::mpsc::channel();
     let reader = {
         let server = Arc::clone(&server);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             let mut reads = 0usize;
+            let mut first_pass = Some(first_pass_tx);
             while !stop.load(Ordering::Relaxed) {
                 for shard in 0..server.num_shards() {
                     let snap = server.snapshot(shard);
@@ -369,6 +371,9 @@ fn two_shards_serve_independent_streams_concurrently() {
                         }
                     });
                     reads += 1;
+                }
+                if let Some(tx) = first_pass.take() {
+                    let _ = tx.send(());
                 }
                 std::thread::yield_now();
             }
@@ -387,6 +392,11 @@ fn two_shards_serve_independent_streams_concurrently() {
         handles.push(shard);
     }
     let generations = server.flush_all().unwrap();
+    // Stop the reader only once it has read every shard: the writers can
+    // finish before the reader thread is first scheduled.
+    first_pass_rx
+        .recv()
+        .expect("reader thread reads every shard once");
     stop.store(true, Ordering::Relaxed);
     let reads = reader.join().expect("reader thread");
     assert!(reads > 0);
