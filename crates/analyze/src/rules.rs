@@ -4,10 +4,11 @@
 //! only by scattered counter assertions and reviewer memory:
 //!
 //! * [`RULE_MAP`] — no `HashMap`/`BTreeMap` *imports* (or fully-qualified
-//!   `collections::…` paths) in `crates/enumeration` and `crates/balance`
-//!   non-test code.  The enumeration/update hot paths are dense-slab only;
-//!   the few sanctioned maps (the preprocessing φ map, the process-wide
-//!   translation cache) carry a `// analyze: allow(map): <reason>`.
+//!   `collections::…` paths) in `crates/enumeration`, `crates/balance` and
+//!   `crates/core` non-test code.  The enumeration/update hot paths are
+//!   dense-slab only (φ and the term-to-box map included); the few
+//!   sanctioned maps (the process-wide translation cache, the query-plan
+//!   caches) carry a `// analyze: allow(map): <reason>`.
 //! * [`RULE_ALLOC`] — no allocation-prone calls (`Vec::new`, `.clone()`,
 //!   `.to_vec()`, `.collect()`, `format!`) inside a function whose header
 //!   comment block contains a line starting with `hot-path`.  Per-line
@@ -359,7 +360,7 @@ pub fn check_map_imports(file: &SourceFile) -> Vec<Diagnostic> {
             file: file.path.clone(),
             line: t.line,
             msg: format!(
-                "{} `{}` in a hot-path crate — enumeration/balance use dense arena slabs, \
+                "{} `{}` in a hot-path crate — enumeration/balance/core use dense arena slabs, \
                  not hashing (justify sanctioned uses with `// analyze: allow(map): <reason>`)",
                 how, t.text
             ),
@@ -739,7 +740,9 @@ impl Workspace {
         let mut fields = Vec::new();
         let mut test_idents: HashSet<String> = HashSet::new();
         for f in &self.files {
-            if self.path_has(f, "crates/enumeration/src") || self.path_has(f, "crates/balance/src")
+            if self.path_has(f, "crates/enumeration/src")
+                || self.path_has(f, "crates/balance/src")
+                || self.path_has(f, "crates/core/src")
             {
                 out.extend(check_map_imports(f));
             }

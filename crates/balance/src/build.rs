@@ -8,82 +8,36 @@
 //! horizontal split then halves), so every O(1) levels the weight drops by a constant
 //! factor.
 //!
+//! Each top-level call flattens its piece once into a preorder table sized to the
+//! piece: a subtree, and a forest of consecutive siblings, is then a range of the
+//! table, and every weight the splits read is O(1) arithmetic on it.  One level of
+//! the recursion scans at most its own piece (the roots of a forest, the children
+//! along a heavy path), and the pieces of one level are disjoint, so a build of `n`
+//! nodes costs `O(n log n)` time and `O(n)` space.
+//!
 //! The same routines are reused by the update machinery to rebuild subterms when an
 //! edit makes them weight-unbalanced.
 
 use crate::term::{Term, TermNodeId, TermNodeKind, TermOp};
-// The preprocessing-time φ map (tree node → term node) is built once per
-// tree, never touched on the enumeration or update path.
-// analyze: allow(map): preprocessing only, not per-answer or per-edit
-use std::collections::HashMap;
 use treenum_trees::unranked::{NodeId, UnrankedTree};
 
-/// Weights of tree nodes used by the splitting decisions: `sizes[n]` is the number of
-/// nodes in the subtree of `n` that belong to the piece currently being built
-/// (when building a context, the nodes behind the hole are excluded).
-struct Weights<'a> {
-    tree: &'a UnrankedTree,
-    sizes: HashMap<NodeId, usize>,
-    /// When building a context: the hole node and the weight hidden behind it
-    /// (its children's subtrees), which must be subtracted for its ancestors.
-    hole: Option<(NodeId, usize)>,
-}
+/// The `φ` mapping from tree nodes to their term leaves, dense over the tree's node
+/// arena: `phi[n.index()]` is the leaf encoding `n`, `None` for a freed slot.
+pub type Phi = Vec<Option<TermNodeId>>;
 
-impl<'a> Weights<'a> {
-    fn new(tree: &'a UnrankedTree, roots: &[NodeId], hole: Option<NodeId>) -> Self {
-        let mut sizes = HashMap::new();
-        for &r in roots {
-            fill_sizes(tree, r, &mut sizes);
-        }
-        let hole = hole.map(|h| {
-            let hidden = sizes[&h] - 1;
-            (h, hidden)
-        });
-        Weights { tree, sizes, hole }
+/// Records `φ(n) = leaf`, growing the slab to cover `n`.
+pub(crate) fn set_phi(phi: &mut Phi, n: NodeId, leaf: TermNodeId) {
+    if phi.len() <= n.index() {
+        phi.resize(n.index() + 1, None);
     }
-
-    /// Weight of the subtree of `n` within the piece being built.
-    fn weight(&self, n: NodeId) -> usize {
-        let raw = self.sizes[&n];
-        match self.hole {
-            Some((h, hidden)) if self.tree.is_ancestor(n, h) => raw - hidden,
-            _ => raw,
-        }
-    }
-
-    /// Weight of the children forest of `n` within the piece being built
-    /// (zero for the hole node, whose children are excluded by definition).
-    fn children_weight(&self, n: NodeId) -> usize {
-        if let Some((h, _)) = self.hole {
-            if n == h {
-                return 0;
-            }
-        }
-        self.weight(n) - 1
-    }
-}
-
-fn fill_sizes(tree: &UnrankedTree, root: NodeId, sizes: &mut HashMap<NodeId, usize>) {
-    // Iterative post-order size computation.
-    let mut order = Vec::new();
-    let mut stack = vec![root];
-    while let Some(n) = stack.pop() {
-        order.push(n);
-        for c in tree.children(n) {
-            stack.push(c);
-        }
-    }
-    for &n in order.iter().rev() {
-        let s = 1 + tree.children(n).map(|c| sizes[&c]).sum::<usize>();
-        sizes.insert(n, s);
-    }
+    phi[n.index()] = Some(leaf);
 }
 
 /// Builds a balanced term for the whole tree.  Returns the term and the `φ` mapping
 /// from tree nodes to their term leaves.
-pub fn build_balanced_term(tree: &UnrankedTree) -> (Term, HashMap<NodeId, TermNodeId>) {
+pub fn build_balanced_term(tree: &UnrankedTree) -> (Term, Phi) {
     let mut term = Term::new();
-    let mut phi = HashMap::with_capacity(tree.len());
+    let mut phi = Vec::with_capacity(tree.len());
     let root = build_forest_subterm(tree, &[tree.root()], &mut term, &mut phi);
     term.set_root(root);
     (term, phi)
@@ -96,14 +50,14 @@ pub fn build_forest_subterm(
     tree: &UnrankedTree,
     roots: &[NodeId],
     term: &mut Term,
-    phi: &mut HashMap<NodeId, TermNodeId>,
+    phi: &mut Phi,
 ) -> TermNodeId {
     assert!(
         !roots.is_empty(),
         "a forest subterm needs at least one tree"
     );
-    let weights = Weights::new(tree, roots, None);
-    build_forest(tree, &weights, roots, term, phi)
+    let (mut piece, _) = Piece::flatten(tree, roots, None, term, phi);
+    piece.forest(0, piece.order.len())
 }
 
 /// Builds a balanced subterm for the context made of the subtrees rooted at `roots`,
@@ -114,235 +68,269 @@ pub fn build_context_subterm(
     roots: &[NodeId],
     hole: NodeId,
     term: &mut Term,
-    phi: &mut HashMap<NodeId, TermNodeId>,
+    phi: &mut Phi,
 ) -> TermNodeId {
     assert!(!roots.is_empty());
-    let weights = Weights::new(tree, roots, Some(hole));
-    build_context(tree, &weights, roots, hole, term, phi)
+    let (mut piece, h) = Piece::flatten(tree, roots, Some(hole), term, phi);
+    let h = h.expect("the hole must lie under one of the roots");
+    piece.context(0, piece.order.len(), h)
 }
 
-fn leaf_for(
-    tree: &UnrankedTree,
-    n: NodeId,
-    as_context: bool,
-    term: &mut Term,
-    phi: &mut HashMap<NodeId, TermNodeId>,
-) -> TermNodeId {
-    let label = tree.label(n);
-    let kind = if as_context {
-        TermNodeKind::ContextLeaf { label, node: n }
-    } else {
-        TermNodeKind::TreeLeaf { label, node: n }
-    };
-    let id = term.add_leaf(kind);
-    phi.insert(n, id);
-    id
+/// One piece's preorder table plus the term under construction.  `order[i]` is the
+/// `i`-th node of the piece in preorder and `size[i]` the size of its subtree, so
+/// that subtree is the range `i..i + size[i]` and consecutive siblings span a range
+/// too.  The table stops at the piece's hole, whose children are supplied through
+/// the hole.
+struct Piece<'a> {
+    tree: &'a UnrankedTree,
+    order: Vec<NodeId>,
+    size: Vec<usize>,
+    term: &'a mut Term,
+    phi: &'a mut Phi,
 }
 
-/// Splits a list of sibling roots into two non-empty halves of (approximately) equal
-/// weight.
-fn split_roots<'r>(weights: &Weights<'_>, roots: &'r [NodeId]) -> (&'r [NodeId], &'r [NodeId]) {
-    debug_assert!(roots.len() >= 2);
-    let total: usize = roots.iter().map(|&r| weights.weight(r)).sum();
-    let mut acc = 0usize;
-    let mut split = 1usize;
-    for (i, &r) in roots.iter().enumerate() {
-        acc += weights.weight(r);
-        if acc * 2 >= total {
-            split = (i + 1).min(roots.len() - 1);
-            break;
-        }
-    }
-    roots.split_at(split.max(1))
-}
-
-fn build_forest(
-    tree: &UnrankedTree,
-    weights: &Weights<'_>,
-    roots: &[NodeId],
-    term: &mut Term,
-    phi: &mut HashMap<NodeId, TermNodeId>,
-) -> TermNodeId {
-    if roots.len() >= 2 {
-        let (left, right) = split_roots(weights, roots);
-        let l = build_forest(tree, weights, left, term, phi);
-        let r = build_forest(tree, weights, right, term, phi);
-        return term.add_op(TermOp::OplusHH, l, r);
-    }
-    let root = roots[0];
-    let w = weights.weight(root);
-    if w == 1 {
-        // A single node: a_t.
-        return leaf_for(tree, root, false, term, phi);
-    }
-    // A single tree with children: find a split node whose children forest has weight
-    // between W/3 and 2W/3 if possible; otherwise split off the whole children forest
-    // of the deepest "heavy" node (the next horizontal split rebalances it).
-    let split = find_tree_split(tree, weights, root, w);
-    let children: Vec<NodeId> = tree.children(split).collect();
-    debug_assert!(!children.is_empty());
-    let context = build_single_node_top_context(tree, weights, root, split, term, phi);
-    let forest = build_forest(tree, weights, &children, term, phi);
-    term.add_op(TermOp::OdotVH, context, forest)
-}
-
-/// Finds the node at which to split a single tree of weight `w ≥ 2`: walk down the
-/// heaviest children while the children forest is heavier than `2w/3`; if the node we
-/// stop at has children forest weight `≥ w/3` use it, otherwise use its parent on the
-/// walk (splitting off a heavy children forest that the horizontal split then
-/// halves).
-fn find_tree_split(tree: &UnrankedTree, weights: &Weights<'_>, root: NodeId, w: usize) -> NodeId {
-    let mut prev = root;
-    let mut cur = root;
-    loop {
-        let cw = weights.children_weight(cur);
-        if cw * 3 <= 2 * w {
-            // cur's children forest is light enough.
-            if cw * 3 >= w || prev == cur {
-                return cur;
+impl<'a> Piece<'a> {
+    /// Flattens the subtrees of `roots`, without the children of `hole`, and returns
+    /// the piece and the table position of `hole`.
+    fn flatten(
+        tree: &'a UnrankedTree,
+        roots: &[NodeId],
+        hole: Option<NodeId>,
+        term: &'a mut Term,
+        phi: &'a mut Phi,
+    ) -> (Self, Option<usize>) {
+        let (mut order, mut size, mut hole_at) = (Vec::new(), Vec::new(), None);
+        // Table positions of the nodes whose subtree is still being flattened.
+        let mut open = Vec::new();
+        for &root in roots {
+            let mut n = root;
+            'walk: loop {
+                let below = if Some(n) == hole {
+                    hole_at = Some(order.len());
+                    None
+                } else {
+                    tree.first_child(n)
+                };
+                open.push(order.len());
+                order.push(n);
+                size.push(1);
+                if let Some(c) = below {
+                    n = c;
+                    continue;
+                }
+                // Close `n`, and each ancestor whose last child closes with it.
+                loop {
+                    let i = open.pop().expect("an open node");
+                    size[i] = order.len() - i;
+                    if n == root {
+                        break 'walk;
+                    }
+                    if let Some(s) = tree.next_sibling(n) {
+                        n = s;
+                        continue 'walk;
+                    }
+                    n = tree.parent(n).expect("inside the root's subtree");
+                }
             }
-            // Too light: split at the parent (heavy children forest, rebalanced by the
-            // next horizontal split).
-            return prev;
         }
-        // Descend into the heaviest child.
-        let heaviest = tree
-            .children(cur)
-            .max_by_key(|&c| weights.weight(c))
-            .expect("children_weight > 0 implies children exist");
-        prev = cur;
-        cur = heaviest;
-    }
-}
-
-/// Builds the context consisting of the forest of `roots` with the children of
-/// `hole` removed.
-fn build_context(
-    tree: &UnrankedTree,
-    weights: &Weights<'_>,
-    roots: &[NodeId],
-    hole: NodeId,
-    term: &mut Term,
-    phi: &mut HashMap<NodeId, TermNodeId>,
-) -> TermNodeId {
-    build_context_inner(tree, weights, roots, hole, term, phi)
-}
-
-fn build_context_inner(
-    tree: &UnrankedTree,
-    weights: &Weights<'_>,
-    roots: &[NodeId],
-    hole: NodeId,
-    term: &mut Term,
-    phi: &mut HashMap<NodeId, TermNodeId>,
-) -> TermNodeId {
-    // Which root contains the hole?
-    let hole_root_pos = roots
-        .iter()
-        .position(|&r| tree.is_ancestor(r, hole))
-        .expect("the hole must lie under one of the roots");
-    if roots.len() >= 2 {
-        // Split off the plain trees left and right of the hole tree; each side is a
-        // balanced forest, the hole tree is a single-tree context handled below.
-        let (left, right) = (&roots[..hole_root_pos], &roots[hole_root_pos + 1..]);
-        let mut ctx = build_context_inner(
+        let piece = Piece {
             tree,
-            weights,
-            &roots[hole_root_pos..=hole_root_pos],
-            hole,
+            order,
+            size,
             term,
             phi,
+        };
+        (piece, hole_at)
+    }
+
+    fn leaf(&mut self, i: usize, as_context: bool) -> TermNodeId {
+        let node = self.order[i];
+        let label = self.tree.label(node);
+        let kind = if as_context {
+            TermNodeKind::ContextLeaf { label, node }
+        } else {
+            TermNodeKind::TreeLeaf { label, node }
+        };
+        let id = self.term.add_leaf(kind);
+        set_phi(self.phi, node, id);
+        id
+    }
+
+    /// The roots of the forest `lo..hi`, in sibling order.
+    fn roots(&self, lo: usize, hi: usize) -> impl Iterator<Item = usize> + '_ {
+        let within = move |r: usize| Some(r).filter(|&r| r < hi);
+        std::iter::successors(within(lo), move |&r| within(r + self.size[r]))
+    }
+
+    /// The children of `i`, in sibling order.
+    fn children(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.roots(i + 1, i + self.size[i])
+    }
+
+    /// Builds the forest `lo..hi`, which holds no hole: weights are subtree sizes.
+    fn forest(&mut self, lo: usize, hi: usize) -> TermNodeId {
+        if lo + self.size[lo] < hi {
+            let mid = self.split_roots(lo, hi);
+            let l = self.forest(lo, mid);
+            let r = self.forest(mid, hi);
+            return self.term.add_op(TermOp::OplusHH, l, r);
+        }
+        let w = self.size[lo];
+        if w == 1 {
+            // A single node: a_t.
+            return self.leaf(lo, false);
+        }
+        // A single tree with children: find a split node whose children forest has weight
+        // between W/3 and 2W/3 if possible; otherwise split off the whole children forest
+        // of the deepest "heavy" node (the next horizontal split rebalances it).
+        let split = self.tree_split(lo, w);
+        let context = self.top_context(lo, split);
+        let forest = self.forest(split + 1, split + self.size[split]);
+        self.term.add_op(TermOp::OdotVH, context, forest)
+    }
+
+    /// Splits the roots of `lo..hi` (at least two) into two non-empty halves of
+    /// (approximately) equal weight; returns where the right half starts.
+    fn split_roots(&self, lo: usize, hi: usize) -> usize {
+        let mut last = lo;
+        for r in self.roots(lo, hi).skip(1) {
+            if (r - lo) * 2 >= hi - lo {
+                return r;
+            }
+            last = r;
+        }
+        // The midpoint falls inside the last root: it alone forms the right half.
+        last
+    }
+
+    /// Finds the node at which to split the single tree at `root` of weight `w ≥ 2`:
+    /// walk down the heaviest children while the children forest is heavier than
+    /// `2w/3`; if the node we stop at has children forest weight `≥ w/3` use it,
+    /// otherwise use its parent on the walk (splitting off a heavy children forest
+    /// that the horizontal split then halves).
+    fn tree_split(&self, root: usize, w: usize) -> usize {
+        let (mut prev, mut cur) = (root, root);
+        loop {
+            let cw = self.size[cur] - 1;
+            if cw * 3 <= 2 * w {
+                // cur's children forest is light enough; if it is too light, split
+                // at the parent instead.
+                return if cw * 3 >= w || prev == cur {
+                    cur
+                } else {
+                    prev
+                };
+            }
+            // Descend into the heaviest child (the last one on ties).
+            let heaviest = self
+                .children(cur)
+                .max_by_key(|&c| self.size[c])
+                .expect("a heavy children forest is non-empty");
+            prev = cur;
+            cur = heaviest;
+        }
+    }
+
+    /// Builds the context `lo..hi` whose hole is `h`.  The nodes below `h` are not
+    /// part of it, so a node `m` on the path to the hole weighs
+    /// `size[m] + 1 - size[h]` and its children forest `size[m] - size[h]`.
+    fn context(&mut self, lo: usize, hi: usize, h: usize) -> TermNodeId {
+        // The root holding the hole (`r` is an ancestor of `h` iff `h < r + size[r]`).
+        let p = self
+            .roots(lo, hi)
+            .find(|&r| h < r + self.size[r])
+            .expect("the hole lies in the context");
+        let end = p + self.size[p];
+        if lo < p || end < hi {
+            // Split off the plain trees left and right of the hole tree; each side is a
+            // balanced forest, the hole tree is a single-tree context handled below.
+            let mut ctx = self.context(p, end, h);
+            if end < hi {
+                let rf = self.forest(end, hi);
+                ctx = self.term.add_op(TermOp::OplusVH, ctx, rf);
+            }
+            if lo < p {
+                let lf = self.forest(lo, p);
+                ctx = self.term.add_op(TermOp::OplusHV, lf, ctx);
+            }
+            return ctx;
+        }
+        if lo == h {
+            return self.leaf(lo, true);
+        }
+        // Split the hole path: find the first node `m` on the path from the root whose
+        // children weight drops to ≤ 2w/3.  If that weight is ≥ w/3 split there with
+        // ⊙VV; otherwise split at its parent on the path (peeling a light context top,
+        // the recursion on the heavy children forest rebalances horizontally).  The
+        // hole itself has children weight 0 < w/3, so the split is a strict ancestor.
+        let w = self.size[lo] + 1 - self.size[h];
+        let (mut prev, mut m) = (lo, lo);
+        let split = loop {
+            let cw = self.size[m] - self.size[h];
+            if cw * 3 <= 2 * w {
+                break if cw * 3 >= w || m == lo { m } else { prev };
+            }
+            prev = m;
+            m = self
+                .children(m)
+                .find(|&c| h < c + self.size[c])
+                .expect("the path continues to the hole");
+        };
+        debug_assert_ne!(split, h);
+        // Upper part: the context of the root with the children of `split` removed.
+        // Lower part: the children forest of `split` as a context with the original hole.
+        let upper = self.top_context(lo, split);
+        let lower = self.context(split + 1, split + self.size[split], h);
+        self.term.add_op(TermOp::OdotVV, upper, lower)
+    }
+
+    /// Builds the context "the subtree of `root` with the children of `cut` removed",
+    /// where `cut` is a descendant-or-self of `root`: `root_□` when `cut == root`,
+    /// otherwise a context with its hole at `cut`.
+    fn top_context(&mut self, root: usize, cut: usize) -> TermNodeId {
+        if cut == root {
+            return self.leaf(root, true);
+        }
+        self.context(root, root + self.size[root], cut)
+    }
+}
+
+/// Checks that `phi` is the bijection between the live nodes of `tree` and the
+/// leaves of `term`: every live node maps to a live leaf of the term that encodes
+/// it, as an `a_□` leaf iff the node has children, and every freed slot maps to
+/// nothing.
+///
+/// # Panics
+/// Panics on any violation.
+pub fn check_phi(tree: &UnrankedTree, term: &Term, phi: &Phi) {
+    let leaves = term.subtree_leaves(term.root());
+    assert_eq!(
+        leaves.len(),
+        tree.len(),
+        "term leaves and tree nodes differ in number"
+    );
+    for leaf in leaves {
+        let n = term
+            .leaf_tree_node(leaf)
+            .expect("a term leaf encodes a tree node");
+        assert!(
+            tree.is_live(n),
+            "term leaf {leaf:?} encodes the freed node {n:?}"
         );
-        if !right.is_empty() {
-            let rf = build_forest(tree, weights, right, term, phi);
-            ctx = term.add_op(TermOp::OplusVH, ctx, rf);
-        }
-        if !left.is_empty() {
-            let lf = build_forest(tree, weights, left, term, phi);
-            ctx = term.add_op(TermOp::OplusHV, lf, ctx);
-        }
-        return ctx;
+        assert_eq!(
+            phi.get(n.index()).copied().flatten(),
+            Some(leaf),
+            "φ({n:?}) is not its leaf"
+        );
+        let is_context = matches!(term.kind(leaf), TermNodeKind::ContextLeaf { .. });
+        assert_eq!(is_context, !tree.is_leaf(n), "leaf kind mismatch for {n:?}");
     }
-    let root = roots[0];
-    let w = weights.weight(root);
-    if root == hole {
-        debug_assert_eq!(w, 1);
-        return leaf_for(tree, root, true, term, phi);
+    for (i, leaf) in phi.iter().enumerate() {
+        assert!(
+            leaf.is_none() || tree.is_live(NodeId(i as u32)),
+            "φ maps the freed slot n{i}"
+        );
     }
-    debug_assert!(w >= 2);
-    // Split the hole path: find the node `m` (a strict descendant-or-self of root on
-    // the path to the hole) whose in-context children weight first drops to ≤ 2w/3.
-    // If that weight is ≥ w/3 split there with ⊙VV; otherwise split at its parent on
-    // the path (peeling a light context top, the recursion on the heavy children
-    // forest rebalances horizontally).
-    let path = path_to(tree, root, hole);
-    let mut split = root;
-    for (i, &m) in path.iter().enumerate() {
-        let cw = weights.children_weight(m);
-        if cw * 3 <= 2 * w {
-            split = if cw * 3 >= w || i == 0 {
-                m
-            } else {
-                path[i - 1]
-            };
-            break;
-        }
-        split = m;
-    }
-    if split == hole {
-        // Splitting exactly at the hole would produce an empty lower context; use the
-        // hole's parent on the path instead (always a strict ancestor since root ≠ hole).
-        let pos = path.iter().position(|&m| m == hole).unwrap();
-        split = path[pos - 1];
-    }
-    if split == root && weights.children_weight(root) == 0 {
-        unreachable!("w >= 2 implies the root has in-context children");
-    }
-    // Upper part: the context of `root` with the children of `split` removed.
-    // Lower part: the children forest of `split` as a context with the original hole.
-    let upper = if split == root && tree.children(root).next().is_none() {
-        unreachable!()
-    } else {
-        build_single_node_top_context(tree, weights, root, split, term, phi)
-    };
-    let split_children: Vec<NodeId> = tree.children(split).collect();
-    let lower = build_context_inner(tree, weights, &split_children, hole, term, phi);
-    term.add_op(TermOp::OdotVV, upper, lower)
-}
-
-/// Builds the context "the subtree of `root` with the children of `cut` removed",
-/// where `cut` is a descendant-or-self of `root`.  When `cut == root` this is just
-/// `root_□`; otherwise it recurses through [`build_context_inner`] with `cut` as the
-/// hole.
-fn build_single_node_top_context(
-    tree: &UnrankedTree,
-    _weights: &Weights<'_>,
-    root: NodeId,
-    cut: NodeId,
-    term: &mut Term,
-    phi: &mut HashMap<NodeId, TermNodeId>,
-) -> TermNodeId {
-    if cut == root {
-        return leaf_for(tree, root, true, term, phi);
-    }
-    // The upper context has its own hole at `cut`; its weights are the same map (the
-    // nodes behind `cut` are excluded by the `Weights::hole` adjustment only for the
-    // *original* hole, so we construct a dedicated Weights for this piece).
-    let local_weights = Weights::new(tree, &[root], Some(cut));
-    build_context_inner(tree, &local_weights, &[root], cut, term, phi)
-}
-
-fn path_to(tree: &UnrankedTree, from: NodeId, to: NodeId) -> Vec<NodeId> {
-    let mut path = vec![to];
-    let mut cur = to;
-    while cur != from {
-        cur = tree
-            .parent(cur)
-            .expect("`to` is not a descendant of `from`");
-        path.push(cur);
-    }
-    path.reverse();
-    path
 }
 
 /// Decodes a term back into the unranked tree it represents (test oracle): returns
@@ -447,7 +435,7 @@ mod tests {
     fn check_round_trip(tree: &UnrankedTree) {
         let (term, phi) = build_balanced_term(tree);
         term.check_invariants();
-        assert_eq!(phi.len(), tree.len(), "φ must be a bijection");
+        check_phi(tree, &term, &phi);
         assert_eq!(term.weight(term.root()), tree.len());
         let decoded = decode_term(&term, tree);
         assert!(
@@ -478,6 +466,45 @@ mod tests {
             for seed in 0..5 {
                 let t = random_tree(&mut sigma, 40, shape, seed);
                 check_round_trip(&t);
+            }
+        }
+    }
+
+    /// A context piece with its hole at a random internal node, plugged with the
+    /// forest of the hole's children, encodes the original tree.
+    #[test]
+    fn context_pieces_round_trip() {
+        let mut sigma = Alphabet::from_names(["a", "b", "c"]);
+        for shape in [TreeShape::Random, TreeShape::Deep, TreeShape::Wide] {
+            for seed in 0..4u64 {
+                let n = 300 + 550 * seed as usize;
+                let tree = random_tree(&mut sigma, n, shape, seed);
+                let internal: Vec<NodeId> = tree
+                    .preorder()
+                    .into_iter()
+                    .filter(|&v| !tree.is_leaf(v))
+                    .collect();
+                for k in 0..6u64 {
+                    let pick = (seed * 7 + k).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+                    let hole = internal[pick as usize % internal.len()];
+                    let mut term = Term::new();
+                    let mut phi = Phi::new();
+                    let ctx =
+                        build_context_subterm(&tree, &[tree.root()], hole, &mut term, &mut phi);
+                    assert_eq!(term.weight(ctx), n - (tree.subtree_size(hole) - 1));
+                    let children: Vec<NodeId> = tree.children(hole).collect();
+                    let forest = build_forest_subterm(&tree, &children, &mut term, &mut phi);
+                    let root = term.add_op(TermOp::OdotVH, ctx, forest);
+                    term.set_root(root);
+                    term.check_invariants();
+                    check_phi(&tree, &term, &phi);
+                    assert!(decode_term(&term, &tree).structurally_equal(&tree));
+                    let h = term.height();
+                    assert!(
+                        h <= 4 * (n.ilog2() as usize + 1),
+                        "height {h} for {n} nodes"
+                    );
+                }
             }
         }
     }

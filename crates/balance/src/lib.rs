@@ -5,10 +5,11 @@
 //! * [`term`]: forest-algebra terms (appendix E) — binary trees over the operator
 //!   alphabet `{⊕HH, ⊕HV, ⊕VH, ⊙VV, ⊙VH}` and leaf symbols `a_t` / `a_□`, with a
 //!   bijection between term leaves and the nodes of the unranked tree they encode
-//!   (the `φ_{T'}` of Lemma 7.4).
+//!   (the `φ_{T'}` of Lemma 7.4, a dense slab indexed by tree node).
 //! * [`build`]: the balanced construction — given an unranked tree, produce a term of
 //!   height `O(log n)` representing it (centroid-style splitting of forests and
-//!   contexts).
+//!   contexts) in `O(n log n)` time: each piece is flattened once into a preorder
+//!   table of subtree sizes, and every weight a split reads is O(1) on it.
 //! * [`update`]: maintenance of the term under the edit operations of Definition 7.1.
 //!   A batch of edits splices `O(1)` term nodes per edit and then restores balance
 //!   by rebuilding the lowest unbalanced subterm above each too-deep node

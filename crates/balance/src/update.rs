@@ -15,12 +15,8 @@
 //! bottom-up) and every freed node, so the engine can repair the assignment
 //! circuit and the enumeration index for exactly those boxes.
 
-use crate::build::{build_context_subterm, build_forest_subterm};
+use crate::build::{build_context_subterm, build_forest_subterm, set_phi, Phi};
 use crate::term::{Sort, Term, TermNodeId, TermNodeKind, TermOp};
-// φ-map bookkeeping for splice/rebalance, keyed by arena ids that churn
-// under slot reuse; not on the per-answer path.
-// analyze: allow(map): edit-spine bookkeeping, not on the per-answer path
-use std::collections::{HashMap, HashSet};
 use treenum_trees::edit::EditOp;
 use treenum_trees::unranked::{NodeId, UnrankedTree};
 
@@ -86,7 +82,7 @@ impl BatchReport {
 pub fn apply_edits(
     tree: &mut UnrankedTree,
     term: &mut Term,
-    phi: &mut HashMap<NodeId, TermNodeId>,
+    phi: &mut Phi,
     ops: &[EditOp],
 ) -> BatchReport {
     let mut reports: Vec<UpdateReport> = ops
@@ -126,13 +122,13 @@ pub fn apply_edits(
 fn splice_edit(
     tree: &mut UnrankedTree,
     term: &mut Term,
-    phi: &mut HashMap<NodeId, TermNodeId>,
+    phi: &mut Phi,
     op: &EditOp,
 ) -> UpdateReport {
     match *op {
         EditOp::Relabel { node, label } => {
             tree.relabel(node, label);
-            let leaf = phi[&node];
+            let leaf = leaf_of(phi, node);
             let kind = match term.kind(leaf) {
                 TermNodeKind::TreeLeaf { node, .. } => TermNodeKind::TreeLeaf { label, node },
                 TermNodeKind::ContextLeaf { node, .. } => TermNodeKind::ContextLeaf { label, node },
@@ -140,7 +136,7 @@ fn splice_edit(
             };
             term.set_leaf_kind(leaf, kind);
             UpdateReport {
-                dirty: ancestors_inclusive(term, leaf),
+                dirty: ancestors_inclusive(term, leaf).collect(),
                 freed: Vec::new(),
                 inserted: None,
             }
@@ -172,24 +168,24 @@ fn splice_edit(
     }
 }
 
-fn ancestors_inclusive(term: &Term, from: TermNodeId) -> Vec<TermNodeId> {
-    let mut out = vec![from];
-    let mut cur = from;
-    while let Some(p) = term.parent(cur) {
-        out.push(p);
-        cur = p;
-    }
-    out
+/// The term leaf encoding the live tree node `n`.
+fn leaf_of(phi: &Phi, n: NodeId) -> TermNodeId {
+    phi[n.index()].expect("φ maps every live tree node")
 }
 
-fn ancestors_exclusive(term: &Term, from: TermNodeId) -> Vec<TermNodeId> {
-    let mut out = Vec::new();
-    let mut cur = from;
-    while let Some(p) = term.parent(cur) {
-        out.push(p);
-        cur = p;
-    }
-    out
+/// `from` and then its ancestors, bottom-up.
+fn ancestors_inclusive(term: &Term, from: TermNodeId) -> impl Iterator<Item = TermNodeId> + '_ {
+    std::iter::successors(Some(from), |&n| term.parent(n))
+}
+
+/// A throwaway leaf of `sort`, holding an operand slot while a splice moves the
+/// real operand.
+fn placeholder(term: &mut Term, sort: Sort) -> TermNodeId {
+    let (label, node) = (treenum_trees::Label(0), NodeId(u32::MAX));
+    term.add_leaf(match sort {
+        Sort::Forest => TermNodeKind::TreeLeaf { label, node },
+        Sort::Context => TermNodeKind::ContextLeaf { label, node },
+    })
 }
 
 /// Wraps `target` under a fresh `op` node whose other operand is `sibling`
@@ -203,24 +199,9 @@ fn wrap_above(
     sibling_on_left: bool,
 ) -> TermNodeId {
     let parent = term.parent(target);
-    // Placeholder of the same kind as `target` so the sort checks in `add_op` pass.
-    let placeholder_kind = match term.kind(target) {
-        TermNodeKind::Op(o) => {
-            // An internal target: use a leaf of the same sort as a placeholder.
-            match o.result_sort() {
-                Sort::Forest => TermNodeKind::TreeLeaf {
-                    label: treenum_trees::Label(0),
-                    node: NodeId(u32::MAX),
-                },
-                Sort::Context => TermNodeKind::ContextLeaf {
-                    label: treenum_trees::Label(0),
-                    node: NodeId(u32::MAX),
-                },
-            }
-        }
-        k => k,
-    };
-    let placeholder = term.add_leaf(placeholder_kind);
+    // A placeholder of the same sort as `target` so the sort checks in `add_op` pass.
+    let sort = term.sort(target);
+    let placeholder = placeholder(term, sort);
     let new_op = if sibling_on_left {
         term.add_op(op, sibling, placeholder)
     } else {
@@ -243,11 +224,11 @@ fn wrap_above(
 fn insert_below_leaf(
     tree: &UnrankedTree,
     term: &mut Term,
-    phi: &mut HashMap<NodeId, TermNodeId>,
+    phi: &mut Phi,
     parent: NodeId,
     fresh: NodeId,
 ) -> UpdateReport {
-    let old_leaf = phi[&parent];
+    let old_leaf = leaf_of(phi, parent);
     term.set_leaf_kind(
         old_leaf,
         TermNodeKind::ContextLeaf {
@@ -260,7 +241,7 @@ fn insert_below_leaf(
         node: fresh,
     });
     let new_op = wrap_above(term, old_leaf, TermOp::OdotVH, fresh_leaf, false);
-    phi.insert(fresh, fresh_leaf);
+    set_phi(phi, fresh, fresh_leaf);
     let mut dirty = vec![old_leaf, fresh_leaf];
     dirty.extend(ancestors_inclusive(term, new_op));
     UpdateReport {
@@ -274,11 +255,11 @@ fn insert_below_leaf(
 fn insert_left_of(
     tree: &UnrankedTree,
     term: &mut Term,
-    phi: &mut HashMap<NodeId, TermNodeId>,
+    phi: &mut Phi,
     anchor: NodeId,
     fresh: NodeId,
 ) -> UpdateReport {
-    let anchor_leaf = phi[&anchor];
+    let anchor_leaf = leaf_of(phi, anchor);
     let fresh_leaf = term.add_leaf(TermNodeKind::TreeLeaf {
         label: tree.label(fresh),
         node: fresh,
@@ -288,7 +269,7 @@ fn insert_left_of(
         Sort::Context => TermOp::OplusHV,
     };
     let new_op = wrap_above(term, anchor_leaf, op, fresh_leaf, true);
-    phi.insert(fresh, fresh_leaf);
+    set_phi(phi, fresh, fresh_leaf);
     let mut dirty = vec![fresh_leaf];
     dirty.extend(ancestors_inclusive(term, new_op));
     UpdateReport {
@@ -302,11 +283,11 @@ fn insert_left_of(
 fn insert_right_of(
     tree: &UnrankedTree,
     term: &mut Term,
-    phi: &mut HashMap<NodeId, TermNodeId>,
+    phi: &mut Phi,
     anchor: NodeId,
     fresh: NodeId,
 ) -> UpdateReport {
-    let anchor_leaf = phi[&anchor];
+    let anchor_leaf = leaf_of(phi, anchor);
     let fresh_leaf = term.add_leaf(TermNodeKind::TreeLeaf {
         label: tree.label(fresh),
         node: fresh,
@@ -316,7 +297,7 @@ fn insert_right_of(
         Sort::Context => TermOp::OplusVH,
     };
     let new_op = wrap_above(term, anchor_leaf, op, fresh_leaf, false);
-    phi.insert(fresh, fresh_leaf);
+    set_phi(phi, fresh, fresh_leaf);
     let mut dirty = vec![fresh_leaf];
     dirty.extend(ancestors_inclusive(term, new_op));
     UpdateReport {
@@ -329,14 +310,14 @@ fn insert_right_of(
 fn delete_leaf(
     tree: &mut UnrankedTree,
     term: &mut Term,
-    phi: &mut HashMap<NodeId, TermNodeId>,
+    phi: &mut Phi,
     node: NodeId,
 ) -> UpdateReport {
-    let leaf = phi[&node];
+    let leaf = leaf_of(phi, node);
     let parent = term.parent(leaf).expect("the tree root cannot be deleted");
     let kind = term.kind(parent);
     tree.delete_leaf(node);
-    phi.remove(&node);
+    phi[node.index()] = None;
     match kind {
         TermNodeKind::Op(TermOp::OplusHH)
         | TermNodeKind::Op(TermOp::OplusHV)
@@ -345,17 +326,7 @@ fn delete_leaf(
             let (l, r) = term.children(parent).unwrap();
             let sibling = if l == leaf { r } else { l };
             let sibling_sort = term.sort(sibling);
-            let placeholder_kind = match sibling_sort {
-                Sort::Forest => TermNodeKind::TreeLeaf {
-                    label: treenum_trees::Label(0),
-                    node: NodeId(u32::MAX),
-                },
-                Sort::Context => TermNodeKind::ContextLeaf {
-                    label: treenum_trees::Label(0),
-                    node: NodeId(u32::MAX),
-                },
-            };
-            let placeholder = term.add_leaf(placeholder_kind);
+            let placeholder = placeholder(term, sibling_sort);
             term.replace_child(parent, sibling, placeholder);
             let grand = term.parent(parent);
             match grand {
@@ -364,7 +335,7 @@ fn delete_leaf(
             }
             term.free_subtree(parent);
             let dirty = match grand {
-                Some(g) => ancestors_inclusive(term, g),
+                Some(g) => ancestors_inclusive(term, g).collect(),
                 None => Vec::new(),
             };
             UpdateReport {
@@ -388,46 +359,19 @@ fn delete_leaf(
 fn rebuild_subterm(
     tree: &UnrankedTree,
     term: &mut Term,
-    phi: &mut HashMap<NodeId, TermNodeId>,
+    phi: &mut Phi,
     z: TermNodeId,
 ) -> UpdateReport {
-    let sort = term.sort(z);
-    // The tree nodes represented inside z.
-    let represented: HashSet<NodeId> = term
-        .subtree_leaves(z)
-        .iter()
-        .filter_map(|&l| term.leaf_tree_node(l))
-        .filter(|n| tree.is_live(*n))
-        .collect();
     // The hole of a context-sorted subterm.
-    let hole = match sort {
+    let hole = match term.sort(z) {
         Sort::Context => term.leaf_tree_node(term.hole_leaf(z)),
         Sort::Forest => None,
     };
-    // The forest roots: represented nodes whose parent is not represented, ordered by
-    // sibling order.
-    let mut roots: Vec<NodeId> = Vec::new();
-    let mut candidate_parent: Option<Option<NodeId>> = None;
-    for &n in &represented {
-        let p = tree.parent(n);
-        if p.map(|p| !represented.contains(&p)).unwrap_or(true) {
-            roots.push(n);
-            candidate_parent = Some(p);
-        }
-    }
-    debug_assert!(!roots.is_empty());
-    // Order roots by the sibling order under their (common) parent.
-    let ordered_roots: Vec<NodeId> = match candidate_parent.flatten() {
-        None => roots,
-        Some(p) => {
-            let set: HashSet<NodeId> = roots.into_iter().collect();
-            tree.children(p).filter(|c| set.contains(c)).collect()
-        }
-    };
+    let roots = forest_roots(term, z);
     let parent_of_z = term.parent(z);
     let new_sub = match hole {
-        None => build_forest_subterm(tree, &ordered_roots, term, phi),
-        Some(h) => build_context_subterm(tree, &ordered_roots, h, term, phi),
+        None => build_forest_subterm(tree, &roots, term, phi),
+        Some(h) => build_context_subterm(tree, &roots, h, term, phi),
     };
     match parent_of_z {
         Some(p) => term.replace_child(p, z, new_sub),
@@ -439,12 +383,35 @@ fn rebuild_subterm(
         term.recompute_weights_upwards(p);
     }
     let mut dirty = term.subtree_postorder(new_sub);
-    dirty.extend(ancestors_exclusive(term, new_sub));
+    dirty.extend(ancestors_inclusive(term, new_sub).skip(1));
     UpdateReport {
         dirty,
         freed,
         inserted: None,
     }
+}
+
+/// The tree roots, in sibling order, of the forest or context that the subterm at
+/// `z` encodes: a leaf's own node; the roots of both operands of a `⊕`; the roots
+/// of the outer context of a `⊙`, whose other operand fills the hole below them.
+fn forest_roots(term: &Term, z: TermNodeId) -> Vec<NodeId> {
+    let mut roots = Vec::new();
+    let mut stack = vec![z];
+    while let Some(x) = stack.pop() {
+        match term.kind(x) {
+            TermNodeKind::Op(op) => {
+                let (l, r) = term.children(x).expect("an operator has two operands");
+                match op {
+                    TermOp::OdotVV | TermOp::OdotVH => stack.push(l),
+                    TermOp::OplusHH | TermOp::OplusHV | TermOp::OplusVH => stack.extend([r, l]),
+                }
+            }
+            TermNodeKind::TreeLeaf { node, .. } | TermNodeKind::ContextLeaf { node, .. } => {
+                roots.push(node)
+            }
+        }
+    }
+    roots
 }
 
 /// Scapegoat-style rebalancing, with the deepest touched node (and its depth)
@@ -457,7 +424,7 @@ fn rebuild_subterm(
 fn rebalance_scapegoat(
     tree: &UnrankedTree,
     term: &mut Term,
-    phi: &mut HashMap<NodeId, TermNodeId>,
+    phi: &mut Phi,
     deepest: TermNodeId,
     depth: usize,
 ) -> Option<UpdateReport> {
@@ -485,25 +452,13 @@ fn rebalance_scapegoat(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::{build_balanced_term, decode_term};
+    use crate::build::{build_balanced_term, check_phi, decode_term};
     use treenum_trees::generate::{random_tree, EditStream, TreeShape};
     use treenum_trees::Alphabet;
 
-    fn check_consistency(tree: &UnrankedTree, term: &Term, phi: &HashMap<NodeId, TermNodeId>) {
+    fn check_consistency(tree: &UnrankedTree, term: &Term, phi: &Phi) {
         term.check_invariants();
-        assert_eq!(phi.len(), tree.len(), "φ must stay a bijection");
-        assert_eq!(term.weight(term.root()), tree.len());
-        for (&n, &leaf) in phi {
-            assert!(term.is_live(leaf));
-            assert_eq!(term.leaf_tree_node(leaf), Some(n));
-            let is_context = matches!(term.kind(leaf), TermNodeKind::ContextLeaf { .. });
-            assert_eq!(
-                is_context,
-                !tree.is_leaf(n),
-                "leaf kind mismatch for {:?}",
-                n
-            );
-        }
+        check_phi(tree, term, phi);
         let decoded = decode_term(term, tree);
         assert!(
             decoded.structurally_equal(tree),
@@ -515,7 +470,7 @@ mod tests {
     fn apply_one(
         tree: &mut UnrankedTree,
         term: &mut Term,
-        phi: &mut HashMap<NodeId, TermNodeId>,
+        phi: &mut Phi,
         op: &EditOp,
     ) -> UpdateReport {
         let batch = apply_edits(tree, term, phi, std::slice::from_ref(op));

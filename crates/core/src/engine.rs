@@ -11,12 +11,11 @@
 //! [`TreeEnumerator`] is one document plus one query index.
 
 use crate::plan::QueryPlan;
-use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, TryLockError};
 use treenum_automata::StepwiseTva;
-use treenum_balance::build::build_balanced_term;
+use treenum_balance::build::{build_balanced_term, check_phi, Phi};
 use treenum_balance::term::{Term, TermNodeId};
 use treenum_balance::update::apply_edits;
 use treenum_circuits::{internal_box_content, BoxContent, BoxId, Circuit, StateGate};
@@ -53,7 +52,7 @@ pub struct EnumerationStats {
 pub struct Document {
     tree: UnrankedTree,
     term: Term,
-    phi: HashMap<NodeId, TermNodeId>,
+    phi: Phi,
     /// Epoch-marked dirty set of `apply_batch` (a slot is "set" iff it
     /// holds the current epoch): O(spine) per batch instead of O(n)
     /// re-zeroing.
@@ -132,7 +131,8 @@ fn marked(marks: &[u64], epoch: u64, i: usize) -> bool {
 }
 
 impl Document {
-    /// Encodes `tree` as a balanced term (linear time, Section 7).
+    /// Encodes `tree` as a balanced term (`O(n log n)` time for `n` nodes,
+    /// Section 7).
     pub fn new(tree: UnrankedTree) -> Self {
         let (term, phi) = build_balanced_term(&tree);
         Document {
@@ -216,10 +216,11 @@ impl Document {
         }
     }
 
-    /// Checks the term invariants and that `φ` covers the tree.
+    /// Checks the term invariants and that `φ` is the bijection between the
+    /// live tree nodes and the term leaves.
     pub fn check_consistency(&self) {
         self.term.check_invariants();
-        assert_eq!(self.phi.len(), self.tree.len());
+        check_phi(&self.tree, &self.term, &self.phi);
     }
 }
 
@@ -711,7 +712,8 @@ impl QueryIndex {
 }
 
 /// The update-aware enumeration structure for a stepwise TVA query on an unranked
-/// tree: linear-time preprocessing, delay independent of the tree, logarithmic-time
+/// tree: `O(n log n)` preprocessing (the balanced-term build; Theorem 8.1
+/// proves linear time), delay independent of the tree, logarithmic-time
 /// updates (Theorem 8.1).
 ///
 /// One [`Document`] plus one [`QueryIndex`] over it.  Constructing many

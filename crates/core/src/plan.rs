@@ -9,6 +9,9 @@
 //! `Arc<QueryPlan>` (and, transitively, across threads — the plan is
 //! immutable).
 
+// Both plan caches (the process-wide `PLAN_CACHE` and the LRU `PlanCache`)
+// are hit once per query admission, never per edit or per answer.
+// analyze: allow(map): per-admission query-plan caches, off the update and enumeration paths
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;

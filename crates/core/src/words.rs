@@ -8,7 +8,6 @@
 //! letter) become tree edits on the position leaves.
 
 use crate::engine::TreeEnumerator;
-use std::collections::HashMap;
 use std::ops::ControlFlow;
 use treenum_automata::Wva;
 use treenum_trees::edit::EditOp;
@@ -82,18 +81,17 @@ impl WordEnumerator {
     /// Enumerates every spanner match as a list of `(variable, position)` pairs,
     /// without duplicates.
     pub fn for_each(&self, sink: &mut dyn FnMut(Vec<(Var, usize)>) -> ControlFlow<()>) {
-        // Map node ids back to current positions.
-        let position_of: HashMap<NodeId, usize> = self
-            .positions
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i))
-            .collect();
+        // Map node ids back to current positions (a slab indexed by node id).
+        let slots = self.positions.iter().map(|n| n.index() + 1).max();
+        let mut position_of = vec![usize::MAX; slots.unwrap_or(0)];
+        for (i, &n) in self.positions.iter().enumerate() {
+            position_of[n.index()] = i;
+        }
         self.engine.for_each(&mut |assignment| {
             let mut tuple: Vec<(Var, usize)> = assignment
                 .singletons()
                 .iter()
-                .map(|s| (s.var, position_of[&s.node]))
+                .map(|s| (s.var, position_of[s.node.index()]))
                 .collect();
             tuple.sort_unstable();
             sink(tuple)

@@ -221,18 +221,6 @@ impl UnrankedTree {
             .unwrap_or(0)
     }
 
-    /// `true` iff `ancestor` is an ancestor of `n` (a node is an ancestor of itself).
-    pub fn is_ancestor(&self, ancestor: NodeId, n: NodeId) -> bool {
-        let mut cur = Some(n);
-        while let Some(c) = cur {
-            if c == ancestor {
-                return true;
-            }
-            cur = self.parent(c);
-        }
-        false
-    }
-
     fn alloc(&mut self, label: Label) -> NodeId {
         let node = Node {
             label,
@@ -515,8 +503,6 @@ mod tests {
         assert_eq!(t.depth(g1), 2);
         assert_eq!(t.height(), 2);
         assert_eq!(t.subtree_size(c1), 2);
-        assert!(t.is_ancestor(r, g1));
-        assert!(!t.is_ancestor(c2, g1));
     }
 
     #[test]
