@@ -6,9 +6,9 @@
 //! * [`RULE_MAP`] — no `HashMap`/`BTreeMap` *imports* (or fully-qualified
 //!   `collections::…` paths) in `crates/enumeration`, `crates/balance` and
 //!   `crates/core` non-test code.  The enumeration/update hot paths are
-//!   dense-slab only (φ and the term-to-box map included); the few
-//!   sanctioned maps (the process-wide translation cache, the query-plan
-//!   caches) carry a `// analyze: allow(map): <reason>`.
+//!   dense-slab only (φ and the term-to-box map included); the one
+//!   sanctioned map (the process-wide query-plan cache in
+//!   `crates/core/src/plan.rs`) carries a `// analyze: allow(map): <reason>`.
 //! * [`RULE_ALLOC`] — no allocation-prone calls (`Vec::new`, `.clone()`,
 //!   `.to_vec()`, `.collect()`, `format!`) inside a function whose header
 //!   comment block contains a line starting with `hot-path`.  Per-line

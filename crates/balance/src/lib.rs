@@ -29,8 +29,5 @@ pub mod update;
 
 pub use build::build_balanced_term;
 pub use term::{Term, TermAlphabet, TermNodeId, TermNodeKind, TermOp};
-pub use translate::{
-    translate_stepwise, translate_stepwise_cached, translate_stepwise_cached_keyed,
-    translation_cache_stats, TranslatedTva, TranslationCacheStats, TranslationKey,
-};
+pub use translate::{translate_stepwise, TranslatedTva};
 pub use update::UpdateReport;

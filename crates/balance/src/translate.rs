@@ -17,12 +17,6 @@
 //! construction of Lemma 3.7 requires and what keeps the practical width small.
 
 use crate::term::{TermAlphabet, TermOp};
-// The quartic query translation runs once per query (cached process-wide);
-// no per-answer or per-edit work goes through it.
-// analyze: allow(map): once-per-query translation, cached process-wide
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 use treenum_automata::{BinaryTva, State, StepwiseTva};
 use treenum_trees::valuation::subsets;
 use treenum_trees::Label;
@@ -36,116 +30,6 @@ pub struct TranslatedTva {
     pub alphabet: TermAlphabet,
     /// The number of states of the (virtual-root-augmented) stepwise automaton.
     pub stepwise_states: usize,
-}
-
-/// A canonical, order-insensitive fingerprint of a stepwise query automaton
-/// (plus the base alphabet size it runs over).  Two automata with the same
-/// states, `ι`, `δ` and final states — regardless of the order the relations
-/// were inserted in — get equal keys, so they share one cached translation.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct TranslationKey {
-    base_alphabet_len: usize,
-    num_states: usize,
-    vars: u64,
-    /// `(label, Y, q)` triples of `ι`, sorted.
-    initial: Vec<(u32, u64, u32)>,
-    /// `(q, q', q'')` triples of `δ`, sorted.
-    delta: Vec<(u32, u32, u32)>,
-    /// Final states, sorted.
-    finals: Vec<u32>,
-}
-
-impl TranslationKey {
-    /// Fingerprints `stepwise` over a `base_alphabet_len`-letter alphabet.
-    pub fn new(stepwise: &StepwiseTva, base_alphabet_len: usize) -> Self {
-        let mut initial: Vec<(u32, u64, u32)> = (0..stepwise.alphabet_len())
-            .flat_map(|l| {
-                stepwise
-                    .initial_for(Label(l as u32))
-                    .iter()
-                    .map(move |&(y, q)| (l as u32, y.0, q.0))
-            })
-            .collect();
-        initial.sort_unstable();
-        initial.dedup();
-        let mut delta: Vec<(u32, u32, u32)> = stepwise
-            .transitions()
-            .iter()
-            .map(|&(q, c, n)| (q.0, c.0, n.0))
-            .collect();
-        delta.sort_unstable();
-        delta.dedup();
-        let mut finals: Vec<u32> = stepwise.final_states().iter().map(|s| s.0).collect();
-        finals.sort_unstable();
-        TranslationKey {
-            base_alphabet_len,
-            num_states: stepwise.num_states(),
-            vars: stepwise.vars().0,
-            initial,
-            delta,
-            finals,
-        }
-    }
-}
-
-/// Hit / miss counters of the process-wide translation cache.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TranslationCacheStats {
-    /// Number of [`translate_stepwise_cached`] calls served from the cache.
-    pub hits: u64,
-    /// Number of calls that ran the Lemma 7.4 translation.
-    pub misses: u64,
-}
-
-static CACHE: OnceLock<Mutex<HashMap<TranslationKey, Arc<TranslatedTva>>>> = OnceLock::new();
-static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// The current hit / miss counters of the translation cache.
-pub fn translation_cache_stats() -> TranslationCacheStats {
-    TranslationCacheStats {
-        hits: CACHE_HITS.load(Ordering::Relaxed),
-        misses: CACHE_MISSES.load(Ordering::Relaxed),
-    }
-}
-
-/// [`translate_stepwise`] behind a process-wide keyed cache: the quartic
-/// Lemma 7.4 translation runs once per distinct `(query, base alphabet)` and
-/// every further engine construction for the same query shares the `Arc`.
-///
-/// The cache is unbounded — a serving process uses a handful of distinct
-/// queries, and one cached entry is a few automata, not a circuit.
-pub fn translate_stepwise_cached(
-    stepwise: &StepwiseTva,
-    base_alphabet_len: usize,
-) -> Arc<TranslatedTva> {
-    translate_stepwise_cached_keyed(
-        TranslationKey::new(stepwise, base_alphabet_len),
-        stepwise,
-        base_alphabet_len,
-    )
-}
-
-/// [`translate_stepwise_cached`] with a caller-supplied [`TranslationKey`] —
-/// for callers that key their own caches by the same fingerprint (e.g. the
-/// `QueryPlan` cache in `treenum-core`) and should not pay the canonical
-/// sort twice.
-pub fn translate_stepwise_cached_keyed(
-    key: TranslationKey,
-    stepwise: &StepwiseTva,
-    base_alphabet_len: usize,
-) -> Arc<TranslatedTva> {
-    let cache = CACHE.get_or_init(Default::default);
-    if let Some(hit) = cache.lock().unwrap().get(&key) {
-        CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        return Arc::clone(hit);
-    }
-    // Translate outside the lock: a quartic computation must not serialize
-    // unrelated queries.  A concurrent miss for the same key wastes one
-    // translation; `or_insert` keeps the first result so all callers converge.
-    CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-    let translated = Arc::new(translate_stepwise(stepwise, base_alphabet_len));
-    Arc::clone(cache.lock().unwrap().entry(key).or_insert(translated))
 }
 
 struct Encoder {

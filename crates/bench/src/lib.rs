@@ -762,8 +762,10 @@ pub fn run_e11(
             recording.store(false, Ordering::Relaxed);
 
             // Admission probes while ingest keeps running: register a query
-            // none of the arms uses, then deregister it, repeatedly.  Cycle 1
-            // compiles; steady state is a plan-cache hit + attach barrier.
+            // none of the arms uses, then deregister it, repeatedly.  Only
+            // the process's first admission of the probe compiles (the plan
+            // cache is process-wide); every other one is a plan-cache hit +
+            // attach barrier.
             let probe = queries::kth_child_from_end(alphabet_len, 4, label("a"), Var(0));
             let mut admission_samples = Vec::with_capacity(ADMISSION_PROBES);
             for _ in 0..ADMISSION_PROBES {
@@ -823,8 +825,9 @@ pub fn run_e11(
                 admission_samples,
             );
             eprintln!(
-                "E11 q={q} n={n}: read p95 {} ns, admission p50 {} ns (max {} ns, first \
-                 compile included), {data_pubs} data publication(s)",
+                "E11 q={q} n={n}: read p95 {} ns, admission p50 {} ns (max {} ns, the \
+                 process's one probe compile included in the first arm), {data_pubs} data \
+                 publication(s)",
                 read.p95_ns.unwrap_or(0),
                 admission.p50_ns.unwrap_or(0),
                 admission.p99_ns.unwrap_or(0),

@@ -230,44 +230,6 @@ impl Circuit {
         id
     }
 
-    /// Detaches box `b` from its parent (if any), making it a root-less floating box.
-    pub fn detach(&mut self, b: BoxId) {
-        if let Some(p) = self.slot(b).parent {
-            let slot = self.slot_mut(p);
-            if slot.left == Some(b) {
-                slot.left = None;
-            }
-            if slot.right == Some(b) {
-                slot.right = None;
-            }
-            self.slot_mut(b).parent = None;
-        }
-        if self.root == Some(b) {
-            self.root = None;
-        }
-    }
-
-    /// Frees box `b` and its whole subtree of boxes.  The caller is responsible for
-    /// detaching it first and for not holding references into it.
-    pub fn free_subtree(&mut self, b: BoxId) {
-        let mut stack = vec![b];
-        while let Some(x) = stack.pop() {
-            let (l, r) = (self.slot(x).left, self.slot(x).right);
-            if let Some(l) = l {
-                stack.push(l);
-            }
-            if let Some(r) = r {
-                stack.push(r);
-            }
-            let slot = &mut self.slots[x.index()];
-            slot.free = true;
-            slot.parent = None;
-            slot.left = None;
-            slot.right = None;
-            self.free_list.push(x.0);
-        }
-    }
-
     /// Replaces the content of box `b` (used by the update machinery when a box is
     /// recomputed bottom-up after a tree hollowing).
     pub fn replace_content(&mut self, b: BoxId, content: BoxContent) {
@@ -286,16 +248,6 @@ impl Circuit {
             (Some(l), Some(r)) => Some((l, r)),
             _ => None,
         }
-    }
-
-    /// The left child box of `b`.
-    pub fn left(&self, b: BoxId) -> Option<BoxId> {
-        self.slot(b).left
-    }
-
-    /// The right child box of `b`.
-    pub fn right(&self, b: BoxId) -> Option<BoxId> {
-        self.slot(b).right
     }
 
     /// `true` iff `b` is a leaf box.
@@ -471,22 +423,6 @@ impl Circuit {
         } else {
             Ordering::Greater
         }
-    }
-
-    /// Total number of gates (∪, ×, var, plus one per `⊤`/`⊥` marker), a rough size
-    /// measure for reporting.
-    pub fn num_gates(&self) -> usize {
-        self.boxes()
-            .map(|b| {
-                let c = self.content(b);
-                c.union_gates.len()
-                    + c.union_gates.iter().map(|g| g.inputs.len()).sum::<usize>()
-                    + c.gamma
-                        .iter()
-                        .filter(|g| !matches!(g, StateGate::Union(_)))
-                        .count()
-            })
-            .sum()
     }
 
     /// Validates the structural invariants of a complete structured DNNF:
@@ -696,9 +632,11 @@ mod tests {
         );
         c.set_root(root);
         assert_eq!(c.num_boxes(), 3);
-        c.detach(l2);
-        assert_eq!(c.parent(l2), None);
-        c.free_subtree(l2);
+        // Detach the children the way the engine's repair does, then free
+        // one slot.
+        c.set_children(root, None);
+        assert_eq!(c.children(root), None);
+        c.free_single(l2);
         assert_eq!(c.num_boxes(), 2);
         // The freed slot is reused.
         let l3 = c.add_leaf_box(mk(), 2);

@@ -671,6 +671,11 @@ impl QueryIndex {
         }
     }
 
+    /// The shared per-query plan this index was built from.
+    pub fn plan(&self) -> &Arc<QueryPlan> {
+        &self.plan
+    }
+
     /// Checks that this index mirrors `doc` (box tree mirrors the term,
     /// index entries exist, contents and index entries match a from-scratch
     /// rebuild); used by tests after update sequences.

@@ -22,6 +22,5 @@ pub mod plan;
 pub mod words;
 
 pub use engine::{Document, DocumentBatch, EnumerationStats, QueryIndex, TreeEnumerator};
-pub use plan::{PlanAdmission, PlanCache, PlanCacheStats, QueryPlan};
-pub use treenum_balance::TranslationKey;
+pub use plan::{PlanAdmission, QueryPlan, TranslationKey};
 pub use words::WordEnumerator;

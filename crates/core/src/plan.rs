@@ -9,21 +9,72 @@
 //! `Arc<QueryPlan>` (and, transitively, across threads — the plan is
 //! immutable).
 
-// Both plan caches (the process-wide `PLAN_CACHE` and the LRU `PlanCache`)
-// are hit once per query admission, never per edit or per answer.
-// analyze: allow(map): per-admission query-plan caches, off the update and enumeration paths
+// The plan cache is hit once per query admission, never per edit or per
+// answer.
+// analyze: allow(map): the process-wide query-plan cache, off the update and enumeration paths
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use treenum_automata::{BinaryTva, StepwiseTva};
 use treenum_balance::term::TermAlphabet;
-use treenum_balance::{translate_stepwise_cached_keyed, TranslatedTva, TranslationKey};
+use treenum_balance::{translate_stepwise, TranslatedTva};
 use treenum_circuits::{leaf_box_content, BoxContent, UnionInput};
 use treenum_trees::Label;
 
 /// Leaf token used in skeleton contents; stamped with the real tree node by
 /// [`QueryPlan::leaf_content`].
 const TOKEN_PLACEHOLDER: u32 = u32::MAX;
+
+/// A canonical, order-insensitive fingerprint of a stepwise query automaton
+/// (plus the base alphabet size it runs over): the plan cache's key.  Two
+/// automata with the same states, `ι`, `δ` and final states — regardless of
+/// the order the relations were inserted in — get equal keys, so they share
+/// one cached plan.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct TranslationKey {
+    base_alphabet_len: usize,
+    num_states: usize,
+    vars: u64,
+    /// `(label, Y, q)` triples of `ι`, sorted.
+    initial: Vec<(u32, u64, u32)>,
+    /// `(q, q', q'')` triples of `δ`, sorted.
+    delta: Vec<(u32, u32, u32)>,
+    /// Final states, sorted.
+    finals: Vec<u32>,
+}
+
+impl TranslationKey {
+    /// Fingerprints `stepwise` over a `base_alphabet_len`-letter alphabet.
+    pub fn new(stepwise: &StepwiseTva, base_alphabet_len: usize) -> Self {
+        let mut initial: Vec<(u32, u64, u32)> = (0..stepwise.alphabet_len())
+            .flat_map(|l| {
+                stepwise
+                    .initial_for(Label(l as u32))
+                    .iter()
+                    .map(move |&(y, q)| (l as u32, y.0, q.0))
+            })
+            .collect();
+        initial.sort_unstable();
+        initial.dedup();
+        let mut delta: Vec<(u32, u32, u32)> = stepwise
+            .transitions()
+            .iter()
+            .map(|&(q, c, n)| (q.0, c.0, n.0))
+            .collect();
+        delta.sort_unstable();
+        delta.dedup();
+        let mut finals: Vec<u32> = stepwise.final_states().iter().map(|s| s.0).collect();
+        finals.sort_unstable();
+        TranslationKey {
+            base_alphabet_len,
+            num_states: stepwise.num_states(),
+            vars: stepwise.vars().0,
+            initial,
+            delta,
+            finals,
+        }
+    }
+}
 
 /// Everything about a query that every [`crate::TreeEnumerator`] instance can
 /// share: the translated, homogenized binary TVA, the term alphabet, and one
@@ -39,19 +90,58 @@ pub struct QueryPlan {
 static PLAN_CACHE: OnceLock<Mutex<HashMap<TranslationKey, Arc<QueryPlan>>>> = OnceLock::new();
 
 impl QueryPlan {
-    /// The shared plan for `stepwise` over `base_alphabet_len` labels, served
-    /// from a process-wide cache keyed by the canonical automaton fingerprint.
-    /// The same key is handed down to the translation cache, so a plan miss
-    /// computes the fingerprint once.
+    /// The shared plan for `stepwise` over `base_alphabet_len` labels:
+    /// [`QueryPlan::admit`] without the admission report.
     pub fn for_query(stepwise: &StepwiseTva, base_alphabet_len: usize) -> Arc<QueryPlan> {
+        QueryPlan::admit(stepwise, base_alphabet_len).plan
+    }
+
+    /// Admits `stepwise` through the process-wide plan cache, keyed by its
+    /// canonical [`TranslationKey`]: returns the resident plan, or runs the
+    /// Lemma 7.4 translation and derives the leaf skeletons, inserts the
+    /// plan and reports the compile time.  Every engine and every server in
+    /// the process shares the one `Arc` per distinct query.
+    ///
+    /// The cache is unbounded: a process serves a handful of distinct
+    /// queries, and one entry is a few automata, not a circuit.
+    ///
+    /// ```
+    /// use treenum_core::QueryPlan;
+    /// use treenum_automata::queries;
+    /// use treenum_trees::valuation::Var;
+    ///
+    /// let q = queries::select_label(3, treenum_trees::Label(1), Var(0));
+    /// let first = QueryPlan::admit(&q, 3);
+    /// let second = QueryPlan::admit(&q, 3);
+    /// assert!(!first.cache_hit);
+    /// assert!(second.cache_hit);
+    /// assert_eq!(second.compile_ns, 0);
+    /// assert!(std::sync::Arc::ptr_eq(&first.plan, &second.plan));
+    /// ```
+    pub fn admit(stepwise: &StepwiseTva, base_alphabet_len: usize) -> PlanAdmission {
         let key = TranslationKey::new(stepwise, base_alphabet_len);
         let cache = PLAN_CACHE.get_or_init(Default::default);
         if let Some(hit) = cache.lock().unwrap().get(&key) {
-            return Arc::clone(hit);
+            return PlanAdmission {
+                plan: Arc::clone(hit),
+                cache_hit: true,
+                compile_ns: 0,
+            };
         }
-        let translated = translate_stepwise_cached_keyed(key.clone(), stepwise, base_alphabet_len);
-        let plan = Arc::new(QueryPlan::build(translated));
-        Arc::clone(cache.lock().unwrap().entry(key).or_insert(plan))
+        // Compile outside the lock: a quartic translation must not serialize
+        // unrelated queries.  A concurrent miss for the same key wastes one
+        // compile; `or_insert` keeps the first plan so all callers converge.
+        let start = Instant::now();
+        let plan = Arc::new(QueryPlan::build(Arc::new(translate_stepwise(
+            stepwise,
+            base_alphabet_len,
+        ))));
+        let compile_ns = start.elapsed().as_nanos() as u64;
+        PlanAdmission {
+            plan: Arc::clone(cache.lock().unwrap().entry(key).or_insert(plan)),
+            cache_hit: false,
+            compile_ns,
+        }
     }
 
     /// Builds a plan directly from a translation (no caching); exposed for
@@ -100,9 +190,8 @@ impl QueryPlan {
     }
 }
 
-/// Outcome of one [`PlanCache::admit`] call: the (possibly freshly compiled)
-/// plan, the canonical query fingerprint it is cached under, and whether the
-/// compile cost was paid on this call.
+/// Outcome of one [`QueryPlan::admit`] call: the shared plan and whether
+/// the compile cost was paid on this call.
 ///
 /// `compile_ns` is the wall-clock cost of the miss path (translation +
 /// skeleton derivation) and is `0` on a hit — percentile admission-latency
@@ -111,147 +200,8 @@ impl QueryPlan {
 pub struct PlanAdmission {
     /// The admitted plan, shared with every engine built from it.
     pub plan: Arc<QueryPlan>,
-    /// The canonical automaton fingerprint ([`TranslationKey`]) the plan is
-    /// cached under; equal keys always yield the same plan while it stays
-    /// resident.
-    pub key: TranslationKey,
     /// `true` iff the plan was already resident (no compile was run).
     pub cache_hit: bool,
     /// Wall-clock nanoseconds spent compiling on a miss; `0` on a hit.
     pub compile_ns: u64,
-}
-
-/// Admission counters of one [`PlanCache`] (monotonic over its lifetime).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Admissions served from a resident plan.
-    pub hits: u64,
-    /// Admissions that had to compile (translation + skeleton derivation).
-    pub misses: u64,
-    /// Resident plans displaced to stay within capacity (least recently
-    /// admitted first).
-    pub evictions: u64,
-    /// Total wall-clock nanoseconds spent on the compile (miss) path.
-    pub compile_ns_total: u64,
-    /// Slowest single compile observed.
-    pub max_compile_ns: u64,
-}
-
-/// An **LRU-bounded** plan cache keyed by the canonical automaton
-/// fingerprint ([`TranslationKey`]), with admission statistics.
-///
-/// Unlike the process-wide cache behind [`QueryPlan::for_query`] (which is
-/// deliberately unbounded — it backs long-lived single-query engines), a
-/// `PlanCache` is owned by one consumer (e.g. a serving registry), holds at
-/// most `capacity` plans, and evicts the least-recently-admitted plan to
-/// admit a new one.  Eviction only drops the cache's own reference: plans
-/// already attached to live engines stay alive through their `Arc`s, and the
-/// underlying translation stays in the (shared, unbounded) translation cache
-/// — so an evict-then-readmit recompiles only the cheap skeleton layer and
-/// yields a plan with the identical [`TranslationKey`] identity.
-///
-/// ```
-/// use treenum_core::PlanCache;
-/// use treenum_automata::queries;
-/// use treenum_trees::valuation::Var;
-///
-/// let mut cache = PlanCache::new(2);
-/// let q = queries::select_label(3, treenum_trees::Label(1), Var(0));
-/// let first = cache.admit(&q, 3);
-/// let second = cache.admit(&q, 3);
-/// assert!(!first.cache_hit);
-/// assert!(second.cache_hit);
-/// assert!(std::sync::Arc::ptr_eq(&first.plan, &second.plan));
-/// ```
-#[derive(Debug)]
-pub struct PlanCache {
-    capacity: usize,
-    /// Logical admission clock; the entry with the smallest stamp is the LRU
-    /// victim.
-    tick: u64,
-    entries: HashMap<TranslationKey, (Arc<QueryPlan>, u64)>,
-    stats: PlanCacheStats,
-}
-
-impl PlanCache {
-    /// An empty cache holding at most `capacity.max(1)` plans.
-    pub fn new(capacity: usize) -> Self {
-        PlanCache {
-            capacity: capacity.max(1),
-            tick: 0,
-            entries: HashMap::new(),
-            stats: PlanCacheStats::default(),
-        }
-    }
-
-    /// Admits `stepwise`: returns the resident plan for its fingerprint, or
-    /// compiles one (through the shared `translate_stepwise_cached` path),
-    /// inserts it — evicting the least-recently-admitted plan if the cache
-    /// is full — and reports the compile latency in the returned
-    /// [`PlanAdmission`].
-    pub fn admit(&mut self, stepwise: &StepwiseTva, base_alphabet_len: usize) -> PlanAdmission {
-        let key = TranslationKey::new(stepwise, base_alphabet_len);
-        self.tick += 1;
-        if let Some((plan, stamp)) = self.entries.get_mut(&key) {
-            *stamp = self.tick;
-            self.stats.hits += 1;
-            return PlanAdmission {
-                plan: Arc::clone(plan),
-                key,
-                cache_hit: true,
-                compile_ns: 0,
-            };
-        }
-        let start = Instant::now();
-        let translated = translate_stepwise_cached_keyed(key.clone(), stepwise, base_alphabet_len);
-        let plan = Arc::new(QueryPlan::build(translated));
-        let compile_ns = start.elapsed().as_nanos() as u64;
-        self.stats.misses += 1;
-        self.stats.compile_ns_total += compile_ns;
-        self.stats.max_compile_ns = self.stats.max_compile_ns.max(compile_ns);
-        if self.entries.len() >= self.capacity {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| k.clone());
-            if let Some(victim) = victim {
-                self.entries.remove(&victim);
-                self.stats.evictions += 1;
-            }
-        }
-        self.entries
-            .insert(key.clone(), (Arc::clone(&plan), self.tick));
-        PlanAdmission {
-            plan,
-            key,
-            cache_hit: false,
-            compile_ns,
-        }
-    }
-
-    /// Number of resident plans.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` iff no plan is resident.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The configured bound on resident plans.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// `true` iff a plan for `key` is currently resident.
-    pub fn contains(&self, key: &TranslationKey) -> bool {
-        self.entries.contains_key(key)
-    }
-
-    /// Lifetime admission counters.
-    pub fn stats(&self) -> PlanCacheStats {
-        self.stats
-    }
 }

@@ -42,10 +42,9 @@
 //! A server is not limited to the query it was constructed with.
 //! [`TreeServer::register`] admits a new automaton (and
 //! [`TreeServer::register_spanner`] a word automaton) **at runtime**:
-//! the plan comes from an LRU-bounded per-server plan cache
-//! ([`treenum_core::PlanCache`], keyed by the canonical
-//! [`treenum_core::TranslationKey`]; capacity
-//! [`ServeConfig::plan_cache_capacity`]), and the attach rides each shard's
+//! the plan comes from the process-wide plan cache
+//! ([`QueryPlan::admit`], keyed by the canonical
+//! [`treenum_core::TranslationKey`]), and the attach rides each shard's
 //! ordinary ingest queue — ingest never stops.  Every published generation is
 //! then **multiplexed** across all registered queries: a snapshot carries one
 //! document plus one query index per query under a single `Arc`/refcount,
@@ -267,13 +266,6 @@ pub struct ServeConfig {
     /// [`ShardStats::load_shed`].  The default (`usize::MAX`) disables
     /// shedding.
     pub shed_depth: usize,
-    /// Capacity of the server's LRU plan cache used by
-    /// [`TreeServer::register`] (in plans; clamped to at least 1).  A re-
-    /// registration of an evicted query recompiles and readmits — identity is
-    /// preserved because the cache key is the canonical
-    /// [`treenum_core::TranslationKey`], not the id.  Admission traffic is
-    /// visible in [`RegistryStats`].
-    pub plan_cache_capacity: usize,
 }
 
 impl Default for ServeConfig {
@@ -290,7 +282,6 @@ impl Default for ServeConfig {
             reclaim_patience: Duration::from_millis(5),
             ingest_timeout: Duration::from_millis(250),
             shed_depth: usize::MAX,
-            plan_cache_capacity: 32,
         }
     }
 }
@@ -323,7 +314,6 @@ impl ServeConfig {
         }
         self.max_batch = self.max_batch.max(self.min_batch);
         self.initial_batch = self.initial_batch.clamp(self.min_batch, self.max_batch);
-        self.plan_cache_capacity = self.plan_cache_capacity.max(1);
         self
     }
 }
@@ -572,7 +562,7 @@ impl TreeServer {
             shards,
             plan,
             cfg: config,
-            registry: Mutex::new(RegistryInner::new(config.plan_cache_capacity)),
+            registry: Mutex::new(RegistryInner::new()),
         })
     }
 
@@ -691,7 +681,7 @@ impl TreeServer {
                 shards,
                 plan,
                 cfg: config,
-                registry: Mutex::new(RegistryInner::new(config.plan_cache_capacity)),
+                registry: Mutex::new(RegistryInner::new()),
             },
             RecoveryOutcome { shards: reports },
         ))
@@ -772,9 +762,9 @@ impl TreeServer {
 
     /// Registers `query` on every shard at runtime, without stopping ingest.
     ///
-    /// The plan is admitted through the server's LRU plan cache (compiled via
-    /// the shared `translate_stepwise_cached` path on a miss; see
-    /// [`ServeConfig::plan_cache_capacity`]), then attached to each shard in
+    /// The plan is admitted through the process-wide plan cache
+    /// ([`QueryPlan::admit`]: compiled on the process's first admission of
+    /// the query, shared afterwards), then attached to each shard in
     /// turn by a control message on the shard's ordinary ingest queue: the
     /// attach is ordered after every op enqueued before it, and the shard
     /// publishes one membership-only generation whose snapshot — and every
@@ -796,11 +786,8 @@ impl TreeServer {
         query: &StepwiseTva,
         base_alphabet_len: usize,
     ) -> Result<QueryRegistration, ServeError> {
-        let (id, admission) = {
-            let mut reg = lock_unpoisoned(&self.registry);
-            let admission = reg.cache.admit(query, base_alphabet_len);
-            (reg.allocate(), admission)
-        };
+        let admission = QueryPlan::admit(query, base_alphabet_len);
+        let id = lock_unpoisoned(&self.registry).allocate(&admission);
         let mut visible_at = Vec::with_capacity(self.shards.len());
         for (s, h) in self.shards.iter().enumerate() {
             match Self::control(h, |ack| {
@@ -886,17 +873,15 @@ impl TreeServer {
     /// [`ShardStats`].
     pub fn registry_stats(&self) -> RegistryStats {
         let reg = lock_unpoisoned(&self.registry);
-        let cache = reg.cache.stats();
         RegistryStats {
             registered: reg.active.len(),
             peak_registered: reg.peak,
             registrations: reg.registrations,
             deregistrations: reg.deregistrations,
-            plan_hits: cache.hits,
-            plan_misses: cache.misses,
-            plan_evictions: cache.evictions,
-            compile_ns_total: cache.compile_ns_total,
-            max_compile_ns: cache.max_compile_ns,
+            plan_hits: reg.plan_hits,
+            plan_misses: reg.plan_misses,
+            compile_ns_total: reg.compile_ns_total,
+            max_compile_ns: reg.max_compile_ns,
         }
     }
 
@@ -1050,7 +1035,7 @@ impl TreeServer {
     /// snapshot-consistency oracle tests replay against).
     ///
     /// The log is the shard's audit trail and is deliberately unbounded —
-    /// one ~48-byte record per flush for the server's lifetime.  Long-lived
+    /// one 40-byte record per flush for the server's lifetime.  Long-lived
     /// deployments that poll it should use [`TreeServer::flush_log_len`] /
     /// [`TreeServer::flush_log_since`] instead of repeatedly cloning the
     /// whole history.
@@ -1232,6 +1217,32 @@ mod tests {
         // drain).
         let log = server.flush_log(0);
         assert_eq!(log.iter().map(|r| r.size).sum::<usize>(), 10);
+    }
+
+    #[test]
+    fn mean_flush_leaves_membership_publications_out() {
+        let (query, mut sigma) = select_b();
+        let tree = random_tree(&mut sigma, 30, TreeShape::Random, 10);
+        let labels: Vec<_> = sigma.labels().collect();
+        // A fixed window of 8 with a deadline that never fires: the 8 ops
+        // land as exactly one batch.
+        let server = TreeServer::new(
+            vec![tree.clone()],
+            &query,
+            sigma.len(),
+            ServeConfig {
+                max_latency: Duration::from_secs(60),
+                ..ServeConfig::fixed(8)
+            },
+        );
+        let extra = queries::exists_label(sigma.len(), sigma.get("a").unwrap());
+        server.register(&extra, sigma.len()).unwrap();
+        let mut feed = EditFeed::new(&tree, EditStream::balanced_mix(labels, 4));
+        server.ingest_batch(0, &feed.next_batch(8)).unwrap();
+        server.flush(0).unwrap();
+        let stats = server.shard_stats(0);
+        assert_eq!((stats.flushes, stats.queries_attached), (2, 1));
+        assert_eq!(stats.mean_flush(), 8.0);
     }
 
     #[test]

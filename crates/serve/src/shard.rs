@@ -67,7 +67,7 @@ use crate::lock::{read_unpoisoned, write_unpoisoned};
 use crate::registry::QueryId;
 use crate::stats::{FlushRecord, ShardHealth, ShardMetrics};
 use crate::{ServeConfig, ServeError};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, Sender};
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -293,6 +293,12 @@ impl QueryReader<'_> {
         self.generation
     }
 
+    /// The query's plan: the one `Arc` the process-wide plan cache hands to
+    /// every engine and server admitting the same query.
+    pub fn plan(&self) -> &Arc<QueryPlan> {
+        self.index.plan()
+    }
+
     /// Enumerates every satisfying assignment of this query (the pooled
     /// scratch path; see [`Snapshot::for_each`] for the contention caveat).
     pub fn for_each(&self, sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>) {
@@ -449,6 +455,24 @@ pub(crate) enum Ingest {
     Shutdown,
 }
 
+/// The barrier acks and registry controls one writer-loop cycle gathered,
+/// in arrival order.
+#[derive(Default)]
+struct Cycle {
+    acks: Vec<Sender<Result<u64, ServeError>>>,
+    controls: Vec<Ingest>,
+}
+
+/// What [`ShardWriter::take`] made of one dequeued message.
+enum Taken {
+    /// An edit op, now in the coalescing buffer.
+    Op,
+    /// A flush barrier or a registry control: stop coalescing.
+    Barrier,
+    /// A shutdown request.
+    Shutdown,
+}
+
 /// The writer-thread half of a shard.
 pub(crate) struct ShardWriter {
     pub(crate) rx: Receiver<Ingest>,
@@ -538,50 +562,57 @@ impl ShardWriter {
                 // Server dropped without an explicit shutdown: exit.
                 Err(_) => break,
             };
-            let mut acks: Vec<Sender<Result<u64, ServeError>>> = Vec::new();
-            let mut controls: Vec<Ingest> = Vec::new();
-            let mut shutdown = false;
-            match first {
-                Ingest::Op(op) => {
-                    self.note_dequeued(1);
-                    self.buf.push(op);
-                    shutdown = self.coalesce(&mut acks, &mut controls);
-                }
-                Ingest::Flush(ack) => acks.push(ack),
-                Ingest::Shutdown => break,
-                ctl => controls.push(ctl),
-            }
-            if !acks.is_empty() || !controls.is_empty() {
+            let mut cycle = Cycle::default();
+            let mut shutdown = match self.take(first, &mut cycle) {
+                Taken::Op => self.coalesce(&mut cycle),
+                Taken::Barrier => false,
+                Taken::Shutdown => break,
+            };
+            if !cycle.acks.is_empty() || !cycle.controls.is_empty() {
                 // A barrier (or a registry control, which is ordered like
                 // one) demands everything enqueued before it; drain the
                 // queue completely (this may exceed the window — barriers
                 // are explicit requests for completeness, not latency).
-                shutdown |= self.drain_pending(&mut acks, &mut controls);
+                shutdown |= self.drain_pending(&mut cycle);
             }
-            self.flush_buf();
-            self.apply_controls(controls);
-            for ack in acks {
-                let _ = ack.send(self.ack_value());
-            }
+            self.complete(cycle);
             if shutdown {
                 break;
             }
         }
         // Apply any ops that raced in with the shutdown.
-        let mut acks = Vec::new();
-        let mut controls = Vec::new();
-        self.drain_pending(&mut acks, &mut controls);
-        self.flush_buf();
-        self.apply_controls(controls);
-        for ack in acks {
-            let _ = ack.send(self.ack_value());
+        let mut cycle = Cycle::default();
+        self.drain_pending(&mut cycle);
+        self.complete(cycle);
+    }
+
+    /// Files one dequeued message: an op joins the coalescing buffer, a
+    /// barrier's ack or a registry control joins `cycle`.
+    fn take(&mut self, msg: Ingest, cycle: &mut Cycle) -> Taken {
+        match msg {
+            Ingest::Op(op) => {
+                self.note_dequeued(1);
+                self.buf.push(op);
+                Taken::Op
+            }
+            Ingest::Flush(ack) => {
+                cycle.acks.push(ack);
+                Taken::Barrier
+            }
+            Ingest::Shutdown => Taken::Shutdown,
+            ctl => {
+                cycle.controls.push(ctl);
+                Taken::Barrier
+            }
         }
     }
 
-    /// Processes queued attach/detach controls, in arrival order, acking
-    /// each with the generation its membership change became visible at.
-    fn apply_controls(&mut self, controls: Vec<Ingest>) {
-        for ctl in controls {
+    /// Ends one loop cycle: applies the buffer as one batch, then the
+    /// registry controls in arrival order (each acked with the generation
+    /// its membership change became visible at), then acks every barrier.
+    fn complete(&mut self, cycle: Cycle) {
+        self.flush_buf();
+        for ctl in cycle.controls {
             match ctl {
                 Ingest::Attach(id, plan, ack) => {
                     let _ = ack.send(self.handle_attach(id, plan));
@@ -589,9 +620,12 @@ impl ShardWriter {
                 Ingest::Detach(id, ack) => {
                     let _ = ack.send(self.handle_detach(id));
                 }
-                // Only controls are queued here (see `coalesce`).
+                // Only controls are queued here (see `take`).
                 _ => {}
             }
+        }
+        for ack in cycle.acks {
+            let _ = ack.send(self.ack_value());
         }
     }
 
@@ -624,29 +658,15 @@ impl ShardWriter {
 
     /// Gathers ops into `buf` until the adaptive window is full or the
     /// bounded-staleness deadline passes.  Returns `true` on shutdown; a
-    /// queued barrier or registry control stops coalescing early (its
-    /// ack/message lands in `acks`/`controls`).
-    fn coalesce(
-        &mut self,
-        acks: &mut Vec<Sender<Result<u64, ServeError>>>,
-        controls: &mut Vec<Ingest>,
-    ) -> bool {
+    /// queued barrier or registry control stops coalescing early (it lands
+    /// in `cycle`).
+    fn coalesce(&mut self, cycle: &mut Cycle) -> bool {
         let deadline = Instant::now() + self.cfg.max_latency;
         while self.buf.len() < self.window {
-            match self.rx.try_recv() {
-                Some(Ingest::Op(op)) => {
-                    self.note_dequeued(1);
-                    self.buf.push(op);
-                }
-                Some(Ingest::Flush(ack)) => {
-                    acks.push(ack);
-                    return false;
-                }
-                Some(Ingest::Shutdown) => return true,
-                Some(ctl @ (Ingest::Attach(..) | Ingest::Detach(..))) => {
-                    controls.push(ctl);
-                    return false;
-                }
+            // Queued messages are taken even past the deadline; the deadline
+            // only stops the writer from *waiting* on an empty queue.
+            let msg = match self.rx.try_recv() {
+                Some(msg) => msg,
                 None => {
                     let now = Instant::now();
                     if now >= deadline {
@@ -662,24 +682,16 @@ impl ShardWriter {
                         .rx
                         .recv_timeout(deadline.saturating_duration_since(now))
                     {
-                        Ok(Ingest::Op(op)) => {
-                            self.note_dequeued(1);
-                            self.buf.push(op);
-                        }
-                        Ok(Ingest::Flush(ack)) => {
-                            acks.push(ack);
-                            return false;
-                        }
-                        Ok(Ingest::Shutdown) => return true,
-                        Ok(ctl @ (Ingest::Attach(..) | Ingest::Detach(..))) => {
-                            controls.push(ctl);
-                            return false;
-                        }
-                        Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                            break;
-                        }
+                        Ok(msg) => msg,
+                        // Timed out, or the server is gone: cut the batch.
+                        Err(_) => break,
                     }
                 }
+            };
+            match self.take(msg, cycle) {
+                Taken::Op => {}
+                Taken::Barrier => return false,
+                Taken::Shutdown => return true,
             }
         }
         false
@@ -687,20 +699,10 @@ impl ShardWriter {
 
     /// Non-blocking drain of everything currently queued.  Returns `true` on
     /// shutdown.
-    fn drain_pending(
-        &mut self,
-        acks: &mut Vec<Sender<Result<u64, ServeError>>>,
-        controls: &mut Vec<Ingest>,
-    ) -> bool {
+    fn drain_pending(&mut self, cycle: &mut Cycle) -> bool {
         while let Some(msg) = self.rx.try_recv() {
-            match msg {
-                Ingest::Op(op) => {
-                    self.note_dequeued(1);
-                    self.buf.push(op);
-                }
-                Ingest::Flush(ack) => acks.push(ack),
-                Ingest::Shutdown => return true,
-                ctl => controls.push(ctl),
+            if let Taken::Shutdown = self.take(msg, cycle) {
+                return true;
             }
         }
         false

@@ -300,22 +300,27 @@ impl ShardStats {
         }
     }
 
-    /// Mean ops per flush.
+    /// Mean ops per data flush: membership-only publications (one per
+    /// runtime attach or detach, each of size 0) are not batches and are
+    /// left out of the denominator.
     pub fn mean_flush(&self) -> f64 {
-        if self.flushes == 0 {
+        let data_flushes = self
+            .flushes
+            .saturating_sub(self.queries_attached + self.queries_detached);
+        if data_flushes == 0 {
             0.0
         } else {
-            self.edits_applied as f64 / self.flushes as f64
+            self.edits_applied as f64 / data_flushes as f64
         }
     }
 }
 
 /// A point-in-time view of the query registry's counters.
 ///
-/// Registration admissions go through an LRU-bounded plan cache keyed by the
-/// canonical `TranslationKey` fingerprint; the `plan_*`/`compile_*` fields
-/// are its lifetime admission statistics (see
-/// [`treenum_core::PlanCacheStats`]).  Obtained from
+/// Registration admissions go through the process-wide plan cache keyed by
+/// the canonical `TranslationKey` fingerprint
+/// ([`treenum_core::QueryPlan::admit`]); the `plan_*`/`compile_*` fields
+/// count this server's admissions over its lifetime.  Obtained from
 /// [`crate::TreeServer::registry_stats`] or as [`ServeStats::registry`].
 #[derive(Clone, Copy, Debug, Default)]
 #[non_exhaustive]
@@ -332,9 +337,6 @@ pub struct RegistryStats {
     pub plan_hits: u64,
     /// Plan admissions that compiled (translation + skeleton derivation).
     pub plan_misses: u64,
-    /// Cached plans evicted to keep the cache within
-    /// [`crate::ServeConfig::plan_cache_capacity`].
-    pub plan_evictions: u64,
     /// Total wall-clock nanoseconds spent compiling plans on admission.
     pub compile_ns_total: u64,
     /// Slowest single plan compile observed on admission.

@@ -1,6 +1,6 @@
 //! Property tests guarding the flattened enumeration hot path:
 //!
-//! * the process-wide translation cache returns exactly what a fresh
+//! * the process-wide plan cache holds exactly the translation a fresh
 //!   `translate_stepwise` run produces, and engines for the same query share
 //!   one `QueryPlan`;
 //! * after long random edit streams, the spine-only repair (content-equality
@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 use treenum::automata::{queries, StepwiseTva};
-use treenum::balance::{translate_stepwise, translate_stepwise_cached};
+use treenum::balance::translate_stepwise;
 use treenum::core::{QueryPlan, TreeEnumerator};
 use treenum::trees::generate::{oracle_scale, random_tree, EditStream, TreeShape};
 use treenum::trees::valuation::Assignment;
@@ -48,15 +48,19 @@ fn cached_translation_is_identical_to_fresh_translation() {
     let sigma = Alphabet::from_names(["a", "b", "c"]);
     for (name, query) in query_families(&sigma) {
         let fresh = translate_stepwise(&query, sigma.len());
-        let cached = translate_stepwise_cached(&query, sigma.len());
-        assert_eq!(*cached, fresh, "cached translation differs for {name}");
+        let cached = QueryPlan::for_query(&query, sigma.len());
+        assert_eq!(
+            **cached.translated(),
+            fresh,
+            "cached translation differs for {name}"
+        );
         // A second lookup must serve the same shared value.
-        let again = translate_stepwise_cached(&query, sigma.len());
+        let again = QueryPlan::for_query(&query, sigma.len());
         assert!(Arc::ptr_eq(&cached, &again), "cache did not share {name}");
         // An equal automaton built independently hits the same entry (the key
         // is canonical, not pointer-based).
         let rebuilt = query.clone();
-        let via_clone = translate_stepwise_cached(&rebuilt, sigma.len());
+        let via_clone = QueryPlan::for_query(&rebuilt, sigma.len());
         assert!(Arc::ptr_eq(&cached, &via_clone));
     }
 }

@@ -4,9 +4,10 @@
 //! * **registration under live ingest** — queries attached while a feeder
 //!   races the writer serve answers equal to a fresh-engine oracle on the
 //!   snapshot's own tree, and the attach never stalls or reorders ingest;
-//! * **plan-cache identity** — an LRU-evicted plan that is re-admitted
-//!   (recompiled) serves exactly the same answers: identity lives in the
-//!   canonical `TranslationKey`, not in cache residency;
+//! * **plan-cache identity** — a re-admitted query is a cache hit on the
+//!   process-wide plan cache and serves exactly the same answers, and two
+//!   servers plus a standalone engine admitting one query share one
+//!   `Arc<QueryPlan>`;
 //! * **pinned-generation pagination** — a `PageCursor` walks one immutable
 //!   snapshot to completion regardless of concurrent flushes, and is
 //!   rejected with `StaleCursor` by any other generation — and by any other
@@ -162,18 +163,14 @@ fn registration_under_live_ingest_matches_oracle() {
 
 #[test]
 fn plan_cache_eviction_then_readmit_preserves_identity() {
-    let mut sigma = sigma();
+    // The plan cache is process-wide, so hit/miss counts depend on which
+    // queries other tests in this binary admitted first.  A 5-label alphabet
+    // gives these queries fingerprints (`TranslationKey`s include the
+    // alphabet size) that no other test here admits.
+    let mut sigma = Alphabet::from_names(["a", "b", "c", "d", "e"]);
     let query = select_b(&sigma);
     let tree = random_tree(&mut sigma, 60, TreeShape::Random, 5);
-    let server = TreeServer::new(
-        vec![tree],
-        &query,
-        sigma.len(),
-        ServeConfig {
-            plan_cache_capacity: 1,
-            ..ServeConfig::default()
-        },
-    );
+    let server = TreeServer::new(vec![tree], &query, sigma.len(), ServeConfig::default());
     let a = queries::exists_label(sigma.len(), sigma.get("a").unwrap());
     let b = queries::select_label(sigma.len(), sigma.get("c").unwrap(), Var(0));
 
@@ -181,7 +178,7 @@ fn plan_cache_eviction_then_readmit_preserves_identity() {
     assert!(!first.cache_hit);
     assert!(first.compile_ns > 0);
 
-    // Same automaton while resident: a hit, sharing the cached plan.
+    // Same automaton again: a hit, sharing the cached plan.
     let second = server.register(&a, sigma.len()).unwrap();
     assert!(second.cache_hit);
     assert_eq!(second.compile_ns, 0);
@@ -190,19 +187,23 @@ fn plan_cache_eviction_then_readmit_preserves_identity() {
         "ids are per-registration, never reused"
     );
 
-    // A different query through a capacity-1 cache evicts `a`...
     let other = server.register(&b, sigma.len()).unwrap();
     assert!(!other.cache_hit);
 
-    // ...so re-admitting `a` recompiles — and must serve identical answers.
+    // Re-admitting `a` after another query is still a hit (nothing is ever
+    // evicted) and must serve identical answers.
     let readmitted = server.register(&a, sigma.len()).unwrap();
-    assert!(!readmitted.cache_hit, "eviction must force a recompile");
+    assert!(readmitted.cache_hit);
     server.flush(0).unwrap();
     let snap = server.snapshot(0);
+    assert!(Arc::ptr_eq(
+        snap.query(first.id).unwrap().plan(),
+        snap.query(readmitted.id).unwrap().plan()
+    ));
     assert_eq!(
         sorted(snap.query(first.id).unwrap().assignments()),
         sorted(snap.query(readmitted.id).unwrap().assignments()),
-        "plan identity is the TranslationKey, not cache residency"
+        "plan identity is the TranslationKey"
     );
 
     let reg = server.registry_stats();
@@ -210,13 +211,43 @@ fn plan_cache_eviction_then_readmit_preserves_identity() {
     assert_eq!(reg.peak_registered, 5);
     assert_eq!(reg.registrations, 4);
     assert_eq!(reg.deregistrations, 0);
-    assert_eq!(reg.plan_hits, 1);
-    assert_eq!(reg.plan_misses, 3);
-    assert_eq!(reg.plan_evictions, 2);
+    assert_eq!(reg.plan_hits, 2);
+    assert_eq!(reg.plan_misses, 2);
     assert!(reg.compile_ns_total >= reg.max_compile_ns);
     assert!(reg.max_compile_ns > 0);
     // The server-level roll-up carries the same registry view.
     assert_eq!(server.stats().registry.registrations, 4);
+}
+
+#[test]
+fn servers_and_engines_share_one_plan_per_query() {
+    let mut sigma = sigma();
+    let primary = select_b(&sigma);
+    let query = queries::has_child_with_label(sigma.len(), sigma.get("b").unwrap(), Var(0));
+    let tree = random_tree(&mut sigma, 40, TreeShape::Random, 19);
+    let servers: Vec<TreeServer> = (0..2)
+        .map(|_| {
+            TreeServer::new(
+                vec![tree.clone()],
+                &primary,
+                sigma.len(),
+                ServeConfig::default(),
+            )
+        })
+        .collect();
+    let ids: Vec<QueryId> = servers
+        .iter()
+        .map(|server| server.register(&query, sigma.len()).unwrap().id)
+        .collect();
+    let engine = TreeEnumerator::new(tree, &query, sigma.len());
+    for (server, &id) in servers.iter().zip(&ids) {
+        let snap = server.snapshot(0);
+        assert!(
+            Arc::ptr_eq(snap.query(id).unwrap().plan(), engine.plan()),
+            "a registered query must hold the process's one plan"
+        );
+        assert!(Arc::ptr_eq(server.plan(), servers[0].plan()));
+    }
 }
 
 #[test]
