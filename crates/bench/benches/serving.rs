@@ -5,9 +5,11 @@
 //! Each scenario runs 4 snapshot-reader threads (per-answer delay sampling,
 //! each reader with its own pooled scratch) against a one-shard server whose
 //! writer thread coalesces a concurrently fed edit stream into
-//! `apply_batch` flushes.  Two ingest policies are measured over identical
-//! streams: the adaptive coalescing window (grown/shrunk by the observed
-//! dirty-spine sharing ratio) and the fixed `k = 1` publish-per-op baseline.
+//! `apply_batch` flushes.  Two configurations are measured over identical
+//! streams: `ServeConfig::default()` (every flush fills to `max_batch` = 256,
+//! a barrier or the 1 ms `max_latency` deadline; record names
+//! `ingest_adaptive_*`) and the `ServeConfig::fixed(1)` publish-per-op
+//! baseline.
 //! The workload and measurement methodology live in `treenum_bench::run_e9`,
 //! shared with the `bench_summary` runner, and the committed `BENCH_*.json`
 //! `read_*` records are gated by CI (`bench_summary --check`, gate `E9_GATE`).

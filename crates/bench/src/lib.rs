@@ -456,12 +456,15 @@ fn e9_scenario(
 
 /// The E9 concurrent-serving experiment: for every strategy × tree size,
 /// measures snapshot-read delay percentiles under concurrent write-behind
-/// ingest, plus the per-edit amortized ingest cost of the adaptive
-/// coalescing policy against the fixed `k = 1` (publish-per-op) baseline.
+/// ingest, plus the per-edit amortized ingest cost of the default
+/// coalescing (`ServeConfig::default()`: fill to `max_batch`, a barrier or
+/// the `max_latency` deadline) against the fixed `k = 1` (publish-per-op)
+/// baseline.
 ///
 /// Record names: `read_<strategy>_r<readers>/<n>` (per-answer delay under
 /// concurrent ingest — comparable to E2's `per_answer_select_b/<n>`, same
-/// query and answer count), `ingest_adaptive_<strategy>/<n>` and
+/// query and answer count), `ingest_adaptive_<strategy>/<n>` (the default
+/// configuration; the name is kept as a `BENCH_after.json` key) and
 /// `ingest_fixed1_<strategy>/<n>` (per-edit amortized flush cost including
 /// reclaim and publish).  CI gates the `read_*` p95s
 /// ([`trajectory::E9_GATE`]); the ingest arms document the coalescing win
@@ -481,7 +484,7 @@ pub fn run_e9(
         let tree = bench_tree(n, TreeShape::Random, 17);
         for (si, (sname, make)) in e8_strategies().into_iter().enumerate() {
             let seed = 9_000 + 17 * si as u64;
-            let (gaps, adaptive_samples, adaptive_ops, adaptive_ns) = e9_scenario(
+            let (gaps, batched_samples, batched_ops, batched_ns) = e9_scenario(
                 &tree,
                 &query,
                 alphabet_len,
@@ -509,11 +512,11 @@ pub fn run_e9(
             );
             let read =
                 record_from_samples("E9_serving", format!("read_{sname}_r{readers}/{n}"), gaps);
-            let adaptive = e9_ingest_record(
+            let batched = e9_ingest_record(
                 format!("ingest_adaptive_{sname}/{n}"),
-                adaptive_samples,
-                adaptive_ops,
-                adaptive_ns,
+                batched_samples,
+                batched_ops,
+                batched_ns,
             );
             let fixed = e9_ingest_record(
                 format!("ingest_fixed1_{sname}/{n}"),
@@ -522,14 +525,14 @@ pub fn run_e9(
                 fixed_ns,
             );
             eprintln!(
-                "E9 {sname} n={n}: read p95 {} ns, ingest adaptive {} ns/edit vs fixed-1 {} ns/edit ({:.2}x)",
+                "E9 {sname} n={n}: read p95 {} ns, ingest default {} ns/edit vs fixed-1 {} ns/edit ({:.2}x)",
                 read.p95_ns.unwrap_or(0),
-                adaptive.mean_ns,
+                batched.mean_ns,
                 fixed.mean_ns,
-                fixed.mean_ns as f64 / adaptive.mean_ns.max(1) as f64,
+                fixed.mean_ns as f64 / batched.mean_ns.max(1) as f64,
             );
             c.push_record(read);
-            c.push_record(adaptive);
+            c.push_record(batched);
             c.push_record(fixed);
         }
     }

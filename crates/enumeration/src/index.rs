@@ -128,9 +128,7 @@ pub struct IndexStats {
     /// deduplicated union's length, summed over batches).  Together with
     /// [`IndexStats::spine_nodes_deduped`] this makes the batch *sharing
     /// ratio* `deduped / (deduped + dirty)` observable — the fraction of
-    /// reported spine nodes a batch did not have to repair, which the serving
-    /// layer uses as its adaptive-coalescing signal (high sharing ⇒ grow the
-    /// ingest window, low sharing ⇒ shrink it).
+    /// reported spine nodes a batch did not have to repair.
     pub batch_dirty_nodes: u64,
 }
 

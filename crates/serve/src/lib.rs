@@ -25,13 +25,14 @@
 //!   applies each with **one deduplicated spine repair**
 //!   ([`Document::apply_batch`], then [`QueryIndex::repair`] per query), then
 //!   publishes the result as the next snapshot generation.
-//! * **Adaptive coalescing** — the document's batch report says how much of
-//!   the dirty spine the dedup skipped (deduped vs distinct dirty nodes).
-//!   That *sharing ratio* is exactly the signal for whether coalescing pays:
-//!   while edits overlap (hot-subtree skew, bursts) the window grows toward
-//!   [`ServeConfig::max_batch`]; when they stop overlapping it shrinks back,
-//!   and a [`ServeConfig::max_latency`] deadline bounds snapshot staleness
-//!   regardless of the window.
+//! * **Coalescing** — one rule cuts every batch: the writer fills it until
+//!   it holds [`ServeConfig::max_batch`] ops, a barrier or registry control
+//!   arrives, or the [`ServeConfig::max_latency`] deadline passes.  A batch
+//!   repairs the union of its edits' spines once, so a fuller batch never
+//!   costs more per edit than one-op flushes, and the deadline bounds
+//!   snapshot staleness.  The document's batch report gives each flush's
+//!   sharing ratio ([`FlushRecord::sharing_ratio`]: the share of the dirty
+//!   spine the dedup skipped) for observability.
 //!
 //! One immutable [`QueryPlan`] is shared by every shard (and every snapshot
 //! copy), so the quartic query translation is paid once per query, not per
@@ -225,25 +226,12 @@ pub struct ServeConfig {
     /// [`TreeServer::ingest`] wait up to [`ServeConfig::ingest_timeout`]
     /// (backpressure) rather than dropping ops.
     pub queue_capacity: usize,
-    /// Floor of the adaptive coalescing window.  In adaptive mode the
-    /// effective floor is at least 2: a size-1 flush observes no sharing
-    /// ratio, so a window of 1 could never grow back.
-    pub min_batch: usize,
-    /// Cap of the adaptive coalescing window.
+    /// Ops per flush: the writer cuts a batch once it holds this many ops
+    /// (or earlier, at a barrier, a registry control or the
+    /// [`ServeConfig::max_latency`] deadline).
     pub max_batch: usize,
-    /// Starting window.
-    pub initial_batch: usize,
-    /// `false` pins the window at `initial_batch` (used by the fixed-`k`
-    /// ingest baselines and by deployments that want constant batching).
-    pub adaptive: bool,
-    /// Grow the window (×2, up to `max_batch`) when a flush's sharing ratio
-    /// reaches this value.
-    pub grow_sharing: f64,
-    /// Shrink the window (÷2, down to `min_batch`) when a flush's sharing
-    /// ratio falls below this value.
-    pub shrink_sharing: f64,
     /// Bounded staleness: a flush is cut at latest this long after its first
-    /// op was dequeued, even if the window is not full.
+    /// op was dequeued, even if it holds fewer than `max_batch` ops.
     pub max_latency: Duration,
     /// How long the writer waits for readers to release a retired snapshot
     /// copy before falling back to an O(n) rebuild of the writable copy.
@@ -272,12 +260,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             queue_capacity: 1024,
-            min_batch: 1,
             max_batch: 256,
-            initial_batch: 8,
-            adaptive: true,
-            grow_sharing: 0.5,
-            shrink_sharing: 0.2,
             max_latency: Duration::from_millis(1),
             reclaim_patience: Duration::from_millis(5),
             ingest_timeout: Duration::from_millis(250),
@@ -287,15 +270,12 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// A non-adaptive configuration that applies every op as its own batch —
-    /// the write-behind equivalent of calling `apply` per edit.  This is the
-    /// ingest-throughput baseline the adaptive policy is benchmarked against
-    /// (E9's `ingest_fixed1_*` arms).
+    /// The default configuration with flushes of at most `k` ops.
+    /// `fixed(1)` applies every op as its own batch — the write-behind
+    /// equivalent of calling `apply` per edit, and the ingest-throughput
+    /// baseline E9's `ingest_fixed1_*` arms measure the default against.
     pub fn fixed(k: usize) -> Self {
         ServeConfig {
-            adaptive: false,
-            initial_batch: k.max(1),
-            min_batch: k.max(1),
             max_batch: k.max(1),
             ..ServeConfig::default()
         }
@@ -303,17 +283,7 @@ impl ServeConfig {
 
     fn validated(mut self) -> Self {
         self.queue_capacity = self.queue_capacity.max(1);
-        self.min_batch = self.min_batch.max(1);
-        if self.adaptive {
-            // A size-1 flush carries no sharing signal (one edit has nothing
-            // to dedup against), so an adaptive window that reached 1 could
-            // never re-open no matter how clustered the stream became; the
-            // adaptive floor is therefore 2.  Fixed configurations keep
-            // exact publish-per-op semantics.
-            self.min_batch = self.min_batch.max(2);
-        }
-        self.max_batch = self.max_batch.max(self.min_batch);
-        self.initial_batch = self.initial_batch.clamp(self.min_batch, self.max_batch);
+        self.max_batch = self.max_batch.max(1);
         self
     }
 }
@@ -707,9 +677,6 @@ impl TreeServer {
             generation: 0,
         })));
         let metrics = Arc::new(ShardMetrics::default());
-        metrics
-            .window
-            .store(cfg.initial_batch as u64, Ordering::Relaxed);
         metrics.queries_served.store(1, Ordering::Relaxed);
         let (tx, rx) = bounded(cfg.queue_capacity);
         let writer = ShardWriter {
@@ -722,7 +689,6 @@ impl TreeServer {
             retired: None,
             lag: Vec::new(),
             generation: 0,
-            window: cfg.initial_batch,
             buf: Vec::new(),
             durable,
             heal,
@@ -1018,13 +984,17 @@ impl TreeServer {
 
     /// Current counters of one shard.
     pub fn shard_stats(&self, shard: usize) -> ShardStats {
-        self.shards[shard].metrics.stats()
+        self.shards[shard].metrics.stats(self.cfg.max_batch)
     }
 
     /// Current counters of every shard, plus the registry's admission side.
     pub fn stats(&self) -> ServeStats {
         ServeStats {
-            shards: self.shards.iter().map(|h| h.metrics.stats()).collect(),
+            shards: self
+                .shards
+                .iter()
+                .map(|h| h.metrics.stats(self.cfg.max_batch))
+                .collect(),
             registry: self.registry_stats(),
         }
     }
@@ -1035,7 +1005,7 @@ impl TreeServer {
     /// snapshot-consistency oracle tests replay against).
     ///
     /// The log is the shard's audit trail and is deliberately unbounded —
-    /// one 40-byte record per flush for the server's lifetime.  Long-lived
+    /// one 32-byte record per flush for the server's lifetime.  Long-lived
     /// deployments that poll it should use [`TreeServer::flush_log_len`] /
     /// [`TreeServer::flush_log_since`] instead of repeatedly cloning the
     /// whole history.
@@ -1211,7 +1181,7 @@ mod tests {
         let stats = server.shard_stats(0);
         assert_eq!(stats.edits_applied, 10);
         assert_eq!(stats.window, 1);
-        // Every flush is size 1 (the window never grows; the barrier drains
+        // Every flush is size 1 (`max_batch` is 1; the barrier drains
         // whatever remains, but ops were already applied one by one as the
         // writer raced the producer — sizes can only exceed 1 for the final
         // drain).
@@ -1224,7 +1194,7 @@ mod tests {
         let (query, mut sigma) = select_b();
         let tree = random_tree(&mut sigma, 30, TreeShape::Random, 10);
         let labels: Vec<_> = sigma.labels().collect();
-        // A fixed window of 8 with a deadline that never fires: the 8 ops
+        // A `max_batch` of 8 with a deadline that never fires: the 8 ops
         // land as exactly one batch.
         let server = TreeServer::new(
             vec![tree.clone()],

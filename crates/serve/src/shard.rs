@@ -438,10 +438,12 @@ pub(crate) enum Ingest {
     /// One edit op to coalesce into a batch.
     Op(EditOp),
     /// Barrier: apply everything enqueued before this message, then ack with
-    /// the resulting generation — or with the quarantine error if the
-    /// shard's durable log failed (the barrier is the durability boundary:
-    /// an `Ok` ack means every op before it is applied, published, and — on
-    /// a durable shard — synced per the [`treenum_wal::SyncPolicy`]).
+    /// the resulting generation — with [`ServeError::Quarantined`] if the
+    /// shard's durable state proved unrecoverable, or with
+    /// [`ServeError::Degraded`] if a fault dropped unacked ops since the
+    /// previous barrier (the barrier is the durability boundary: an `Ok` ack
+    /// means every op before it is applied, published, and — on a durable
+    /// shard — synced per the [`treenum_wal::SyncPolicy`]).
     Flush(Sender<Result<u64, ServeError>>),
     /// Registry control: attach a new query's plan.  Ordered like a barrier
     /// (everything enqueued before it is applied first); the ack carries the
@@ -493,7 +495,6 @@ pub(crate) struct ShardWriter {
     /// slots may be reused by later ops).
     pub(crate) lag: Vec<EditOp>,
     pub(crate) generation: u64,
-    pub(crate) window: usize,
     pub(crate) buf: Vec<EditOp>,
     /// WAL + snapshot persistence, when the server was built durable.
     pub(crate) durable: Option<ShardDurability>,
@@ -571,7 +572,7 @@ impl ShardWriter {
             if !cycle.acks.is_empty() || !cycle.controls.is_empty() {
                 // A barrier (or a registry control, which is ordered like
                 // one) demands everything enqueued before it; drain the
-                // queue completely (this may exceed the window — barriers
+                // queue completely (this may exceed `max_batch` — barriers
                 // are explicit requests for completeness, not latency).
                 shutdown |= self.drain_pending(&mut cycle);
             }
@@ -656,13 +657,13 @@ impl ShardWriter {
         }
     }
 
-    /// Gathers ops into `buf` until the adaptive window is full or the
-    /// bounded-staleness deadline passes.  Returns `true` on shutdown; a
-    /// queued barrier or registry control stops coalescing early (it lands
-    /// in `cycle`).
+    /// Gathers ops into `buf` until it holds [`ServeConfig::max_batch`] ops
+    /// or the bounded-staleness deadline passes.  Returns `true` on
+    /// shutdown; a queued barrier or registry control stops coalescing early
+    /// (it lands in `cycle`).
     fn coalesce(&mut self, cycle: &mut Cycle) -> bool {
         let deadline = Instant::now() + self.cfg.max_latency;
-        while self.buf.len() < self.window {
+        while self.buf.len() < self.cfg.max_batch {
             // Queued messages are taken even past the deadline; the deadline
             // only stops the writer from *waiting* on an empty queue.
             let msg = match self.rx.try_recv() {
@@ -708,9 +709,9 @@ impl ShardWriter {
         false
     }
 
-    /// Applies the coalescing buffer as one batch, publishes the result as a
-    /// new snapshot generation, and adapts the window from the batch's
-    /// observed spine-sharing ratio.
+    /// Applies the coalescing buffer — filled to `max_batch`, a barrier or
+    /// the `max_latency` deadline by [`ShardWriter::coalesce`] — as one
+    /// batch and publishes the result as a new snapshot generation.
     ///
     /// On a durable shard the batch hits the write-ahead log (with the
     /// configured sync policy) *before* it is applied: a crash after this
@@ -805,14 +806,13 @@ impl ShardWriter {
             self.metrics.set_health(ShardHealth::Degraded);
             return false;
         };
-        // The sharing signal is the document's: every query index repairs
-        // the same dirty list, so the adaptive window is independent of how
-        // many queries are registered.
+        // The sharing counters are the document's: every query index
+        // repairs the same dirty list, so they do not depend on how many
+        // queries are registered.
         let rec = FlushRecord {
             size: self.buf.len(),
             // Filled in by `publish` (it owns the end of the timed region).
             nanos: 0,
-            window: self.window,
             spine_deduped: report.deduped(),
             spine_dirty: report.dirty_len() as u64,
         };
@@ -825,9 +825,8 @@ impl ShardWriter {
 
     /// Publishes `copy` as the next generation — **one** pointer swap and
     /// **one** `Arc` no matter how many queries the copy multiplexes —
-    /// retiring the old front, recording `rec` (with the timed region closed
-    /// here) as the generation's audit-trail entry, and driving the adaptive
-    /// window when the record carries a sharing signal.  Also the snapshot
+    /// retiring the old front and recording `rec` (with the timed region
+    /// closed here) as the generation's audit-trail entry.  Also the snapshot
     /// persistence point: the tree just published is exactly the state at
     /// the WAL offset, so the op_seq ↔ tree pairing needs no extra
     /// synchronisation (snapshot failure is non-fatal — the WAL still
@@ -854,17 +853,6 @@ impl ShardWriter {
         self.metrics
             .generation
             .store(self.generation, Ordering::Release);
-        if self.cfg.adaptive && rec.size >= 2 {
-            let ratio = rec.sharing_ratio();
-            if ratio >= self.cfg.grow_sharing {
-                self.window = (self.window * 2).min(self.cfg.max_batch);
-            } else if ratio < self.cfg.shrink_sharing {
-                self.window = (self.window / 2).max(self.cfg.min_batch);
-            }
-            self.metrics
-                .window
-                .store(self.window as u64, Ordering::Relaxed);
-        }
         self.metrics.record_flush(rec);
         // A successful apply+publish always lands the shard back in
         // `Healthy` — including the retry rung of the ladder.
@@ -948,7 +936,6 @@ impl ShardWriter {
         let rec = FlushRecord {
             size: 0,
             nanos: 0,
-            window: self.window,
             spine_deduped: 0,
             spine_dirty: 0,
         };
@@ -1059,7 +1046,6 @@ impl ShardWriter {
             self.metrics.record_flush(FlushRecord {
                 size: new_visible as usize,
                 nanos: start.elapsed().as_nanos() as u64,
-                window: self.window,
                 spine_deduped: 0,
                 spine_dirty: 0,
             });

@@ -76,8 +76,6 @@ pub struct FlushRecord {
     /// writable copy (including any bounded wait for readers), replaying its
     /// lag, applying the batch, and publishing the new snapshot.
     pub nanos: u64,
-    /// The adaptive window in force when the flush was cut.
-    pub window: usize,
     /// Dirty-spine entries skipped because an earlier edit of the batch had
     /// already queued them (the document's `DocumentBatch::deduped`; 0 for
     /// membership and heal records).
@@ -90,10 +88,8 @@ pub struct FlushRecord {
 impl FlushRecord {
     /// The batch's sharing ratio `deduped / (deduped + dirty)` ∈ [0, 1): the
     /// fraction of reported spine nodes the deduplicated repair skipped.
-    /// This is the adaptive-coalescing signal — high sharing means the edits
-    /// overlapped and a bigger window would amortize even better; low
-    /// sharing means coalescing buys nothing, so the window should shrink
-    /// back toward low-latency flushes.
+    /// High sharing means the batch's edits overlapped and the
+    /// deduplicated repair saved work over one-op flushes.
     pub fn sharing_ratio(&self) -> f64 {
         let total = self.spine_deduped + self.spine_dirty;
         if total == 0 {
@@ -113,7 +109,6 @@ pub(crate) struct ShardMetrics {
     pub queue_depth: AtomicU64,
     pub reads: AtomicU64,
     pub generation: AtomicU64,
-    pub window: AtomicU64,
     pub reclaim_waits: AtomicU64,
     pub rebuild_fallbacks: AtomicU64,
     pub spine_deduped: AtomicU64,
@@ -165,7 +160,9 @@ impl ShardMetrics {
         lock_unpoisoned(&self.flush_log).push(rec);
     }
 
-    pub(crate) fn stats(&self) -> ShardStats {
+    /// The shard's counters; `window` is the configured
+    /// [`crate::ServeConfig::max_batch`], which the metrics do not hold.
+    pub(crate) fn stats(&self, window: usize) -> ShardStats {
         ShardStats {
             generation: self.generation.load(Ordering::Acquire),
             flushes: lock_unpoisoned(&self.flush_log).len() as u64,
@@ -173,7 +170,7 @@ impl ShardMetrics {
             edits_applied: self.applied.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             reads: self.reads.load(Ordering::Relaxed),
-            window: self.window.load(Ordering::Relaxed) as usize,
+            window,
             max_flush: self.max_flush.load(Ordering::Relaxed) as usize,
             reclaim_waits: self.reclaim_waits.load(Ordering::Relaxed),
             rebuild_fallbacks: self.rebuild_fallbacks.load(Ordering::Relaxed),
@@ -218,8 +215,8 @@ pub struct ShardStats {
     pub queue_depth: u64,
     /// Snapshots handed out to readers.
     pub reads: u64,
-    /// Current adaptive coalescing window (ops per flush the writer aims
-    /// for).
+    /// Ops per flush the writer fills a batch to: the configured
+    /// [`crate::ServeConfig::max_batch`].
     pub window: usize,
     /// Largest single flush so far.
     pub max_flush: usize,
@@ -242,7 +239,8 @@ pub struct ShardStats {
     /// Snapshot files persisted at publication-generation boundaries
     /// (including the one written at server creation / recovery).
     pub snapshots_persisted: u64,
-    /// WAL append/sync failures.  The first one quarantines the shard.
+    /// WAL append/sync failures.  Each one sends the shard through a heal
+    /// from its durable directory; only a failed heal quarantines it.
     pub wal_errors: u64,
     /// Snapshot persistence failures.  Not fatal on their own — the WAL
     /// still covers every op — but a red flag worth alerting on.
@@ -391,7 +389,7 @@ mod tests {
         ] {
             m.set_health(h);
             assert_eq!(m.health(), ShardHealth::Quarantined);
-            assert_eq!(m.stats().health, ShardHealth::Quarantined);
+            assert_eq!(m.stats(1).health, ShardHealth::Quarantined);
         }
     }
 }

@@ -1,8 +1,9 @@
 //! The concurrent serving layer in action: two shards behind one shared
 //! query plan, reader threads enumerating snapshot-consistent states while
 //! writer feeds push skewed/burst edit streams through the write-behind
-//! ingest queues, with the adaptive coalescing window and sharing ratios
-//! reported at the end.
+//! ingest queues; every flush fills to `max_batch`, a barrier or the
+//! `max_latency` deadline, and the per-shard flush sizes and sharing ratios
+//! are reported at the end.
 //!
 //! Run with: `cargo run --example serving`
 
@@ -64,7 +65,7 @@ pub fn main() {
     }
 
     // One writer per shard: shard 0 takes a hot-subtree skewed stream (high
-    // spine sharing — the window should grow), shard 1 a bursty one.  A
+    // spine sharing), shard 1 a bursty one.  A
     // saturated producer is expected to see `Backpressure` when the queue
     // fills (e.g. while the shard writer pays an O(n) reclaim-fallback
     // rebuild on a small machine); `RetryPolicy` is the sanctioned answer —

@@ -552,7 +552,11 @@ fn load_shed_at_the_door_and_retry_policy_recover_the_stream() {
         shed_depth: 1,
         ingest_timeout: Duration::ZERO, // fail-fast: shed or full, never wait
         reclaim_patience: Duration::from_millis(500),
-        ..ServeConfig::default()
+        // Flushes of at most 8 ops: the writer publishes within the first
+        // 8 ops and wedges on the second flush's reclaim, long before all
+        // 40 ops are in.  A larger batch could absorb the whole stream into
+        // one flush that never needs the held copy.
+        ..ServeConfig::fixed(8)
     };
     let server = TreeServer::with_plan(vec![tree.clone()], Arc::clone(&plan), cfg);
     // Wedge the writer: hold generation 0 so the first publish retires a

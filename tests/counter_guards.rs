@@ -149,10 +149,9 @@ fn shard_stats_counters_are_exact_when_quiescent() {
     assert_eq!(stats.generation, stats.flushes, "one generation per flush");
     assert_eq!(server.flush_log_len(0), log.len());
     assert_eq!(server.flush_log_since(0, 1).len(), log.len() - 1);
-    assert!(
-        (cfg.min_batch.max(2)..=cfg.max_batch).contains(&stats.window),
-        "adaptive window {} left its configured range",
-        stats.window
+    assert_eq!(
+        stats.window, cfg.max_batch,
+        "the window must report the configured max_batch"
     );
     assert_eq!(
         stats.max_flush,

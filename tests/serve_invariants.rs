@@ -9,8 +9,8 @@
 //!   slots are reused by later inserts (the PR 4 invariant) converges to the
 //!   exact tree the feeder's shadow predicts, whatever the flush
 //!   partitioning was;
-//! * **adaptive coalescing** — the ingest window grows under high observed
-//!   spine sharing and shrinks when edits stop overlapping;
+//! * **one coalescing rule** — every flush fills to `max_batch`, a barrier
+//!   or the `max_latency` deadline, whether or not its edits share a spine;
 //! * **liveness** — a snapshot held across many flushes stays immutable and
 //!   never stops the writer from publishing new generations.
 
@@ -166,14 +166,10 @@ fn coalesced_flushes_preserve_edit_order_across_freed_slot_reuse() {
     let labels: Vec<Label> = sigma.labels().collect();
     let query = select_b(&sigma);
     let tree = random_tree(&mut sigma, 60, TreeShape::Random, 5);
-    // Force heavy coalescing: big fixed window, generous latency budget.
+    // Force heavy coalescing: 64-op flushes, generous latency budget.
     let config = ServeConfig {
-        adaptive: false,
-        initial_batch: 64,
-        min_batch: 64,
-        max_batch: 64,
         max_latency: std::time::Duration::from_millis(20),
-        ..ServeConfig::default()
+        ..ServeConfig::fixed(64)
     };
     let server = TreeServer::new(vec![tree.clone()], &query, sigma.len(), config);
     let mut feed = EditFeed::new(&tree, EditStream::burst(labels, 83));
@@ -223,115 +219,68 @@ fn coalesced_flushes_preserve_edit_order_across_freed_slot_reuse() {
     snap.check_consistency();
 }
 
-/// The adaptive window grows while the observed sharing ratio is high
-/// (repeatedly editing one spine) and shrinks when edits stop overlapping.
+/// One coalescing rule, whatever the spine sharing: with a deadline that
+/// never fires, a round of 64 ops plus a barrier lands as exactly one flush,
+/// both when the ops are spread over distinct nodes (little spine sharing,
+/// first) and when every op edits one hot spine.  The sharing ratio is
+/// still recorded per flush, but it does not change the batch size.
 #[test]
-fn adaptive_window_follows_the_sharing_ratio() {
+fn every_flush_fills_to_max_batch_or_a_barrier_whatever_the_sharing() {
     let mut sigma = Alphabet::from_names(["a", "b"]);
     let query = select_b(&sigma);
-    let tree = random_tree(&mut sigma, 400, TreeShape::Random, 13);
+    let tree = random_tree(&mut sigma, 4000, TreeShape::Random, 13);
     let labels: Vec<Label> = sigma.labels().collect();
-
-    // Maximal sharing: every op relabels the same deep node, so every
-    // coalesced batch repairs one spine once and skips k-1 copies.
     let sampler = NodeSampler::new(&tree);
     let hot = *sampler
         .leaves()
         .iter()
         .find(|&&n| n != tree.root())
-        .expect("a 400-node tree has a non-root leaf");
-    let server = TreeServer::new(
-        vec![tree.clone()],
-        &query,
-        sigma.len(),
-        ServeConfig::default(),
-    );
-    let initial = server.shard_stats(0).window;
-    for round in 0..8 {
-        for i in 0..64 {
-            server
-                .ingest(
-                    0,
-                    EditOp::Relabel {
-                        node: hot,
-                        label: labels[(round + i) % labels.len()],
-                    },
-                )
-                .unwrap();
-        }
-        server.flush(0).unwrap();
-    }
-    let grown = server.shard_stats(0).window;
-    assert!(
-        grown > initial,
-        "window must grow under maximal sharing (initial {initial}, now {grown})"
-    );
-    assert!(server.shard_stats(0).sharing_ratio() > 0.5);
-
-    // Low sharing: spread relabels over many distinct nodes.  With a shrink
-    // threshold above what scattered spines can reach (they only share the
-    // few top-of-term ancestors), every multi-op flush shrinks the window.
-    let spread_config = ServeConfig {
-        initial_batch: 64,
-        grow_sharing: 0.95,
-        shrink_sharing: 0.9,
-        ..ServeConfig::default()
-    };
-    let server = TreeServer::new(vec![tree.clone()], &query, sigma.len(), spread_config);
-    assert_eq!(server.shard_stats(0).window, 64);
+        .expect("a 4000-node tree has a non-root leaf");
     let nodes = sampler.nodes();
-    for round in 0..6 {
-        for i in 0..64usize {
-            server
-                .ingest(
-                    0,
-                    EditOp::Relabel {
-                        node: nodes[(i * 97 + round * 13) % nodes.len()],
-                        label: labels[i % labels.len()],
-                    },
-                )
-                .unwrap();
-        }
-        server.flush(0).unwrap();
-    }
-    let shrunk = server.shard_stats(0).window;
-    assert!(
-        shrunk < 64,
-        "window must shrink when edits stop overlapping (still {shrunk})"
-    );
-
-    // Recovery from the floor: a fully collapsed adaptive window must be
-    // able to re-open when the stream turns hot again.  The adaptive floor
-    // is 2 precisely because a size-1 flush observes no sharing ratio — a
-    // window of 1 would be a one-way ratchet.
-    let floored_config = ServeConfig {
-        initial_batch: 1, // validated() floors this to 2 in adaptive mode
+    let cfg = ServeConfig {
+        max_latency: std::time::Duration::from_secs(60),
         ..ServeConfig::default()
     };
-    let server = TreeServer::new(vec![tree.clone()], &query, sigma.len(), floored_config);
-    assert_eq!(
-        server.shard_stats(0).window,
-        2,
-        "adaptive configs must floor the window at 2"
-    );
-    for round in 0..8 {
-        for i in 0..64 {
-            server
-                .ingest(
-                    0,
-                    EditOp::Relabel {
-                        node: hot,
-                        label: labels[(round + i) % labels.len()],
-                    },
-                )
-                .unwrap();
-        }
+    let server = TreeServer::new(vec![tree.clone()], &query, sigma.len(), cfg);
+    assert_eq!(server.shard_stats(0).window, cfg.max_batch);
+    let mut ratios = [Vec::new(), Vec::new()];
+    for round in 0..6usize {
+        let spread = round % 2 == 0;
+        let ops: Vec<EditOp> = (0..64usize)
+            .map(|i| EditOp::Relabel {
+                // Hot: every op relabels one leaf, so the batch repairs one
+                // spine.  Spread: 64 distinct nodes across the tree.
+                node: if spread {
+                    nodes[(i * 97 + round * 13) % nodes.len()]
+                } else {
+                    hot
+                },
+                label: labels[(round + i) % labels.len()],
+            })
+            .collect();
+        let before = server.flush_log_len(0);
+        server.ingest_batch(0, &ops).unwrap();
         server.flush(0).unwrap();
+        let new = server.flush_log_since(0, before);
+        let sizes: Vec<usize> = new.iter().map(|r| r.size).collect();
+        assert_eq!(
+            sizes,
+            [64],
+            "round {round} ({}) must land as one 64-op flush",
+            if spread { "spread" } else { "hot spine" }
+        );
+        assert_eq!(server.shard_stats(0).window, cfg.max_batch);
+        ratios[spread as usize].push(new[0].sharing_ratio());
     }
-    let reopened = server.shard_stats(0).window;
+    let (hot_min, spread_max) = (
+        ratios[0].iter().cloned().fold(f64::INFINITY, f64::min),
+        ratios[1].iter().cloned().fold(0.0, f64::max),
+    );
     assert!(
-        reopened > 2,
-        "a floored window must re-open under maximal sharing (still {reopened})"
+        hot_min > spread_max,
+        "the sharing ratio must still tell the hot rounds ({:?}) from the spread ones ({:?})",
+        ratios[0],
+        ratios[1]
     );
 }
 
