@@ -19,9 +19,11 @@
 //!   helpers in `crates/serve/src/lock.rs` so a panicking reader or sink can
 //!   never wedge the serving layer.
 //! * [`RULE_COUNTER`] — every public counter field of `EnumStats`,
-//!   `IndexStats` and `ShardStats` must be named in at least one file under
-//!   the repo-root `tests/` directory.  A counter no test reads is a dead
-//!   guard: it can silently stop counting and nothing fails.
+//!   `IndexStats` and `ShardStats` must be read in at least one file under
+//!   the repo-root `tests/` directory by something other than an
+//!   `assert_eq!(x.field, 0, …)`.  A counter no test reads is a dead guard:
+//!   it can silently stop counting and nothing fails; one that tests only
+//!   ever assert to be 0 guards a path that never runs.
 //! * [`RULE_IO`] — no `.unwrap()`/`.expect()` on an `io::Result` in
 //!   `crates/wal` / `crates/serve` non-test code, outside the designated
 //!   fault-injection module (`crates/wal/src/failpoint.rs`).  A storage
@@ -636,9 +638,10 @@ pub fn counter_fields(file: &SourceFile) -> Vec<CounterField> {
     out
 }
 
-/// Rule [`RULE_COUNTER`]: every counter field must be named somewhere under
+/// Rule [`RULE_COUNTER`]: every counter field must be read somewhere under
 /// `tests/`.  `fields` come from [`counter_fields`]; `test_idents` is the
-/// union of code identifiers of the files under `tests/`.
+/// union of code identifiers of the files under `tests/`, less those that
+/// only appear as the field of an always-0 assert ([`zero_asserted`]).
 pub fn check_counter_coverage(
     fields: &[CounterField],
     test_idents: &HashSet<String>,
@@ -661,14 +664,33 @@ pub fn check_counter_coverage(
             file: f.file.clone(),
             line: f.line,
             msg: format!(
-                "counter `{}::{}` is never named under tests/ — a counter no test reads is a \
-                 dead guard (assert it in a tests/ suite or justify with \
-                 `// analyze: allow(counter): <reason>`)",
+                "counter `{}::{}` is never read under tests/ except by always-0 asserts — a \
+                 counter no test reads is a dead guard (assert it in a tests/ suite or justify \
+                 with `// analyze: allow(counter): <reason>`)",
                 f.strukt, f.field
             ),
         });
     }
     out
+}
+
+/// `true` iff code token `ci` is the field in `assert_eq!(….field, 0 …)`.
+pub fn zero_asserted(f: &SourceFile, ci: usize) -> bool {
+    let zero = f.code_len() > ci + 3
+        && f.ct(ci + 2).kind == TokKind::Num
+        && f.ct(ci + 2)
+            .text
+            .split(|c: char| c.is_ascii_alphabetic())
+            .next()
+            == Some("0");
+    zero && ci > 0
+        && f.is_punct(ci - 1, ".")
+        && f.is_punct(ci + 1, ",")
+        && (f.is_punct(ci + 3, ",") || f.is_punct(ci + 3, ")"))
+        && (0..ci)
+            .rev()
+            .take_while(|&cj| !f.is_punct(cj, ";") && !f.is_punct(cj, "{") && !f.is_punct(cj, "}"))
+            .any(|cj| f.is_ident(cj, "assert_eq"))
 }
 
 /// The scanned workspace: every source file the rules look at.
@@ -767,7 +789,7 @@ impl Workspace {
             fields.extend(counter_fields(f));
             if self.path_has(f, "tests/") {
                 for ci in 0..f.code_len() {
-                    if f.ct(ci).kind == TokKind::Ident {
+                    if f.ct(ci).kind == TokKind::Ident && !zero_asserted(f, ci) {
                         test_idents.insert(f.ct(ci).text.clone());
                     }
                 }

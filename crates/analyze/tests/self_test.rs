@@ -109,6 +109,22 @@ fn counter_rule_flags_exactly_the_uncovered_field() {
 }
 
 #[test]
+fn counter_rule_flags_a_counter_tests_only_assert_is_zero() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("fixtures")
+        .join("counter_zero_ws");
+    let ws = Workspace::scan(&root).expect("fixture mini-workspace must scan");
+    let diags = ws.check_all();
+    assert_eq!(rules_of(&diags), [RULE_COUNTER], "diags: {diags:?}");
+    assert_eq!(diags.len(), 1);
+    assert!(
+        diags[0].msg.contains("ShardStats::zero_only"),
+        "must flag the zero-only field, got: {}",
+        diags[0].msg
+    );
+}
+
+#[test]
 fn doc_links_flags_exactly_the_dangling_links() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("fixtures")

@@ -17,7 +17,7 @@
 //! indexes of its two children, the index can be recomputed for exactly the boxes
 //! that a tree hollowing dirties (Lemma 7.3).
 
-use crate::relation::{child_relation, relation_by_walking, Relation};
+use crate::relation::{child_relation, Relation};
 use treenum_circuits::{BoxId, Circuit, Side, UnionInput};
 
 /// Sentinel for "undefined" (`fbb` of a gate with no bidirectional box below it).
@@ -55,38 +55,6 @@ impl BoxIndex {
     pub fn fib_of_set(&self, gates: impl Iterator<Item = usize>) -> Option<u32> {
         gates.map(|g| self.fib[g]).min()
     }
-
-    /// The first bidirectional box of a gate set following Equation (2): the lca of
-    /// the defined `fbb(g)` values, which (because the closure is lca-closed and
-    /// preorder-sorted) is the preorder-minimal defined `fbb(g)` slot when all the
-    /// values lie on a root-to-leaf chain, and is resolved through the stored lca
-    /// closure otherwise.  Returns the closure slot, or `None` when undefined.
-    pub fn fbb_of_set(
-        &self,
-        circuit: &Circuit,
-        this_box: BoxId,
-        gates: impl Iterator<Item = usize>,
-    ) -> Option<u32> {
-        let mut boxes: Vec<BoxId> = gates
-            .map(|g| self.fbb[g])
-            .filter(|&i| i != UNDEFINED)
-            .map(|i| self.closure[i as usize])
-            .collect();
-        if boxes.is_empty() {
-            return None;
-        }
-        boxes.sort_unstable();
-        boxes.dedup();
-        let mut lca = boxes[0];
-        for &b in &boxes[1..] {
-            lca = circuit.lca(lca, b);
-        }
-        let _ = this_box;
-        self.closure
-            .iter()
-            .position(|&b| b == lca)
-            .map(|i| i as u32)
-    }
 }
 
 /// Counters exposed by [`EnumIndex::stats`], tracking the allocation behaviour of
@@ -94,11 +62,8 @@ impl BoxIndex {
 ///
 /// `rebuild_box` used to clone both child [`BoxIndex`] values (closures *and* all
 /// stored reachability relations) on every call, which dominated per-edit update
-/// cost.  The dense slab layout makes the clones structurally unnecessary; the
-/// `child_index_clones` counter is the regression guard — any future code path
-/// that needs to clone a child entry must go through
-/// [`EnumIndex::clone_box_index`], and the engine's tests assert the counter
-/// stays at zero across builds and long edit streams.
+/// cost.  The dense slab layout makes the clones structurally unnecessary:
+/// `rebuild_box` reads the child entries in place.
 /// The struct is `#[non_exhaustive]`: downstream code must read fields (or
 /// destructure with `..`) rather than construct/match it exhaustively, so new
 /// counters can be added without breaking callers.
@@ -107,15 +72,9 @@ impl BoxIndex {
 pub struct IndexStats {
     /// Number of `rebuild_box` calls since the index was created.
     pub box_rebuilds: u64,
-    /// Number of whole child `BoxIndex` clones performed (must stay 0 on the
-    /// build/update path).
-    pub child_index_clones: u64,
     /// Cumulative number of reachability relations computed and stored by
     /// rebuilds (one per closure entry).
     pub relations_stored: u64,
-    /// Number of `relation_to` queries that fell back to walking the box tree
-    /// because the child's closure did not contain the target.
-    pub relation_walk_fallbacks: u64,
     /// Number of batch repair passes ([`EnumIndex::record_batch`] calls — one
     /// per `TreeEnumerator::apply_batch`, so one per `apply` too).
     pub batch_rebuilds: u64,
@@ -221,26 +180,18 @@ impl EnumIndex {
         self.stats.batch_dirty_nodes += dirty_nodes;
     }
 
-    /// Clones the stored entry of `b`, counting the clone in
-    /// [`IndexStats::child_index_clones`].  This is the *only* sanctioned way to
-    /// copy an entry out of the slab; the hot paths never call it.
-    pub fn clone_box_index(&mut self, b: BoxId) -> BoxIndex {
-        self.stats.child_index_clones += 1;
-        self.of(b).clone()
-    }
-
     /// Recomputes the index entry of box `b`.  The entries of its children (if any)
     /// must already be up to date.  Returns the number of reachability relations
     /// stored for the box.
     ///
     /// The child entries are read in place through shared borrows of the slab —
-    /// no `BoxIndex` is cloned (see [`IndexStats::child_index_clones`]).
+    /// no `BoxIndex` is cloned.
     // hot-path: the per-edit spine-repair step; the O(polylog) update bound
     // assumes it stays free of per-call allocation.
     pub fn rebuild_box(&mut self, circuit: &Circuit, b: BoxId) -> usize {
-        let (entry, walk_fallbacks) = self.compute_entry(circuit, b);
+        let entry = self.compute_entry(circuit, b);
         let stored = entry.rel.len();
-        self.store_entry(circuit, b, entry, walk_fallbacks);
+        self.store_entry(circuit, b, entry);
         stored
     }
 
@@ -252,32 +203,30 @@ impl EnumIndex {
     /// between closure boxes, which edge splices below do not alter).
     // hot-path: the fixpoint variant of `rebuild_box`, same discipline.
     pub fn rebuild_box_changed(&mut self, circuit: &Circuit, b: BoxId) -> bool {
-        let (entry, walk_fallbacks) = self.compute_entry(circuit, b);
+        let entry = self.compute_entry(circuit, b);
         if self.get(b) == Some(&entry) {
             self.stats.box_rebuilds += 1;
-            self.stats.relation_walk_fallbacks += walk_fallbacks;
             return false;
         }
-        self.store_entry(circuit, b, entry, walk_fallbacks);
+        self.store_entry(circuit, b, entry);
         true
     }
 
-    fn store_entry(&mut self, circuit: &Circuit, b: BoxId, entry: BoxIndex, walk_fallbacks: u64) {
+    fn store_entry(&mut self, circuit: &Circuit, b: BoxId, entry: BoxIndex) {
         if b.index() >= self.slots.len() {
             self.slots
                 .resize_with(circuit.arena_len().max(b.index() + 1), || None);
         }
         self.stats.box_rebuilds += 1;
         self.stats.relations_stored += entry.rel.len() as u64;
-        self.stats.relation_walk_fallbacks += walk_fallbacks;
         if self.slots[b.index()].replace(entry).is_none() {
             self.live += 1;
         }
     }
 
     /// Computes the entry of `b` from the circuit and the children's entries,
-    /// without storing it.  Also returns the number of walk fallbacks taken.
-    fn compute_entry(&self, circuit: &Circuit, b: BoxId) -> (BoxIndex, u64) {
+    /// without storing it.
+    fn compute_entry(&self, circuit: &Circuit, b: BoxId) -> BoxIndex {
         let width = circuit.box_width(b);
         let gates = circuit.union_gates(b);
 
@@ -373,7 +322,6 @@ impl EnumIndex {
         });
 
         // Reachability relations to every closure box.
-        let mut walk_fallbacks = 0u64;
         let rel: Vec<Relation> = closure
             .iter()
             .map(|&d| {
@@ -390,13 +338,15 @@ impl EnumIndex {
                 if child == d {
                     return step.clone();
                 }
-                if let Some(child_index) = self.get(child) {
-                    if let Some(pos) = child_index.closure.iter().position(|&c| c == d) {
-                        return child_index.rel[pos].compose(step);
-                    }
-                }
-                walk_fallbacks += 1;
-                relation_by_walking(circuit, child, d).compose(step)
+                // Child closure: every target below the child that this
+                // box's closure names is an fib/fbb value of a child gate or
+                // an lca of such values, so the child's lca-closed closure
+                // holds it and stores its relation.
+                let child_index = self.get(child).expect("child index missing");
+                let pos = child_index.closure.iter().position(|&c| c == d).expect(
+                    "child-closure invariant: a strict descendant target is in the child's closure",
+                );
+                child_index.rel[pos].compose(step)
             })
             .collect();
 
@@ -412,50 +362,13 @@ impl EnumIndex {
         let fib: Vec<u32> = fib_box.iter().map(|&t| slot_of(t)).collect();
         let fbb: Vec<u32> = fbb_box.iter().map(|&t| slot_of(t)).collect();
 
-        let entry = BoxIndex {
+        BoxIndex {
             closure,
             rel,
             fib,
             fbb,
             child_rel: child_steps,
-        };
-        (entry, walk_fallbacks)
-    }
-
-    /// `R(target, from)` for a descendant `target` of `from`: identity if equal, the
-    /// child relation if `target` is a child, otherwise the composition through the
-    /// child of `from` towards `target`, reusing the child's stored relation when
-    /// available (Lemma 6.3) and falling back to walking otherwise.
-    pub fn relation_to(&self, circuit: &Circuit, from: BoxId, target: BoxId) -> Relation {
-        self.relation_to_impl(circuit, from, target).0
-    }
-
-    /// [`EnumIndex::relation_to`] plus the number of walk fallbacks taken (0 or 1).
-    fn relation_to_impl(&self, circuit: &Circuit, from: BoxId, target: BoxId) -> (Relation, u64) {
-        if from == target {
-            return (Relation::identity(circuit.box_width(from)), 0);
         }
-        let (l, r) = circuit
-            .children(from)
-            .expect("relation_to: target is not a descendant of from");
-        let (child, side) = if circuit.is_ancestor(l, target) {
-            (l, Side::Left)
-        } else {
-            (r, Side::Right)
-        };
-        let step = child_relation(circuit, from, side);
-        if child == target {
-            return (step, 0);
-        }
-        if let Some(child_index) = self.get(child) {
-            if let Some(pos) = child_index.closure.iter().position(|&c| c == target) {
-                return (child_index.rel[pos].compose(&step), 0);
-            }
-        }
-        (
-            relation_by_walking(circuit, child, target).compose(&step),
-            1,
-        )
     }
 }
 
@@ -481,6 +394,7 @@ fn lca_of_slots(circuit: &Circuit, child_index: &BoxIndex, targets: &[u32]) -> O
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relation::relation_by_walking;
     use treenum_automata::binary::select_a_leaves;
     use treenum_circuits::build_assignment_circuit;
     use treenum_trees::binary::BinaryTree;
@@ -559,27 +473,22 @@ mod tests {
 
     #[test]
     fn rebuild_path_never_clones_child_indexes() {
-        // Regression guard for the old `rebuild_box` behaviour of cloning both
-        // child `BoxIndex` values (closure + all stored relations) per call.
+        // `rebuild_box` reads the child entries in place; rebuilding every
+        // box again, as an update spine repair would, reproduces the built
+        // entries.
         let (ac, _t) = build_sample(6);
         let mut index = EnumIndex::build(&ac.circuit);
+        let built = index.clone();
         let boxes = ac.circuit.boxes_postorder();
-        // Rebuild every box once more, as an update spine repair would.
         for &b in &boxes {
             index.rebuild_box(&ac.circuit, b);
         }
         let stats = index.stats();
         assert_eq!(stats.box_rebuilds, 2 * boxes.len() as u64);
-        assert_eq!(
-            stats.child_index_clones, 0,
-            "the rebuild path must not clone child index entries"
-        );
-        // Bottom-up rebuilds always find the target in the child closure.
-        assert_eq!(stats.relation_walk_fallbacks, 0);
         assert!(stats.relations_stored > 0);
-        // The sanctioned clone entry point does count.
-        let _copy = index.clone_box_index(ac.circuit.root());
-        assert_eq!(index.stats().child_index_clones, 1);
+        for &b in &boxes {
+            assert_eq!(index.get(b), built.get(b), "box {b:?}");
+        }
     }
 
     #[test]

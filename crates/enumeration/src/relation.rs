@@ -285,8 +285,9 @@ pub fn child_relation_into(circuit: &Circuit, b: BoxId, side: Side, out: &mut Re
 }
 
 /// Computes `R(target, from)` for a descendant box `target` of `from` by walking down
-/// the box tree and composing child relations (`O(distance · w³/64)`).  Used as a
-/// fallback and by the index construction.
+/// the box tree and composing child relations (`O(distance · w³/64)`).  The
+/// oracle the index tests check its stored relations against; the index itself
+/// composes stored child-closure relations instead.
 pub fn relation_by_walking(circuit: &Circuit, from: BoxId, target: BoxId) -> Relation {
     // Build the path from `target` up to `from`.
     let mut path = vec![target];

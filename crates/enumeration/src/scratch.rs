@@ -21,8 +21,7 @@
 //!   a run parked between pages;
 //! * the [`EnumStats`] counters that make the discipline observable —
 //!   `tests/delay_invariants.rs` asserts they stay flat across steady-state
-//!   enumerations, exactly like `IndexStats::child_index_clones` guards the
-//!   index rebuild path.
+//!   enumerations.
 
 use crate::bitset::GateSet;
 use crate::machine::Machine;

@@ -107,14 +107,6 @@ fn index_stats_counters_track_build_and_batch_repair() {
         stats.box_rebuilds > built.box_rebuilds,
         "batch repair must recompute entries"
     );
-    assert_eq!(
-        stats.child_index_clones, 0,
-        "the update path cloned a child index entry"
-    );
-    assert_eq!(
-        stats.relation_walk_fallbacks, 0,
-        "the update path lost a closure target and had to walk"
-    );
 }
 
 /// `ShardStats` under a calm ingest → flush → read sequence: the throughput

@@ -176,6 +176,7 @@ fn randomized_kill_points_never_lose_an_acked_op() {
             .to_owned(),
         "strategy kind kill_step ops_acked ops_recovered torn_tail bytes_dropped".to_owned(),
     ];
+    let mut snapshot_kills = 0u32;
     for (si, (sname, make)) in strategies().into_iter().enumerate() {
         let tree = random_tree(&mut sigma, 80, TreeShape::Random, 43 + si as u64);
         let mut feed = EditFeed::new(&tree, make(labels.clone(), 83 + si as u64));
@@ -226,6 +227,7 @@ fn randomized_kill_points_never_lose_an_acked_op() {
                         crashed.wal_errors >= 1,
                         "{sname}/{kind:?}/k={k}: the failed append must be counted"
                     );
+                    snapshot_kills += u32::from(crashed.snapshot_errors >= 1);
                     assert_eq!(
                         server.ingest(0, ops[0]),
                         Err(ServeError::Quarantined),
@@ -274,6 +276,10 @@ fn randomized_kill_points_never_lose_an_acked_op() {
             }
         }
     }
+    assert!(
+        snapshot_kills > 0,
+        "some kill point must land on a snapshot write and be counted in snapshot_errors"
+    );
     std::fs::create_dir_all("target").ok();
     std::fs::write(
         "target/fault-injection-report.txt",

@@ -119,15 +119,6 @@ fn long_edit_streams_match_from_scratch_rebuilds() {
                 }
             }
             engine.check_consistency();
-            let stats = engine.index_stats();
-            assert_eq!(
-                stats.child_index_clones, 0,
-                "{name}: update path cloned a child index entry"
-            );
-            assert_eq!(
-                stats.relation_walk_fallbacks, 0,
-                "{name}: update path lost a closure target and had to walk"
-            );
         }
     }
 }

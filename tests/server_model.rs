@@ -21,6 +21,9 @@
 //! A checkpoint compares the shard's published tree with its shadow, its
 //! membership with the model's, and each registered query's answer count
 //! and sorted-answer hash with a fresh `TreeEnumerator::new` on the shadow.
+//! A completed scan compares its pages with the answers of its pinned
+//! generation and runs `check_consistency` on the pinned snapshot, which
+//! has outlived every flush published since it was taken.
 //! A failing sequence is shrunk by removing halves, quarters, … of the
 //! operation list while it still fails, and the seed plus the shrunk list
 //! are printed.  Sizes shrink in debug builds through `oracle_scale`;
@@ -358,6 +361,9 @@ impl Model {
                         scan.id,
                         scan.snap.generation()
                     );
+                    // The writer must have left the pinned snapshot's whole
+                    // structure intact, not only the scanned answers.
+                    scan.snap.check_consistency();
                 }
             }
             Step::Recover => self.recover(),
