@@ -112,6 +112,65 @@ struct BoxSlot {
     free: bool,
 }
 
+/// Slots per chunk of the box arena (a power of two).
+const CHUNK: usize = 1 << 10;
+
+/// The box arena: slots in fixed-size chunks of [`CHUNK`], the slots past
+/// `len` free placeholders.  No slot ever moves, so a circuit that outgrows
+/// its capacity writes one new chunk instead of copying the whole arena
+/// (at 2¹⁸ slots a doubling `Vec` copies ~23 MB in one repair, and the
+/// allocator keeps the old block resident).
+#[derive(Clone, Debug, Default)]
+struct Slots {
+    chunks: Vec<Box<[BoxSlot; CHUNK]>>,
+    len: usize,
+}
+
+impl Slots {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn push(&mut self, slot: BoxSlot) {
+        if self.len.is_multiple_of(CHUNK) {
+            let placeholder = BoxSlot {
+                content: BoxContent::default(),
+                parent: None,
+                left: None,
+                right: None,
+                leaf_token: None,
+                free: true,
+            };
+            let chunk = vec![placeholder; CHUNK].into_boxed_slice();
+            self.chunks
+                .push(chunk.try_into().expect("a chunk of CHUNK slots"));
+        }
+        let i = self.len;
+        self.len += 1;
+        self[i] = slot;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &BoxSlot> {
+        self.chunks.iter().flat_map(|c| c.iter()).take(self.len)
+    }
+}
+
+impl std::ops::Index<usize> for Slots {
+    type Output = BoxSlot;
+
+    #[inline]
+    fn index(&self, i: usize) -> &BoxSlot {
+        &self.chunks[i / CHUNK][i % CHUNK]
+    }
+}
+
+impl std::ops::IndexMut<usize> for Slots {
+    #[inline]
+    fn index_mut(&mut self, i: usize) -> &mut BoxSlot {
+        &mut self.chunks[i / CHUNK][i % CHUNK]
+    }
+}
+
 /// A box-structured complete structured DNNF (set circuit).
 ///
 /// The tree of boxes *is* the v-tree: leaf boxes are labelled (implicitly) by the
@@ -119,7 +178,7 @@ struct BoxSlot {
 /// the box containing it.
 #[derive(Clone, Debug, Default)]
 pub struct Circuit {
-    slots: Vec<BoxSlot>,
+    slots: Slots,
     free_list: Vec<u32>,
     root: Option<BoxId>,
     num_states: usize,
@@ -129,7 +188,7 @@ impl Circuit {
     /// Creates an empty circuit for an automaton with `num_states` states.
     pub fn new(num_states: usize) -> Self {
         Circuit {
-            slots: Vec::new(),
+            slots: Slots::default(),
             free_list: Vec::new(),
             root: None,
             num_states,
@@ -641,6 +700,38 @@ mod tests {
         // The freed slot is reused.
         let l3 = c.add_leaf_box(mk(), 2);
         assert_eq!(l3, l2);
+    }
+
+    #[test]
+    fn arena_spans_chunks_clones_and_reuses_slots() {
+        let mk = || BoxContent {
+            union_gates: vec![],
+            gamma: vec![StateGate::Top],
+        };
+        let n = 2 * CHUNK + 5;
+        let mut c = Circuit::new(1);
+        for token in 0..n as u32 {
+            assert_eq!(c.add_leaf_box(mk(), token), BoxId(token));
+        }
+        assert_eq!((c.arena_len(), c.num_boxes()), (n, n));
+        // A clone grows on its own; the original is untouched.
+        let mut d = c.clone();
+        let extra = d.add_leaf_box(mk(), n as u32);
+        assert_eq!(extra, BoxId(n as u32));
+        assert_eq!(c.arena_len(), n);
+        assert!(!c.is_live(extra) && d.is_live(extra));
+        // A freed slot in a middle chunk is reused, and every slot still
+        // reads back its own token, in arena order.
+        let mid = BoxId(CHUNK as u32 + 7);
+        d.free_single(mid);
+        assert_eq!(d.add_leaf_box(mk(), 7_000_000), mid);
+        assert_eq!(d.leaf_token(mid), Some(7_000_000));
+        for (i, b) in d.boxes().enumerate() {
+            assert_eq!(b, BoxId(i as u32));
+            if b != mid {
+                assert_eq!(d.leaf_token(b), Some(i as u32));
+            }
+        }
     }
 
     #[test]

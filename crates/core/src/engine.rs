@@ -250,6 +250,8 @@ pub struct QueryIndex {
     content_mark: Vec<u64>,
     /// Boxes whose index entry changed this batch.
     entry_mark: Vec<u64>,
+    /// Boxes whose `γ` changed this batch (a new box counts as changed).
+    gamma_mark: Vec<u64>,
     /// Reusable per-answer enumeration scratch (pools + counters), kept warm
     /// across repair/re-enumeration cycles.  A `Mutex` because enumeration
     /// takes `&self` and the index is shared across reader threads by the
@@ -277,6 +279,7 @@ impl Clone for QueryIndex {
             epoch: self.epoch,
             content_mark: Vec::new(),
             entry_mark: Vec::new(),
+            gamma_mark: Vec::new(),
             scratch: Mutex::new(EnumScratch::new()),
             stamp: fresh_stamp(),
         }
@@ -297,6 +300,7 @@ impl QueryIndex {
             epoch: 0,
             content_mark: Vec::new(),
             entry_mark: Vec::new(),
+            gamma_mark: Vec::new(),
             scratch: Mutex::new(EnumScratch::new()),
             stamp: fresh_stamp(),
         };
@@ -398,10 +402,11 @@ impl QueryIndex {
     }
 
     /// (Re)computes the circuit box of term node `n` (children boxes must be
-    /// current).  Returns the box and whether its content or child links
+    /// current).  Returns the box, whether its content or child links
     /// actually changed — ancestors whose recomputed content is identical need
-    /// no index repair (the spine-only early exit of the update path).
-    fn rebuild_box_for(&mut self, doc: &Document, n: TermNodeId) -> (BoxId, bool) {
+    /// no index repair (the spine-only early exit of the update path) — and
+    /// whether its `γ` changed, which a new box always counts as.
+    fn rebuild_box_for(&mut self, doc: &Document, n: TermNodeId) -> (BoxId, bool, bool) {
         let content = self.content_for(doc, n);
         let children = doc
             .term
@@ -416,23 +421,44 @@ impl QueryIndex {
                     && children.is_none_or(|(l, r)| {
                         self.circuit.parent(l) == Some(b) && self.circuit.parent(r) == Some(b)
                     });
-                let content_changed = *self.circuit.content(b) != content;
+                // Compared in place: the old `γ` slice against the new one.
+                let gamma_changed = self.circuit.gamma(b) != content.gamma.as_slice();
+                let content_changed = gamma_changed || *self.circuit.content(b) != content;
                 if content_changed {
                     self.circuit.replace_content(b, content);
                 }
                 if !children_ok {
                     self.circuit.set_children(b, children);
                 }
-                (b, content_changed || !children_ok)
+                (b, content_changed || !children_ok, gamma_changed)
             }
             None => {
                 let leaf_token = doc.term.leaf_tree_node(n).map(|node| node.0);
                 let b = self.circuit.add_orphan_box(content, leaf_token);
                 self.circuit.set_children(b, children);
                 self.set_box_of(doc, n, b);
-                (b, true)
+                (b, true, true)
             }
         }
+    }
+
+    /// Whether internal term node `n`'s box provably holds the content a
+    /// recompute would give: the box is live, its children are `n`'s
+    /// children's boxes with intact parent links, and neither child's `γ`
+    /// changed this batch.  Leaves and new boxes never qualify.
+    fn content_is_current(&self, doc: &Document, n: TermNodeId, epoch: u64) -> bool {
+        let Some((l, r)) = doc.term.children(n) else {
+            return false;
+        };
+        let Some(b) = self.box_of_checked(n).filter(|&b| self.circuit.is_live(b)) else {
+            return false;
+        };
+        let (bl, br) = (self.box_of(l), self.box_of(r));
+        self.circuit.children(b) == Some((bl, br))
+            && self.circuit.parent(bl) == Some(b)
+            && self.circuit.parent(br) == Some(b)
+            && !marked(&self.gamma_mark, epoch, bl.index())
+            && !marked(&self.gamma_mark, epoch, br.index())
     }
 
     /// Repairs the circuit boxes and index entries of exactly the term
@@ -440,16 +466,25 @@ impl QueryIndex {
     /// `doc.apply_batch` produced `batch`.  Every query over `doc` must be
     /// repaired with every batch, in order.  An empty batch is a no-op.
     ///
-    /// Two layers of spine-only narrowing on top of the dirty set:
+    /// Three layers of spine-only narrowing on top of the dirty set:
     ///
+    /// * an internal box whose child links are intact and neither of whose
+    ///   children's `γ` changed this batch keeps its content without a
+    ///   recompute.  This is sound because an internal box's content is
+    ///   `internal_box_content(tva, label, γ(l), γ(r))`, and only leaves
+    ///   change kind (hence label) in place; a freed slot's box is dropped
+    ///   through the batch's freed list first, so a reused slot gets a new
+    ///   box, which counts as changed.  Leaves always recompute;
     /// * a box whose recomputed content and child links are unchanged is left in
     ///   place (gamma changes usually fixpoint a few steps up the spine, so the
-    ///   ancestors above that point keep their contents);
+    ///   ancestors above that point keep their contents, and by the first
+    ///   layer are not even recomputed);
     /// * an index entry is rebuilt only if the box itself changed or a
     ///   descendant's index entry was rebuilt — unchanged boxes above a
     ///   fixpointed spine keep their entries too.
     ///
-    /// [`IndexStats::spine_nodes_deduped`] counts the batch's sharing and
+    /// [`IndexStats::spine_nodes_deduped`] counts the batch's sharing,
+    /// [`IndexStats::boxes_skipped`] the first layer's skips and
     /// [`IndexStats::batch_rebuilds`] the passes.
     // hot-path: the update; per-edit work must stay proportional to the
     // deduplicated spine union.
@@ -471,10 +506,18 @@ impl QueryIndex {
             }
         }
         // Contents bottom-up, then index entries bottom-up.
+        let mut skipped = 0u64;
         for &d in &batch.dirty {
-            let (b, changed) = self.rebuild_box_for(doc, d);
+            if self.content_is_current(doc, d, epoch) {
+                skipped += 1;
+                continue;
+            }
+            let (b, changed, gamma_changed) = self.rebuild_box_for(doc, d);
             if changed {
                 mark(&mut self.content_mark, epoch, b.index());
+            }
+            if gamma_changed {
+                mark(&mut self.gamma_mark, epoch, b.index());
             }
         }
         let root_box = self.box_of(doc.term.root());
@@ -496,7 +539,7 @@ impl QueryIndex {
             }
         }
         self.index
-            .record_batch(batch.deduped, batch.dirty.len() as u64);
+            .record_batch(batch.deduped, batch.dirty.len() as u64, skipped);
     }
 
     /// The root ∪-gates of the final states and whether the empty assignment is

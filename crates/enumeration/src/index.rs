@@ -89,6 +89,11 @@ pub struct IndexStats {
     /// ratio* `deduped / (deduped + dirty)` observable — the fraction of
     /// reported spine nodes a batch did not have to repair.
     pub batch_dirty_nodes: u64,
+    /// Dirty internal boxes a batch repair kept without recomputing their
+    /// content, because their child links were intact and neither child's
+    /// `γ` changed in the batch.  A subset of
+    /// [`IndexStats::batch_dirty_nodes`].
+    pub boxes_skipped: u64,
 }
 
 /// The index structure `I(C)` for a whole circuit: a dense slab of per-box
@@ -172,12 +177,15 @@ impl EnumIndex {
     /// `spine_nodes_deduped` is the number of dirty entries the batch skipped
     /// because an earlier edit of the same batch had already queued the node,
     /// and `dirty_nodes` is the length of the deduplicated union the pass
-    /// then repaired (see [`IndexStats::spine_nodes_deduped`] and
-    /// [`IndexStats::batch_dirty_nodes`]).
-    pub fn record_batch(&mut self, spine_nodes_deduped: u64, dirty_nodes: u64) {
+    /// then repaired, of which `boxes_skipped` kept their content without a
+    /// recompute (see [`IndexStats::spine_nodes_deduped`],
+    /// [`IndexStats::batch_dirty_nodes`] and [`IndexStats::boxes_skipped`]).
+    pub fn record_batch(&mut self, spine_nodes_deduped: u64, dirty_nodes: u64, boxes_skipped: u64) {
+        debug_assert!(boxes_skipped <= dirty_nodes);
         self.stats.batch_rebuilds += 1;
         self.stats.spine_nodes_deduped += spine_nodes_deduped;
         self.stats.batch_dirty_nodes += dirty_nodes;
+        self.stats.boxes_skipped += boxes_skipped;
     }
 
     /// Recomputes the index entry of box `b`.  The entries of its children (if any)
@@ -534,12 +542,13 @@ mod tests {
         let (ac, _t) = build_sample(3);
         let mut index = EnumIndex::build(&ac.circuit);
         assert_eq!(index.stats().batch_rebuilds, 0);
-        index.record_batch(5, 11);
-        index.record_batch(0, 2);
+        index.record_batch(5, 11, 7);
+        index.record_batch(0, 2, 0);
         let stats = index.stats();
         assert_eq!(stats.batch_rebuilds, 2);
         assert_eq!(stats.spine_nodes_deduped, 5);
         assert_eq!(stats.batch_dirty_nodes, 13);
+        assert_eq!(stats.boxes_skipped, 7);
     }
 
     #[test]

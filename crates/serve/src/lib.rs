@@ -1005,7 +1005,7 @@ impl TreeServer {
     /// snapshot-consistency oracle tests replay against).
     ///
     /// The log is the shard's audit trail and is deliberately unbounded —
-    /// one 32-byte record per flush for the server's lifetime.  Long-lived
+    /// one 40-byte record per flush for the server's lifetime.  Long-lived
     /// deployments that poll it should use [`TreeServer::flush_log_len`] /
     /// [`TreeServer::flush_log_since`] instead of repeatedly cloning the
     /// whole history.

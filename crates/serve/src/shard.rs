@@ -788,9 +788,11 @@ impl ShardWriter {
         // batch apply to its document and every registered query's index,
         // and the publish swap — so the per-edit amortized numbers in the
         // flush log reflect the real cost of pushing one op through the
-        // serving pipeline (E9's ingest arms read them).
+        // serving pipeline (E9's ingest arms read them).  The catch-up stage
+        // (reclaim, lag replay, reconcile) is recorded as its own part.
         let start = Instant::now();
         let copy = self.take_writable();
+        let catch_up_nanos = start.elapsed().as_nanos() as u64;
         let chaos = self.chaos.clone();
         let buf = &self.buf;
         let applied = catch_unwind(AssertUnwindSafe(move || {
@@ -813,6 +815,7 @@ impl ShardWriter {
             size: self.buf.len(),
             // Filled in by `publish` (it owns the end of the timed region).
             nanos: 0,
+            catch_up_nanos,
             spine_deduped: report.deduped(),
             spine_dirty: report.dirty_len() as u64,
         };
@@ -889,8 +892,7 @@ impl ShardWriter {
         self.plans.push((id, plan));
         // `take_writable` reconciles against `plans`, building the new
         // query's index.
-        let copy = self.take_writable();
-        self.publish_membership(copy, start);
+        self.publish_membership(start);
         self.metrics
             .queries_attached
             .fetch_add(1, Ordering::Relaxed);
@@ -916,8 +918,7 @@ impl ShardWriter {
         let start = Instant::now();
         self.plans.retain(|(q, _)| *q != id);
         // Reconciliation inside `take_writable` drops the detached index.
-        let copy = self.take_writable();
-        self.publish_membership(copy, start);
+        self.publish_membership(start);
         self.metrics
             .queries_detached
             .fetch_add(1, Ordering::Relaxed);
@@ -927,15 +928,18 @@ impl ShardWriter {
         Ok(self.generation)
     }
 
-    /// Publishes a membership-only generation: zero ops, so the size-0
-    /// flush record keeps the audit trail (`op prefix = sum of the first g
-    /// sizes`) exact, and `lag` is untouched — the freshly retired front is
-    /// behind by membership only, which reconciliation (not op replay)
-    /// repairs at the next reclaim.
-    fn publish_membership(&mut self, copy: ShardCopy, start: Instant) {
+    /// Takes the writable copy, which `take_writable` reconciles against the
+    /// new membership, and publishes it as a membership-only generation:
+    /// zero ops, so the size-0 flush record keeps the audit trail (`op
+    /// prefix = sum of the first g sizes`) exact, and `lag` is untouched —
+    /// the freshly retired front is behind by membership only, which
+    /// reconciliation (not op replay) repairs at the next reclaim.
+    fn publish_membership(&mut self, start: Instant) {
+        let copy = self.take_writable();
         let rec = FlushRecord {
             size: 0,
             nanos: 0,
+            catch_up_nanos: start.elapsed().as_nanos() as u64,
             spine_deduped: 0,
             spine_dirty: 0,
         };
@@ -1046,6 +1050,7 @@ impl ShardWriter {
             self.metrics.record_flush(FlushRecord {
                 size: new_visible as usize,
                 nanos: start.elapsed().as_nanos() as u64,
+                catch_up_nanos: 0,
                 spine_deduped: 0,
                 spine_dirty: 0,
             });

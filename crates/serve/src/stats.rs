@@ -76,6 +76,12 @@ pub struct FlushRecord {
     /// writable copy (including any bounded wait for readers), replaying its
     /// lag, applying the batch, and publishing the new snapshot.
     pub nanos: u64,
+    /// The catch-up part of [`FlushRecord::nanos`]: the time spent obtaining
+    /// the writable copy — the reclaim wait for readers of the retired copy,
+    /// its lag replay and the reconcile against the query membership.  The
+    /// rest of `nanos` is the batch apply plus the publish (0 for heal
+    /// records, which take no writable copy).
+    pub catch_up_nanos: u64,
     /// Dirty-spine entries skipped because an earlier edit of the batch had
     /// already queued them (the document's `DocumentBatch::deduped`; 0 for
     /// membership and heal records).

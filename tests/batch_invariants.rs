@@ -5,8 +5,8 @@
 //!   must produce the same inserted nodes and answer multisets as k
 //!   sequential `apply` calls (each a one-op batch), and after **every**
 //!   batch the same answers as a from-scratch `TreeEnumerator::new` on the
-//!   independently edited shadow tree, ending in a `check_consistency`-clean
-//!   state — across the `balanced_mix`, `skewed` and `burst` strategies and
+//!   independently edited shadow tree and a `check_consistency`-clean
+//!   structure — across the `balanced_mix`, `skewed` and `burst` strategies and
 //!   two query families;
 //! * batches that insert and then delete the same node (net no-op batches)
 //!   leave the structure consistent and the answers unchanged;
@@ -68,6 +68,9 @@ fn batch_vs_sequential(
                 batch_inserted, seq_inserted,
                 "{tag}/{name} k={k}: inserted nodes diverged in batch {batch_no}"
             );
+            // Every batch, not only the last: a stale box content that does
+            // not yet change the answers must fail here, at its batch.
+            batch_engine.check_consistency();
             let answers = sorted(batch_engine.assignments());
             assert_eq!(
                 answers,
@@ -83,7 +86,6 @@ fn batch_vs_sequential(
             applied += ops.len();
             batch_no += 1;
         }
-        batch_engine.check_consistency();
         seq_engine.check_consistency();
         assert!(batch_engine.tree().structurally_equal(&shadow));
         // Against the brute-force oracle and a cold rebuild as well.

@@ -69,8 +69,8 @@ fn enum_stats_counters_track_the_zero_alloc_discipline() {
 }
 
 /// `IndexStats`: the build stores relations and counts entry rebuilds; a
-/// clustered batch stream exercises the batch counters; the two "the update
-/// path never does this" counters stay zero.
+/// clustered batch stream exercises the batch counters, the content-skip
+/// counter among them.
 #[test]
 fn index_stats_counters_track_build_and_batch_repair() {
     let mut sigma = Alphabet::from_names(["a", "b"]);
@@ -102,6 +102,16 @@ fn index_stats_counters_track_build_and_batch_repair() {
     assert!(
         stats.spine_nodes_deduped > 0,
         "clustered 48-op batches must share spine nodes"
+    );
+    // Above the point where a clustered batch's γ changes fixpoint, the
+    // dirty boxes keep their contents without a recompute; the leaves and
+    // the boxes just above them never skip.
+    assert!(
+        stats.boxes_skipped > 0 && stats.boxes_skipped < stats.batch_dirty_nodes,
+        "clustered batches must skip some but not all content recomputes \
+         (skipped = {}, dirty = {})",
+        stats.boxes_skipped,
+        stats.batch_dirty_nodes
     );
     assert!(
         stats.box_rebuilds > built.box_rebuilds,

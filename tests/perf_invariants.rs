@@ -7,7 +7,10 @@
 //!   early exits, index-entry fixpoint propagation) leaves the engine with the
 //!   same answer set as a from-scratch `TreeEnumerator::new` on the edited
 //!   tree, for several query families;
-//! * the dense-slab index never clones child entries on the update path;
+//! * long batched streams on ~2k-node trees (`balanced_mix`, `skewed`,
+//!   `burst`; k ∈ {1, 16, 256}) leave a `check_consistency`-clean structure
+//!   after every batch — the repair's content skips never leave a stale
+//!   box — and end with a cold rebuild's answers;
 //! * a first-child chain flood through `apply` rebuilds `O(log n)` index
 //!   entries per edit (scapegoat rebuilds stay local instead of rebuilding
 //!   the whole term) and ends consistent with a from-scratch rebuild.
@@ -18,7 +21,7 @@ use treenum::balance::translate_stepwise;
 use treenum::core::{QueryPlan, TreeEnumerator};
 use treenum::trees::generate::{oracle_scale, random_tree, EditStream, TreeShape};
 use treenum::trees::valuation::Assignment;
-use treenum::trees::{Alphabet, EditOp, Var};
+use treenum::trees::{Alphabet, EditOp, Label, NodeSampler, Var};
 
 fn query_families(sigma: &Alphabet) -> Vec<(&'static str, StepwiseTva)> {
     let a = sigma.get("a").unwrap();
@@ -119,6 +122,75 @@ fn long_edit_streams_match_from_scratch_rebuilds() {
                 }
             }
             engine.check_consistency();
+        }
+    }
+}
+
+/// The differential oracle of the repair's content skip: long batched
+/// streams over a ~2k-node tree, `check_consistency` (every box content and
+/// index entry against a from-scratch recompute) after every batch, and the
+/// answers of a cold rebuild at the end.  Burst delete-runs free boxes whose
+/// slots later inserts reuse within the same stream.
+#[test]
+fn long_batched_streams_stay_consistent_after_every_batch() {
+    let mut sigma = Alphabet::from_names(["a", "b", "c"]);
+    let labels: Vec<Label> = sigma.labels().collect();
+    let (a, b, c) = (
+        sigma.get("a").unwrap(),
+        sigma.get("b").unwrap(),
+        sigma.get("c").unwrap(),
+    );
+    let queries = [
+        ("select_b", queries::select_label(sigma.len(), b, Var(0))),
+        (
+            "ancestor_descendant",
+            queries::ancestor_descendant(sigma.len(), a, Var(0), b, Var(1)),
+        ),
+        // Width 0: a Boolean query, whose γ rarely moves.
+        ("exists_c", queries::exists_label(sigma.len(), c)),
+    ];
+    let batches = oracle_scale(12, 4);
+    let tree = random_tree(&mut sigma, 2000, TreeShape::Random, 71);
+    for (sname, make) in [
+        (
+            "balanced_mix",
+            EditStream::balanced_mix as fn(Vec<Label>, u64) -> EditStream,
+        ),
+        ("skewed", EditStream::skewed),
+        ("burst", EditStream::burst),
+    ] {
+        for k in [1usize, 16, 256] {
+            for (qname, query) in &queries {
+                let mut engine = TreeEnumerator::new(tree.clone(), query, sigma.len());
+                let mut shadow = tree.clone();
+                let mut sampler = NodeSampler::new(&shadow);
+                let mut stream = make(labels.clone(), 900 + k as u64);
+                for batch in 0..batches {
+                    let ops = stream.next_batch_sampled(&mut shadow, &mut sampler, k);
+                    engine.apply_batch(&ops);
+                    let check = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        engine.check_consistency()
+                    }));
+                    assert!(
+                        check.is_ok(),
+                        "{sname}/{qname} k={k}: inconsistent after batch {batch}"
+                    );
+                }
+                assert!(engine.tree().structurally_equal(&shadow));
+                let cold = TreeEnumerator::new(shadow, query, sigma.len());
+                assert_eq!(
+                    sorted(engine.assignments()),
+                    sorted(cold.assignments()),
+                    "{sname}/{qname} k={k}: answers differ from a cold rebuild"
+                );
+                if k > 1 {
+                    let stats = engine.index_stats();
+                    assert!(
+                        stats.boxes_skipped > 0,
+                        "{sname}/{qname} k={k}: the stream never took the content skip"
+                    );
+                }
+            }
         }
     }
 }

@@ -103,6 +103,16 @@ fn concurrent_snapshots_match_sequential_oracle_replay() {
             ops.len(),
             "{sname}: flush log must account for every op exactly once"
         );
+        // The catch-up stage (reclaim wait, lag replay, reconcile) is a part
+        // of the timed flush cycle, never more than all of it.
+        for (i, rec) in log.iter().enumerate() {
+            assert!(
+                rec.catch_up_nanos <= rec.nanos,
+                "{sname}: flush {i} catch-up {} ns exceeds its cycle {} ns",
+                rec.catch_up_nanos,
+                rec.nanos
+            );
+        }
         let mut prefix_of = vec![0usize];
         for rec in &log {
             prefix_of.push(prefix_of.last().unwrap() + rec.size);
