@@ -19,7 +19,8 @@
 //!   helpers in `crates/serve/src/lock.rs` so a panicking reader or sink can
 //!   never wedge the serving layer.
 //! * [`RULE_COUNTER`] — every public counter field of `EnumStats`,
-//!   `IndexStats` and `ShardStats` must be read in at least one file under
+//!   `IndexStats`, `RegistryStats`, `ShardStats` and `FlushRecord` (see
+//!   [`COUNTER_STRUCTS`]) must be read in at least one file under
 //!   the repo-root `tests/` directory by something other than an
 //!   `assert_eq!(x.field, 0, …)`.  A counter no test reads is a dead guard:
 //!   it can silently stop counting and nothing fails; one that tests only
@@ -584,8 +585,15 @@ pub fn check_instant_sub(file: &SourceFile) -> Vec<Diagnostic> {
     out
 }
 
-/// The counter structs whose public fields rule [`RULE_COUNTER`] tracks.
-pub const COUNTER_STRUCTS: [&str; 4] = ["EnumStats", "IndexStats", "RegistryStats", "ShardStats"];
+/// The counter structs whose public fields rule [`RULE_COUNTER`] tracks
+/// (`FlushRecord` for its per-stage flush timings).
+pub const COUNTER_STRUCTS: [&str; 5] = [
+    "EnumStats",
+    "FlushRecord",
+    "IndexStats",
+    "RegistryStats",
+    "ShardStats",
+];
 
 /// A public field of one of the [`COUNTER_STRUCTS`].
 #[derive(Clone, Debug)]

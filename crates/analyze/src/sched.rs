@@ -6,31 +6,43 @@
 //! *writable* copy, publishes it, retires the previously published copy, and
 //! only writes into a retired copy again once no reader holds it (or abandons
 //! it to its holders after bounded patience and rebuilds from the published
-//! state).  `tests/serve_invariants.rs` exercises that protocol under real
-//! schedulers — which probes a vanishing fraction of interleavings.  This
-//! module instead drives a **small-model instrumented replica** of the
-//! protocol through *every* interleaving up to a configured bound, the way
-//! `loom` would if crates.io were reachable.
+//! state).  Right after a flush's acks the writer catches the retired copy up
+//! *off the visible path* when no reader holds it; when one does, the last
+//! reader's release wakes the writer instead.  `tests/serve_invariants.rs`
+//! exercises that protocol under real schedulers — which probes a vanishing
+//! fraction of interleavings.  This module instead drives a **small-model
+//! instrumented replica** of the protocol through *every* interleaving up to
+//! a configured bound, the way `loom` would if crates.io were reachable.
 //!
 //! # The model
 //!
-//! Engine copies are modeled as `(value, refcount)` pairs where the value is
-//! the list of op ids applied to the copy — structural equality of two copies
-//! at the same generation is then list equality, and "applying a batch" is
-//! appending its ops one *separately scheduled* step at a time (so a protocol
-//! that leaked a half-applied batch to a reader would be caught).  Arc
-//! reference counting is replicated by hand: the published slot, the writer's
-//! retired handle and every reader hold one countable reference each.
+//! Engine copies are modeled as `(value, refcount, retired)` triples where the
+//! value is the list of op ids applied to the copy — structural equality of
+//! two copies at the same generation is then list equality, and "applying a
+//! batch" is appending its ops one *separately scheduled* step at a time (so
+//! a protocol that leaked a half-applied batch to a reader would be caught).
+//! Arc reference counting is replicated by hand: the published slot, the
+//! writer's retired handle and every reader hold one countable reference
+//! each.  `retired` is the flag the writer sets on a generation when it
+//! leaves the front.
 //!
 //! Writer steps per flush: `take` (reuse the held writable copy, reclaim the
 //! retired copy and replay its lag, or — when readers still hold it — abandon
 //! it and rebuild from the published value; the batch is also appended to the
 //! durable `wal` here, mirroring WAL-before-apply in `shard.rs`), `apply`
-//! (one op per step), and `publish` (swap the front slot, bump the
-//! generation, append to the flush log, retire the old front).  Reader steps
-//! per cycle: `acquire` (ref the front copy and record its value),
-//! `enumerate` (re-read the held copy and compare against the recorded
-//! value), `release`.
+//! (one op per step), `publish` (swap the front slot, bump the generation,
+//! append to the flush log, retire the old front), then the **off-path
+//! catch-up**: `catch-up` reclaims the retired copy only at `refs == 1` (the
+//! writer's own handle) and `replay` applies the lag one op per step; a held
+//! copy parks the writer instead.  A parked writer moves on when the next
+//! flush arrives or when it receives the release wake (`wake`, its own
+//! scheduled action).  Reader steps per cycle: `acquire` (ref the front copy
+//! and record its value), `enumerate` (re-read the held copy and compare
+//! against the recorded value), `release` (drop the reference), and
+//! `wake-check` (a release that left a retired copy with no reader wakes the
+//! writer — the last `Snapshot` drop of `shard.rs`, whose reader-count
+//! decrement and retired-flag load are separate atomics, hence separate
+//! steps).
 //!
 //! When `crashes > 0`, the scheduler may additionally kill the writer in the
 //! middle of a flush (after the batch is durable, before or after it is
@@ -43,8 +55,8 @@
 //!
 //! 1. **Snapshot immutability** — a held snapshot's value never changes
 //!    between `acquire` and `enumerate`, and more fundamentally the writer
-//!    never applies an op to a copy whose refcount is nonzero (nobody can
-//!    *observe* the writable copy).
+//!    never applies an op (batch or lag replay) to a copy whose refcount is
+//!    nonzero (nobody can *observe* the writable copy).
 //! 2. **Gapless flush log** — the published generations form the exact
 //!    sequence `1, 2, …, flushes`: no generation is ever skipped or
 //!    duplicated in the flush log.
@@ -58,6 +70,10 @@
 //!    (normal publish or crash recovery) equals the durable log exactly, and
 //!    the flush log stays gapless across a writer restart: no generation is
 //!    skipped or duplicated by the heal, and no durably-logged op is lost.
+//! 6. **No lost wake-up** — once every reader is idle and no flush is
+//!    pending, the writer ends up holding a writable copy that is caught up
+//!    with the published one: a writer parked on a held copy must be woken
+//!    by that copy's last release.
 //!
 //! # Exhaustiveness and the schedule count
 //!
@@ -73,7 +89,8 @@
 //! the model must be kept in sync with `shard.rs` by review (the module docs
 //! there point back here).  Self-tests keep the checker honest in the other
 //! direction: seeded protocol mutations (publish mid-batch, reclaim while
-//! held, generation skip, skipped WAL replay on restart) must each be caught.
+//! held, generation skip, skipped WAL replay on restart, an off-path
+//! catch-up into a held copy, a dropped release wake) must each be caught.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -124,6 +141,12 @@ pub enum Mutation {
     /// instead of replaying the durable log — the heal silently drops the
     /// WAL tail of the interrupted flush.
     SkipWalReplay,
+    /// Run the off-path catch-up after publish even while readers still
+    /// hold the retired copy.
+    EagerCatchUpWhileHeld,
+    /// The last release of a retired copy never wakes the writer (the
+    /// notify is dropped).
+    DropReleaseWake,
 }
 
 /// Result of a clean exhaustive run.
@@ -165,6 +188,9 @@ struct CopySt {
     /// readers.  The writer's *writable* handle is deliberately not counted —
     /// "refs == 0" is exactly "no one but the writer can observe this copy".
     refs: u8,
+    /// Set when the copy leaves the front, cleared when it is published
+    /// again (the retired flag of a generation's reader gate).
+    retired: bool,
 }
 
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -178,6 +204,12 @@ enum RPhase {
     /// Enumerated (immutability already checked); still holding `copy`.
     Enumerated {
         copy: CopyId,
+    },
+    /// Released `copy`; `last` iff no other reader held it.  The next step
+    /// loads the copy's retired flag and wakes the writer if both hold.
+    Released {
+        copy: CopyId,
+        last: bool,
     },
 }
 
@@ -198,6 +230,13 @@ enum WPhase {
     },
     /// Publish the writable copy as the next generation.
     Publish,
+    /// After the acks: reclaim the retired copy if no reader holds it, else
+    /// park.
+    CatchUp,
+    /// Replay the reclaimed copy's lag, one op per step.
+    Replay,
+    /// Waiting for the release wake or the next flush.
+    Parked,
     /// (After a crash) supervisor heal: rebuild from the durable log and
     /// republish it atomically as the next generation.
     Recover,
@@ -217,6 +256,9 @@ struct WriterSt {
     mid_pending: u8,
     /// Writer crashes the scheduler may still inject.
     crashes_left: u8,
+    /// A release wake is pending (merged: several wakes before the writer
+    /// receives one are one wake-up).
+    woken: bool,
 }
 
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -241,10 +283,12 @@ impl State {
                 CopySt {
                     val: Vec::new(),
                     refs: 1,
+                    retired: false,
                 },
                 CopySt {
                     val: Vec::new(),
                     refs: 0,
+                    retired: false,
                 },
             ],
             front: 0,
@@ -264,6 +308,7 @@ impl State {
                 next_op: 0,
                 mid_pending: 0,
                 crashes_left: cfg.crashes as u8,
+                woken: false,
             },
             readers: vec![
                 ReaderSt {
@@ -288,6 +333,8 @@ impl State {
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Action {
     Writer,
+    /// A parked writer receives the pending release wake.
+    Wake,
     Reader(usize),
     /// Kill the writer mid-flush; the supervisor recovers on the next
     /// writer step.
@@ -357,6 +404,7 @@ fn step(cfg: &SchedConfig, state: &State, action: Action) -> Result<(State, Stri
                         let fresh = CopySt {
                             val: s.copies[s.front as usize].val.clone(),
                             refs: 0,
+                            retired: false,
                         };
                         s.copies.push(fresh);
                         s.writer.writable = Some((s.copies.len() - 1) as CopyId);
@@ -407,6 +455,10 @@ fn step(cfg: &SchedConfig, state: &State, action: Action) -> Result<(State, Stri
                 let w = s.writer.writable.take().expect("publish without writable") as usize;
                 let old = s.front as usize;
                 s.copies[w].refs += 1; // the front slot's reference
+                s.copies[w].retired = false;
+                // Set under the front lock, before any catch-up looks at the
+                // old front's readers.
+                s.copies[old].retired = true;
                 s.front = w as CopyId;
                 // The old front's slot reference transfers to the writer's
                 // retired handle (net zero, mirroring `self.retired = Some(old)`).
@@ -434,12 +486,55 @@ fn step(cfg: &SchedConfig, state: &State, action: Action) -> Result<(State, Stri
                     };
                 } else {
                     s.writer.flushes_left -= 1;
-                    s.writer.phase = if s.writer.flushes_left > 0 {
-                        WPhase::Take
-                    } else {
-                        WPhase::Done
-                    };
+                    s.writer.phase = WPhase::CatchUp;
                 }
+            }
+            WPhase::CatchUp => {
+                // Off-path catch-up after the acks (or a wake): reclaim only
+                // when the writer's retired handle is the last reference.
+                let r =
+                    s.writer.retired.expect(
+                        "a publish or a park leaves the writer holding only the retired copy",
+                    ) as usize;
+                if s.copies[r].refs == 1 || cfg.mutation == Some(Mutation::EagerCatchUpWhileHeld) {
+                    s.copies[r].refs -= 1;
+                    s.writer.writable = Some(r as CopyId);
+                    s.writer.retired = None;
+                    label = format!("writer: catch-up (reclaim retired copy {r})");
+                    s.writer.phase = if s.writer.lag.is_empty() {
+                        next_flush(&s)
+                    } else {
+                        WPhase::Replay
+                    };
+                } else {
+                    label = format!(
+                        "writer: catch-up (retired copy {r} held by {} reader(s): park)",
+                        s.copies[r].refs - 1
+                    );
+                    s.writer.phase = WPhase::Parked;
+                }
+            }
+            WPhase::Replay => {
+                let w = s.writer.writable.expect("replay without a writable copy") as usize;
+                let op = s.writer.lag.remove(0);
+                if s.copies[w].refs > 0 {
+                    return Err(format!(
+                        "writer replays catch-up lag op {op} into copy {w} while {} reference(s) \
+                         observe it (snapshot immutability broken)",
+                        s.copies[w].refs
+                    ));
+                }
+                s.copies[w].val.push(op);
+                label = format!("writer: replay lag op {op} into copy {w}");
+                if s.writer.lag.is_empty() {
+                    s.writer.phase = next_flush(&s);
+                }
+            }
+            WPhase::Parked => {
+                // The next flush arrives before the release wake: its `take`
+                // reclaims on the visible path or falls back.
+                label = "writer: next flush arrives while parked".to_string();
+                s.writer.phase = WPhase::Take;
             }
             WPhase::Recover => {
                 // Supervisor heal (`heal_from_storage`): rebuild the shard
@@ -456,6 +551,7 @@ fn step(cfg: &SchedConfig, state: &State, action: Action) -> Result<(State, Stri
                 s.copies.push(CopySt {
                     val: healed_val,
                     refs: 1, // the front slot's reference
+                    retired: false,
                 });
                 let healed = (s.copies.len() - 1) as CopyId;
                 let old = s.front as usize;
@@ -468,24 +564,27 @@ fn step(cfg: &SchedConfig, state: &State, action: Action) -> Result<(State, Stri
                 let fresh = CopySt {
                     val: s.copies[healed as usize].val.clone(),
                     refs: 0,
+                    retired: false,
                 };
                 s.copies.push(fresh);
                 s.writer.writable = Some((s.copies.len() - 1) as CopyId);
                 s.writer.next_op = s.wal.len() as u16;
                 // The interrupted flush's batch was durable, so the heal
-                // completes it: it counts as the flush it interrupted.
+                // completes it: it counts as the flush it interrupted.  The
+                // fresh writable copy is already caught up.
                 s.writer.flushes_left -= 1;
-                s.writer.phase = if s.writer.flushes_left > 0 {
-                    WPhase::Take
-                } else {
-                    WPhase::Done
-                };
+                s.writer.phase = next_flush(&s);
                 label = format!(
                     "writer: recover (republish durable log as generation {} -> copy {healed})",
                     s.gen
                 );
             }
         },
+        Action::Wake => {
+            s.writer.woken = false;
+            s.writer.phase = WPhase::CatchUp;
+            label = "writer: release wake received".to_string();
+        }
         Action::Crash => {
             // The writer thread dies mid-flush: its writable handle is
             // dropped (never counted — nobody else could observe it) and its
@@ -535,11 +634,31 @@ fn step(cfg: &SchedConfig, state: &State, action: Action) -> Result<(State, Stri
                     label = format!("reader {i}: enumerate copy {c}");
                 }
                 RPhase::Enumerated { copy } => {
+                    // Dropping the handle and decrementing the generation's
+                    // reader count; `last` iff no other reader holds it.
                     let c = copy as usize;
+                    let last = !s.readers.iter().enumerate().any(|(j, o)| {
+                        j != i
+                            && matches!(o.phase, RPhase::Holding { copy: h, .. }
+                                | RPhase::Enumerated { copy: h } if h == copy)
+                    });
                     s.copies[c].refs -= 1;
+                    s.readers[i].phase = RPhase::Released { copy, last };
+                    label = format!("reader {i}: release copy {c}");
+                }
+                RPhase::Released { copy, last } => {
+                    let c = copy as usize;
+                    let wake = last && s.copies[c].retired;
+                    if wake && cfg.mutation != Some(Mutation::DropReleaseWake) {
+                        s.writer.woken = true;
+                    }
                     r.cycles_left -= 1;
                     r.phase = RPhase::Idle;
-                    label = format!("reader {i}: release copy {c}");
+                    label = if wake {
+                        format!("reader {i}: last release of retired copy {c} wakes the writer")
+                    } else {
+                        format!("reader {i}: wake-check on copy {c} (no wake)")
+                    };
                 }
             }
         }
@@ -547,10 +666,29 @@ fn step(cfg: &SchedConfig, state: &State, action: Action) -> Result<(State, Stri
     Ok((s, label))
 }
 
+/// Where the writer goes once a flush has settled and its copy is caught up.
+fn next_flush(s: &State) -> WPhase {
+    if s.writer.flushes_left > 0 {
+        WPhase::Take
+    } else {
+        WPhase::Done
+    }
+}
+
 fn enabled_actions(state: &State) -> Vec<Action> {
     let mut out = Vec::new();
-    if state.writer.phase != WPhase::Done {
-        out.push(Action::Writer);
+    match state.writer.phase {
+        WPhase::Done => {}
+        // A parked writer runs again only for the next flush or the wake.
+        WPhase::Parked => {
+            if state.writer.flushes_left > 0 {
+                out.push(Action::Writer);
+            }
+            if state.writer.woken {
+                out.push(Action::Wake);
+            }
+        }
+        _ => out.push(Action::Writer),
     }
     // A crash may strike mid-flush: after the batch is durable (`take` ran)
     // and before the flush settles.  Recovery itself is modeled as atomic —
@@ -576,11 +714,21 @@ fn check_terminal(cfg: &SchedConfig, state: &State) -> Result<(), String> {
             cfg.flushes
         ));
     }
+    // No lost wake-up: with every reader idle and no flush pending, the
+    // writer holds a writable copy caught up with the published one.
+    let w = state.writer.writable.map(|w| w as usize);
+    if state.writer.retired.is_some()
+        || !state.writer.lag.is_empty()
+        || w.is_none_or(|w| state.copies[w].val != state.copies[state.front as usize].val)
+    {
+        return Err(
+            "terminated without a caught-up writable copy (lost wake-up or missed catch-up)".into(),
+        );
+    }
     let total_refs: u32 = state.copies.iter().map(|c| c.refs as u32).sum();
     let front_refs = state.copies[state.front as usize].refs;
-    // The published slot and (between flushes) the writer's retired handle
-    // are the only references that may remain.
-    let expected = 1 + state.writer.retired.is_some() as u32;
+    // The published slot is the only reference that may remain.
+    let expected = 1;
     if total_refs != expected || front_refs < 1 {
         return Err(format!(
             "terminated with {total_refs} outstanding reference(s) (expected {expected}); \
@@ -613,8 +761,14 @@ impl Explorer<'_> {
         }
         let actions = enabled_actions(state);
         if actions.is_empty() {
+            let msg = if state.writer.phase == WPhase::Parked {
+                "lost wake-up: every reader is idle and no flush is pending, but the writer \
+                 stays parked on its retired copy without a caught-up writable copy"
+            } else {
+                "deadlock: no thread can make progress"
+            };
             return Err(SchedViolation {
-                msg: "deadlock: no thread can make progress".into(),
+                msg: msg.into(),
                 trace: self.trace.clone(),
             });
         }
@@ -656,9 +810,18 @@ mod tests {
 
     #[test]
     fn tiny_bound_has_the_hand_countable_schedule_count() {
-        // 1 writer (take, apply, publish) and 1 reader (acquire, enumerate,
-        // release): all six steps are always enabled, so the schedules are
-        // exactly the interleavings of two length-3 sequences: C(6,3) = 20.
+        // 1 writer and 1 reader over one flush of one op.  Writer: take (T),
+        // apply (A), publish (P), catch-up (C), then either replay (R) or —
+        // when the reader still holds the retired copy — park, wake (W),
+        // catch-up again and replay.  Reader: acquire (a), enumerate (e),
+        // release (l), wake-check (w).  With i, k, j, m the writer steps
+        // before a, e, l, w (0 ≤ i ≤ k ≤ j ≤ m):
+        // * a after P (the reader holds the new front): T A P, then C R
+        //   merged with a e l w: C(6, 2) = 15;
+        // * a before P, l before C (i ≤ 2, j ≤ 3, writer T A P C R):
+        //   Σ (j − i + 1)(6 − j) = 40 + 22 + 10 = 72;
+        // * a before P, l after C (the writer parks; W needs the wake, so
+        //   j = m = 4 and W C R follow): Σ_{i ≤ 2} (5 − i) = 12.
         let cfg = SchedConfig {
             readers: 1,
             reader_cycles: 1,
@@ -668,7 +831,7 @@ mod tests {
             mutation: None,
         };
         let rep = check_all_interleavings(&cfg).expect("protocol must pass");
-        assert_eq!(rep.schedules, 20);
+        assert_eq!(rep.schedules, 15 + 72 + 12);
         assert_eq!(rep.flushes_logged, 1);
     }
 
@@ -756,6 +919,46 @@ mod tests {
         assert!(
             v.trace.iter().any(|s| s.contains("crash")),
             "violating schedule must include the crash step: {v}"
+        );
+    }
+
+    #[test]
+    fn eager_catch_up_while_held_is_caught() {
+        // Reclaiming the retired copy for the off-path catch-up while a
+        // reader still holds it replays the lag into an observed copy.
+        let cfg = SchedConfig {
+            mutation: Some(Mutation::EagerCatchUpWhileHeld),
+            ..SchedConfig::default()
+        };
+        let v = check_all_interleavings(&cfg).expect_err("mutation must be caught");
+        assert!(
+            v.msg.contains("observe") || v.msg.contains("immutability"),
+            "unexpected violation: {}",
+            v.msg
+        );
+        assert!(
+            v.trace.iter().any(|s| s.contains("catch-up (reclaim")),
+            "violating schedule must include the eager catch-up: {v}"
+        );
+    }
+
+    #[test]
+    fn dropped_release_wake_is_caught() {
+        // A writer parked on a held retired copy after the last flush is
+        // never woken when the release drops its notify.
+        let cfg = SchedConfig {
+            mutation: Some(Mutation::DropReleaseWake),
+            ..SchedConfig::default()
+        };
+        let v = check_all_interleavings(&cfg).expect_err("mutation must be caught");
+        assert!(
+            v.msg.contains("lost wake-up"),
+            "unexpected violation: {}",
+            v.msg
+        );
+        assert!(
+            v.trace.iter().any(|s| s.contains("park")),
+            "violating schedule must park the writer: {v}"
         );
     }
 }

@@ -130,6 +130,37 @@ fn marked(marks: &[u64], epoch: u64, i: usize) -> bool {
     marks.get(i).copied() == Some(epoch)
 }
 
+/// Flags of [`QueryIndex`]'s repair marks: one `u64` per box holds the
+/// batch epoch above [`FLAG_BITS`] low bits, one per flag.  A flag is set
+/// this batch iff the epoch matches and its bit is set.
+const FLAG_BITS: u32 = 3;
+/// The box's content or child links changed this batch.
+const CONTENT: u64 = 1;
+/// The box's index entry changed this batch.
+const ENTRY: u64 = 2;
+/// The box's `γ` changed this batch (a new box counts as changed).
+const GAMMA: u64 = 4;
+
+#[inline]
+fn flag(marks: &mut Vec<u64>, epoch: u64, i: usize, f: u64) {
+    if i >= marks.len() {
+        marks.resize(i + 1, 0);
+    }
+    let m = &mut marks[i];
+    *m = if *m >> FLAG_BITS == epoch {
+        *m | f
+    } else {
+        (epoch << FLAG_BITS) | f
+    };
+}
+
+#[inline]
+fn flagged(marks: &[u64], epoch: u64, i: usize, f: u64) -> bool {
+    marks
+        .get(i)
+        .is_some_and(|&m| m >> FLAG_BITS == epoch && m & f != 0)
+}
+
 impl Document {
     /// Encodes `tree` as a balanced term (`O(n log n)` time for `n` nodes,
     /// Section 7).
@@ -244,14 +275,11 @@ pub struct QueryIndex {
     box_of: Vec<Option<BoxId>>,
     index: EnumIndex,
     mode: BoxEnumMode,
-    /// Epoch-marked scratch bitmaps of `repair` (see [`Document`]).
+    /// The batch epoch of `repair`'s marks (see [`Document`]).
     epoch: u64,
-    /// Boxes whose content or child links changed this batch.
-    content_mark: Vec<u64>,
-    /// Boxes whose index entry changed this batch.
-    entry_mark: Vec<u64>,
-    /// Boxes whose `γ` changed this batch (a new box counts as changed).
-    gamma_mark: Vec<u64>,
+    /// Per box: the epoch of its last mark and its [`CONTENT`], [`ENTRY`]
+    /// and [`GAMMA`] flags for that batch.
+    marks: Vec<u64>,
     /// Reusable per-answer enumeration scratch (pools + counters), kept warm
     /// across repair/re-enumeration cycles.  A `Mutex` because enumeration
     /// takes `&self` and the index is shared across reader threads by the
@@ -277,9 +305,7 @@ impl Clone for QueryIndex {
             index: self.index.clone(),
             mode: self.mode,
             epoch: self.epoch,
-            content_mark: Vec::new(),
-            entry_mark: Vec::new(),
-            gamma_mark: Vec::new(),
+            marks: Vec::new(),
             scratch: Mutex::new(EnumScratch::new()),
             stamp: fresh_stamp(),
         }
@@ -298,9 +324,7 @@ impl QueryIndex {
             index: EnumIndex::default(),
             mode: BoxEnumMode::Indexed,
             epoch: 0,
-            content_mark: Vec::new(),
-            entry_mark: Vec::new(),
-            gamma_mark: Vec::new(),
+            marks: Vec::new(),
             scratch: Mutex::new(EnumScratch::new()),
             stamp: fresh_stamp(),
         };
@@ -457,8 +481,8 @@ impl QueryIndex {
         self.circuit.children(b) == Some((bl, br))
             && self.circuit.parent(bl) == Some(b)
             && self.circuit.parent(br) == Some(b)
-            && !marked(&self.gamma_mark, epoch, bl.index())
-            && !marked(&self.gamma_mark, epoch, br.index())
+            && !flagged(&self.marks, epoch, bl.index(), GAMMA)
+            && !flagged(&self.marks, epoch, br.index(), GAMMA)
     }
 
     /// Repairs the circuit boxes and index entries of exactly the term
@@ -514,10 +538,10 @@ impl QueryIndex {
             }
             let (b, changed, gamma_changed) = self.rebuild_box_for(doc, d);
             if changed {
-                mark(&mut self.content_mark, epoch, b.index());
+                flag(&mut self.marks, epoch, b.index(), CONTENT);
             }
             if gamma_changed {
-                mark(&mut self.gamma_mark, epoch, b.index());
+                flag(&mut self.marks, epoch, b.index(), GAMMA);
             }
         }
         let root_box = self.box_of(doc.term.root());
@@ -528,14 +552,14 @@ impl QueryIndex {
         // children's entries only).
         for &d in &batch.dirty {
             let b = self.box_of(d);
-            let entry_stale = marked(&self.content_mark, epoch, b.index())
+            let entry_stale = flagged(&self.marks, epoch, b.index(), CONTENT)
                 || self.circuit.children(b).is_some_and(|(l, r)| {
-                    marked(&self.entry_mark, epoch, l.index())
-                        || marked(&self.entry_mark, epoch, r.index())
+                    flagged(&self.marks, epoch, l.index(), ENTRY)
+                        || flagged(&self.marks, epoch, r.index(), ENTRY)
                 })
                 || !self.index.has(b);
             if entry_stale && self.index.rebuild_box_changed(&self.circuit, b) {
-                mark(&mut self.entry_mark, epoch, b.index());
+                flag(&mut self.marks, epoch, b.index(), ENTRY);
             }
         }
         self.index

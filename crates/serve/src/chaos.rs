@@ -5,7 +5,9 @@
 //! [`ChaosSchedule`] is attached to a [`TreeServer`](crate::TreeServer) at
 //! construction and fires deterministic faults at chosen batch numbers —
 //! a panic inside `apply_batch` (exercising the supervisor's retry/heal
-//! ladder) or a stall inside the publication swap (exercising
+//! ladder), a panic inside the off-path catch-up of the retired copy
+//! (exercising its contained rebuild), or a stall inside the publication
+//! swap (exercising
 //! [`read_with_deadline`](crate::TreeServer::read_with_deadline)).
 //!
 //! Determinism is the point: a fault is keyed to the shard's batch counter,
@@ -32,6 +34,11 @@ pub enum ChaosFault {
     /// times in a row (1 = the in-place retry succeeds; 2 = the retry also
     /// panics and the supervisor heals from storage).
     PanicOnApply { batch: u64, times: u32 },
+    /// Panic once inside the off-path catch-up that follows the publish of
+    /// batch `batch` (the lag replay of the retired copy).  The writer
+    /// discards that copy and rebuilds from the published tree; no op is
+    /// lost and the shard does not heal.
+    PanicOnCatchUp { batch: u64 },
     /// Hold the publication swap of batch `batch` for `stall` — readers
     /// blocking on the front lock park for the duration, which is what
     /// deadline reads exist to bound.
@@ -66,7 +73,7 @@ impl ChaosSchedule {
     pub fn with(self, fault: ChaosFault) -> Self {
         let left = match fault {
             ChaosFault::PanicOnApply { times, .. } => times,
-            ChaosFault::StallPublish { .. } => 1,
+            ChaosFault::PanicOnCatchUp { .. } | ChaosFault::StallPublish { .. } => 1,
         };
         lock_unpoisoned(&self.faults).push(FaultCell { fault, left });
         self
@@ -114,26 +121,38 @@ impl ChaosSchedule {
         lock_unpoisoned(&self.log).push(event);
     }
 
+    /// Takes one firing of the first armed fault `is` selects.
+    fn take_firing(&self, is: impl Fn(&ChaosFault) -> bool) -> bool {
+        let mut faults = lock_unpoisoned(&self.faults);
+        faults.iter_mut().any(|c| {
+            let fire = c.left > 0 && is(&c.fault);
+            if fire {
+                c.left -= 1;
+            }
+            fire
+        })
+    }
+
     /// Writer hook: called (inside the supervisor's `catch_unwind` guard)
     /// before `apply_batch` of batch `batch`.  Panics iff a matching
     /// [`ChaosFault::PanicOnApply`] has firings left.
     pub(crate) fn on_apply(&self, batch: u64) {
-        let fire = {
-            let mut faults = lock_unpoisoned(&self.faults);
-            faults.iter_mut().any(|c| {
-                if c.left > 0
-                    && matches!(c.fault, ChaosFault::PanicOnApply { batch: b, .. } if b == batch)
-                {
-                    c.left -= 1;
-                    true
-                } else {
-                    false
-                }
-            })
-        };
-        if fire {
+        if self
+            .take_firing(|f| matches!(f, ChaosFault::PanicOnApply { batch: b, .. } if *b == batch))
+        {
             self.record(format!("panic-on-apply batch {batch}"));
             panic!("chaos: injected panic at batch {batch}");
+        }
+    }
+
+    /// Writer hook: called (inside the catch-up's own guard) before the
+    /// off-path lag replay that follows batch `batch`.  Panics iff a
+    /// matching [`ChaosFault::PanicOnCatchUp`] has its firing left.
+    pub(crate) fn on_catch_up(&self, batch: u64) {
+        if self.take_firing(|f| matches!(f, ChaosFault::PanicOnCatchUp { batch: b } if *b == batch))
+        {
+            self.record(format!("panic-on-catch-up batch {batch}"));
+            panic!("chaos: injected catch-up panic after batch {batch}");
         }
     }
 

@@ -110,12 +110,17 @@
 //!    oracle tests replay against).
 //! 3. **Refcount-correct reclamation** — a retired copy is written into again
 //!    only after every reader handle to it is dropped
-//!    (`Arc::try_unwrap` succeeds); if patience expires first, the copy is
-//!    abandoned to its holders — never mutated — and the writer rebuilds
-//!    from the published state.
+//!    (`Arc::try_unwrap` succeeds); if a flush's patience expires first, the
+//!    copy is abandoned to its holders — never mutated — and the writer
+//!    rebuilds from the published state.
 //! 4. **Reader generation monotonicity** — snapshots acquired by one thread
 //!    never go backwards in generation (publication is a single pointer swap
 //!    behind the front lock).
+//! 5. **No lost wake-up** — the writer catches the retired copy up right
+//!    after a flush's acks when no reader holds it, and otherwise the last
+//!    reader's release wakes it; once every reader is idle and no flush is
+//!    pending, the writer holds a writable copy caught up with the
+//!    published one, without polling.
 //!
 //! Concurrency tests (`tests/serve_invariants.rs`) probe these under real
 //! schedulers; the `treenum-analyze` interleaving checker
@@ -203,7 +208,7 @@ use crossbeam::channel::{bounded, Sender, TrySendError};
 use durable::{list_shard_dirs, recover_shard, shard_dir, HealSource, ShardDurability};
 use lock::{lock_unpoisoned, read_unpoisoned, try_read_unpoisoned};
 use registry::RegistryInner;
-use shard::{Ingest, ShardCopy, ShardWriter, SnapInner};
+use shard::{Ingest, ShardCopy, ShardWriter, SnapInner, Wake};
 use stats::ShardMetrics;
 use std::io;
 use std::sync::atomic::Ordering;
@@ -233,8 +238,10 @@ pub struct ServeConfig {
     /// Bounded staleness: a flush is cut at latest this long after its first
     /// op was dequeued, even if it holds fewer than `max_batch` ops.
     pub max_latency: Duration,
-    /// How long the writer waits for readers to release a retired snapshot
-    /// copy before falling back to an O(n) rebuild of the writable copy.
+    /// How long a flush that finds the retired snapshot copy still held
+    /// blocks on its readers' release wake before falling back to an O(n)
+    /// rebuild of the writable copy.  A copy released between two flushes
+    /// is caught up off the visible path and never waits.
     pub reclaim_patience: Duration,
     /// How long [`TreeServer::ingest`] waits for space in a full queue
     /// before surfacing [`ServeError::Backpressure`] to the caller (who can
@@ -443,6 +450,19 @@ struct ShardHandle {
     front: Arc<RwLock<Arc<SnapInner>>>,
     metrics: Arc<ShardMetrics>,
     join: Option<JoinHandle<()>>,
+}
+
+impl Drop for ShardHandle {
+    /// Stops a writer that [`TreeServer`]'s own drop did not (a server whose
+    /// construction failed after spawning some shards).  The writer's
+    /// release wake holds a sender of its own queue, so the queue never
+    /// disconnects under it: only `Shutdown` ends the thread.
+    fn drop(&mut self) {
+        if let Some(join) = self.join.take() {
+            let _ = self.tx.send(Ingest::Shutdown);
+            let _ = join.join();
+        }
+    }
 }
 
 /// The sharded serving facade: one independently updatable tree (and one
@@ -672,13 +692,11 @@ impl TreeServer {
         let plans = vec![(QueryId::PRIMARY, Arc::clone(plan))];
         let copy = ShardCopy::build(tree, &plans);
         let writable = copy.clone();
-        let front = Arc::new(RwLock::new(Arc::new(SnapInner {
-            copy,
-            generation: 0,
-        })));
+        let (tx, rx) = bounded(cfg.queue_capacity);
+        let wake = Arc::new(Wake::new(tx.clone()));
+        let front = Arc::new(RwLock::new(Arc::new(SnapInner::new(copy, 0, &wake))));
         let metrics = Arc::new(ShardMetrics::default());
         metrics.queries_served.store(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(cfg.queue_capacity);
         let writer = ShardWriter {
             rx,
             front: Arc::clone(&front),
@@ -688,6 +706,8 @@ impl TreeServer {
             write: Some(writable),
             retired: None,
             lag: Vec::new(),
+            off_path_nanos: 0,
+            wake,
             generation: 0,
             buf: Vec::new(),
             durable,
@@ -858,7 +878,8 @@ impl TreeServer {
         h: &ShardHandle,
         make: impl FnOnce(Sender<Result<u64, ServeError>>) -> Ingest,
     ) -> Result<u64, ServeError> {
-        let (ack_tx, ack_rx) = bounded(1);
+        // Rendezvous, like `TreeServer::flush`.
+        let (ack_tx, ack_rx) = bounded(0);
         h.tx.send(make(ack_tx))
             .map_err(|_| ServeError::Disconnected)?;
         ack_rx.recv().map_err(|_| ServeError::Disconnected)?
@@ -924,8 +945,8 @@ impl TreeServer {
     pub fn snapshot(&self, shard: usize) -> Snapshot {
         let h = &self.shards[shard];
         h.metrics.reads.fetch_add(1, Ordering::Relaxed);
-        let inner = Arc::clone(&read_unpoisoned(&h.front));
-        Snapshot::from_inner(inner)
+        let front = read_unpoisoned(&h.front);
+        Snapshot::from_inner(Arc::clone(&front))
     }
 
     /// [`TreeServer::snapshot`] with a deadline: spins on non-blocking
@@ -968,7 +989,12 @@ impl TreeServer {
     /// [`SyncPolicy`].  A quarantined shard acks
     /// [`ServeError::Quarantined`].
     pub fn flush(&self, shard: usize) -> Result<u64, ServeError> {
-        let (ack_tx, ack_rx) = bounded(1);
+        // A rendezvous channel: the writer's ack send returns only once
+        // this thread has taken the ack, so the writer's off-path catch-up
+        // never runs ahead of the client it just acked on a shared CPU (on
+        // a 2-vCPU host a buffered ack left the ~0.6 ms `page_scan` catch-up
+        // inside the client's flush wait).
+        let (ack_tx, ack_rx) = bounded(0);
         self.shards[shard]
             .tx
             .send(Ingest::Flush(ack_tx))
@@ -1005,7 +1031,7 @@ impl TreeServer {
     /// snapshot-consistency oracle tests replay against).
     ///
     /// The log is the shard's audit trail and is deliberately unbounded —
-    /// one 40-byte record per flush for the server's lifetime.  Long-lived
+    /// one 48-byte record per flush for the server's lifetime.  Long-lived
     /// deployments that poll it should use [`TreeServer::flush_log_len`] /
     /// [`TreeServer::flush_log_since`] instead of repeatedly cloning the
     /// whole history.

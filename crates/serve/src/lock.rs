@@ -16,12 +16,28 @@
 //! poison-tolerant by construction.
 
 use std::sync::{
-    Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError,
+    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+    TryLockError,
 };
+use std::time::Duration;
 
 /// Locks `m`, recovering the guard if a previous holder panicked.
 pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Waits on `cv` for at most `timeout`, recovering the guard if a previous
+/// holder of its mutex panicked.  Spurious and timed-out wake-ups both just
+/// return the guard; the caller re-checks its condition.
+pub(crate) fn wait_timeout_unpoisoned<'a, T>(
+    cv: &Condvar,
+    guard: MutexGuard<'a, T>,
+    timeout: Duration,
+) -> MutexGuard<'a, T> {
+    match cv.wait_timeout(guard, timeout) {
+        Ok((g, _)) => g,
+        Err(p) => p.into_inner().0,
+    }
 }
 
 /// Read-locks `l`, recovering the guard if a previous holder panicked.

@@ -14,13 +14,32 @@
 //! document's one batch report, publishes the whole copy with **one**
 //! bumped generation behind **one** `Arc` (snapshot multiplexing: Q
 //! registered queries share one refcount per publication, not Q
-//! republications), and retires the previously published copy; the next
-//! flush reclaims the retired copy once the last reader drops it, catches
-//! it up by replaying the batches it missed, and writes into it.  Readers
-//! therefore never block the writer's *apply* work, and the writer never
-//! mutates anything a reader can observe — every snapshot is a complete,
-//! immutable structure at one generation.  The two copies start as one
-//! build and its clone.
+//! republications), and retires the previously published copy.  Right
+//! after the cycle's acks go out, the writer catches the retired copy up
+//! **off the visible path**: if no reader holds it, it reclaims it, replays
+//! the batches it missed (the lag) and reconciles it with the query
+//! membership, and keeps it as the writable copy — so the next flush only
+//! logs, applies its own batch and publishes.  If a reader still holds the
+//! retired copy, that reader's last release wakes the writer, which then
+//! catches up.  Readers therefore never block the writer's *apply* work,
+//! and the writer never mutates anything a reader can observe — every
+//! snapshot is a complete, immutable structure at one generation.  The two
+//! copies start as one build and its clone.
+//!
+//! # The release wake
+//!
+//! Every published generation carries a reader gate: the number of
+//! [`Snapshot`] handles that hold it, and a retired flag the writer sets
+//! under the front write lock when the generation leaves the front.  A
+//! handle's drop that takes the count to 0 on a retired generation wakes
+//! the writer twice over: it notifies a condvar (for a flush blocked in the
+//! reclaim of that copy) and queues a non-blocking `Released` nudge (for an
+//! idle writer; if the queue is full, the writer has queued work and comes
+//! round anyway).  The handle gives up its reference to the copy *before* it
+//! decrements the count, so a woken writer always finds the copy free.  The
+//! writer checks the count only after setting the flag, so one of the two
+//! sides always sees the other and no release is lost; the `--sched` model
+//! of `treenum-analyze` checks this interleaving by interleaving.
 //!
 //! # Query attach/detach
 //!
@@ -33,12 +52,18 @@
 //! flush-log record, keeping the gapless-generation audit trail intact.
 //! The ack carries the generation from which the new membership is visible.
 //!
-//! The only writer-side wait is the reclaim of the retired copy, which
-//! ordinary transient readers release within one enumeration.  A reader that
-//! parks on a snapshot indefinitely triggers the bounded-patience fallback:
-//! the writer abandons the retired copy to its holders and rebuilds a fresh
-//! writable copy from the published tree (one document plus one index per
-//! query, O(n·Q), counted in
+//! Membership changes take the same path as data flushes: the index build
+//! on the retired copy after an attach runs in the off-path catch-up, not
+//! in the next flush.
+//!
+//! The only writer-side wait is a flush that finds the retired copy still
+//! held (its readers outlived the whole gap between two flushes).  It
+//! blocks on the release wake, bounded by
+//! [`crate::ServeConfig::reclaim_patience`] and counted in
+//! [`crate::ShardStats::reclaim_waits`].  A reader that parks on a snapshot
+//! indefinitely triggers the fallback: the writer abandons the retired copy
+//! to its holders and rebuilds a fresh writable copy from the published
+//! tree (one document plus one index per query, O(n·Q), counted in
 //! [`crate::ShardStats::rebuild_fallbacks`]), so ingest always makes
 //! progress.
 //!
@@ -54,8 +79,11 @@
 //! loses nothing.  A non-durable shard drops the poison batch, counts its
 //! ops in [`crate::ShardStats::ops_dropped_unacked`], and reports the loss
 //! through a [`crate::ServeError::Degraded`] ack on the covering barrier.
-//! An outer `catch_unwind` net in [`ShardWriter::supervise`] catches panics
-//! from anywhere else in the loop (e.g. a lag replay) the same way.  Reads
+//! The off-path catch-up has its own guard: a panic there discards the
+//! copy and rebuilds the writable copy from the published tree, with no op
+//! dropped and no heal (the catch-up only replays batches that are already
+//! published).  An outer `catch_unwind` net in [`ShardWriter::supervise`]
+//! catches panics from anywhere else in the loop the same way.  Reads
 //! keep serving the last published snapshot through every rung of this
 //! ladder; only confirmed-unrecoverable storage quarantines the shard
 //! (terminally).  The health ladder is exported as
@@ -63,15 +91,15 @@
 
 use crate::chaos::ChaosSchedule;
 use crate::durable::{HealSource, ShardDurability};
-use crate::lock::{read_unpoisoned, write_unpoisoned};
+use crate::lock::{lock_unpoisoned, read_unpoisoned, wait_timeout_unpoisoned, write_unpoisoned};
 use crate::registry::QueryId;
 use crate::stats::{FlushRecord, ShardHealth, ShardMetrics};
 use crate::{ServeConfig, ServeError};
 use crossbeam::channel::{Receiver, Sender};
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Instant;
 use treenum_core::{Document, DocumentBatch, EnumerationStats, QueryIndex, QueryPlan};
 use treenum_enumeration::EnumScratch;
@@ -150,6 +178,110 @@ impl ShardCopy {
 pub(crate) struct SnapInner {
     pub(crate) copy: ShardCopy,
     pub(crate) generation: u64,
+    gate: Arc<Gate>,
+}
+
+impl SnapInner {
+    /// `copy` published as `generation`, with a fresh reader gate.
+    pub(crate) fn new(copy: ShardCopy, generation: u64, wake: &Arc<Wake>) -> Self {
+        SnapInner {
+            copy,
+            generation,
+            gate: Arc::new(Gate {
+                readers: AtomicUsize::new(0),
+                retired: AtomicBool::new(false),
+                wake: Arc::clone(wake),
+            }),
+        }
+    }
+}
+
+/// The reader gate of one published generation (see the module docs).
+struct Gate {
+    /// Live [`Snapshot`] handles of the generation.
+    readers: AtomicUsize,
+    /// Set by the writer, under the front write lock, when the generation
+    /// leaves the front.
+    retired: AtomicBool,
+    wake: Arc<Wake>,
+}
+
+impl Gate {
+    fn readers(&self) -> usize {
+        self.readers.load(Ordering::SeqCst)
+    }
+}
+
+/// How the last release of a retired generation wakes its shard's writer:
+/// the condvar serves a flush blocked in reclaim, the nudge an idle writer.
+pub(crate) struct Wake {
+    lock: Mutex<()>,
+    released: Condvar,
+    nudge: Sender<Ingest>,
+}
+
+impl Wake {
+    pub(crate) fn new(nudge: Sender<Ingest>) -> Self {
+        Wake {
+            lock: Mutex::new(()),
+            released: Condvar::new(),
+            nudge,
+        }
+    }
+
+    fn notify(&self) {
+        // Taking the lock orders this release after the check of a writer
+        // about to wait, so the notify cannot fall between its check and
+        // its wait.
+        drop(lock_unpoisoned(&self.lock));
+        self.released.notify_all();
+        let _ = self.nudge.try_send(Ingest::Released);
+    }
+
+    /// Blocks until `gate` has no readers (`true`) or `deadline` passes
+    /// (`false`).
+    fn wait_released(&self, gate: &Gate, deadline: Instant) -> bool {
+        let mut guard = lock_unpoisoned(&self.lock);
+        loop {
+            if gate.readers() == 0 {
+                return true;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            guard = wait_timeout_unpoisoned(
+                &self.released,
+                guard,
+                deadline.saturating_duration_since(now),
+            );
+        }
+    }
+}
+
+/// One [`Snapshot`] handle's count in its generation's reader gate.
+struct ReaderRef(Arc<Gate>);
+
+impl ReaderRef {
+    fn new(gate: &Arc<Gate>) -> Self {
+        gate.readers.fetch_add(1, Ordering::SeqCst);
+        ReaderRef(Arc::clone(gate))
+    }
+}
+
+impl Clone for ReaderRef {
+    fn clone(&self) -> Self {
+        ReaderRef::new(&self.0)
+    }
+}
+
+impl Drop for ReaderRef {
+    fn drop(&mut self) {
+        let gate = &self.0;
+        if gate.readers.fetch_sub(1, Ordering::SeqCst) == 1 && gate.retired.load(Ordering::SeqCst) {
+            gate.wake.notify();
+        }
+    }
 }
 
 /// A snapshot-consistent read handle to one shard.
@@ -162,6 +294,9 @@ pub(crate) struct SnapInner {
 #[derive(Clone)]
 pub struct Snapshot {
     inner: Arc<SnapInner>,
+    // Declared after `inner`, so it drops after it: a release that wakes
+    // the writer has already given up this handle's reference to the copy.
+    _reader: ReaderRef,
 }
 
 impl std::fmt::Debug for Snapshot {
@@ -175,8 +310,14 @@ impl std::fmt::Debug for Snapshot {
 }
 
 impl Snapshot {
+    /// A handle on the front `inner`; call it with the front read lock held,
+    /// so a generation is never counted once it has been retired.
     pub(crate) fn from_inner(inner: Arc<SnapInner>) -> Self {
-        Snapshot { inner }
+        let reader = ReaderRef::new(&inner.gate);
+        Snapshot {
+            inner,
+            _reader: reader,
+        }
     }
 
     /// Number of generations published up to this snapshot (ingest
@@ -455,6 +596,9 @@ pub(crate) enum Ingest {
     Detach(QueryId, Sender<Result<u64, ServeError>>),
     /// Drain, apply, and exit the writer thread.
     Shutdown,
+    /// The last reader of the retired copy let go: catch it up now if the
+    /// writer is idle (see the module docs).
+    Released,
 }
 
 /// The barrier acks and registry controls one writer-loop cycle gathered,
@@ -471,6 +615,8 @@ enum Taken {
     Op,
     /// A flush barrier or a registry control: stop coalescing.
     Barrier,
+    /// A release wake.
+    Wake,
     /// A shutdown request.
     Shutdown,
 }
@@ -494,6 +640,11 @@ pub(crate) struct ShardWriter {
     /// not seen yet (replayed on reclaim; op order is semantic — freed arena
     /// slots may be reused by later ops).
     pub(crate) lag: Vec<EditOp>,
+    /// Wall-clock nanoseconds of the off-path catch-up that prepared the
+    /// held writable copy (0 when none did); the next flush record takes it.
+    pub(crate) off_path_nanos: u64,
+    /// The shard's release wake, shared by every generation's reader gate.
+    pub(crate) wake: Arc<Wake>,
     pub(crate) generation: u64,
     pub(crate) buf: Vec<EditOp>,
     /// WAL + snapshot persistence, when the server was built durable.
@@ -567,6 +718,10 @@ impl ShardWriter {
             let mut shutdown = match self.take(first, &mut cycle) {
                 Taken::Op => self.coalesce(&mut cycle),
                 Taken::Barrier => false,
+                Taken::Wake => {
+                    self.catch_up();
+                    continue;
+                }
                 Taken::Shutdown => break,
             };
             if !cycle.acks.is_empty() || !cycle.controls.is_empty() {
@@ -580,6 +735,10 @@ impl ShardWriter {
             if shutdown {
                 break;
             }
+            // The acks are out (each one taken by its client: the ack
+            // channels are rendezvous channels, see `TreeServer::flush`):
+            // prepare the next flush's copy while the clients read.
+            self.catch_up();
         }
         // Apply any ops that raced in with the shutdown.
         let mut cycle = Cycle::default();
@@ -601,6 +760,8 @@ impl ShardWriter {
                 Taken::Barrier
             }
             Ingest::Shutdown => Taken::Shutdown,
+            // Stale or early: whatever runs next reclaims the copy anyway.
+            Ingest::Released => Taken::Wake,
             ctl => {
                 cycle.controls.push(ctl);
                 Taken::Barrier
@@ -690,7 +851,7 @@ impl ShardWriter {
                 }
             };
             match self.take(msg, cycle) {
-                Taken::Op => {}
+                Taken::Op | Taken::Wake => {}
                 Taken::Barrier => return false,
                 Taken::Shutdown => return true,
             }
@@ -784,12 +945,13 @@ impl ShardWriter {
     /// `false` iff `apply_batch` (or an injected chaos fault) panicked — the
     /// writable copy is consumed either way.
     fn try_apply_publish(&mut self, batch: u64) -> bool {
-        // Time the whole flush cycle — reclaim of the writable copy, the
+        // Time the on-path flush cycle — obtaining the writable copy, the
         // batch apply to its document and every registered query's index,
-        // and the publish swap — so the per-edit amortized numbers in the
-        // flush log reflect the real cost of pushing one op through the
-        // serving pipeline (E9's ingest arms read them).  The catch-up stage
-        // (reclaim, lag replay, reconcile) is recorded as its own part.
+        // and the publish swap.  The catch-up part of it (a reclaim, lag
+        // replay and reconcile the off-path catch-up did not already do) is
+        // recorded on its own, and so is the off-path catch-up that prepared
+        // the copy, so E9's ingest arms can count both applies of a batch.
+        let off_path_nanos = std::mem::take(&mut self.off_path_nanos);
         let start = Instant::now();
         let copy = self.take_writable();
         let catch_up_nanos = start.elapsed().as_nanos() as u64;
@@ -816,6 +978,7 @@ impl ShardWriter {
             // Filled in by `publish` (it owns the end of the timed region).
             nanos: 0,
             catch_up_nanos,
+            off_path_nanos,
             spine_deduped: report.deduped(),
             spine_dirty: report.dirty_len() as u64,
         };
@@ -836,10 +999,7 @@ impl ShardWriter {
     /// covers everything since the last good snapshot).
     fn publish(&mut self, copy: ShardCopy, mut rec: FlushRecord, batch: u64, start: Instant) {
         self.generation += 1;
-        let snap = Arc::new(SnapInner {
-            copy,
-            generation: self.generation,
-        });
+        let snap = Arc::new(SnapInner::new(copy, self.generation, &self.wake));
         let published = Arc::clone(&snap);
         {
             let mut front = write_unpoisoned(&self.front);
@@ -850,6 +1010,9 @@ impl ShardWriter {
                 c.on_publish(batch);
             }
             let old = std::mem::replace(&mut *front, snap);
+            // Under the front lock: no reader can count itself into `old`
+            // from here on, and its last release now wakes the writer.
+            old.gate.retired.store(true, Ordering::SeqCst);
             self.retired = Some(old);
         }
         rec.nanos = start.elapsed().as_nanos() as u64;
@@ -933,13 +1096,15 @@ impl ShardWriter {
     /// zero ops, so the size-0 flush record keeps the audit trail (`op
     /// prefix = sum of the first g sizes`) exact, and `lag` is untouched —
     /// the freshly retired front is behind by membership only, which
-    /// reconciliation (not op replay) repairs at the next reclaim.
+    /// reconciliation (not op replay) repairs at its catch-up.
     fn publish_membership(&mut self, start: Instant) {
+        let off_path_nanos = std::mem::take(&mut self.off_path_nanos);
         let copy = self.take_writable();
         let rec = FlushRecord {
             size: 0,
             nanos: 0,
             catch_up_nanos: start.elapsed().as_nanos() as u64,
+            off_path_nanos,
             spine_deduped: 0,
             spine_dirty: 0,
         };
@@ -955,6 +1120,7 @@ impl ShardWriter {
             .rebuild_fallbacks
             .fetch_add(1, Ordering::Relaxed);
         self.lag.clear();
+        self.off_path_nanos = 0;
         let tree = read_unpoisoned(&self.front).copy.tree().clone();
         ShardCopy::build(tree, &self.plans)
     }
@@ -1027,6 +1193,7 @@ impl ShardWriter {
         self.buf.clear();
         self.retired = None;
         self.lag.clear();
+        self.off_path_nanos = 0;
         let new_visible = durable_seq.saturating_sub(visible_seq);
         if new_visible > 0 {
             // The durable state is ahead of the published one: publish it as
@@ -1034,10 +1201,7 @@ impl ShardWriter {
             // visible ops (audit trail: generation g ↔ first g records).
             self.generation += 1;
             self.write = Some(healed.clone());
-            let snap = Arc::new(SnapInner {
-                copy: healed,
-                generation: self.generation,
-            });
+            let snap = Arc::new(SnapInner::new(healed, self.generation, &self.wake));
             {
                 let mut front = write_unpoisoned(&self.front);
                 // Abandon the old front to its holders entirely (drop both
@@ -1051,6 +1215,7 @@ impl ShardWriter {
                 size: new_visible as usize,
                 nanos: start.elapsed().as_nanos() as u64,
                 catch_up_nanos: 0,
+                off_path_nanos: 0,
                 spine_deduped: 0,
                 spine_dirty: 0,
             });
@@ -1082,10 +1247,10 @@ impl ShardWriter {
         self.drop_buf_unacked();
     }
 
-    /// Obtains the writable copy: the held one, the reclaimed-and-caught-up
-    /// retired one, or (after bounded patience) a fresh rebuild from the
-    /// published tree.  Whatever the source, the returned copy is
-    /// reconciled against the current query membership.
+    /// Obtains the writable copy: the held one (caught up off the path), the
+    /// reclaimed-and-caught-up retired one, or (after bounded patience) a
+    /// fresh rebuild from the published tree.  Whatever the source, the
+    /// returned copy is reconciled against the current query membership.
     fn take_writable(&mut self) -> ShardCopy {
         let mut copy = match self.write.take() {
             Some(copy) => copy,
@@ -1095,9 +1260,10 @@ impl ShardWriter {
         copy
     }
 
-    /// Reclaims the retired copy once its last reader drops it and replays
-    /// the lag it missed; after bounded patience abandons it to its readers
-    /// and rebuilds from the published tree instead.
+    /// Reclaims the retired copy on the flush's path and replays the lag it
+    /// missed.  While readers hold it, blocks on the release wake; after
+    /// bounded patience abandons it to its readers and rebuilds from the
+    /// published tree instead.
     fn reclaim_retired(&mut self) -> ShardCopy {
         let mut retired = self
             .retired
@@ -1114,15 +1280,68 @@ impl ShardWriter {
                     }
                     return copy;
                 }
-                Err(arc) if Instant::now() >= patience => {
-                    drop(arc);
-                    return self.rebuild_from_front();
-                }
                 Err(arc) => {
                     self.metrics.reclaim_waits.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(std::time::Duration::from_micros(50));
+                    if Instant::now() >= patience || !self.wake.wait_released(&arc.gate, patience) {
+                        drop(arc);
+                        return self.rebuild_from_front();
+                    }
                     retired = arc;
                 }
+            }
+        }
+    }
+
+    /// The off-path catch-up, run once a cycle's acks are out and on a
+    /// release wake: if the writer holds only the retired copy and no reader
+    /// does, reclaims it, replays its lag and reconciles it, and keeps it as
+    /// the writable copy.  A held copy is left to its last release's wake.
+    ///
+    /// Guarded like the first rung of the flush ladder: a panic discards the
+    /// copy and rebuilds the writable copy from the published tree, which
+    /// already holds every batch the lag carried — no op is dropped and the
+    /// shard does not heal.
+    fn catch_up(&mut self) {
+        let Some(retired) = self.retired.take_if(|r| r.gate.readers() == 0) else {
+            return;
+        };
+        let inner = match Arc::try_unwrap(retired) {
+            Ok(inner) => inner,
+            Err(arc) => {
+                self.retired = Some(arc);
+                return;
+            }
+        };
+        let start = Instant::now();
+        let chaos = self.chaos.clone();
+        let batch = self.batches;
+        let lag = &self.lag;
+        let plans = &self.plans;
+        let caught = catch_unwind(AssertUnwindSafe(move || {
+            if let Some(c) = &chaos {
+                c.on_catch_up(batch);
+            }
+            let mut copy = inner.copy;
+            if !lag.is_empty() {
+                copy.apply_batch(lag);
+            }
+            copy.reconcile(plans);
+            copy
+        }));
+        self.lag.clear();
+        match caught {
+            Ok(copy) => {
+                self.write = Some(copy);
+                self.off_path_nanos = start.elapsed().as_nanos() as u64;
+                self.metrics
+                    .off_path_catch_ups
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            Err(_) => {
+                self.metrics.panics_caught.fetch_add(1, Ordering::Relaxed);
+                self.metrics.set_health(ShardHealth::Degraded);
+                self.rebuild_writable_from_front();
+                self.metrics.set_health(ShardHealth::Healthy);
             }
         }
     }

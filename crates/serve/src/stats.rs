@@ -72,16 +72,24 @@ pub struct FlushRecord {
     /// of an ingest flush, 0 for a membership change, the newly recovered
     /// ops for a heal.
     pub size: usize,
-    /// Wall-clock nanoseconds of the full flush cycle: reclaiming the
-    /// writable copy (including any bounded wait for readers), replaying its
-    /// lag, applying the batch, and publishing the new snapshot.
+    /// Wall-clock nanoseconds of the flush cycle on the visible path:
+    /// obtaining the writable copy, applying the batch, and publishing the
+    /// new snapshot.  Obtaining the copy is nearly free when the off-path
+    /// catch-up already prepared it; that catch-up is
+    /// [`FlushRecord::off_path_nanos`], not part of `nanos`.
     pub nanos: u64,
-    /// The catch-up part of [`FlushRecord::nanos`]: the time spent obtaining
-    /// the writable copy — the reclaim wait for readers of the retired copy,
-    /// its lag replay and the reconcile against the query membership.  The
-    /// rest of `nanos` is the batch apply plus the publish (0 for heal
-    /// records, which take no writable copy).
+    /// The on-path catch-up part of [`FlushRecord::nanos`]: the time spent
+    /// obtaining the writable copy — a reclaim wait for readers of the
+    /// retired copy, its lag replay and the reconcile against the query
+    /// membership, whichever of these the off-path catch-up did not already
+    /// do.  The rest of `nanos` is the batch apply plus the publish (0 for
+    /// heal records, which take no writable copy).
     pub catch_up_nanos: u64,
+    /// The off-path catch-up that prepared this flush's writable copy after
+    /// the previous cycle's acks (reclaim, lag replay, reconcile), 0 when
+    /// the catch-up ran on the path instead.  `nanos + off_path_nanos` is
+    /// what the flush cost the writer in all.
+    pub off_path_nanos: u64,
     /// Dirty-spine entries skipped because an earlier edit of the batch had
     /// already queued them (the document's `DocumentBatch::deduped`; 0 for
     /// membership and heal records).
@@ -117,6 +125,7 @@ pub(crate) struct ShardMetrics {
     pub generation: AtomicU64,
     pub reclaim_waits: AtomicU64,
     pub rebuild_fallbacks: AtomicU64,
+    pub off_path_catch_ups: AtomicU64,
     pub spine_deduped: AtomicU64,
     pub spine_dirty: AtomicU64,
     pub max_flush: AtomicU64,
@@ -180,6 +189,7 @@ impl ShardMetrics {
             max_flush: self.max_flush.load(Ordering::Relaxed) as usize,
             reclaim_waits: self.reclaim_waits.load(Ordering::Relaxed),
             rebuild_fallbacks: self.rebuild_fallbacks.load(Ordering::Relaxed),
+            off_path_catch_ups: self.off_path_catch_ups.load(Ordering::Relaxed),
             spine_deduped: self.spine_deduped.load(Ordering::Relaxed),
             spine_dirty: self.spine_dirty.load(Ordering::Relaxed),
             wal_records: self.wal_records.load(Ordering::Relaxed),
@@ -226,13 +236,18 @@ pub struct ShardStats {
     pub window: usize,
     /// Largest single flush so far.
     pub max_flush: usize,
-    /// Bounded waits the writer performed for readers to release a retired
-    /// snapshot copy.
+    /// Times a flush found the retired snapshot copy still held by readers
+    /// and blocked on their release wake (bounded by
+    /// [`crate::ServeConfig::reclaim_patience`]).
     pub reclaim_waits: u64,
     /// Times the writer gave up waiting and rebuilt a fresh writable copy
     /// from the published tree (O(n) fallback; nonzero only under
-    /// pathologically long-held snapshots).
+    /// pathologically long-held snapshots, or after a contained panic).
     pub rebuild_fallbacks: u64,
+    /// Catch-ups of the retired copy (reclaim, lag replay, reconcile) the
+    /// writer ran off the visible path: right after a cycle's acks, or on
+    /// the release wake of the copy's last reader.
+    pub off_path_catch_ups: u64,
     /// Cumulative [`FlushRecord::spine_deduped`] over all flushes.
     pub spine_deduped: u64,
     /// Cumulative [`FlushRecord::spine_dirty`] over all flushes.

@@ -262,6 +262,85 @@ fn chaos_sweep_every_transient_fault_heals_with_zero_acked_loss() {
     .expect("write chaos heal report");
 }
 
+/// A panic inside the off-path catch-up (the lag replay into the retired
+/// copy after an ack) is contained where it happens: the writer discards
+/// that copy and rebuilds its writable copy from the published tree, which
+/// already holds every batch the lag carried.  No op is dropped, the durable
+/// shard does **not** heal from storage, and the answers equal the
+/// sequential oracle replay of every acked op.
+#[test]
+fn catch_up_panic_rebuilds_without_healing_or_losing_an_acked_op() {
+    quiet_chaos_panics();
+    let mut sigma = Alphabet::from_names(["a", "b", "c"]);
+    let labels: Vec<Label> = sigma.labels().collect();
+    let query = select_b(&sigma);
+    let plan = QueryPlan::for_query(&query, sigma.len());
+    for (si, (sname, make)) in strategies().into_iter().enumerate() {
+        let tree = random_tree(&mut sigma, 60, TreeShape::Random, 131 + si as u64);
+        let mut feed = EditFeed::new(&tree, make(labels.clone(), 137 + si as u64));
+        let ops: Vec<EditOp> = (0..23).map(|_| feed.next_op()).collect();
+        for batch in [1u64, 2, 5, 9, 14] {
+            let tag = format!("{sname}/catch-up/batch={batch}");
+            let dir = temp_dir(&format!("catch-up-{sname}-{batch}"));
+            let durability = DurabilityConfig {
+                sync: SyncPolicy::Always,
+                snapshot_every: 5,
+                ..DurabilityConfig::new(&dir)
+            };
+            let sched = Arc::new(ChaosSchedule::new().with(ChaosFault::PanicOnCatchUp { batch }));
+            let server = TreeServer::with_options(
+                vec![tree.clone()],
+                Arc::clone(&plan),
+                ServeConfig::default(),
+                Some((&durability, Arc::new(DiskFs) as Arc<dyn Storage>)),
+                Some(Arc::clone(&sched)),
+            )
+            .unwrap();
+            for &op in &ops[..20] {
+                server.ingest(0, op).unwrap();
+                server
+                    .flush(0)
+                    .unwrap_or_else(|e| panic!("{tag}: flush acked {e}"));
+            }
+            assert_eq!(sched.fired(), 1, "{tag}: the armed fault must fire once");
+            let stats = server.shard_stats(0);
+            assert_eq!(stats.health, ShardHealth::Healthy, "{tag}");
+            assert_eq!(stats.panics_caught, 1, "{tag}");
+            assert_eq!(stats.heals, 0, "{tag}: a catch-up panic must not heal");
+            assert_eq!(
+                stats.rebuild_fallbacks, 1,
+                "{tag}: one rebuild from the front"
+            );
+            assert_eq!(stats.ops_dropped_unacked, 0, "{tag}");
+            assert_eq!(stats.edits_applied, 20, "{tag}");
+            assert!(
+                stats.off_path_catch_ups >= 18,
+                "{tag}: every other ack is followed by an off-path catch-up, got {}",
+                stats.off_path_catch_ups
+            );
+            let snap = server.snapshot(0);
+            snap.check_consistency();
+            assert_eq!(
+                sorted(snap.assignments()),
+                oracle_answers(&tree, &ops[..20], &plan),
+                "{tag}: answers must equal the oracle replay of every acked op"
+            );
+            drop(snap);
+            // The rebuilt copy keeps taking writes.
+            server.ingest_batch(0, &ops[20..]).unwrap();
+            server.flush(0).unwrap();
+            assert_eq!(
+                sorted(server.snapshot(0).assignments()),
+                oracle_answers(&tree, &ops, &plan),
+                "{tag}: writes after the rebuild"
+            );
+            assert_eq!(server.shard_stats(0).heals, 0, "{tag}");
+            drop(server);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+}
+
 /// Chaos determinism: the same fault-schedule seed against the same
 /// flush-per-op ingest sequence yields the identical fault event log, heal
 /// counters and final answers; a different seed yields a different log.

@@ -376,3 +376,112 @@ fn two_shards_serve_independent_streams_concurrently() {
     }
     let _ = handles;
 }
+
+/// The off-path catch-up: in a closed loop where no snapshot outlives its
+/// round, the writer catches the retired copy up right after every ack —
+/// exactly one catch-up per data flush, none of them on a flush's path, so
+/// no flush ever waits for a reader or falls back to a rebuild.
+#[test]
+fn closed_loop_catches_up_off_the_path_once_per_flush() {
+    let mut sigma = Alphabet::from_names(["a", "b", "c"]);
+    let labels: Vec<Label> = sigma.labels().collect();
+    let query = select_b(&sigma);
+    let tree = random_tree(&mut sigma, 300, TreeShape::Random, 23);
+    let server = TreeServer::new(
+        vec![tree.clone()],
+        &query,
+        sigma.len(),
+        ServeConfig::default(),
+    );
+    let mut feed = EditFeed::new(&tree, EditStream::skewed(labels, 41));
+    const ROUNDS: u64 = 12;
+    for _ in 0..ROUNDS {
+        server.ingest_batch(0, &feed.next_batch(16)).unwrap();
+        server.flush(0).unwrap();
+        let snap = server.snapshot(0);
+        // Read, then let go before the next round, like a closed-loop
+        // client.
+        let _ = snap.count();
+    }
+    // An empty barrier is processed after the last round's catch-up.
+    server.flush(0).unwrap();
+    let stats = server.shard_stats(0);
+    assert_eq!(stats.generation, ROUNDS);
+    assert_eq!(
+        stats.off_path_catch_ups, ROUNDS,
+        "one off-path catch-up per data flush"
+    );
+    assert_eq!(stats.reclaim_waits, 0, "no flush waited for a reader");
+    assert_eq!(stats.rebuild_fallbacks, 0, "no flush lost its copy");
+    let log = server.flush_log(0);
+    // The first flush writes into the initial clone; every later one into
+    // the copy the previous ack's catch-up prepared.
+    assert_eq!(log[0].off_path_nanos, 0);
+    for (i, rec) in log.iter().enumerate().skip(1) {
+        assert!(rec.off_path_nanos > 0, "flush {i} had no off-path catch-up");
+        assert!(rec.catch_up_nanos <= rec.nanos);
+    }
+    let snap = server.snapshot(0);
+    snap.check_consistency();
+    let oracle = TreeEnumerator::new(feed.tree().clone(), &query, sigma.len());
+    assert_eq!(sorted(snap.assignments()), sorted(oracle.assignments()));
+}
+
+/// The release wake: a snapshot held across one flush keeps the retired copy
+/// from the catch-up that follows the ack; dropping it wakes the writer,
+/// which catches up before it processes the next barrier — so no flush
+/// waits, none falls back, and the caught-up copy serves a consistent state.
+#[test]
+fn last_release_of_a_held_retired_copy_wakes_the_catch_up() {
+    let mut sigma = Alphabet::from_names(["a", "b", "c"]);
+    let labels: Vec<Label> = sigma.labels().collect();
+    let query = select_b(&sigma);
+    let tree = random_tree(&mut sigma, 300, TreeShape::Random, 31);
+    let server = TreeServer::new(
+        vec![tree.clone()],
+        &query,
+        sigma.len(),
+        ServeConfig::default(),
+    );
+    let mut feed = EditFeed::new(&tree, EditStream::burst(labels, 43));
+    server.ingest_batch(0, &feed.next_batch(16)).unwrap();
+    server.flush(0).unwrap();
+    let held = server.snapshot(0);
+    let held_answers = sorted(held.assignments());
+    server.ingest_batch(0, &feed.next_batch(16)).unwrap();
+    server.flush(0).unwrap();
+    // The held generation-1 copy is the retired one now: its catch-up waits.
+    server.flush(0).unwrap();
+    assert_eq!(server.shard_stats(0).off_path_catch_ups, 1);
+    assert_eq!(sorted(held.assignments()), held_answers);
+    // Nothing reaches the writer's queue after the drop but the release's
+    // own wake: without it the writer would idle with the copy behind.  The
+    // pause lets the writer finish the catch-up attempt that follows the
+    // last ack (it finds the copy held and parks), so the catch-up below
+    // can only come from the wake.
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    drop(held);
+    let woken = std::time::Instant::now();
+    while server.shard_stats(0).off_path_catch_ups < 2 {
+        assert!(
+            woken.elapsed() < std::time::Duration::from_secs(10),
+            "the last release must wake the writer into its catch-up"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    server.flush(0).unwrap();
+    assert_eq!(server.shard_stats(0).off_path_catch_ups, 2);
+    server.ingest_batch(0, &feed.next_batch(16)).unwrap();
+    server.flush(0).unwrap();
+    let stats = server.shard_stats(0);
+    assert_eq!(
+        stats.reclaim_waits, 0,
+        "the woken catch-up left nothing to wait for"
+    );
+    assert_eq!(stats.rebuild_fallbacks, 0);
+    assert!(server.flush_log(0)[2].off_path_nanos > 0);
+    let snap = server.snapshot(0);
+    snap.check_consistency();
+    let oracle = TreeEnumerator::new(feed.tree().clone(), &query, sigma.len());
+    assert_eq!(sorted(snap.assignments()), sorted(oracle.assignments()));
+}
