@@ -821,6 +821,14 @@ impl TreeEnumerator {
         self.query.index.stats()
     }
 
+    /// The enumeration index's slab footprint: `(words held, words in free
+    /// blocks)` (see [`EnumIndex::slab_words`] and
+    /// [`EnumIndex::free_words`]).
+    pub fn index_slab_words(&self) -> (usize, usize) {
+        let index = &self.query.index;
+        (index.slab_words(), index.free_words())
+    }
+
     /// Allocation counters of the per-answer enumeration loop (see
     /// [`QueryIndex::enum_stats`]).
     pub fn enum_stats(&self) -> EnumStats {

@@ -9,61 +9,293 @@
 //! * `fbb(g)` — the first *bidirectional* box for `{g}` (a box where the ∪-reachable
 //!   wavefront of `g` has wires into both child boxes), when it exists;
 //!
-//! together with the set of target boxes (`closure`: all `fib`/`fbb` values, closed
-//! under pairwise lca and sorted by preorder) and the reachability relation
+//! together with the set of target boxes (the *closure*: all `fib`/`fbb` values,
+//! closed under pairwise lca and sorted by preorder) and the reachability relation
 //! `R(D, B)` for every target box `D`.
 //!
 //! Because every quantity of a box depends only on the box's own wires and on the
 //! indexes of its two children, the index can be recomputed for exactly the boxes
 //! that a tree hollowing dirties (Lemma 7.3).
+//!
+//! # Layout
+//!
+//! Each box's entry is **one contiguous record of `u64` words** in a slab
+//! shared by the whole index, read in place through a [`BoxRecord`] view.
+//! With `w` the box's width, `wl`/`wr` its children's widths, `k` the
+//! closure length and `p = ⌈w/64⌉` words per relation row (one word while
+//! `w ≤ 64`), a record is:
+//!
+//! | words | content |
+//! |---|---|
+//! | 1 | header: `w`, `k`, `wl`, `wr` (16 bits each) |
+//! | `wl·p`, `wr·p` | the child-step relations `R(left, B)`, `R(right, B)` |
+//! | `w` | per gate: `fib` and `fbb` closure slots (16 bits each) and the record offset of the gate's inputs (32 bits) |
+//! | `k` | per closure slot: the target box (32 bits) and the record offset of its relation (32 bits) |
+//! | `Σ w(D)·p` | the relations `R(D, B)`, one after the other |
+//! | rest | the var-inputs (two words each: vars, leaf token) of a leaf box, or the ×-inputs (one word: left, right) of an internal box, grouped per ∪-gate |
+//!
+//! Everything from the header through the closure relations is the *index
+//! part* a parent's entry depends on; the inputs are there so that Algorithm
+//! 2 reads an emitted box's var- and ×-gates from the record it already
+//! holds instead of the circuit's per-gate vectors.  Box topology
+//! (children, parent, width) stays in the [`Circuit`], so a reparented box
+//! keeps a valid record without a rebuild.
+//!
+//! The slab hands out blocks in size classes (eight exact sizes up to 8
+//! words, then four per doubling, so a block wastes under 25%), and every
+//! freed or resized record returns its block to its class's free list for
+//! the next record of that class.  Blocks are carved from fixed chunks of
+//! 2¹⁶ words; a record larger than a chunk gets a chunk of its own.  The
+//! per-box table of record addresses is chunked the same way, so neither
+//! ever grows by copying.
 
-use crate::relation::{child_relation, Relation};
+use crate::relation::{compose_rows, RelRef, Relation};
 use treenum_circuits::{BoxId, Circuit, Side, UnionInput};
+use treenum_trees::valuation::VarSet;
 
 /// Sentinel for "undefined" (`fbb` of a gate with no bidirectional box below it).
 pub const UNDEFINED: u32 = u32::MAX;
 
-/// The per-box part of the index.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BoxIndex {
-    /// Target boxes (descendants of this box, including possibly the box itself),
-    /// sorted by preorder and closed under pairwise lca of the `fib`/`fbb` values.
-    pub closure: Vec<BoxId>,
-    /// `rel[i]` is the reachability relation `R(closure[i], B)`.
-    pub rel: Vec<Relation>,
-    /// `fib[g]`: index into `closure` of the first interesting box of gate `g`.
-    pub fib: Vec<u32>,
-    /// `fbb[g]`: index into `closure` of the first bidirectional box of gate `g`, or
-    /// [`UNDEFINED`].
-    pub fbb: Vec<u32>,
-    /// The single-step relations `R(left child, B)` / `R(right child, B)`
-    /// (`None` for leaf boxes).  They only depend on the box's own wires, so
-    /// they are recomputed with the entry; storing them lets Algorithm 3's
-    /// path walk compose child relations without re-deriving them from the
-    /// wires at every step.
-    pub child_rel: Option<Box<(Relation, Relation)>>,
+/// A 16-bit record field with no value (an undefined `fib`/`fbb` slot).
+const NO_SLOT: u64 = 0xFFFF;
+
+/// A staged `fib`/`fbb` box that does not exist.
+const NO_BOX: u32 = u32::MAX;
+
+#[inline]
+fn field16(word: u64, i: u32) -> usize {
+    ((word >> (16 * i)) & 0xFFFF) as usize
 }
 
-impl BoxIndex {
-    /// The stored child-step relations `(left, right)` of an internal box.
+#[inline]
+fn hi32(word: u64) -> usize {
+    (word >> 32) as usize
+}
+
+/// A borrowed view of one box's record (see the module docs for the
+/// layout).  Two views are equal iff their records are word-for-word equal.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BoxRecord<'a> {
+    words: &'a [u64],
+}
+
+impl<'a> BoxRecord<'a> {
+    /// The record's words.
     #[inline]
-    pub fn child_rels(&self) -> Option<(&Relation, &Relation)> {
-        self.child_rel.as_deref().map(|(l, r)| (l, r))
+    pub fn words(&self) -> &'a [u64] {
+        self.words
     }
-    /// The first interesting box of a non-empty gate set (Equation (1)): the
-    /// preorder-minimal `fib(g)` over the set.  Returns the closure slot.
-    pub fn fib_of_set(&self, gates: impl Iterator<Item = usize>) -> Option<u32> {
-        gates.map(|g| self.fib[g]).min()
+
+    /// Number of ∪-gates of the box.
+    #[inline]
+    pub fn width(&self) -> usize {
+        field16(self.words[0], 0)
+    }
+
+    /// Number of closure targets.
+    #[inline]
+    pub fn closure_len(&self) -> usize {
+        field16(self.words[0], 1)
+    }
+
+    #[inline]
+    fn child_widths(&self) -> (usize, usize) {
+        (field16(self.words[0], 2), field16(self.words[0], 3))
+    }
+
+    #[inline]
+    fn words_per_row(&self) -> usize {
+        self.width().div_ceil(64)
+    }
+
+    #[inline]
+    fn gates_at(&self) -> usize {
+        let (wl, wr) = self.child_widths();
+        1 + (wl + wr) * self.words_per_row()
+    }
+
+    #[inline]
+    fn gate_word(&self, g: usize) -> u64 {
+        self.words[self.gates_at() + g]
+    }
+
+    /// The single-step relation `R(side child, B)` (no rows for a leaf
+    /// box).  It only depends on the box's own wires; storing it lets
+    /// Algorithm 3's path walk compose child steps without re-deriving
+    /// them from the wires at every step.
+    #[inline]
+    pub fn child_rel(&self, side: Side) -> RelRef<'a> {
+        let (wl, wr) = self.child_widths();
+        let p = self.words_per_row();
+        let (at, rows) = match side {
+            Side::Left => (1, wl),
+            Side::Right => (1 + wl * p, wr),
+        };
+        RelRef::new(rows, self.width(), &self.words[at..at + rows * p])
+    }
+
+    /// `fib(g)`: the closure slot of gate `g`'s first interesting box, or
+    /// [`UNDEFINED`].
+    #[inline]
+    pub fn fib(&self, g: usize) -> u32 {
+        Self::slot(self.gate_word(g) & 0xFFFF)
+    }
+
+    /// `fbb(g)`: the closure slot of gate `g`'s first bidirectional box, or
+    /// [`UNDEFINED`].
+    #[inline]
+    pub fn fbb(&self, g: usize) -> u32 {
+        Self::slot((self.gate_word(g) >> 16) & 0xFFFF)
+    }
+
+    #[inline]
+    fn slot(v: u64) -> u32 {
+        if v == NO_SLOT {
+            UNDEFINED
+        } else {
+            v as u32
+        }
+    }
+
+    /// The first interesting box of the gates with a non-empty row in `r`
+    /// (Equation (1)): the preorder-minimal `fib(g)` over them, as a
+    /// closure slot.
+    #[inline]
+    pub fn fib_of_rows(&self, r: &Relation) -> Option<usize> {
+        let gates = &self.words[self.gates_at()..][..self.width()];
+        let mut best = NO_SLOT;
+        for (gi, &word) in gates.iter().enumerate().take(r.rows()) {
+            if !r.row_is_empty(gi) {
+                best = best.min(word & 0xFFFF);
+            }
+        }
+        (best != NO_SLOT).then_some(best as usize)
+    }
+
+    #[inline]
+    fn closure_word(&self, slot: usize) -> u64 {
+        self.words[self.gates_at() + self.width() + slot]
+    }
+
+    /// The target box in closure slot `slot`.
+    #[inline]
+    pub fn closure_box(&self, slot: usize) -> BoxId {
+        BoxId(self.closure_word(slot) as u32)
+    }
+
+    /// The closure targets, in preorder.
+    pub fn closure(&self) -> impl Iterator<Item = BoxId> + 'a {
+        let at = self.gates_at() + self.width();
+        self.words[at..at + self.closure_len()]
+            .iter()
+            .map(|&c| BoxId(c as u32))
+    }
+
+    /// The slot of closure target `d`, if `d` is one.
+    #[inline]
+    pub fn closure_slot_of(&self, d: BoxId) -> Option<usize> {
+        let at = self.gates_at() + self.width();
+        self.words[at..at + self.closure_len()]
+            .iter()
+            .position(|&c| c as u32 == d.0)
+    }
+
+    /// The reachability relation `R(closure_box(slot), B)`.
+    #[inline]
+    pub fn closure_rel(&self, slot: usize) -> RelRef<'a> {
+        let at = hi32(self.closure_word(slot));
+        let end = if slot + 1 < self.closure_len() {
+            hi32(self.closure_word(slot + 1))
+        } else {
+            self.index_len()
+        };
+        let p = self.words_per_row();
+        RelRef::new((end - at) / p, self.width(), &self.words[at..end])
+    }
+
+    /// Length of the index part: everything before the inputs.
+    #[inline]
+    fn index_len(&self) -> usize {
+        if self.width() == 0 {
+            self.words.len()
+        } else {
+            hi32(self.gate_word(0))
+        }
+    }
+
+    /// The input words of gate `g`.
+    #[inline]
+    fn inputs(&self, g: usize) -> &'a [u64] {
+        let at = hi32(self.gate_word(g));
+        let end = if g + 1 < self.width() {
+            hi32(self.gate_word(g + 1))
+        } else {
+            self.words.len()
+        };
+        &self.words[at..end]
+    }
+
+    /// `true` iff the inputs are var-inputs (a leaf box: no child widths).
+    #[inline]
+    fn has_var_inputs(&self) -> bool {
+        self.child_widths() == (0, 0)
+    }
+
+    /// Number of var-inputs of gate `g`.
+    #[inline]
+    pub fn var_input_count(&self, g: usize) -> usize {
+        if self.has_var_inputs() {
+            self.inputs(g).len() / 2
+        } else {
+            0
+        }
+    }
+
+    /// The var-inputs `⟨vars : leaf_token⟩` of gate `g`.
+    #[inline]
+    pub fn var_inputs(&self, g: usize) -> impl Iterator<Item = (VarSet, u32)> + 'a {
+        let words = if self.has_var_inputs() {
+            self.inputs(g)
+        } else {
+            &[]
+        };
+        words.chunks_exact(2).map(|p| (VarSet(p[0]), p[1] as u32))
+    }
+
+    /// The ×-inputs `(left, right)` of gate `g`.
+    #[inline]
+    pub fn times_inputs(&self, g: usize) -> impl Iterator<Item = (u32, u32)> + 'a {
+        let words = if self.has_var_inputs() {
+            &[]
+        } else {
+            self.inputs(g)
+        };
+        words.iter().map(|&t| (t as u32, (t >> 32) as u32))
+    }
+
+    /// Equality of the index parts (header, child steps, `fib`/`fbb`,
+    /// closure and its relations), ignoring the inputs: what a parent's
+    /// entry is computed from.
+    pub fn index_eq(&self, other: &BoxRecord<'_>) -> bool {
+        if self.words[0] != other.words[0] || self.index_len() != other.index_len() {
+            return false;
+        }
+        let (g, w, n) = (self.gates_at(), self.width(), self.index_len());
+        self.words[..g] == other.words[..g]
+            && self.words[g..g + w]
+                .iter()
+                .zip(&other.words[g..g + w])
+                .all(|(a, b)| (a ^ b) as u32 == 0)
+            && self.words[g + w..n] == other.words[g + w..n]
     }
 }
 
-/// Counters exposed by [`EnumIndex::stats`], tracking the allocation behaviour of
-/// the hot rebuild path.
+/// Counters exposed by [`EnumIndex::stats`], tracking the work of the
+/// rebuild path.
 ///
-/// `rebuild_box` used to clone both child [`BoxIndex`] values (closures *and* all
-/// stored reachability relations) on every call, which dominated per-edit update
-/// cost.  The dense slab layout makes the clones structurally unnecessary:
-/// `rebuild_box` reads the child entries in place.
+/// `rebuild_box` reads the child records in place and builds the new record
+/// in a reusable staging buffer, so a rebuild allocates nothing once the
+/// slab and the staging buffer have warmed up.
 /// The struct is `#[non_exhaustive]`: downstream code must read fields (or
 /// destructure with `..`) rather than construct/match it exhaustively, so new
 /// counters can be added without breaking callers.
@@ -96,65 +328,287 @@ pub struct IndexStats {
     pub boxes_skipped: u64,
 }
 
-/// The index structure `I(C)` for a whole circuit: a dense slab of per-box
-/// entries parallel to the circuit's box arena (`BoxId` is an arena slot index,
-/// so `slots[b.index()]` is the entry of box `b`).  No hashing on the per-answer
-/// or per-edit path.
+/// Table entries per chunk of the record-address table (a power of two).
+const TABLE_CHUNK: usize = 1 << 12;
+
+/// Per box: `address | length << 32` of its record, 0 if it has none (every
+/// record has at least its header word).  Chunked like the circuit's box
+/// arena, so it grows without moving an entry.
+#[derive(Clone, Debug, Default)]
+struct Table {
+    chunks: Vec<Box<[u64; TABLE_CHUNK]>>,
+}
+
+impl Table {
+    #[inline]
+    fn get(&self, i: usize) -> u64 {
+        self.chunks
+            .get(i / TABLE_CHUNK)
+            .map_or(0, |c| c[i % TABLE_CHUNK])
+    }
+
+    fn set(&mut self, i: usize, entry: u64) {
+        while self.chunks.len() <= i / TABLE_CHUNK {
+            let chunk = vec![0u64; TABLE_CHUNK].into_boxed_slice();
+            self.chunks
+                .push(chunk.try_into().expect("a chunk of TABLE_CHUNK entries"));
+        }
+        self.chunks[i / TABLE_CHUNK][i % TABLE_CHUNK] = entry;
+    }
+}
+
+/// Bits of a slab address that index into a chunk.
+const SLAB_BITS: u32 = 16;
+/// Words per regular slab chunk (512 KiB).
+const SLAB_CHUNK: usize = 1 << SLAB_BITS;
+
+/// The size class of a `len`-word record: `len` itself up to 8, then four
+/// classes per doubling (10, 12, 14, 16, 20, 24, 28, 32, 40, …).
+#[inline]
+fn class_of(len: usize) -> usize {
+    if len <= 8 {
+        return len;
+    }
+    let g = (usize::BITS - ((len - 1) >> 4).leading_zeros()) as usize;
+    let (base, step) = (8 << g, 2 << g);
+    9 + 4 * g + (len - base).div_ceil(step) - 1
+}
+
+/// The block size of size class `c`.
+#[inline]
+fn class_size(c: usize) -> usize {
+    if c <= 8 {
+        return c;
+    }
+    let (g, s) = ((c - 9) / 4, (c - 9) % 4 + 1);
+    (8 << g) + s * (2 << g)
+}
+
+/// `true` iff records of size class `class` get a chunk of their own.
+#[inline]
+fn is_large(class: usize) -> bool {
+    class_size(class) > SLAB_CHUNK
+}
+
+/// A record may take a free block up to this many classes above its own
+/// before a fresh block is carved, so neighbouring classes share their
+/// free blocks (a block then wastes under 56%).
+const FIT_CLASSES: usize = 2;
+
+/// A table entry: the record's slab address, its length and the size class
+/// of its block.
+#[inline]
+fn entry(addr: u32, len: usize, class: usize) -> u64 {
+    assert!(len < 1 << 24, "index record of {len} words");
+    addr as u64 | (len as u64) << 32 | (class as u64) << 56
+}
+
+#[inline]
+fn entry_len(entry: u64) -> usize {
+    ((entry >> 32) & 0xFF_FFFF) as usize
+}
+
+#[inline]
+fn entry_class(entry: u64) -> usize {
+    (entry >> 56) as usize
+}
+
+/// The word slab records live in (see the module docs).  An address is
+/// `chunk << SLAB_BITS | offset`.
+#[derive(Clone, Debug, Default)]
+struct Slab {
+    /// Regular chunks of [`SLAB_CHUNK`] words and large chunks (exactly
+    /// one record; empty once released).
+    chunks: Vec<Box<[u64]>>,
+    /// The regular chunk blocks are carved from, and the words carved.
+    bump: Option<(u32, usize)>,
+    /// Per size class: addresses of free blocks.
+    free: Vec<Vec<u32>>,
+    /// Released large chunks, for the next large record.
+    free_large: Vec<u32>,
+    /// Words carved: records, free blocks and large chunks.
+    words: usize,
+    /// Words in free blocks.
+    free_words: usize,
+}
+
+impl Slab {
+    #[inline]
+    fn get(&self, addr: u32, len: usize) -> &[u64] {
+        let at = addr as usize & (SLAB_CHUNK - 1);
+        &self.chunks[(addr >> SLAB_BITS) as usize][at..at + len]
+    }
+
+    #[inline]
+    fn get_mut(&mut self, addr: u32, len: usize) -> &mut [u64] {
+        let at = addr as usize & (SLAB_CHUNK - 1);
+        &mut self.chunks[(addr >> SLAB_BITS) as usize][at..at + len]
+    }
+
+    fn push_free(&mut self, class: usize, addr: u32) {
+        if self.free.len() <= class {
+            self.free.resize_with(class + 1, Default::default);
+        }
+        self.free[class].push(addr);
+        self.free_words += class_size(class);
+    }
+
+    /// A new chunk of `len` zeroed words; returns its index.
+    fn push_chunk(&mut self, len: usize) -> u32 {
+        let i = self.chunks.len();
+        assert!(i < 1 << (32 - SLAB_BITS), "index slab exceeds 2^32 words");
+        self.chunks.push(vec![0; len].into_boxed_slice());
+        i as u32
+    }
+
+    /// A block for a `len`-word record, and the block's size class: a free
+    /// block of its class or of one of the [`FIT_CLASSES`] above, else a
+    /// fresh one carved from the current chunk (a record larger than a
+    /// chunk gets a chunk of its own).
+    fn alloc(&mut self, len: usize) -> (u32, usize) {
+        let class = class_of(len);
+        if is_large(class) {
+            self.words += len;
+            let i = match self.free_large.pop() {
+                Some(i) => {
+                    self.chunks[i as usize] = vec![0; len].into_boxed_slice();
+                    i
+                }
+                None => self.push_chunk(len),
+            };
+            return (i << SLAB_BITS, class);
+        }
+        for c in class..=class + FIT_CLASSES {
+            if let Some(addr) = self.free.get_mut(c).and_then(Vec::pop) {
+                self.free_words -= class_size(c);
+                return (addr, c);
+            }
+        }
+        let size = class_size(class);
+        let (c, at) = match self.bump {
+            Some((c, at)) if SLAB_CHUNK - at >= size => (c, at),
+            _ => {
+                self.retire_bump();
+                (self.push_chunk(SLAB_CHUNK), 0)
+            }
+        };
+        self.bump = Some((c, at + size));
+        self.words += size;
+        (c << SLAB_BITS | at as u32, class)
+    }
+
+    /// Hands the uncarved tail of the current chunk to the free lists, in
+    /// the largest blocks that fit.
+    fn retire_bump(&mut self) {
+        let Some((c, mut at)) = self.bump.take() else {
+            return;
+        };
+        self.words += SLAB_CHUNK - at;
+        while at < SLAB_CHUNK {
+            let rest = SLAB_CHUNK - at;
+            let mut class = class_of(rest);
+            if class_size(class) > rest {
+                class -= 1;
+            }
+            self.push_free(class, c << SLAB_BITS | at as u32);
+            at += class_size(class);
+        }
+    }
+
+    /// Returns the block of size class `class` at `addr`.
+    fn release(&mut self, addr: u32, class: usize) {
+        if is_large(class) {
+            let i = addr >> SLAB_BITS;
+            self.words -= std::mem::take(&mut self.chunks[i as usize]).len();
+            self.free_large.push(i);
+        } else {
+            self.push_free(class, addr);
+        }
+    }
+}
+
+/// Reusable buffers `compute_entry` stages a record in, so a rebuild
+/// allocates nothing once they have grown to the widest box.
+#[derive(Clone, Debug, Default)]
+struct Staging {
+    /// Per gate: the `fib` / `fbb` box ([`NO_BOX`] if undefined).
+    fib: Vec<u32>,
+    fbb: Vec<u32>,
+    targets: Vec<BoxId>,
+    closure: Vec<BoxId>,
+    record: Vec<u64>,
+}
+
+/// The index structure `I(C)` for a whole circuit: one record per box in a
+/// word slab, found through a per-box table indexed by the box's arena slot
+/// (see the module docs).  No hashing on the per-answer or per-edit path.
 ///
 /// The index is strictly per-circuit (and hence per-query): when several
 /// queries are evaluated over one tree — the serving layer's multiplexed
 /// snapshots — each query's engine owns its own circuit and its own
 /// `EnumIndex`, and they coexist without sharing mutable state.  Dropping a
-/// query's engine (deregistration) drops exactly that query's index slab;
-/// the others are untouched.
+/// query's engine (deregistration) drops exactly that query's slab; the
+/// others are untouched.
 #[derive(Clone, Debug, Default)]
 pub struct EnumIndex {
-    slots: Vec<Option<BoxIndex>>,
+    table: Table,
+    slab: Slab,
     live: usize,
     stats: IndexStats,
+    staging: Staging,
+}
+
+#[inline]
+fn record_in<'a>(table: &Table, slab: &'a Slab, b: BoxId) -> Option<BoxRecord<'a>> {
+    let entry = table.get(b.index());
+    (entry != 0).then(|| BoxRecord {
+        words: slab.get(entry as u32, entry_len(entry)),
+    })
 }
 
 impl EnumIndex {
     /// Builds the index for every box of the circuit, bottom-up.
     pub fn build(circuit: &Circuit) -> Self {
         let mut index = EnumIndex::default();
-        index.slots.resize_with(circuit.arena_len(), || None);
         for b in circuit.boxes_postorder() {
             index.rebuild_box(circuit, b);
         }
         index
     }
 
-    /// The index of box `b`.
+    /// The record of box `b`.
     ///
     /// # Panics
-    /// Panics if the box has no index entry (it was never built or was removed).
-    pub fn of(&self, b: BoxId) -> &BoxIndex {
+    /// Panics if the box has no record (it was never built or was removed).
+    #[inline]
+    pub fn of(&self, b: BoxId) -> BoxRecord<'_> {
         self.get(b).expect("box has no index entry")
     }
 
-    /// The index of box `b`, if present.
+    /// The record of box `b`, if present.
     #[inline]
-    pub fn get(&self, b: BoxId) -> Option<&BoxIndex> {
-        self.slots.get(b.index()).and_then(Option::as_ref)
+    pub fn get(&self, b: BoxId) -> Option<BoxRecord<'_>> {
+        record_in(&self.table, &self.slab, b)
     }
 
     /// `true` iff `b` has an index entry.
     pub fn has(&self, b: BoxId) -> bool {
-        self.get(b).is_some()
+        self.table.get(b.index()) != 0
     }
 
-    /// Removes the index entry of `b` (used when a box is freed by an update).
+    /// Removes the index entry of `b` (used when a box is freed by an
+    /// update), returning its block to the slab's free lists.
     ///
     /// Tolerates boxes with no entry: a batch that deletes a whole subtree
     /// run frees boxes whose children were already removed earlier in the
     /// same batch (and arena slots freed then reused can be freed again), so
     /// removal must be idempotent rather than a panic.
     pub fn remove_box(&mut self, b: BoxId) {
-        if let Some(slot) = self.slots.get_mut(b.index()) {
-            if slot.take().is_some() {
-                self.live -= 1;
-            }
+        let entry = self.table.get(b.index());
+        if entry != 0 {
+            self.slab.release(entry as u32, entry_class(entry));
+            self.table.set(b.index(), 0);
+            self.live -= 1;
         }
     }
 
@@ -166,6 +620,17 @@ impl EnumIndex {
     /// `true` iff the index is empty.
     pub fn is_empty(&self) -> bool {
         self.live == 0
+    }
+
+    /// Words held by the slab: records, free blocks and large chunks.
+    pub fn slab_words(&self) -> usize {
+        self.slab.words
+    }
+
+    /// Words of the slab in free blocks, waiting for a record of their
+    /// size class.
+    pub fn free_words(&self) -> usize {
+        self.slab.free_words
     }
 
     /// Allocation counters of the rebuild path (see [`IndexStats`]).
@@ -192,124 +657,161 @@ impl EnumIndex {
     /// must already be up to date.  Returns the number of reachability relations
     /// stored for the box.
     ///
-    /// The child entries are read in place through shared borrows of the slab —
-    /// no `BoxIndex` is cloned.
+    /// The child records are read in place and the new record is staged in
+    /// a reusable buffer, then copied into the slab.
     // hot-path: the per-edit spine-repair step; the O(polylog) update bound
     // assumes it stays free of per-call allocation.
     pub fn rebuild_box(&mut self, circuit: &Circuit, b: BoxId) -> usize {
-        let entry = self.compute_entry(circuit, b);
-        let stored = entry.rel.len();
-        self.store_entry(circuit, b, entry);
+        self.compute_entry(circuit, b);
+        let stored = self.staged().closure_len();
+        self.stats.box_rebuilds += 1;
+        self.stats.relations_stored += stored as u64;
+        self.store_staged(b);
         stored
     }
 
-    /// Like [`EnumIndex::rebuild_box`], but reports whether the stored entry
-    /// actually changed.  The update path uses this to stop repairing the spine
-    /// as soon as the recomputed entries fixpoint: an unchanged child entry
-    /// cannot invalidate its parent's entry (the entry is a function of the
-    /// box's own wires, the children's entries, and lca/preorder relationships
-    /// between closure boxes, which edge splices below do not alter).
+    /// Like [`EnumIndex::rebuild_box`], but reports whether the entry's
+    /// *index part* actually changed.  The update path uses this to stop
+    /// repairing the spine as soon as the recomputed entries fixpoint: an
+    /// unchanged child entry cannot invalidate its parent's entry (the entry
+    /// is a function of the box's own wires, the children's index parts, and
+    /// lca/preorder relationships between closure boxes, which edge splices
+    /// below do not alter).  A change to the box's var- or ×-inputs alone
+    /// rewrites the record but reports `false`.
     // hot-path: the fixpoint variant of `rebuild_box`, same discipline.
     pub fn rebuild_box_changed(&mut self, circuit: &Circuit, b: BoxId) -> bool {
-        let entry = self.compute_entry(circuit, b);
-        if self.get(b) == Some(&entry) {
-            self.stats.box_rebuilds += 1;
-            return false;
-        }
-        self.store_entry(circuit, b, entry);
-        true
-    }
-
-    fn store_entry(&mut self, circuit: &Circuit, b: BoxId, entry: BoxIndex) {
-        if b.index() >= self.slots.len() {
-            self.slots
-                .resize_with(circuit.arena_len().max(b.index() + 1), || None);
-        }
+        self.compute_entry(circuit, b);
         self.stats.box_rebuilds += 1;
-        self.stats.relations_stored += entry.rel.len() as u64;
-        if self.slots[b.index()].replace(entry).is_none() {
-            self.live += 1;
+        let staged = self.staged();
+        let stored = staged.closure_len() as u64;
+        let (index_same, record_same) = match self.get(b) {
+            Some(old) => (old.index_eq(&staged), old == staged),
+            None => (false, false),
+        };
+        if !index_same {
+            self.stats.relations_stored += stored;
+        }
+        if !record_same {
+            self.store_staged(b);
+        }
+        !index_same
+    }
+
+    /// The record `compute_entry` staged last.
+    fn staged(&self) -> BoxRecord<'_> {
+        BoxRecord {
+            words: &self.staging.record,
         }
     }
 
-    /// Computes the entry of `b` from the circuit and the children's entries,
-    /// without storing it.
-    fn compute_entry(&self, circuit: &Circuit, b: BoxId) -> BoxIndex {
+    /// Copies the staged record into `b`'s block: in place while the old
+    /// block fits it within [`FIT_CLASSES`], else into a new block.
+    fn store_staged(&mut self, b: BoxId) {
+        let len = self.staging.record.len();
+        let class = class_of(len);
+        let old = self.table.get(b.index());
+        let old_class = entry_class(old);
+        let (addr, class) = if old != 0
+            && !is_large(old_class)
+            && (class..=class + FIT_CLASSES).contains(&old_class)
+        {
+            (old as u32, old_class)
+        } else {
+            if old != 0 {
+                self.slab.release(old as u32, old_class);
+            } else {
+                self.live += 1;
+            }
+            self.slab.alloc(len)
+        };
+        self.slab
+            .get_mut(addr, len)
+            .copy_from_slice(&self.staging.record);
+        self.table.set(b.index(), entry(addr, len, class));
+    }
+
+    /// Computes the record of `b` from the circuit and the children's
+    /// records into the staging buffer, without storing it.
+    // hot-path: runs once per rebuilt box; every buffer it writes is a
+    // reused staging vector.
+    fn compute_entry(&mut self, circuit: &Circuit, b: BoxId) {
+        let EnumIndex {
+            table,
+            slab,
+            staging,
+            ..
+        } = self;
         let width = circuit.box_width(b);
         let gates = circuit.union_gates(b);
-
-        // Per-gate wire summaries.
-        let mut left_targets: Vec<Vec<u32>> = vec![Vec::new(); width];
-        let mut right_targets: Vec<Vec<u32>> = vec![Vec::new(); width];
-        let mut has_own: Vec<bool> = vec![false; width];
-        for (gi, gate) in gates.iter().enumerate() {
-            for input in &gate.inputs {
-                match *input {
-                    UnionInput::Var { .. } | UnionInput::Times { .. } => has_own[gi] = true,
-                    UnionInput::Child {
-                        side: Side::Left,
-                        gate,
-                    } => left_targets[gi].push(gate),
-                    UnionInput::Child {
-                        side: Side::Right,
-                        gate,
-                    } => right_targets[gi].push(gate),
-                }
-            }
-        }
-
         let children = circuit.children(b);
-        let left_index = children.map(|(l, _)| self.get(l).expect("child index missing"));
-        let right_index = children.map(|(_, r)| self.get(r).expect("child index missing"));
+        let child_record = |c: BoxId| record_in(table, slab, c).expect("child index missing");
+        let (left, right) = match children {
+            Some((l, r)) => (Some(child_record(l)), Some(child_record(r))),
+            None => (None, None),
+        };
+        let (wl, wr) = children.map_or((0, 0), |(l, r)| {
+            (circuit.box_width(l), circuit.box_width(r))
+        });
 
         // fib(g), Equation (3): the box itself if the gate has a non-∪ input, else the
         // preorder-minimal fib over its ∪-inputs.  All left-subtree boxes precede all
         // right-subtree boxes in preorder.
-        let mut fib_box: Vec<Option<BoxId>> = vec![None; width];
-        let mut fbb_box: Vec<Option<BoxId>> = vec![None; width];
-        for gi in 0..width {
-            if has_own[gi] {
-                fib_box[gi] = Some(b);
-            } else if !left_targets[gi].is_empty() {
-                let li = left_index.expect("left child wires without a left child");
-                let slot = left_targets[gi]
-                    .iter()
-                    .map(|&g| li.fib[g as usize])
-                    .min()
-                    .unwrap();
-                fib_box[gi] = Some(li.closure[slot as usize]);
-            } else if !right_targets[gi].is_empty() {
-                let ri = right_index.expect("right child wires without a right child");
-                let slot = right_targets[gi]
-                    .iter()
-                    .map(|&g| ri.fib[g as usize])
-                    .min()
-                    .unwrap();
-                fib_box[gi] = Some(ri.closure[slot as usize]);
+        // fbb(g), Equation (4): the box itself if the gate has wires into both
+        // children; otherwise the lca of the fbb values of its wire targets
+        // (which all live in a single child).
+        staging.fib.clear();
+        staging.fbb.clear();
+        for gate in gates {
+            let (mut own, mut fib_l, mut fib_r) = (false, UNDEFINED, UNDEFINED);
+            let (mut to_left, mut to_right) = (false, false);
+            for input in &gate.inputs {
+                match *input {
+                    UnionInput::Var { .. } | UnionInput::Times { .. } => own = true,
+                    UnionInput::Child { side, gate: g } => {
+                        let (child, fib, to) = match side {
+                            Side::Left => (left, &mut fib_l, &mut to_left),
+                            Side::Right => (right, &mut fib_r, &mut to_right),
+                        };
+                        let child = child.expect("child wires without a child");
+                        *fib = (*fib).min(child.fib(g as usize));
+                        *to = true;
+                    }
+                }
             }
-            // fbb(g), Equation (4): the box itself if the gate has wires into both
-            // children; otherwise the lca of the fbb values of its wire targets
-            // (which all live in a single child).
-            if !left_targets[gi].is_empty() && !right_targets[gi].is_empty() {
-                fbb_box[gi] = Some(b);
-            } else if !left_targets[gi].is_empty() {
-                let li = left_index.unwrap();
-                fbb_box[gi] = lca_of_slots(circuit, li, &left_targets[gi]);
-            } else if !right_targets[gi].is_empty() {
-                let ri = right_index.unwrap();
-                fbb_box[gi] = lca_of_slots(circuit, ri, &right_targets[gi]);
-            }
+            let (child, slot) = if to_left {
+                (left, fib_l)
+            } else {
+                (right, fib_r)
+            };
+            let fib = match child {
+                _ if own => b.0,
+                Some(c) if slot != UNDEFINED => c.closure_box(slot as usize).0,
+                _ => NO_BOX,
+            };
+            let fbb = match (to_left, to_right) {
+                (true, true) => b.0,
+                (false, false) => NO_BOX,
+                (true, false) => lca_of_fbbs(circuit, left, gate, Side::Left),
+                (false, true) => lca_of_fbbs(circuit, right, gate, Side::Right),
+            };
+            staging.fib.push(fib);
+            staging.fbb.push(fbb);
         }
 
-        // The closure: all fib/fbb targets plus pairwise lcas, sorted by preorder.
-        let mut targets: Vec<BoxId> = fib_box
-            .iter()
-            .chain(fbb_box.iter())
-            .filter_map(|o| *o)
-            .collect();
+        // The closure: all fib/fbb targets plus pairwise lcas, sorted by preorder
+        // (distinct boxes, so the unstable sort is deterministic).
+        let targets = &mut staging.targets;
+        targets.clear();
+        for &t in staging.fib.iter().chain(&staging.fbb) {
+            if t != NO_BOX {
+                targets.push(BoxId(t));
+            }
+        }
         targets.sort_unstable();
         targets.dedup();
-        let mut closure = targets.clone();
+        let closure = &mut staging.closure;
+        closure.clear();
+        closure.extend_from_slice(targets);
         for i in 0..targets.len() {
             for j in (i + 1)..targets.len() {
                 closure.push(circuit.lca(targets[i], targets[j]));
@@ -317,92 +819,140 @@ impl EnumIndex {
         }
         closure.sort_unstable();
         closure.dedup();
-        closure.sort_by(|&x, &y| circuit.preorder_cmp(x, y));
+        closure.sort_unstable_by(|&x, &y| circuit.preorder_cmp(x, y));
 
-        // Single-step child relations, computed once from the wires and both
-        // stored in the entry and shared by the closure-relation computation
-        // below (which used to rebuild them once per closure target).
-        let child_steps: Option<Box<(Relation, Relation)>> = children.map(|_| {
-            Box::new((
-                child_relation(circuit, b, Side::Left),
-                child_relation(circuit, b, Side::Right),
-            ))
-        });
+        let k = closure.len();
+        assert!(
+            width.max(wl).max(wr) <= u16::MAX as usize && k < NO_SLOT as usize,
+            "box too wide for a 16-bit record header"
+        );
+        let p = width.div_ceil(64);
+        let rec = &mut staging.record;
+        rec.clear();
+        rec.push(width as u64 | (k as u64) << 16 | (wl as u64) << 32 | (wr as u64) << 48);
+
+        // Single-step child relations, from the wires.
+        let right_at = 1 + wl * p;
+        let gates_at = right_at + wr * p;
+        rec.resize(gates_at, 0);
+        for (gi, gate) in gates.iter().enumerate() {
+            for input in &gate.inputs {
+                if let UnionInput::Child { side, gate: g } = *input {
+                    let at = if side == Side::Left { 1 } else { right_at };
+                    rec[at + g as usize * p + gi / 64] |= 1 << (gi % 64);
+                }
+            }
+        }
+
+        let slot_of = |t: u32| -> u64 {
+            if t == NO_BOX {
+                return NO_SLOT;
+            }
+            let slot = closure.iter().position(|c| c.0 == t);
+            slot.expect("closure misses a target") as u64
+        };
+        for (&f, &d) in staging.fib.iter().zip(&staging.fbb) {
+            rec.push(slot_of(f) | slot_of(d) << 16);
+        }
 
         // Reachability relations to every closure box.
-        let rel: Vec<Relation> = closure
-            .iter()
-            .map(|&d| {
-                if d == b {
-                    return Relation::identity(width);
+        let closure_at = rec.len();
+        rec.resize(closure_at + k, 0);
+        for (i, &d) in closure.iter().enumerate() {
+            let at = rec.len();
+            rec[closure_at + i] = d.0 as u64 | (at as u64) << 32;
+            if d == b {
+                rec.resize(at + width * p, 0);
+                for g in 0..width {
+                    rec[at + g * p + g / 64] |= 1 << (g % 64);
                 }
-                let (l, r) = children.expect("a strict descendant needs children");
-                let steps = child_steps.as_deref().expect("children imply steps");
-                let (child, step) = if circuit.is_ancestor(l, d) {
-                    (l, &steps.0)
-                } else {
-                    (r, &steps.1)
-                };
-                if child == d {
-                    return step.clone();
-                }
-                // Child closure: every target below the child that this
-                // box's closure names is an fib/fbb value of a child gate or
-                // an lca of such values, so the child's lca-closed closure
-                // holds it and stores its relation.
-                let child_index = self.get(child).expect("child index missing");
-                let pos = child_index.closure.iter().position(|&c| c == d).expect(
-                    "child-closure invariant: a strict descendant target is in the child's closure",
-                );
-                child_index.rel[pos].compose(step)
-            })
-            .collect();
-
-        let slot_of = |target: Option<BoxId>| -> u32 {
-            match target {
-                None => UNDEFINED,
-                Some(t) => closure
-                    .iter()
-                    .position(|&c| c == t)
-                    .expect("closure misses a target") as u32,
+                continue;
             }
-        };
-        let fib: Vec<u32> = fib_box.iter().map(|&t| slot_of(t)).collect();
-        let fbb: Vec<u32> = fbb_box.iter().map(|&t| slot_of(t)).collect();
+            let (l, _) = children.expect("a strict descendant needs children");
+            let (child, child_rec, step_at, step_rows) = if circuit.is_ancestor(l, d) {
+                (l, left, 1, wl)
+            } else {
+                (children.expect("internal").1, right, right_at, wr)
+            };
+            if child == d {
+                rec.extend_from_within(step_at..step_at + step_rows * p);
+                continue;
+            }
+            // Child closure: every target below the child that this box's
+            // closure names is an fib/fbb value of a child gate or an lca of
+            // such values, so the child's lca-closed closure holds it and
+            // stores its relation.
+            let child_rec = child_rec.expect("child index missing");
+            let pos = child_rec.closure_slot_of(d).expect(
+                "child-closure invariant: a strict descendant target is in the child's closure",
+            );
+            let lower = child_rec.closure_rel(pos);
+            rec.resize(at + lower.rows() * p, 0);
+            let (head, out) = rec.split_at_mut(at);
+            compose_rows(
+                lower.rows(),
+                lower.words(),
+                lower.cols().div_ceil(64),
+                &head[step_at..step_at + step_rows * p],
+                p,
+                out,
+            );
+        }
 
-        BoxIndex {
-            closure,
-            rel,
-            fib,
-            fbb,
-            child_rel: child_steps,
+        // The var-inputs (leaf) or ×-inputs (internal box), grouped per gate.
+        let var_kind = (wl, wr) == (0, 0);
+        for (gi, gate) in gates.iter().enumerate() {
+            let at = rec.len() as u64;
+            rec[gates_at + gi] |= at << 32;
+            for input in &gate.inputs {
+                match *input {
+                    UnionInput::Var { vars, leaf_token } => {
+                        assert!(var_kind, "var-gate outside a leaf box in {b:?}");
+                        rec.push(vars.0);
+                        rec.push(leaf_token as u64);
+                    }
+                    UnionInput::Times { left, right } => {
+                        assert!(!var_kind, "×-gate in a leaf box {b:?}");
+                        rec.push(left as u64 | (right as u64) << 32);
+                    }
+                    UnionInput::Child { .. } => {}
+                }
+            }
         }
     }
 }
 
-fn lca_of_slots(circuit: &Circuit, child_index: &BoxIndex, targets: &[u32]) -> Option<BoxId> {
-    let mut boxes: Vec<BoxId> = targets
-        .iter()
-        .map(|&g| child_index.fbb[g as usize])
-        .filter(|&slot| slot != UNDEFINED)
-        .map(|slot| child_index.closure[slot as usize])
-        .collect();
-    if boxes.is_empty() {
-        return None;
+/// The lca of the `fbb` boxes of `gate`'s wires into the `side` child
+/// (whose record is `child`), or [`NO_BOX`] if none is defined.
+fn lca_of_fbbs(
+    circuit: &Circuit,
+    child: Option<BoxRecord<'_>>,
+    gate: &treenum_circuits::UnionGate,
+    side: Side,
+) -> u32 {
+    let child = child.expect("child wires without a child");
+    let mut lca: Option<BoxId> = None;
+    for input in &gate.inputs {
+        let UnionInput::Child { side: s, gate: g } = *input else {
+            continue;
+        };
+        let slot = child.fbb(g as usize);
+        if s != side || slot == UNDEFINED {
+            continue;
+        }
+        let x = child.closure_box(slot as usize);
+        lca = Some(match lca {
+            Some(l) if l != x => circuit.lca(l, x),
+            _ => x,
+        });
     }
-    boxes.sort_unstable();
-    boxes.dedup();
-    let mut lca = boxes[0];
-    for &b in &boxes[1..] {
-        lca = circuit.lca(lca, b);
-    }
-    Some(lca)
+    lca.map_or(NO_BOX, |l| l.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relation::relation_by_walking;
+    use crate::relation::{child_relation, relation_by_walking};
     use treenum_automata::binary::select_a_leaves;
     use treenum_circuits::build_assignment_circuit;
     use treenum_trees::binary::BinaryTree;
@@ -430,17 +980,44 @@ mod tests {
         assert_eq!(index.len(), ac.circuit.num_boxes());
         for b in ac.circuit.boxes_preorder() {
             let bi = index.of(b);
-            assert_eq!(bi.fib.len(), ac.circuit.box_width(b));
-            assert_eq!(bi.fbb.len(), ac.circuit.box_width(b));
-            assert_eq!(bi.rel.len(), bi.closure.len());
-            // Every fib must be defined (every ∪-gate reaches some var/× gate).
-            assert!(bi.fib.iter().all(|&f| f != UNDEFINED));
+            let width = ac.circuit.box_width(b);
+            assert_eq!(bi.width(), width);
+            // Every fib must be defined (every ∪-gate reaches some var/× gate),
+            // and every fib/fbb names a closure slot.
+            for g in 0..width {
+                assert!((bi.fib(g) as usize) < bi.closure_len());
+                assert!(bi.fbb(g) == UNDEFINED || (bi.fbb(g) as usize) < bi.closure_len());
+            }
             // The closure is preorder-sorted.
-            for w in bi.closure.windows(2) {
+            let closure: Vec<BoxId> = bi.closure().collect();
+            assert_eq!(closure.len(), bi.closure_len());
+            for w in closure.windows(2) {
                 assert_eq!(
                     ac.circuit.preorder_cmp(w[0], w[1]),
                     std::cmp::Ordering::Less
                 );
+            }
+            // The inputs mirror the circuit's var- and ×-inputs per gate.
+            for (g, gate) in ac.circuit.union_gates(b).iter().enumerate() {
+                let vars: Vec<(_, _)> = gate
+                    .inputs
+                    .iter()
+                    .filter_map(|i| match *i {
+                        UnionInput::Var { vars, leaf_token } => Some((vars, leaf_token)),
+                        _ => None,
+                    })
+                    .collect();
+                let times: Vec<(_, _)> = gate
+                    .inputs
+                    .iter()
+                    .filter_map(|i| match *i {
+                        UnionInput::Times { left, right } => Some((left, right)),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(bi.var_inputs(g).collect::<Vec<_>>(), vars);
+                assert_eq!(bi.var_input_count(g), vars.len());
+                assert_eq!(bi.times_inputs(g).collect::<Vec<_>>(), times);
             }
         }
     }
@@ -451,12 +1028,14 @@ mod tests {
         let index = EnumIndex::build(&ac.circuit);
         for b in ac.circuit.boxes_preorder() {
             let bi = index.of(b);
-            for (i, &d) in bi.closure.iter().enumerate() {
+            for (i, d) in bi.closure().enumerate() {
                 let expected = relation_by_walking(&ac.circuit, b, d);
                 assert_eq!(
-                    bi.rel[i], expected,
+                    bi.closure_rel(i).to_relation(),
+                    expected,
                     "relation mismatch for {:?} -> {:?}",
-                    d, b
+                    d,
+                    b
                 );
             }
         }
@@ -469,11 +1048,17 @@ mod tests {
         for b in ac.circuit.boxes_preorder() {
             let bi = index.of(b);
             match ac.circuit.children(b) {
-                None => assert!(bi.child_rels().is_none()),
+                None => {
+                    assert_eq!(bi.child_rel(Side::Left).rows(), 0);
+                    assert_eq!(bi.child_rel(Side::Right).rows(), 0);
+                }
                 Some(_) => {
-                    let (l, r) = bi.child_rels().expect("internal box stores child steps");
-                    assert_eq!(*l, child_relation(&ac.circuit, b, Side::Left));
-                    assert_eq!(*r, child_relation(&ac.circuit, b, Side::Right));
+                    for side in [Side::Left, Side::Right] {
+                        assert_eq!(
+                            bi.child_rel(side).to_relation(),
+                            child_relation(&ac.circuit, b, side)
+                        );
+                    }
                 }
             }
         }
@@ -481,12 +1066,13 @@ mod tests {
 
     #[test]
     fn rebuild_path_never_clones_child_indexes() {
-        // `rebuild_box` reads the child entries in place; rebuilding every
+        // `rebuild_box` reads the child records in place; rebuilding every
         // box again, as an update spine repair would, reproduces the built
-        // entries.
+        // records in the blocks they already had.
         let (ac, _t) = build_sample(6);
         let mut index = EnumIndex::build(&ac.circuit);
         let built = index.clone();
+        let words = index.slab_words();
         let boxes = ac.circuit.boxes_postorder();
         for &b in &boxes {
             index.rebuild_box(&ac.circuit, b);
@@ -494,6 +1080,7 @@ mod tests {
         let stats = index.stats();
         assert_eq!(stats.box_rebuilds, 2 * boxes.len() as u64);
         assert!(stats.relations_stored > 0);
+        assert_eq!(index.slab_words(), words, "same-size records stay in place");
         for &b in &boxes {
             assert_eq!(index.get(b), built.get(b), "box {b:?}");
         }
@@ -504,13 +1091,18 @@ mod tests {
         let (ac, _t) = build_sample(4);
         let mut index = EnumIndex::build(&ac.circuit);
         let n = index.len();
+        let words = index.slab_words();
         let root = ac.circuit.root();
+        let free = index.free_words();
         index.remove_box(root);
         assert_eq!(index.len(), n - 1);
         assert!(!index.has(root));
+        assert!(index.free_words() > free, "the root's block is free");
         index.rebuild_box(&ac.circuit, root);
         assert_eq!(index.len(), n);
         assert!(index.has(root));
+        assert_eq!(index.free_words(), free, "the freed block is reused");
+        assert_eq!(index.slab_words(), words);
     }
 
     #[test]
@@ -531,10 +1123,16 @@ mod tests {
         }
         index.remove_box(BoxId(u32::MAX - 1));
         assert_eq!(index.len(), 0);
+        let words = index.slab_words();
         for &b in &boxes {
             index.rebuild_box(&ac.circuit, b);
         }
         assert_eq!(index.len(), n);
+        assert_eq!(
+            index.slab_words(),
+            words,
+            "every record refills a freed block"
+        );
     }
 
     #[test]
@@ -556,11 +1154,91 @@ mod tests {
         let (ac, _t) = build_sample(4);
         let mut index = EnumIndex::build(&ac.circuit);
         let root = ac.circuit.root();
-        let before = index.of(root).clone();
+        let before = index.of(root).words().to_vec();
         index.rebuild_box(&ac.circuit, root);
-        let after = index.of(root);
-        assert_eq!(before.closure, after.closure);
-        assert_eq!(before.fib, after.fib);
-        assert_eq!(before.fbb, after.fbb);
+        assert_eq!(index.of(root).words(), &before[..]);
+        assert!(!index.rebuild_box_changed(&ac.circuit, root));
+    }
+
+    #[test]
+    fn an_inputs_only_change_rewrites_the_record_but_not_the_index_part() {
+        let (mut ac, _t) = build_sample(4);
+        let mut index = EnumIndex::build(&ac.circuit);
+        let leaf = ac
+            .circuit
+            .boxes_preorder()
+            .into_iter()
+            .find(|&b| ac.circuit.is_leaf(b) && ac.circuit.box_width(b) > 0)
+            .expect("a leaf with ∪-gates");
+        let mut content = ac.circuit.content(leaf).clone();
+        for gate in &mut content.union_gates {
+            for input in &mut gate.inputs {
+                if let UnionInput::Var { leaf_token, .. } = input {
+                    *leaf_token += 1000;
+                }
+            }
+        }
+        ac.circuit.replace_content(leaf, content);
+        let stats = index.stats();
+        assert!(
+            !index.rebuild_box_changed(&ac.circuit, leaf),
+            "new leaf tokens leave the index part as it was"
+        );
+        assert_eq!(index.stats().relations_stored, stats.relations_stored);
+        assert_eq!(index.stats().box_rebuilds, stats.box_rebuilds + 1);
+        let rec = index.of(leaf);
+        assert!((0..rec.width()).all(|g| rec.var_inputs(g).all(|(_, t)| t >= 1000)));
+        let fresh = EnumIndex::build(&ac.circuit);
+        assert_eq!(
+            index.of(leaf),
+            fresh.of(leaf),
+            "the record holds the new inputs"
+        );
+    }
+
+    #[test]
+    fn size_classes_cover_every_length_tightly() {
+        let mut prev = 0;
+        for c in 1..60 {
+            let size = class_size(c);
+            assert!(size > prev, "classes grow");
+            assert_eq!(class_of(size), c);
+            assert_eq!(class_of(prev + 1), c, "no length falls between classes");
+            assert!(size <= 8 || 4 * size < 5 * (prev + 1), "under 25% waste");
+            prev = size;
+        }
+    }
+
+    #[test]
+    fn slab_reuses_freed_blocks_and_keeps_large_records_apart() {
+        let mut slab = Slab::default();
+        let (a, ca) = slab.alloc(11);
+        let (b, _) = slab.alloc(3);
+        assert_eq!((class_size(ca), slab.words), (12, 12 + 3));
+        slab.release(a, ca);
+        assert_eq!(slab.free_words, 12);
+        assert_eq!(slab.alloc(12), (a, ca), "same class, same block");
+        slab.release(a, ca);
+        assert_eq!(slab.alloc(9), (a, ca), "a block two classes up fits");
+        assert_eq!(slab.free_words, 0);
+        // A record larger than a chunk gets a chunk of its own, returned
+        // whole on release and reused by the next large record.
+        let (big, cb) = slab.alloc(SLAB_CHUNK + 5);
+        assert_eq!(big & (SLAB_CHUNK as u32 - 1), 0);
+        assert_eq!(slab.get(big, SLAB_CHUNK + 5).len(), SLAB_CHUNK + 5);
+        slab.release(big, cb);
+        assert_eq!(slab.words, 15);
+        assert_eq!(slab.alloc(SLAB_CHUNK + 1).0, big);
+        // Filling past a chunk retires its tail into free blocks.
+        let before = slab.chunks.len();
+        let mut used = 15;
+        while slab.chunks.len() == before {
+            slab.alloc(4000);
+            used += class_size(class_of(4000));
+        }
+        assert_eq!(slab.words - (SLAB_CHUNK + 1), used + slab.free_words);
+        let copy = slab.clone();
+        assert_eq!(copy.get(b, 3), slab.get(b, 3));
+        assert_eq!(copy.words, slab.words);
     }
 }

@@ -8,7 +8,8 @@
 //! * [`index`]: the index structure `I(C)` of Definition 6.1 — first interesting box
 //!   (`fib`), first bidirectional box (`fbb`), their lca closure and the associated
 //!   reachability relations, computed bottom-up per box (Lemma 6.3) so that it can be
-//!   maintained under tree hollowings (Lemma 7.3).
+//!   maintained under tree hollowings (Lemma 7.3).  Each box's entry is one
+//!   contiguous record in a word slab, read in place through [`BoxRecord`].
 //! * [`machine`]: the resumable enumeration machine — Algorithm 2 driving
 //!   Algorithm 3 as one explicit stack parked in the [`EnumScratch`], advancing
 //!   one answer at a time, so a run can pause after any answer and resume.
@@ -40,8 +41,8 @@ pub use dedup::{
     enumerate_boxed_set, enumerate_boxed_set_with, enumerate_root, enumerate_root_with,
     OutputAssignment,
 };
-pub use index::EnumIndex;
+pub use index::{BoxRecord, EnumIndex};
 pub use iter::AssignmentIter;
 pub use machine::EnumSource;
-pub use relation::Relation;
+pub use relation::{RelRef, Relation};
 pub use scratch::{EnumScratch, EnumStats};

@@ -37,16 +37,20 @@
 //!
 //! Every relation, gate set and buffer comes from the scratch pools, and
 //! every stack growth is counted, so a warm run performs no heap allocation
-//! ([`crate::EnumStats::per_answer_allocs`] stays flat).
+//! ([`crate::EnumStats::per_answer_allocs`] stays flat).  In indexed mode
+//! the walk reads each box's jump pointers, relations, child steps and
+//! var-/×-inputs from its index record ([`crate::BoxRecord`]) and composes
+//! straight from the record's rows; every composition is counted in
+//! [`crate::EnumStats::compositions`].
 
 use crate::bitset::GateSet;
 use crate::boxenum::{is_interesting_rel, BoxEnumMode, BoxSink};
 use crate::dedup::OutputAssignment;
-use crate::index::EnumIndex;
-use crate::relation::{child_relation_into, Relation};
+use crate::index::{BoxRecord, EnumIndex};
+use crate::relation::{child_relation_into, RelRef, Relation};
 use crate::scratch::{EnumScratch, Triple, VarPart};
 use std::ops::ControlFlow;
-use treenum_circuits::{BoxId, Circuit, Side, UnionInput};
+use treenum_circuits::{BoxId, Circuit, Side, UnionGate, UnionInput};
 
 /// What a machine run reads: the circuit, its index (required in
 /// [`BoxEnumMode::Indexed`]) and the `box-enum` implementation to use.
@@ -79,6 +83,60 @@ impl<'a> EnumSource<'a> {
     fn index(&self) -> &'a EnumIndex {
         self.index
             .expect("indexed box-enum requires the index structure")
+    }
+
+    /// Where the var- and ×-inputs of box `b` are read: its index record
+    /// in indexed mode, the circuit's gates in reference mode.
+    #[inline]
+    fn inputs(&self, b: BoxId) -> BoxInputs<'a> {
+        match self.mode {
+            BoxEnumMode::Indexed => BoxInputs::Record(self.index().of(b)),
+            BoxEnumMode::Reference => BoxInputs::Gates(self.circuit.union_gates(b)),
+        }
+    }
+}
+
+/// The var- and ×-inputs of one box, per ∪-gate.
+#[derive(Clone, Copy)]
+enum BoxInputs<'a> {
+    Record(BoxRecord<'a>),
+    Gates(&'a [UnionGate]),
+}
+
+impl BoxInputs<'_> {
+    fn width(&self) -> usize {
+        match self {
+            BoxInputs::Record(rec) => rec.width(),
+            BoxInputs::Gates(gates) => gates.len(),
+        }
+    }
+
+    fn var_count(&self, gi: usize) -> usize {
+        match self {
+            BoxInputs::Record(rec) => rec.var_input_count(gi),
+            BoxInputs::Gates(gates) => gates[gi]
+                .inputs
+                .iter()
+                .filter(|i| matches!(i, UnionInput::Var { .. }))
+                .count(),
+        }
+    }
+
+    /// Calls `f` on each var- and ×-input of gate `gi` (a record keeps the
+    /// inputs of each kind in input order).
+    #[inline]
+    fn visit(&self, gi: usize, mut f: impl FnMut(UnionInput)) {
+        match self {
+            BoxInputs::Record(rec) => {
+                for (vars, leaf_token) in rec.var_inputs(gi) {
+                    f(UnionInput::Var { vars, leaf_token });
+                }
+                for (left, right) in rec.times_inputs(gi) {
+                    f(UnionInput::Times { left, right });
+                }
+            }
+            BoxInputs::Gates(gates) => gates[gi].inputs.iter().for_each(|&i| f(i)),
+        }
     }
 }
 
@@ -404,34 +462,28 @@ impl EnumScratch {
     fn start_box(&mut self, src: EnumSource<'_>, t: usize, b1: BoxId) {
         let rel = self.m.walks.last_mut().and_then(|f| f.r1.take());
         let rel = rel.expect("an emitted box carries its relation");
-        let gates = src.circuit.union_gates(b1);
-        let width_prime = gates.len();
+        let inputs = src.inputs(b1);
+        let width_prime = inputs.width();
         // Size the grouping table first: its capacity must cover every
         // insertion up front (it never grows mid-pass).
         let mut var_inputs = 0usize;
         for gi in (0..rel.rows()).filter(|&gi| !rel.row_is_empty(gi)) {
-            var_inputs += gates[gi]
-                .inputs
-                .iter()
-                .filter(|i| matches!(i, UnionInput::Var { .. }))
-                .count();
+            var_inputs += inputs.var_count(gi);
         }
         // Var inputs with identical labels are the same var-gate (S_var is
         // injective): group them and union the owners for the provenance.
         let mut triples = self.take_triples();
         self.begin_groups(var_inputs);
         for gi in (0..rel.rows()).filter(|&gi| !rel.row_is_empty(gi)) {
-            for input in &gates[gi].inputs {
-                match *input {
-                    UnionInput::Var { vars, leaf_token } => {
-                        self.insert_group(vars, leaf_token, gi, width_prime);
-                    }
-                    UnionInput::Times { left, right } => {
-                        self.push_triple(&mut triples, (left, right, gi as u32));
-                    }
-                    UnionInput::Child { .. } => {}
+            inputs.visit(gi, |input| match input {
+                UnionInput::Var { vars, leaf_token } => {
+                    self.insert_group(vars, leaf_token, gi, width_prime);
                 }
-            }
+                UnionInput::Times { left, right } => {
+                    self.push_triple(&mut triples, (left, right, gi as u32));
+                }
+                UnionInput::Child { .. } => {}
+            });
         }
         let mut parts = self.take_parts();
         self.drain_groups_into(&rel, &mut parts);
@@ -552,13 +604,12 @@ impl EnumScratch {
                 Stage::Start => {
                     // Algorithm 3 lines 4–6: jump to the first interesting
                     // box and emit its relation.
-                    let bi = src.index().of(b);
+                    let rec = src.index().of(b);
                     let r = frame.r.as_ref().expect("indexed frame relation");
-                    let slot = bi
-                        .fib_of_set((0..r.rows()).filter(|&i| !r.row_is_empty(i)))
-                        .expect("every ∪-gate reaches an interesting box")
-                        as usize;
-                    let b1 = bi.closure[slot];
+                    let slot = rec
+                        .fib_of_rows(r)
+                        .expect("every ∪-gate reaches an interesting box");
+                    let b1 = rec.closure_box(slot);
                     frame.b1 = b1;
                     frame.stage = Stage::Emitted;
                     if b1 == b {
@@ -568,8 +619,9 @@ impl EnumScratch {
                         return Some(b1);
                     }
                     let cols = r.cols();
-                    let rel1 = &bi.rel[slot];
+                    let rel1 = rec.closure_rel(slot);
                     let mut r1 = self.take_relation(rel1.rows(), cols);
+                    self.stats.compositions += 1;
                     let frame = &mut self.m.walks[top];
                     rel1.compose_into(frame.r.as_ref().expect("indexed frame relation"), &mut r1);
                     frame.r1 = Some(r1);
@@ -649,11 +701,8 @@ impl EnumScratch {
                             .circuit
                             .children(here)
                             .expect("a strict ancestor of the first interesting box is internal");
-                        let (cl, cr) = src
-                            .index()
-                            .of(here)
-                            .child_rels()
-                            .expect("internal box stores child relations");
+                        let rec = src.index().of(here);
+                        let (cl, cr) = (rec.child_rel(Side::Left), rec.child_rel(Side::Right));
                         let (on, off, off_child) = if bl == self.m.path[at as usize - 1] {
                             (cl, cr, br)
                         } else {
@@ -698,12 +747,8 @@ impl EnumScratch {
     ) -> Relation {
         match mode {
             BoxEnumMode::Indexed => {
-                let (cl, cr) = src
-                    .index()
-                    .of(parent)
-                    .child_rels()
-                    .expect("internal box stores child relations");
-                self.compose(if side == Side::Left { cl } else { cr }, upper)
+                let step = src.index().of(parent).child_rel(side);
+                self.compose(step, upper)
             }
             BoxEnumMode::Reference => {
                 let (bl, br) = src.circuit.children(parent).expect("internal box");
@@ -711,15 +756,19 @@ impl EnumScratch {
                 let rows = src.circuit.box_width(child);
                 let mut step = self.take_relation(rows, src.circuit.box_width(parent));
                 child_relation_into(src.circuit, parent, side, &mut step);
-                let out = self.compose(&step, upper);
+                let out = self.compose(step.view(), upper);
                 self.put_relation(step);
                 out
             }
         }
     }
 
-    fn compose(&mut self, step: &Relation, upper: &Relation) -> Relation {
+    /// `step ∘ upper` into a pooled relation, counted in
+    /// [`crate::EnumStats::compositions`].
+    #[inline]
+    fn compose(&mut self, step: RelRef<'_>, upper: &Relation) -> Relation {
         let mut out = self.take_relation(step.rows(), upper.cols());
+        self.stats.compositions += 1;
         step.compose_into(upper, &mut out);
         out
     }

@@ -8,8 +8,9 @@
 //!
 //! The matrix is stored as **one flat word buffer** (row-major, 64-bit blocked
 //! rows): a relation costs a single allocation however many rows it has, which
-//! is what lets the index store two child-step relations per box and the
-//! enumeration scratch recycle relations without per-row allocator traffic.
+//! lets the enumeration scratch recycle relations without per-row allocator
+//! traffic.  The index stores its relations in the same row layout inside
+//! each box's record and hands them out as borrowed [`RelRef`] views.
 
 use crate::bitset::GateSet;
 use treenum_circuits::{BoxId, Circuit, Side, UnionInput};
@@ -195,22 +196,13 @@ impl Relation {
     /// per-answer enumeration path reuses pooled storage instead of
     /// allocating.
     pub fn compose_into(&self, upper: &Relation, out: &mut Relation) {
-        assert_eq!(self.cols, upper.rows, "composition dimension mismatch");
-        debug_assert_eq!(out.rows, self.rows, "output rows mismatch");
-        debug_assert_eq!(out.cols, upper.cols, "output cols mismatch");
-        let wpr = out.words_per_row;
-        for i in 0..self.rows {
-            let out_row = &mut out.words[i * wpr..(i + 1) * wpr];
-            out_row.fill(0);
-            for j in bit_indices(&self.words[i * self.words_per_row..(i + 1) * self.words_per_row])
-            {
-                let upper_row =
-                    &upper.words[j * upper.words_per_row..(j + 1) * upper.words_per_row];
-                for (w, &bits) in out_row.iter_mut().zip(upper_row) {
-                    *w |= bits;
-                }
-            }
-        }
+        self.view().compose_into(upper, out);
+    }
+
+    /// A borrowed view of the relation, the shape index records hand out.
+    #[inline]
+    pub fn view(&self) -> RelRef<'_> {
+        RelRef::new(self.rows, self.cols, &self.words)
     }
 
     /// Copies `other` into `self` (dimensions must already match) without
@@ -232,6 +224,110 @@ impl Relation {
             }
         }
         out
+    }
+}
+
+/// A borrowed `rows × cols` relation in the flat row-major layout of
+/// [`Relation`] (`⌈cols/64⌉` words per row): a relation stored inside an
+/// index record, read in place.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RelRef<'a> {
+    rows: usize,
+    cols: usize,
+    words: &'a [u64],
+}
+
+impl<'a> RelRef<'a> {
+    /// Views `words` (exactly `rows · ⌈cols/64⌉` of them) as a relation.
+    #[inline]
+    pub fn new(rows: usize, cols: usize, words: &'a [u64]) -> Self {
+        debug_assert_eq!(words.len(), rows * cols.div_ceil(64));
+        RelRef { rows, cols, words }
+    }
+
+    /// Number of source gates.
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of target gates.
+    #[inline]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The row-major words.
+    #[inline]
+    pub fn words(&self) -> &'a [u64] {
+        self.words
+    }
+
+    /// An owned copy (tests and diagnostics).
+    pub fn to_relation(&self) -> Relation {
+        Relation {
+            rows: self.rows,
+            cols: self.cols,
+            words_per_row: self.cols.div_ceil(64),
+            words: self.words.to_vec(),
+        }
+    }
+
+    /// `self ∘ upper` into `out` (pre-sized to `self.rows × upper.cols`):
+    /// see [`Relation::compose_into`].
+    #[inline]
+    pub fn compose_into(&self, upper: &Relation, out: &mut Relation) {
+        assert_eq!(self.cols, upper.rows, "composition dimension mismatch");
+        debug_assert_eq!(out.rows, self.rows, "output rows mismatch");
+        debug_assert_eq!(out.cols, upper.cols, "output cols mismatch");
+        compose_rows(
+            self.rows,
+            self.words,
+            self.cols.div_ceil(64),
+            &upper.words,
+            upper.words_per_row,
+            &mut out.words,
+        );
+    }
+}
+
+/// The boolean product of a `rows`-row matrix `lower` (`lower_wpr` words per
+/// row) with `upper` (`upper_wpr` words per row, one row per column of
+/// `lower`), written over the first `rows · upper_wpr` words of `out`.
+/// Rows of one word on both sides (width ≤ 64, every query probed so far)
+/// take a branch-light loop: one OR of an `upper` word per set bit.
+#[inline]
+pub(crate) fn compose_rows(
+    rows: usize,
+    lower: &[u64],
+    lower_wpr: usize,
+    upper: &[u64],
+    upper_wpr: usize,
+    out: &mut [u64],
+) {
+    if lower_wpr == 1 && upper_wpr == 1 {
+        for (o, &row) in out[..rows].iter_mut().zip(&lower[..rows]) {
+            let mut bits = row;
+            let mut acc = 0;
+            while bits != 0 {
+                acc |= upper[bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+            }
+            *o = acc;
+        }
+        return;
+    }
+    for i in 0..rows {
+        let out_row = &mut out[i * upper_wpr..(i + 1) * upper_wpr];
+        out_row.fill(0);
+        for j in bit_indices(&lower[i * lower_wpr..(i + 1) * lower_wpr]) {
+            for (w, &bits) in out_row
+                .iter_mut()
+                .zip(&upper[j * upper_wpr..(j + 1) * upper_wpr])
+            {
+                *w |= bits;
+            }
+        }
     }
 }
 
@@ -368,6 +464,41 @@ mod tests {
         assert_eq!(r.row(0).iter().collect::<Vec<_>>(), vec![0, 129]);
         assert_eq!(r.row(2).iter().collect::<Vec<_>>(), vec![64]);
         assert_eq!(r.project_sources().iter().collect::<Vec<_>>(), vec![0, 2]);
+    }
+
+    #[test]
+    fn compose_matches_the_naive_product_on_wide_rows() {
+        // Rows of one, two and three words on either side of the product,
+        // against the definition (i, k) ∈ R∘S iff ∃j: (i, j) ∈ R, (j, k) ∈ S.
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut bit = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed.is_multiple_of(5)
+        };
+        for (a, b, c) in [(70, 130, 100), (9, 64, 65), (65, 3, 150), (40, 20, 10)] {
+            let pairs = |rows, cols, bit: &mut dyn FnMut() -> bool| {
+                let mut r = Relation::zero(rows, cols);
+                for i in 0..rows {
+                    for j in 0..cols {
+                        if bit() {
+                            r.set(i, j);
+                        }
+                    }
+                }
+                r
+            };
+            let r = pairs(a, b, &mut bit);
+            let s = pairs(b, c, &mut bit);
+            let rs = r.compose(&s);
+            for i in 0..a {
+                for k in 0..c {
+                    let expected = (0..b).any(|j| r.contains(i, j) && s.contains(j, k));
+                    assert_eq!(rs.contains(i, k), expected, "({i}, {k}) of {a}×{b}∘{b}×{c}");
+                }
+            }
+        }
     }
 
     #[test]

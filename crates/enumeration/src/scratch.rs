@@ -57,6 +57,12 @@ pub struct EnumStats {
     /// Pages at a non-zero position that found no matching parked run and
     /// had to restart, skipping `position` answers.
     pub pages_restarted: u64,
+    /// Relation compositions performed by the walk (Algorithm 3's jump to
+    /// the first interesting box, each child step and each path step): the
+    /// host-independent work measure of the delay.  Theorem 6.5 bounds it
+    /// per answer independently of the tree, which `tests/complexity_shape.rs`
+    /// checks.
+    pub compositions: u64,
 }
 
 /// One var-gate group of Algorithm 2 lines 5–7, drained out of the grouping

@@ -253,3 +253,46 @@ fn clustered_batches_dedup_shared_spines() {
     );
     engine.check_consistency();
 }
+
+/// Circuits wider than 64 ∪-gates store relation rows of several words
+/// (`⌈w/64⌉` per row).  `kth_child_from_end(·, 32, a, x)` has width 77; on
+/// a tree of eight nodes with 40–47 children each it has answers.  After
+/// every batch of an edit stream, the indexed and the reference walks must
+/// give the same answer multiset and the structure must be
+/// `check_consistency`-clean.
+#[test]
+fn wide_circuits_agree_with_the_reference_walk_after_every_batch() {
+    use treenum::enumeration::boxenum::BoxEnumMode;
+    use treenum::trees::UnrankedTree;
+    let sigma = Alphabet::from_names(["a", "b"]);
+    let labels: Vec<Label> = sigma.labels().collect();
+    let (a, b) = (sigma.get("a").unwrap(), sigma.get("b").unwrap());
+    let query = queries::kth_child_from_end(sigma.len(), 32, a, Var(0));
+    let mut tree = UnrankedTree::new(b);
+    for i in 0..8usize {
+        let x = tree.insert_last_child(tree.root(), b);
+        for j in 0..40 + i {
+            tree.insert_last_child(x, if (i * j + j / 3) % 2 == 0 { a } else { b });
+        }
+    }
+    let mut engine = TreeEnumerator::new(tree.clone(), &query, sigma.len());
+    assert!(engine.count() > 1, "the tree has answers");
+    let width = engine.stats().circuit_width;
+    assert!(
+        width > 64,
+        "width {width} must take multi-word relation rows"
+    );
+    let mut shadow = tree;
+    let mut sampler = NodeSampler::new(&shadow);
+    let mut stream = EditStream::balanced_mix(labels, 41);
+    for batch in 0..oracle_scale(12, 4) {
+        let ops = stream.next_batch_sampled(&mut shadow, &mut sampler, 8);
+        engine.apply_batch(&ops);
+        engine.check_consistency();
+        let indexed = sorted(engine.assignments());
+        engine.set_box_enum_mode(BoxEnumMode::Reference);
+        let reference = sorted(engine.assignments());
+        engine.set_box_enum_mode(BoxEnumMode::Indexed);
+        assert_eq!(indexed, reference, "batch {batch}: indexed ≠ reference");
+    }
+}

@@ -15,6 +15,7 @@
 use std::time::Duration;
 use treenum::automata::queries;
 use treenum::core::TreeEnumerator;
+use treenum::enumeration::boxenum::BoxEnumMode;
 use treenum::serve::{ServeConfig, TreeServer};
 use treenum::trees::generate::{random_tree, TreeShape};
 use treenum::trees::{Alphabet, EditStream, Label, NodeSampler, Var};
@@ -25,9 +26,10 @@ fn select_b(sigma: &Alphabet) -> treenum::automata::StepwiseTva {
 
 /// `EnumStats`: `answers` counts every emitted assignment; the allocation
 /// counters (`per_answer_allocs`, `relation_clones`, `group_map_rebuilds`)
-/// stay flat across a steady-state re-enumeration of the same engine; the
-/// page counters (`pages_resumed`, `pages_restarted`) split resumed pages
-/// from restarted ones.
+/// stay flat across a steady-state re-enumeration of the same engine, while
+/// the work counter `compositions` repeats exactly; the page counters
+/// (`pages_resumed`, `pages_restarted`) split resumed pages from restarted
+/// ones.
 #[test]
 fn enum_stats_counters_track_the_zero_alloc_discipline() {
     let mut sigma = Alphabet::from_names(["a", "b", "c"]);
@@ -57,6 +59,14 @@ fn enum_stats_counters_track_the_zero_alloc_discipline() {
         steady.relation_clones, 0,
         "the enumeration path cloned a relation"
     );
+    let _ = engine.assignments();
+    let again = engine.enum_stats();
+    assert!(steady.compositions > warm.compositions, "the walk composes");
+    assert_eq!(
+        again.compositions - steady.compositions,
+        steady.compositions - warm.compositions,
+        "the same enumeration does the same work"
+    );
     // Pagination: the second page resumes the run the first one parked;
     // a replay of the same cursor has nothing parked and restarts.
     assert!(n > 2, "guard scenario must span two pages");
@@ -66,6 +76,11 @@ fn enum_stats_counters_track_the_zero_alloc_discipline() {
     let paged = engine.enum_stats();
     assert_eq!(paged.pages_resumed, steady.pages_resumed + 1);
     assert_eq!(paged.pages_restarted, steady.pages_restarted + 1);
+    // The reference walk composes child steps only, and counts them too.
+    let mut engine = engine;
+    engine.set_box_enum_mode(BoxEnumMode::Reference);
+    let _ = engine.assignments();
+    assert!(engine.enum_stats().compositions > paged.compositions);
 }
 
 /// `IndexStats`: the build stores relations and counts entry rebuilds; a

@@ -227,3 +227,54 @@ fn chain_flood_repair_stays_logarithmic_per_edit() {
     let cold = TreeEnumerator::new(engine.tree().clone(), &query, sigma.len());
     assert_eq!(sorted(engine.assignments()), sorted(cold.assignments()));
 }
+
+/// The index slab reuses the blocks of freed and resized records: under a
+/// size-stationary `balanced_mix` stream (inserts and deletes equally
+/// likely), the slab's words and its free words stay within a fixed bound
+/// after warm-up instead of growing with the number of edits.
+#[test]
+fn index_slab_stays_bounded_under_stationary_churn() {
+    let mut sigma = Alphabet::from_names(["a", "b", "c"]);
+    let labels: Vec<Label> = sigma.labels().collect();
+    let (a, b) = (sigma.get("a").unwrap(), sigma.get("b").unwrap());
+    let queries = [
+        ("select_b", queries::select_label(sigma.len(), b, Var(0))),
+        (
+            "ancestor_descendant",
+            queries::ancestor_descendant(sigma.len(), a, Var(0), b, Var(1)),
+        ),
+    ];
+    let tree = random_tree(&mut sigma, 2000, TreeShape::Random, 13);
+    for (name, query) in &queries {
+        let mut engine = TreeEnumerator::new(tree.clone(), query, sigma.len());
+        let mut shadow = tree.clone();
+        let mut sampler = NodeSampler::new(&shadow);
+        let mut stream = EditStream::balanced_mix(labels.clone(), 77);
+        let mut churn = |engine: &mut TreeEnumerator, batches: usize| {
+            let (mut words, mut free) = (0, 0);
+            for _ in 0..batches {
+                let ops = stream.next_batch_sampled(&mut shadow, &mut sampler, 16);
+                engine.apply_batch(&ops);
+                let (w, f) = engine.index_slab_words();
+                (words, free) = (words.max(w), free.max(f));
+            }
+            (words, free)
+        };
+        let (warm_words, warm_free) = churn(&mut engine, oracle_scale(100, 40));
+        let edits_after = oracle_scale(400, 160) * 16;
+        let (words, free) = churn(&mut engine, oracle_scale(400, 160));
+        let size = engine.tree().len();
+        eprintln!(
+            "{name}: warm-up {warm_words} words ({warm_free} free), then {words} ({free} free) \
+             over {edits_after} edits, {size} nodes"
+        );
+        assert!(
+            words <= warm_words + warm_words / 4,
+            "{name}: the slab grew from {warm_words} to {words} words under stationary churn"
+        );
+        assert!(
+            free <= warm_words / 4,
+            "{name}: {free} free words of {words} after warm-up"
+        );
+    }
+}
