@@ -19,9 +19,9 @@
 //!   helpers in `crates/serve/src/lock.rs` so a panicking reader or sink can
 //!   never wedge the serving layer.
 //! * [`RULE_COUNTER`] — every public counter field of `EnumStats`,
-//!   `IndexStats`, `RegistryStats`, `ShardStats` and `FlushRecord` (see
-//!   [`COUNTER_STRUCTS`]) must be read in at least one file under
-//!   the repo-root `tests/` directory by something other than an
+//!   `IndexStats`, `RegistryStats`, `ShardStats`, `FlushRecord` and
+//!   `Footprint` (see [`COUNTER_STRUCTS`]) must be read in at least one
+//!   file under the repo-root `tests/` directory by something other than an
 //!   `assert_eq!(x.field, 0, …)`.  A counter no test reads is a dead guard:
 //!   it can silently stop counting and nothing fails; one that tests only
 //!   ever assert to be 0 guards a path that never runs.
@@ -586,10 +586,12 @@ pub fn check_instant_sub(file: &SourceFile) -> Vec<Diagnostic> {
 }
 
 /// The counter structs whose public fields rule [`RULE_COUNTER`] tracks
-/// (`FlushRecord` for its per-stage flush timings).
-pub const COUNTER_STRUCTS: [&str; 5] = [
+/// (`FlushRecord` for its per-stage flush timings, `Footprint` for a query
+/// index's bytes).
+pub const COUNTER_STRUCTS: [&str; 6] = [
     "EnumStats",
     "FlushRecord",
+    "Footprint",
     "IndexStats",
     "RegistryStats",
     "ShardStats",

@@ -24,7 +24,9 @@ use std::collections::HashMap;
 use std::ops::ControlFlow;
 use treenum_automata::ops::determinize;
 use treenum_automata::StepwiseTva;
-use treenum_circuits::{internal_box_content, leaf_box_content, BoxId, Circuit, StateGate};
+use treenum_circuits::{
+    internal_box_content, leaf_box_content, BoxId, Circuit, ContentStaging, StateGate,
+};
 use treenum_core::TreeEnumerator;
 use treenum_enumeration::boxenum::BoxEnumMode;
 use treenum_enumeration::dedup::enumerate_root;
@@ -132,7 +134,7 @@ impl UnbalancedBaseline {
         let mut gates = Vec::new();
         let mut empty = false;
         for &f in self.binary_tva.final_states() {
-            match gamma[f.index()] {
+            match gamma.get(f.index()) {
                 StateGate::Top => empty = true,
                 StateGate::Bot => {}
                 StateGate::Union(u) => {
@@ -182,18 +184,19 @@ impl UnbalancedBaseline {
         // Recompute the box contents bottom-up from the relabelled node to the root.
         let mut touched = 0;
         let mut cur = Some(binary_node);
+        let mut staging = ContentStaging::default();
         while let Some(n) = cur {
             let b = self.box_of[&n];
+            let label = self.binary.label(n);
             let content = match self.binary.children(n) {
-                None => leaf_box_content(&self.binary_tva, self.binary.label(n), n.0),
-                Some((l, r)) => {
-                    let (bl, br) = (self.box_of[&l], self.box_of[&r]);
-                    let (lg, rg) = (
-                        self.circuit.gamma(bl).to_vec(),
-                        self.circuit.gamma(br).to_vec(),
-                    );
-                    internal_box_content(&self.binary_tva, self.binary.label(n), &lg, &rg)
-                }
+                None => leaf_box_content(&self.binary_tva, label, &mut staging),
+                Some((l, r)) => internal_box_content(
+                    &self.binary_tva,
+                    label,
+                    self.circuit.gamma(self.box_of[&l]),
+                    self.circuit.gamma(self.box_of[&r]),
+                    &mut staging,
+                ),
             };
             self.circuit.replace_content(b, content);
             self.index.rebuild_box(&self.circuit, b);

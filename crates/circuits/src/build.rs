@@ -6,10 +6,14 @@
 //! hollowings (Lemma 7.3): after an update, only the boxes of the trunk need to be
 //! recomputed.
 
-use crate::circuit::{BoxContent, BoxId, Circuit, Side, StateGate, UnionGate, UnionInput};
+use crate::circuit::{
+    child_word, header_words, push_var_words, set_gate_start, times_word, BoxContent, BoxId,
+    Circuit, Gamma, Side, StateGate,
+};
 use std::collections::HashMap;
 use treenum_automata::BinaryTva;
 use treenum_trees::binary::{BinaryNodeId, BinaryTree};
+use treenum_trees::valuation::VarSet;
 use treenum_trees::Label;
 
 /// An assignment circuit together with the mapping from tree nodes to boxes.
@@ -25,51 +29,109 @@ pub struct AssignmentCircuit {
     pub box_of: HashMap<BinaryNodeId, BoxId>,
 }
 
-/// Builds the content of a *leaf* box for a leaf with the given `label` and leaf
-/// token, following the leaf case of the appendix proof of Lemma 3.7:
+/// Reusable buffers the content builders write a record into, so building
+/// a box's content allocates nothing once they have grown to the largest
+/// box.
+#[derive(Clone, Debug, Default)]
+pub struct ContentStaging {
+    /// `(state, key)` per input: `Y` of a var-gate, or the input word of a
+    /// ×-gate or wire (see [`crate::circuit`]).
+    inputs: Vec<(u32, u64)>,
+    words: Vec<u64>,
+}
+
+impl ContentStaging {
+    /// Starts a record over `num_states` states: `γ` all `⊥`, no inputs.
+    fn begin(&mut self, num_states: usize) {
+        self.inputs.clear();
+        self.words.clear();
+        self.words.resize(header_words(num_states, 0), 0);
+    }
+
+    /// Sets `γ(q) = ⊤`.
+    #[inline]
+    fn set_top(&mut self, q: usize) {
+        self.words[q / 64] |= 1 << (q % 64);
+    }
+
+    /// Completes the record: one ∪-gate per state with inputs (in state
+    /// order, unless the state is `⊤`), each gate's inputs sorted by key
+    /// and deduplicated.  `var_keys` tells whether keys are var-gate sets
+    /// (a leaf box) or input words (an internal box).
+    // hot-path: the bulk of both builders; it writes only the staging
+    // vectors.
+    fn finish(&mut self, num_states: usize, var_keys: bool) -> BoxContent<'_> {
+        let ContentStaging { inputs, words } = self;
+        inputs.sort_unstable();
+        inputs.dedup();
+        let mut width = 0;
+        let mut last = None;
+        for &(q, _) in inputs.iter() {
+            let q = q as usize;
+            let top = words[q / 64] >> (q % 64) & 1 != 0;
+            debug_assert!(
+                !top,
+                "automaton is not homogenized: state {q} captures both the empty and a non-empty assignment"
+            );
+            if !top && last != Some(q) {
+                let i = num_states + q;
+                words[i / 64] |= 1 << (i % 64);
+                width += 1;
+                last = Some(q);
+            }
+        }
+        words.resize(header_words(num_states, width), 0);
+        let (mut gate, mut last) = (0usize, None);
+        for &(q, key) in inputs.iter() {
+            let qi = q as usize;
+            if words[qi / 64] >> (qi % 64) & 1 != 0 {
+                continue;
+            }
+            if last != Some(q) {
+                if gate > 0 {
+                    let at = words.len();
+                    set_gate_start(words, num_states, gate, at);
+                }
+                gate += 1;
+                last = Some(q);
+            }
+            if var_keys {
+                push_var_words(words, VarSet(key));
+            } else {
+                words.push(key);
+            }
+        }
+        BoxContent::new(words, num_states)
+    }
+}
+
+/// Builds the content of a *leaf* box for a leaf with the given `label`,
+/// following the leaf case of the appendix proof of Lemma 3.7:
 ///
 /// * a 0-state `q` gets `⊤` iff `(l, ∅, q) ∈ ι`, else `⊥`;
 /// * a 1-state `q` gets a ∪-gate over one var-gate `⟨Y : n⟩` per `(l, Y, q) ∈ ι`
 ///   with `Y ≠ ∅`, or `⊥` if there is none.
 ///
-/// The automaton must be homogenized; mixed entries trigger a debug assertion.
-pub fn leaf_box_content(tva: &BinaryTva, label: Label, leaf_token: u32) -> BoxContent {
+/// The record is written into `staging`.  It names no leaf: a var-gate's
+/// leaf token is the token of the box the record is stored in.  The
+/// automaton must be homogenized; mixed entries trigger a debug assertion.
+// hot-path: runs once per rebuilt leaf box; every buffer it writes is a
+// reused staging vector.
+pub fn leaf_box_content<'s>(
+    tva: &BinaryTva,
+    label: Label,
+    staging: &'s mut ContentStaging,
+) -> BoxContent<'s> {
     let num_states = tva.num_states();
-    let mut gamma = vec![StateGate::Bot; num_states];
-    let mut union_gates: Vec<UnionGate> = Vec::new();
-    // Group the initial entries by state.
-    let mut empty_entry = vec![false; num_states];
-    let mut nonempty_inputs: Vec<Vec<UnionInput>> = vec![Vec::new(); num_states];
+    staging.begin(num_states);
     for &(y, q) in tva.initial_for(label) {
         if y.is_empty() {
-            empty_entry[q.index()] = true;
+            staging.set_top(q.index());
         } else {
-            nonempty_inputs[q.index()].push(UnionInput::Var {
-                vars: y,
-                leaf_token,
-            });
+            staging.inputs.push((q.0, y.0));
         }
     }
-    for q in 0..num_states {
-        debug_assert!(
-            !empty_entry[q] || nonempty_inputs[q].is_empty(),
-            "automaton is not homogenized: state {q} has both empty and non-empty initial entries"
-        );
-        if empty_entry[q] {
-            gamma[q] = StateGate::Top;
-        } else if !nonempty_inputs[q].is_empty() {
-            let gate_index = union_gates.len() as u32;
-            let mut inputs = std::mem::take(&mut nonempty_inputs[q]);
-            inputs.sort_unstable_by_key(|i| match i {
-                UnionInput::Var { vars, .. } => vars.0,
-                _ => unreachable!(),
-            });
-            inputs.dedup();
-            union_gates.push(UnionGate { inputs });
-            gamma[q] = StateGate::Union(gate_index);
-        }
-    }
-    BoxContent { union_gates, gamma }
+    staging.finish(num_states, true)
 }
 
 /// Builds the content of an *internal* box for a node with the given `label`, from
@@ -82,75 +144,35 @@ pub fn leaf_box_content(tva: &BinaryTva, label: Label, leaf_token: u32) -> BoxCo
 ///   whose children gates are not `⊥`: a `×`-gate when both are ∪-gates, or a direct
 ///   wire to the non-`⊤` side when the other side is `⊤` (this is how `⊤`-gates are
 ///   kept out of gate inputs).
-pub fn internal_box_content(
+///
+/// The record is written into `staging`.
+// hot-path: runs once per recomputed internal box; every buffer it writes
+// is a reused staging vector.
+pub fn internal_box_content<'s>(
     tva: &BinaryTva,
     label: Label,
-    left_gamma: &[StateGate],
-    right_gamma: &[StateGate],
-) -> BoxContent {
+    left_gamma: Gamma<'_>,
+    right_gamma: Gamma<'_>,
+    staging: &'s mut ContentStaging,
+) -> BoxContent<'s> {
     let num_states = tva.num_states();
-    debug_assert_eq!(left_gamma.len(), num_states);
-    debug_assert_eq!(right_gamma.len(), num_states);
-    let mut gamma = vec![StateGate::Bot; num_states];
-    let mut union_gates: Vec<UnionGate> = Vec::new();
-    let mut inputs_per_state: Vec<Vec<UnionInput>> = vec![Vec::new(); num_states];
-    let mut top_per_state = vec![false; num_states];
+    debug_assert_eq!(left_gamma.num_states(), num_states);
+    debug_assert_eq!(right_gamma.num_states(), num_states);
+    staging.begin(num_states);
     for &(q1, q2, q) in tva.transitions_for(label) {
-        let g1 = left_gamma[q1.index()];
-        let g2 = right_gamma[q2.index()];
-        match (g1, g2) {
-            (StateGate::Bot, _) | (_, StateGate::Bot) => {}
+        let key = match (left_gamma.get(q1.index()), right_gamma.get(q2.index())) {
+            (StateGate::Bot, _) | (_, StateGate::Bot) => continue,
             (StateGate::Top, StateGate::Top) => {
-                top_per_state[q.index()] = true;
+                staging.set_top(q.index());
+                continue;
             }
-            (StateGate::Top, StateGate::Union(u)) => {
-                inputs_per_state[q.index()].push(UnionInput::Child {
-                    side: Side::Right,
-                    gate: u,
-                });
-            }
-            (StateGate::Union(u), StateGate::Top) => {
-                inputs_per_state[q.index()].push(UnionInput::Child {
-                    side: Side::Left,
-                    gate: u,
-                });
-            }
-            (StateGate::Union(u1), StateGate::Union(u2)) => {
-                inputs_per_state[q.index()].push(UnionInput::Times {
-                    left: u1,
-                    right: u2,
-                });
-            }
-        }
+            (StateGate::Top, StateGate::Union(u)) => child_word(Side::Right, u),
+            (StateGate::Union(u), StateGate::Top) => child_word(Side::Left, u),
+            (StateGate::Union(u1), StateGate::Union(u2)) => times_word(u1, u2),
+        };
+        staging.inputs.push((q.0, key));
     }
-    for q in 0..num_states {
-        debug_assert!(
-            !top_per_state[q] || inputs_per_state[q].is_empty(),
-            "automaton is not homogenized: state {q} captures both the empty and a non-empty assignment"
-        );
-        if top_per_state[q] {
-            gamma[q] = StateGate::Top;
-        } else if !inputs_per_state[q].is_empty() {
-            let mut inputs = std::mem::take(&mut inputs_per_state[q]);
-            inputs.sort_unstable_by_key(|i| match *i {
-                UnionInput::Times { left, right } => (0u8, left, right),
-                UnionInput::Child {
-                    side: Side::Left,
-                    gate,
-                } => (1, gate, 0),
-                UnionInput::Child {
-                    side: Side::Right,
-                    gate,
-                } => (2, gate, 0),
-                UnionInput::Var { .. } => (3, 0, 0),
-            });
-            inputs.dedup();
-            let gate_index = union_gates.len() as u32;
-            union_gates.push(UnionGate { inputs });
-            gamma[q] = StateGate::Union(gate_index);
-        }
-    }
-    BoxContent { union_gates, gamma }
+    staging.finish(num_states, false)
 }
 
 /// Builds the assignment circuit of a homogenized binary TVA on a binary tree
@@ -159,18 +181,24 @@ pub fn internal_box_content(
 pub fn build_assignment_circuit(tva: &BinaryTva, tree: &BinaryTree) -> AssignmentCircuit {
     let mut circuit = Circuit::new(tva.num_states());
     let mut box_of: HashMap<BinaryNodeId, BoxId> = HashMap::new();
+    let mut staging = ContentStaging::default();
     for n in tree.postorder() {
         let label = tree.label(n);
         let b = match tree.children(n) {
             None => {
-                let content = leaf_box_content(tva, label, n.0);
+                let content = leaf_box_content(tva, label, &mut staging);
                 circuit.add_leaf_box(content, n.0)
             }
             Some((l, r)) => {
                 let bl = box_of[&l];
                 let br = box_of[&r];
-                let content =
-                    internal_box_content(tva, label, circuit.gamma(bl), circuit.gamma(br));
+                let content = internal_box_content(
+                    tva,
+                    label,
+                    circuit.gamma(bl),
+                    circuit.gamma(br),
+                    &mut staging,
+                );
                 circuit.add_internal_box(content, bl, br)
             }
         };
@@ -192,7 +220,7 @@ impl AssignmentCircuit {
         let mut gates = Vec::new();
         let mut empty_accepted = false;
         for &f in tva.final_states() {
-            match gamma[f.index()] {
+            match gamma.get(f.index()) {
                 StateGate::Top => empty_accepted = true,
                 StateGate::Bot => {}
                 StateGate::Union(u) => {
@@ -209,6 +237,7 @@ impl AssignmentCircuit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::UnionInput;
     use crate::semantics::capture_state;
     use treenum_automata::binary::select_a_leaves;
     use treenum_automata::State;
@@ -272,12 +301,13 @@ mod tests {
         let a = sigma.get("a").unwrap();
         let f = sigma.get("f").unwrap();
         let tva = select_a_leaves(a, f, Var(0));
-        let content = leaf_box_content(&tva, a, 7);
+        let mut staging = ContentStaging::default();
+        let content = leaf_box_content(&tva, a, &mut staging);
         // State 0 (zero-state) gets ⊤, state 1 gets a ∪-gate over one var-gate.
-        assert!(content.gamma[0].is_top());
-        assert_eq!(content.gamma[1], StateGate::Union(0));
+        assert!(content.gamma().get(0).is_top());
+        assert_eq!(content.gamma().get(1), StateGate::Union(0));
         assert_eq!(
-            content.union_gates[0].inputs,
+            content.inputs(0, 7).collect::<Vec<_>>(),
             vec![UnionInput::Var {
                 vars: VarSet::singleton(Var(0)),
                 leaf_token: 7
@@ -291,16 +321,16 @@ mod tests {
         let a = sigma.get("a").unwrap();
         let f = sigma.get("f").unwrap();
         let tva = select_a_leaves(a, f, Var(0));
-        let leaf = leaf_box_content(&tva, a, 0);
-        let content = internal_box_content(&tva, f, &leaf.gamma, &leaf.gamma);
+        let mut staging = ContentStaging::default();
+        let leaf = leaf_box_content(&tva, a, &mut staging).words().to_vec();
+        let leaf = BoxContent::new(&leaf, tva.num_states());
+        let content = internal_box_content(&tva, f, leaf.gamma(), leaf.gamma(), &mut staging);
         // For the final state 1 the transitions are (q1,q0,q1) and (q0,q1,q1); both
         // have one ⊤ side, so the gate has two Child inputs and no ×-gate.
-        let gate = &content.union_gates[content.gamma[1].union_index().unwrap() as usize];
-        assert_eq!(gate.inputs.len(), 2);
-        assert!(gate
-            .inputs
-            .iter()
-            .all(|i| matches!(i, UnionInput::Child { .. })));
+        let gate = content.gamma().get(1).union_index().unwrap() as usize;
+        let inputs: Vec<_> = content.inputs(gate, 0).collect();
+        assert_eq!(inputs.len(), 2);
+        assert!(inputs.iter().all(|i| matches!(i, UnionInput::Child { .. })));
     }
 
     #[test]

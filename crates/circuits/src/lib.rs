@@ -16,9 +16,11 @@
 //!   see the appendix proof of Lemma 3.7) — these wires are what make the
 //!   "jumping" machinery of Section 6 necessary.
 //!
-//! This crate provides the box-structured circuit representation ([`Circuit`]), the
-//! construction of box contents from a homogenized `BinaryTva`
-//! ([`build::leaf_box_content`], [`build::internal_box_content`]), the static
+//! This crate provides the box-structured circuit representation ([`Circuit`]),
+//! whose box contents are plain-data word records in a [`Slab`] (the allocator
+//! the enumeration index's records live in too), the construction of box
+//! contents from a homogenized `BinaryTva` ([`build::leaf_box_content`],
+//! [`build::internal_box_content`]), the static
 //! construction over a whole `BinaryTree` ([`build::build_assignment_circuit`]),
 //! a set-semantics evaluator used as a test oracle ([`semantics`]), and structural
 //! validation of the DNNF invariants.
@@ -26,8 +28,11 @@
 pub mod build;
 pub mod circuit;
 pub mod semantics;
+pub mod slab;
 
 pub use build::{
     build_assignment_circuit, internal_box_content, leaf_box_content, AssignmentCircuit,
+    ContentStaging,
 };
-pub use circuit::{BoxContent, BoxId, Circuit, Side, StateGate, UnionGate, UnionInput};
+pub use circuit::{BoxContent, BoxId, Circuit, Gamma, GateInputs, Side, StateGate, UnionInput};
+pub use slab::{Block, Slab};

@@ -16,9 +16,8 @@ pub type ExplicitAssignment = BTreeSet<(Var, u32)>;
 /// The captured set of ∪-gate `gate` of box `b`.
 pub fn capture_union(circuit: &Circuit, b: BoxId, gate: u32) -> HashSet<ExplicitAssignment> {
     let mut out = HashSet::new();
-    let g = &circuit.union_gates(b)[gate as usize];
-    for input in &g.inputs {
-        match *input {
+    for input in circuit.gate_inputs(b, gate as usize) {
+        match input {
             UnionInput::Var { vars, leaf_token } => {
                 let assignment: ExplicitAssignment = vars.iter().map(|v| (v, leaf_token)).collect();
                 out.insert(assignment);
@@ -48,7 +47,7 @@ pub fn capture_union(circuit: &Circuit, b: BoxId, gate: u32) -> HashSet<Explicit
 
 /// The captured set `S(γ(b, q))` of the gate associated with state `q` in box `b`.
 pub fn capture_state(circuit: &Circuit, b: BoxId, q: State) -> HashSet<ExplicitAssignment> {
-    match circuit.gamma(b)[q.index()] {
+    match circuit.gamma(b).get(q.index()) {
         StateGate::Bot => HashSet::new(),
         StateGate::Top => {
             let mut s = HashSet::new();
@@ -78,9 +77,9 @@ pub fn capture_boxed_set(
 /// decomposability along the v-tree).  Panics on violation.
 pub fn check_decomposability(circuit: &Circuit) {
     for b in circuit.boxes_preorder() {
-        for gate in circuit.union_gates(b) {
-            for input in &gate.inputs {
-                if let UnionInput::Times { left, right } = *input {
+        for gi in 0..circuit.box_width(b) {
+            for input in circuit.gate_inputs(b, gi) {
+                if let UnionInput::Times { left, right } = input {
                     let (lb, rb) = circuit.children(b).expect("×-gate in a leaf box");
                     let ls = capture_union(circuit, lb, left);
                     let rs = capture_union(circuit, rb, right);

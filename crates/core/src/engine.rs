@@ -18,14 +18,16 @@ use treenum_automata::StepwiseTva;
 use treenum_balance::build::{build_balanced_term, check_phi, Phi};
 use treenum_balance::term::{Term, TermNodeId};
 use treenum_balance::update::apply_edits;
-use treenum_circuits::{internal_box_content, BoxContent, BoxId, Circuit, StateGate};
+use treenum_circuits::{
+    internal_box_content, BoxContent, BoxId, Circuit, ContentStaging, StateGate,
+};
 use treenum_enumeration::boxenum::BoxEnumMode;
 use treenum_enumeration::index::IndexStats;
 use treenum_enumeration::{EnumIndex, EnumScratch, EnumSource, EnumStats};
 use treenum_trees::edit::EditOp;
 use treenum_trees::unranked::{NodeId, UnrankedTree};
 use treenum_trees::valuation::{Assignment, Singleton, VarSet};
-use treenum_trees::Label;
+use treenum_trees::ChunkedVec;
 
 /// Structural statistics of the enumeration structure (reported by benchmarks and
 /// examples to make the complexity parameters of the paper observable).
@@ -44,6 +46,21 @@ pub struct EnumerationStats {
     pub circuit_boxes: usize,
 }
 
+/// Heap footprint of one [`QueryIndex`], counted from its own arenas, so
+/// the figures are exact and the same on every host.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct Footprint {
+    /// Live circuit boxes.
+    pub boxes: usize,
+    /// The circuit's box slots plus its content slab, in bytes.
+    pub circuit_bytes: usize,
+    /// The enumeration index's record-address table plus its slab, in bytes.
+    pub index_bytes: usize,
+    /// Words held by the two slabs (circuit contents and index records).
+    pub slab_words: usize,
+}
+
 /// The query-independent part of the engine: the unranked tree, its
 /// balanced forest-algebra term and the map `φ` from tree nodes to term
 /// leaves.  Any number of [`QueryIndex`]es can be built from, and repaired
@@ -57,7 +74,7 @@ pub struct Document {
     /// holds the current epoch): O(spine) per batch instead of O(n)
     /// re-zeroing.
     epoch: u64,
-    term_mark: Vec<u64>,
+    term_mark: ChunkedVec<u64>,
 }
 
 /// What one [`Document::apply_batch`] changed in the term: the input of
@@ -118,15 +135,12 @@ const _: () = {
 
 /// Epoch bitmap helper: `marks[i] == epoch` means "set this batch".
 #[inline]
-fn mark(marks: &mut Vec<u64>, epoch: u64, i: usize) {
-    if i >= marks.len() {
-        marks.resize(i + 1, 0);
-    }
-    marks[i] = epoch;
+fn mark(marks: &mut ChunkedVec<u64>, epoch: u64, i: usize) {
+    *marks.at_mut(i, 0) = epoch;
 }
 
 #[inline]
-fn marked(marks: &[u64], epoch: u64, i: usize) -> bool {
+fn marked(marks: &ChunkedVec<u64>, epoch: u64, i: usize) -> bool {
     marks.get(i).copied() == Some(epoch)
 }
 
@@ -142,11 +156,8 @@ const ENTRY: u64 = 2;
 const GAMMA: u64 = 4;
 
 #[inline]
-fn flag(marks: &mut Vec<u64>, epoch: u64, i: usize, f: u64) {
-    if i >= marks.len() {
-        marks.resize(i + 1, 0);
-    }
-    let m = &mut marks[i];
+fn flag(marks: &mut ChunkedVec<u64>, epoch: u64, i: usize, f: u64) {
+    let m = marks.at_mut(i, 0);
     *m = if *m >> FLAG_BITS == epoch {
         *m | f
     } else {
@@ -155,7 +166,7 @@ fn flag(marks: &mut Vec<u64>, epoch: u64, i: usize, f: u64) {
 }
 
 #[inline]
-fn flagged(marks: &[u64], epoch: u64, i: usize, f: u64) -> bool {
+fn flagged(marks: &ChunkedVec<u64>, epoch: u64, i: usize, f: u64) -> bool {
     marks
         .get(i)
         .is_some_and(|&m| m >> FLAG_BITS == epoch && m & f != 0)
@@ -171,7 +182,7 @@ impl Document {
             term,
             phi,
             epoch: 0,
-            term_mark: Vec::new(),
+            term_mark: ChunkedVec::new(),
         }
     }
 
@@ -255,6 +266,36 @@ impl Document {
     }
 }
 
+/// The circuit box of term node `n` in a `box_of` slab.
+#[inline]
+fn box_in(box_of: &[Option<BoxId>], n: TermNodeId) -> BoxId {
+    box_of[n.index()].expect("term node has no circuit box")
+}
+
+/// The from-scratch content of term node `n`'s box, given current child
+/// boxes: the plan's leaf record for a leaf, else built into `staging`
+/// from the children's `γ`.
+fn content_of<'a>(
+    plan: &'a QueryPlan,
+    circuit: &Circuit,
+    box_of: &[Option<BoxId>],
+    staging: &'a mut ContentStaging,
+    doc: &Document,
+    n: TermNodeId,
+) -> BoxContent<'a> {
+    let label = plan.alphabet().label_of(doc.term.kind(n));
+    match doc.term.children(n) {
+        None => plan.leaf_content(label),
+        Some((l, r)) => internal_box_content(
+            plan.tva(),
+            label,
+            circuit.gamma(box_in(box_of, l)),
+            circuit.gamma(box_in(box_of, r)),
+            staging,
+        ),
+    }
+}
+
 /// The per-query part of the engine: the assignment circuit over a
 /// [`Document`]'s term (one box per term node, Lemma 3.7), the enumeration
 /// index (Lemma 6.3) and a pooled enumeration scratch.
@@ -279,7 +320,9 @@ pub struct QueryIndex {
     epoch: u64,
     /// Per box: the epoch of its last mark and its [`CONTENT`], [`ENTRY`]
     /// and [`GAMMA`] flags for that batch.
-    marks: Vec<u64>,
+    marks: ChunkedVec<u64>,
+    /// Reused buffers the box content builders write records into.
+    staging: ContentStaging,
     /// Reusable per-answer enumeration scratch (pools + counters), kept warm
     /// across repair/re-enumeration cycles.  A `Mutex` because enumeration
     /// takes `&self` and the index is shared across reader threads by the
@@ -305,7 +348,8 @@ impl Clone for QueryIndex {
             index: self.index.clone(),
             mode: self.mode,
             epoch: self.epoch,
-            marks: Vec::new(),
+            marks: ChunkedVec::new(),
+            staging: ContentStaging::default(),
             scratch: Mutex::new(EnumScratch::new()),
             stamp: fresh_stamp(),
         }
@@ -324,7 +368,8 @@ impl QueryIndex {
             index: EnumIndex::default(),
             mode: BoxEnumMode::Indexed,
             epoch: 0,
-            marks: Vec::new(),
+            marks: ChunkedVec::new(),
+            staging: ContentStaging::default(),
             scratch: Mutex::new(EnumScratch::new()),
             stamp: fresh_stamp(),
         };
@@ -359,7 +404,7 @@ impl QueryIndex {
 
     #[inline]
     fn box_of(&self, n: TermNodeId) -> BoxId {
-        self.box_of[n.index()].expect("term node has no circuit box")
+        box_in(&self.box_of, n)
     }
 
     #[inline]
@@ -377,6 +422,18 @@ impl QueryIndex {
 
     fn take_box_of(&mut self, n: TermNodeId) -> Option<BoxId> {
         self.box_of.get_mut(n.index()).and_then(Option::take)
+    }
+
+    /// The heap footprint of the circuit and the index (see
+    /// [`Footprint`]).
+    pub fn footprint(&self) -> Footprint {
+        let (circuit, index) = (&self.circuit, &self.index);
+        Footprint {
+            boxes: circuit.num_boxes(),
+            circuit_bytes: circuit.slot_bytes() + 8 * circuit.slab_words(),
+            index_bytes: index.table_bytes() + 8 * index.slab_words(),
+            slab_words: circuit.slab_words() + index.slab_words(),
+        }
     }
 
     /// A value identifying the current enumeration structure: unique to
@@ -400,66 +457,55 @@ impl QueryIndex {
         }
     }
 
-    fn term_label(&self, doc: &Document, n: TermNodeId) -> Label {
-        self.plan.alphabet().label_of(doc.term.kind(n))
-    }
-
-    /// The from-scratch content of term node `n`'s box, given current child
-    /// boxes.
-    fn content_for(&self, doc: &Document, n: TermNodeId) -> BoxContent {
-        let label = self.term_label(doc, n);
-        match doc.term.children(n) {
-            None => {
-                let node = doc
-                    .term
-                    .leaf_tree_node(n)
-                    .expect("term leaves map to tree nodes");
-                self.plan.leaf_content(label, node.0)
-            }
-            Some((l, r)) => internal_box_content(
-                self.plan.tva(),
-                label,
-                self.circuit.gamma(self.box_of(l)),
-                self.circuit.gamma(self.box_of(r)),
-            ),
-        }
-    }
-
     /// (Re)computes the circuit box of term node `n` (children boxes must be
     /// current).  Returns the box, whether its content or child links
     /// actually changed — ancestors whose recomputed content is identical need
     /// no index repair (the spine-only early exit of the update path) — and
-    /// whether its `γ` changed, which a new box always counts as.
+    /// whether its `γ` changed, which a new box always counts as.  Both
+    /// changes are word comparisons of the records: the `γ` words, then the
+    /// whole record.
     fn rebuild_box_for(&mut self, doc: &Document, n: TermNodeId) -> (BoxId, bool, bool) {
-        let content = self.content_for(doc, n);
+        let QueryIndex {
+            plan,
+            circuit,
+            box_of,
+            staging,
+            ..
+        } = self;
+        let content = content_of(plan, circuit, box_of, staging, doc, n);
         let children = doc
             .term
             .children(n)
-            .map(|(l, r)| (self.box_of(l), self.box_of(r)));
-        match self.box_of_checked(n).filter(|&b| self.circuit.is_live(b)) {
+            .map(|(l, r)| (box_in(box_of, l), box_in(box_of, r)));
+        match box_of
+            .get(n.index())
+            .copied()
+            .flatten()
+            .filter(|&b| circuit.is_live(b))
+        {
             Some(b) => {
                 // Same child ids are not enough: a freed slot reused by a fresh
                 // box within this edit carries a cleared parent pointer, so the
                 // link must be re-established even though the ids match.
-                let children_ok = self.circuit.children(b) == children
+                let children_ok = circuit.children(b) == children
                     && children.is_none_or(|(l, r)| {
-                        self.circuit.parent(l) == Some(b) && self.circuit.parent(r) == Some(b)
+                        circuit.parent(l) == Some(b) && circuit.parent(r) == Some(b)
                     });
-                // Compared in place: the old `γ` slice against the new one.
-                let gamma_changed = self.circuit.gamma(b) != content.gamma.as_slice();
-                let content_changed = gamma_changed || *self.circuit.content(b) != content;
+                let old = circuit.content(b);
+                let gamma_changed = old.gamma() != content.gamma();
+                let content_changed = gamma_changed || old != content;
                 if content_changed {
-                    self.circuit.replace_content(b, content);
+                    circuit.replace_content(b, content);
                 }
                 if !children_ok {
-                    self.circuit.set_children(b, children);
+                    circuit.set_children(b, children);
                 }
                 (b, content_changed || !children_ok, gamma_changed)
             }
             None => {
                 let leaf_token = doc.term.leaf_tree_node(n).map(|node| node.0);
-                let b = self.circuit.add_orphan_box(content, leaf_token);
-                self.circuit.set_children(b, children);
+                let b = circuit.add_orphan_box(content, leaf_token);
+                circuit.set_children(b, children);
                 self.set_box_of(doc, n, b);
                 (b, true, true)
             }
@@ -574,7 +620,7 @@ impl QueryIndex {
         let mut gates = Vec::new();
         let mut empty = false;
         for &f in self.plan.tva().final_states() {
-            match gamma[f.index()] {
+            match gamma.get(f.index()) {
                 StateGate::Top => empty = true,
                 StateGate::Bot => {}
                 StateGate::Union(u) => {
@@ -754,7 +800,16 @@ impl QueryIndex {
             assert!(self.circuit.is_live(b));
             assert!(self.index.has(b), "missing index entry for a live box");
             match doc.term.children(n) {
-                None => assert!(self.circuit.is_leaf(b)),
+                None => {
+                    // A leaf record names no leaf: its var-gates take the
+                    // box's token, which must be the term leaf's tree node.
+                    assert!(self.circuit.is_leaf(b));
+                    assert_eq!(
+                        self.circuit.leaf_token(b),
+                        doc.term.leaf_tree_node(n).map(|node| node.0),
+                        "stale leaf token for {n:?}"
+                    );
+                }
                 Some((l, r)) => {
                     assert_eq!(
                         self.circuit.children(b),
@@ -767,10 +822,18 @@ impl QueryIndex {
         // The spine-only early exits must leave every box content equal to a
         // from-scratch recomputation (checked bottom-up, so the child gammas a
         // parent is checked against have themselves been validated first).
+        let mut staging = ContentStaging::default();
         for n in doc.term.subtree_postorder(doc.term.root()) {
             assert_eq!(
-                *self.circuit.content(self.box_of(n)),
-                self.content_for(doc, n),
+                self.circuit.content(self.box_of(n)),
+                content_of(
+                    &self.plan,
+                    &self.circuit,
+                    &self.box_of,
+                    &mut staging,
+                    doc,
+                    n
+                ),
                 "stale box content for {n:?}"
             );
         }
@@ -833,6 +896,11 @@ impl TreeEnumerator {
     /// [`QueryIndex::enum_stats`]).
     pub fn enum_stats(&self) -> EnumStats {
         self.query.enum_stats()
+    }
+
+    /// See [`QueryIndex::footprint`].
+    pub fn footprint(&self) -> Footprint {
+        self.query.footprint()
     }
 
     /// Switches between the jump-pointer `box-enum` of Algorithm 3 (default) and the

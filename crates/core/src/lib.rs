@@ -21,6 +21,8 @@ pub mod engine;
 pub mod plan;
 pub mod words;
 
-pub use engine::{Document, DocumentBatch, EnumerationStats, QueryIndex, TreeEnumerator};
+pub use engine::{
+    Document, DocumentBatch, EnumerationStats, Footprint, QueryIndex, TreeEnumerator,
+};
 pub use plan::{PlanAdmission, QueryPlan, TranslationKey};
 pub use words::WordEnumerator;

@@ -1,6 +1,6 @@
 //! Shared per-query preprocessing: the cached Lemma 7.4 translation plus the
-//! per-label *circuit skeletons* (leaf box contents with an unstamped leaf
-//! token).
+//! per-label *circuit skeletons* (leaf box content records, which name no
+//! leaf token).
 //!
 //! Building a [`crate::TreeEnumerator`] used to re-run the quartic automaton
 //! translation and re-derive every leaf box content from `ι` on each call.
@@ -18,12 +18,8 @@ use std::time::Instant;
 use treenum_automata::{BinaryTva, StepwiseTva};
 use treenum_balance::term::TermAlphabet;
 use treenum_balance::{translate_stepwise, TranslatedTva};
-use treenum_circuits::{leaf_box_content, BoxContent, UnionInput};
+use treenum_circuits::{leaf_box_content, BoxContent, ContentStaging};
 use treenum_trees::Label;
-
-/// Leaf token used in skeleton contents; stamped with the real tree node by
-/// [`QueryPlan::leaf_content`].
-const TOKEN_PLACEHOLDER: u32 = u32::MAX;
 
 /// A canonical, order-insensitive fingerprint of a stepwise query automaton
 /// (plus the base alphabet size it runs over): the plan cache's key.  Two
@@ -78,13 +74,13 @@ impl TranslationKey {
 
 /// Everything about a query that every [`crate::TreeEnumerator`] instance can
 /// share: the translated, homogenized binary TVA, the term alphabet, and one
-/// leaf [`BoxContent`] template per term label.
+/// leaf [`BoxContent`] record per term label.
 #[derive(Debug)]
 pub struct QueryPlan {
     translated: Arc<TranslatedTva>,
-    /// `leaf_templates[label.index()]`: the content of a leaf box with that
-    /// term label, with [`TOKEN_PLACEHOLDER`] in every var-gate.
-    leaf_templates: Vec<BoxContent>,
+    /// `leaf_templates[label.index()]`: the content record of a leaf box
+    /// with that term label.
+    leaf_templates: Vec<Box<[u64]>>,
 }
 
 static PLAN_CACHE: OnceLock<Mutex<HashMap<TranslationKey, Arc<QueryPlan>>>> = OnceLock::new();
@@ -148,8 +144,12 @@ impl QueryPlan {
     /// differential tests against the cached path.
     pub fn build(translated: Arc<TranslatedTva>) -> QueryPlan {
         let alphabet = translated.alphabet;
+        let mut staging = ContentStaging::default();
         let leaf_templates = (0..alphabet.len())
-            .map(|l| leaf_box_content(&translated.tva, Label(l as u32), TOKEN_PLACEHOLDER))
+            .map(|l| {
+                let content = leaf_box_content(&translated.tva, Label(l as u32), &mut staging);
+                content.words().into()
+            })
             .collect();
         QueryPlan {
             translated,
@@ -172,21 +172,13 @@ impl QueryPlan {
         &self.translated
     }
 
-    /// The content of a leaf box with term label `label` encoding the tree
-    /// node behind `leaf_token`: a memcpy of the per-label skeleton with the
-    /// token stamped into its var-gates, instead of re-deriving the content
-    /// from `ι` on every (re)build.
-    pub fn leaf_content(&self, label: Label, leaf_token: u32) -> BoxContent {
-        let mut content = self.leaf_templates[label.index()].clone();
-        for gate in &mut content.union_gates {
-            for input in &mut gate.inputs {
-                if let UnionInput::Var { leaf_token: t, .. } = input {
-                    debug_assert_eq!(*t, TOKEN_PLACEHOLDER, "skeleton already stamped");
-                    *t = leaf_token;
-                }
-            }
-        }
-        content
+    /// The content of a leaf box with term label `label`: the per-label
+    /// skeleton record, which the circuit copies word for word instead of
+    /// re-deriving the content from `ι` on every (re)build.  A record names
+    /// no leaf token (its var-gates take the token of the box it is stored
+    /// in), so every leaf with this label shares it.
+    pub fn leaf_content(&self, label: Label) -> BoxContent<'_> {
+        BoxContent::new(&self.leaf_templates[label.index()], self.tva().num_states())
     }
 }
 

@@ -42,28 +42,22 @@ pub enum BoxEnumMode {
 /// the sink may use for its own pooled storage).
 pub type BoxSink<'s> = dyn FnMut(&mut EnumScratch, BoxId, &Relation) -> ControlFlow<()> + 's;
 
+/// `true` iff ∪-gate `gi` of box `b` has a var- or ×-input.
+fn has_own_input(circuit: &Circuit, b: BoxId, gi: usize) -> bool {
+    circuit
+        .gate_inputs(b, gi)
+        .any(|i| matches!(i, UnionInput::Var { .. } | UnionInput::Times { .. }))
+}
+
 fn is_interesting(circuit: &Circuit, b: BoxId, sources: &GateSet) -> bool {
-    let gates = circuit.union_gates(b);
-    sources.iter().any(|gi| {
-        gates[gi]
-            .inputs
-            .iter()
-            .any(|i| matches!(i, UnionInput::Var { .. } | UnionInput::Times { .. }))
-    })
+    sources.iter().any(|gi| has_own_input(circuit, b, gi))
 }
 
 /// [`is_interesting`] reading the reachable sources straight off the
 /// relation's rows, so the pooled reference walk needs no materialized
 /// source [`GateSet`].
 pub(crate) fn is_interesting_rel(circuit: &Circuit, b: BoxId, r: &Relation) -> bool {
-    let gates = circuit.union_gates(b);
-    (0..r.rows()).any(|gi| {
-        !r.row_is_empty(gi)
-            && gates[gi]
-                .inputs
-                .iter()
-                .any(|i| matches!(i, UnionInput::Var { .. } | UnionInput::Times { .. }))
-    })
+    (0..r.rows()).any(|gi| !r.row_is_empty(gi) && has_own_input(circuit, b, gi))
 }
 
 /// The initial relation `R(B, Γ) = {(g, g) | g ∈ Γ}` for a boxed set `Γ` of box `B`.

@@ -37,21 +37,20 @@
 //! Everything from the header through the closure relations is the *index
 //! part* a parent's entry depends on; the inputs are there so that Algorithm
 //! 2 reads an emitted box's var- and ×-gates from the record it already
-//! holds instead of the circuit's per-gate vectors.  Box topology
-//! (children, parent, width) stays in the [`Circuit`], so a reparented box
-//! keeps a valid record without a rebuild.
+//! holds instead of decoding them from the circuit's content record.  Box
+//! topology (children, parent, width) stays in the [`Circuit`], so a
+//! reparented box keeps a valid record without a rebuild.
 //!
-//! The slab hands out blocks in size classes (eight exact sizes up to 8
-//! words, then four per doubling, so a block wastes under 25%), and every
-//! freed or resized record returns its block to its class's free list for
-//! the next record of that class.  Blocks are carved from fixed chunks of
-//! 2¹⁶ words; a record larger than a chunk gets a chunk of its own.  The
-//! per-box table of record addresses is chunked the same way, so neither
-//! ever grows by copying.
+//! Records live in the circuit crate's [`Slab`], the allocator the
+//! circuit's content records use too: size-classed blocks reused through
+//! free lists, carved from chunks that grow from 2⁸ to 2¹⁶ words.  The
+//! per-box table of record addresses is a [`ChunkedVec`], so neither ever
+//! grows by copying.
 
 use crate::relation::{compose_rows, RelRef, Relation};
-use treenum_circuits::{BoxId, Circuit, Side, UnionInput};
+use treenum_circuits::{Block, BoxId, Circuit, Side, Slab, UnionInput};
 use treenum_trees::valuation::VarSet;
+use treenum_trees::ChunkedVec;
 
 /// Sentinel for "undefined" (`fbb` of a gate with no bidirectional box below it).
 pub const UNDEFINED: u32 = u32::MAX;
@@ -328,205 +327,6 @@ pub struct IndexStats {
     pub boxes_skipped: u64,
 }
 
-/// Table entries per chunk of the record-address table (a power of two).
-const TABLE_CHUNK: usize = 1 << 12;
-
-/// Per box: `address | length << 32` of its record, 0 if it has none (every
-/// record has at least its header word).  Chunked like the circuit's box
-/// arena, so it grows without moving an entry.
-#[derive(Clone, Debug, Default)]
-struct Table {
-    chunks: Vec<Box<[u64; TABLE_CHUNK]>>,
-}
-
-impl Table {
-    #[inline]
-    fn get(&self, i: usize) -> u64 {
-        self.chunks
-            .get(i / TABLE_CHUNK)
-            .map_or(0, |c| c[i % TABLE_CHUNK])
-    }
-
-    fn set(&mut self, i: usize, entry: u64) {
-        while self.chunks.len() <= i / TABLE_CHUNK {
-            let chunk = vec![0u64; TABLE_CHUNK].into_boxed_slice();
-            self.chunks
-                .push(chunk.try_into().expect("a chunk of TABLE_CHUNK entries"));
-        }
-        self.chunks[i / TABLE_CHUNK][i % TABLE_CHUNK] = entry;
-    }
-}
-
-/// Bits of a slab address that index into a chunk.
-const SLAB_BITS: u32 = 16;
-/// Words per regular slab chunk (512 KiB).
-const SLAB_CHUNK: usize = 1 << SLAB_BITS;
-
-/// The size class of a `len`-word record: `len` itself up to 8, then four
-/// classes per doubling (10, 12, 14, 16, 20, 24, 28, 32, 40, …).
-#[inline]
-fn class_of(len: usize) -> usize {
-    if len <= 8 {
-        return len;
-    }
-    let g = (usize::BITS - ((len - 1) >> 4).leading_zeros()) as usize;
-    let (base, step) = (8 << g, 2 << g);
-    9 + 4 * g + (len - base).div_ceil(step) - 1
-}
-
-/// The block size of size class `c`.
-#[inline]
-fn class_size(c: usize) -> usize {
-    if c <= 8 {
-        return c;
-    }
-    let (g, s) = ((c - 9) / 4, (c - 9) % 4 + 1);
-    (8 << g) + s * (2 << g)
-}
-
-/// `true` iff records of size class `class` get a chunk of their own.
-#[inline]
-fn is_large(class: usize) -> bool {
-    class_size(class) > SLAB_CHUNK
-}
-
-/// A record may take a free block up to this many classes above its own
-/// before a fresh block is carved, so neighbouring classes share their
-/// free blocks (a block then wastes under 56%).
-const FIT_CLASSES: usize = 2;
-
-/// A table entry: the record's slab address, its length and the size class
-/// of its block.
-#[inline]
-fn entry(addr: u32, len: usize, class: usize) -> u64 {
-    assert!(len < 1 << 24, "index record of {len} words");
-    addr as u64 | (len as u64) << 32 | (class as u64) << 56
-}
-
-#[inline]
-fn entry_len(entry: u64) -> usize {
-    ((entry >> 32) & 0xFF_FFFF) as usize
-}
-
-#[inline]
-fn entry_class(entry: u64) -> usize {
-    (entry >> 56) as usize
-}
-
-/// The word slab records live in (see the module docs).  An address is
-/// `chunk << SLAB_BITS | offset`.
-#[derive(Clone, Debug, Default)]
-struct Slab {
-    /// Regular chunks of [`SLAB_CHUNK`] words and large chunks (exactly
-    /// one record; empty once released).
-    chunks: Vec<Box<[u64]>>,
-    /// The regular chunk blocks are carved from, and the words carved.
-    bump: Option<(u32, usize)>,
-    /// Per size class: addresses of free blocks.
-    free: Vec<Vec<u32>>,
-    /// Released large chunks, for the next large record.
-    free_large: Vec<u32>,
-    /// Words carved: records, free blocks and large chunks.
-    words: usize,
-    /// Words in free blocks.
-    free_words: usize,
-}
-
-impl Slab {
-    #[inline]
-    fn get(&self, addr: u32, len: usize) -> &[u64] {
-        let at = addr as usize & (SLAB_CHUNK - 1);
-        &self.chunks[(addr >> SLAB_BITS) as usize][at..at + len]
-    }
-
-    #[inline]
-    fn get_mut(&mut self, addr: u32, len: usize) -> &mut [u64] {
-        let at = addr as usize & (SLAB_CHUNK - 1);
-        &mut self.chunks[(addr >> SLAB_BITS) as usize][at..at + len]
-    }
-
-    fn push_free(&mut self, class: usize, addr: u32) {
-        if self.free.len() <= class {
-            self.free.resize_with(class + 1, Default::default);
-        }
-        self.free[class].push(addr);
-        self.free_words += class_size(class);
-    }
-
-    /// A new chunk of `len` zeroed words; returns its index.
-    fn push_chunk(&mut self, len: usize) -> u32 {
-        let i = self.chunks.len();
-        assert!(i < 1 << (32 - SLAB_BITS), "index slab exceeds 2^32 words");
-        self.chunks.push(vec![0; len].into_boxed_slice());
-        i as u32
-    }
-
-    /// A block for a `len`-word record, and the block's size class: a free
-    /// block of its class or of one of the [`FIT_CLASSES`] above, else a
-    /// fresh one carved from the current chunk (a record larger than a
-    /// chunk gets a chunk of its own).
-    fn alloc(&mut self, len: usize) -> (u32, usize) {
-        let class = class_of(len);
-        if is_large(class) {
-            self.words += len;
-            let i = match self.free_large.pop() {
-                Some(i) => {
-                    self.chunks[i as usize] = vec![0; len].into_boxed_slice();
-                    i
-                }
-                None => self.push_chunk(len),
-            };
-            return (i << SLAB_BITS, class);
-        }
-        for c in class..=class + FIT_CLASSES {
-            if let Some(addr) = self.free.get_mut(c).and_then(Vec::pop) {
-                self.free_words -= class_size(c);
-                return (addr, c);
-            }
-        }
-        let size = class_size(class);
-        let (c, at) = match self.bump {
-            Some((c, at)) if SLAB_CHUNK - at >= size => (c, at),
-            _ => {
-                self.retire_bump();
-                (self.push_chunk(SLAB_CHUNK), 0)
-            }
-        };
-        self.bump = Some((c, at + size));
-        self.words += size;
-        (c << SLAB_BITS | at as u32, class)
-    }
-
-    /// Hands the uncarved tail of the current chunk to the free lists, in
-    /// the largest blocks that fit.
-    fn retire_bump(&mut self) {
-        let Some((c, mut at)) = self.bump.take() else {
-            return;
-        };
-        self.words += SLAB_CHUNK - at;
-        while at < SLAB_CHUNK {
-            let rest = SLAB_CHUNK - at;
-            let mut class = class_of(rest);
-            if class_size(class) > rest {
-                class -= 1;
-            }
-            self.push_free(class, c << SLAB_BITS | at as u32);
-            at += class_size(class);
-        }
-    }
-
-    /// Returns the block of size class `class` at `addr`.
-    fn release(&mut self, addr: u32, class: usize) {
-        if is_large(class) {
-            let i = addr >> SLAB_BITS;
-            self.words -= std::mem::take(&mut self.chunks[i as usize]).len();
-            self.free_large.push(i);
-        } else {
-            self.push_free(class, addr);
-        }
-    }
-}
-
 /// Reusable buffers `compute_entry` stages a record in, so a rebuild
 /// allocates nothing once they have grown to the widest box.
 #[derive(Clone, Debug, Default)]
@@ -551,7 +351,8 @@ struct Staging {
 /// others are untouched.
 #[derive(Clone, Debug, Default)]
 pub struct EnumIndex {
-    table: Table,
+    /// Per box: where its record lives ([`Block::NONE`] if it has none).
+    table: ChunkedVec<Block>,
     slab: Slab,
     live: usize,
     stats: IndexStats,
@@ -559,10 +360,10 @@ pub struct EnumIndex {
 }
 
 #[inline]
-fn record_in<'a>(table: &Table, slab: &'a Slab, b: BoxId) -> Option<BoxRecord<'a>> {
-    let entry = table.get(b.index());
-    (entry != 0).then(|| BoxRecord {
-        words: slab.get(entry as u32, entry_len(entry)),
+fn record_in<'a>(table: &ChunkedVec<Block>, slab: &'a Slab, b: BoxId) -> Option<BoxRecord<'a>> {
+    let block = *table.get(b.index())?;
+    (!block.is_none()).then(|| BoxRecord {
+        words: slab.get(block),
     })
 }
 
@@ -593,7 +394,9 @@ impl EnumIndex {
 
     /// `true` iff `b` has an index entry.
     pub fn has(&self, b: BoxId) -> bool {
-        self.table.get(b.index()) != 0
+        self.table
+            .get(b.index())
+            .is_some_and(|block| !block.is_none())
     }
 
     /// Removes the index entry of `b` (used when a box is freed by an
@@ -604,11 +407,11 @@ impl EnumIndex {
     /// same batch (and arena slots freed then reused can be freed again), so
     /// removal must be idempotent rather than a panic.
     pub fn remove_box(&mut self, b: BoxId) {
-        let entry = self.table.get(b.index());
-        if entry != 0 {
-            self.slab.release(entry as u32, entry_class(entry));
-            self.table.set(b.index(), 0);
-            self.live -= 1;
+        if let Some(block) = self.table.get_mut(b.index()) {
+            if !block.is_none() {
+                self.slab.release(std::mem::take(block));
+                self.live -= 1;
+            }
         }
     }
 
@@ -624,13 +427,18 @@ impl EnumIndex {
 
     /// Words held by the slab: records, free blocks and large chunks.
     pub fn slab_words(&self) -> usize {
-        self.slab.words
+        self.slab.words()
     }
 
     /// Words of the slab in free blocks, waiting for a record of their
     /// size class.
     pub fn free_words(&self) -> usize {
-        self.slab.free_words
+        self.slab.free_words()
+    }
+
+    /// Bytes of the per-box table of record addresses.
+    pub fn table_bytes(&self) -> usize {
+        self.table.len() * std::mem::size_of::<Block>()
     }
 
     /// Allocation counters of the rebuild path (see [`IndexStats`]).
@@ -705,29 +513,13 @@ impl EnumIndex {
     }
 
     /// Copies the staged record into `b`'s block: in place while the old
-    /// block fits it within [`FIT_CLASSES`], else into a new block.
+    /// block fits it (see [`Slab::store`]), else into a new block.
     fn store_staged(&mut self, b: BoxId) {
-        let len = self.staging.record.len();
-        let class = class_of(len);
-        let old = self.table.get(b.index());
-        let old_class = entry_class(old);
-        let (addr, class) = if old != 0
-            && !is_large(old_class)
-            && (class..=class + FIT_CLASSES).contains(&old_class)
-        {
-            (old as u32, old_class)
-        } else {
-            if old != 0 {
-                self.slab.release(old as u32, old_class);
-            } else {
-                self.live += 1;
-            }
-            self.slab.alloc(len)
-        };
-        self.slab
-            .get_mut(addr, len)
-            .copy_from_slice(&self.staging.record);
-        self.table.set(b.index(), entry(addr, len, class));
+        let slot = self.table.at_mut(b.index(), Block::NONE);
+        if slot.is_none() {
+            self.live += 1;
+        }
+        *slot = self.slab.store(*slot, &self.staging.record);
     }
 
     /// Computes the record of `b` from the circuit and the children's
@@ -742,7 +534,6 @@ impl EnumIndex {
             ..
         } = self;
         let width = circuit.box_width(b);
-        let gates = circuit.union_gates(b);
         let children = circuit.children(b);
         let child_record = |c: BoxId| record_in(table, slab, c).expect("child index missing");
         let (left, right) = match children {
@@ -761,11 +552,11 @@ impl EnumIndex {
         // (which all live in a single child).
         staging.fib.clear();
         staging.fbb.clear();
-        for gate in gates {
+        for gi in 0..width {
             let (mut own, mut fib_l, mut fib_r) = (false, UNDEFINED, UNDEFINED);
             let (mut to_left, mut to_right) = (false, false);
-            for input in &gate.inputs {
-                match *input {
+            for input in circuit.gate_inputs(b, gi) {
+                match input {
                     UnionInput::Var { .. } | UnionInput::Times { .. } => own = true,
                     UnionInput::Child { side, gate: g } => {
                         let (child, fib, to) = match side {
@@ -791,8 +582,8 @@ impl EnumIndex {
             let fbb = match (to_left, to_right) {
                 (true, true) => b.0,
                 (false, false) => NO_BOX,
-                (true, false) => lca_of_fbbs(circuit, left, gate, Side::Left),
-                (false, true) => lca_of_fbbs(circuit, right, gate, Side::Right),
+                (true, false) => lca_of_fbbs(circuit, left, b, gi, Side::Left),
+                (false, true) => lca_of_fbbs(circuit, right, b, gi, Side::Right),
             };
             staging.fib.push(fib);
             staging.fbb.push(fbb);
@@ -835,9 +626,9 @@ impl EnumIndex {
         let right_at = 1 + wl * p;
         let gates_at = right_at + wr * p;
         rec.resize(gates_at, 0);
-        for (gi, gate) in gates.iter().enumerate() {
-            for input in &gate.inputs {
-                if let UnionInput::Child { side, gate: g } = *input {
+        for gi in 0..width {
+            for input in circuit.gate_inputs(b, gi) {
+                if let UnionInput::Child { side, gate: g } = input {
                     let at = if side == Side::Left { 1 } else { right_at };
                     rec[at + g as usize * p + gi / 64] |= 1 << (gi % 64);
                 }
@@ -901,11 +692,11 @@ impl EnumIndex {
 
         // The var-inputs (leaf) or ×-inputs (internal box), grouped per gate.
         let var_kind = (wl, wr) == (0, 0);
-        for (gi, gate) in gates.iter().enumerate() {
+        for gi in 0..width {
             let at = rec.len() as u64;
             rec[gates_at + gi] |= at << 32;
-            for input in &gate.inputs {
-                match *input {
+            for input in circuit.gate_inputs(b, gi) {
+                match input {
                     UnionInput::Var { vars, leaf_token } => {
                         assert!(var_kind, "var-gate outside a leaf box in {b:?}");
                         rec.push(vars.0);
@@ -922,18 +713,20 @@ impl EnumIndex {
     }
 }
 
-/// The lca of the `fbb` boxes of `gate`'s wires into the `side` child
-/// (whose record is `child`), or [`NO_BOX`] if none is defined.
+/// The lca of the `fbb` boxes of the wires of gate `gi` of box `b` into
+/// the `side` child (whose record is `child`), or [`NO_BOX`] if none is
+/// defined.
 fn lca_of_fbbs(
     circuit: &Circuit,
     child: Option<BoxRecord<'_>>,
-    gate: &treenum_circuits::UnionGate,
+    b: BoxId,
+    gi: usize,
     side: Side,
 ) -> u32 {
     let child = child.expect("child wires without a child");
     let mut lca: Option<BoxId> = None;
-    for input in &gate.inputs {
-        let UnionInput::Child { side: s, gate: g } = *input else {
+    for input in circuit.gate_inputs(b, gi) {
+        let UnionInput::Child { side: s, gate: g } = input else {
             continue;
         };
         let slot = child.fbb(g as usize);
@@ -954,7 +747,7 @@ mod tests {
     use super::*;
     use crate::relation::{child_relation, relation_by_walking};
     use treenum_automata::binary::select_a_leaves;
-    use treenum_circuits::build_assignment_circuit;
+    use treenum_circuits::{build_assignment_circuit, leaf_box_content, ContentStaging};
     use treenum_trees::binary::BinaryTree;
     use treenum_trees::{Alphabet, Var};
 
@@ -998,19 +791,19 @@ mod tests {
                 );
             }
             // The inputs mirror the circuit's var- and ×-inputs per gate.
-            for (g, gate) in ac.circuit.union_gates(b).iter().enumerate() {
-                let vars: Vec<(_, _)> = gate
-                    .inputs
-                    .iter()
-                    .filter_map(|i| match *i {
+            for g in 0..width {
+                let vars: Vec<(_, _)> = ac
+                    .circuit
+                    .gate_inputs(b, g)
+                    .filter_map(|i| match i {
                         UnionInput::Var { vars, leaf_token } => Some((vars, leaf_token)),
                         _ => None,
                     })
                     .collect();
-                let times: Vec<(_, _)> = gate
-                    .inputs
-                    .iter()
-                    .filter_map(|i| match *i {
+                let times: Vec<(_, _)> = ac
+                    .circuit
+                    .gate_inputs(b, g)
+                    .filter_map(|i| match i {
                         UnionInput::Times { left, right } => Some((left, right)),
                         _ => None,
                     })
@@ -1170,75 +963,30 @@ mod tests {
             .into_iter()
             .find(|&b| ac.circuit.is_leaf(b) && ac.circuit.box_width(b) > 0)
             .expect("a leaf with ∪-gates");
-        let mut content = ac.circuit.content(leaf).clone();
-        for gate in &mut content.union_gates {
-            for input in &mut gate.inputs {
-                if let UnionInput::Var { leaf_token, .. } = input {
-                    *leaf_token += 1000;
-                }
-            }
-        }
+        // The same automaton selecting into another variable: the same
+        // gates, with other var-gate labels.
+        let sigma = Alphabet::from_names(["a", "f"]);
+        let (a, f) = (sigma.get("a").unwrap(), sigma.get("f").unwrap());
+        let tva = select_a_leaves(a, f, Var(1));
+        let mut staging = ContentStaging::default();
+        let content = leaf_box_content(&tva, a, &mut staging);
+        assert_eq!(content.gamma(), ac.circuit.gamma(leaf));
         ac.circuit.replace_content(leaf, content);
         let stats = index.stats();
         assert!(
             !index.rebuild_box_changed(&ac.circuit, leaf),
-            "new leaf tokens leave the index part as it was"
+            "new var-gate labels leave the index part as it was"
         );
         assert_eq!(index.stats().relations_stored, stats.relations_stored);
         assert_eq!(index.stats().box_rebuilds, stats.box_rebuilds + 1);
         let rec = index.of(leaf);
-        assert!((0..rec.width()).all(|g| rec.var_inputs(g).all(|(_, t)| t >= 1000)));
+        let x1 = VarSet::singleton(Var(1));
+        assert!((0..rec.width()).all(|g| rec.var_inputs(g).all(|(vars, _)| vars == x1)));
         let fresh = EnumIndex::build(&ac.circuit);
         assert_eq!(
             index.of(leaf),
             fresh.of(leaf),
             "the record holds the new inputs"
         );
-    }
-
-    #[test]
-    fn size_classes_cover_every_length_tightly() {
-        let mut prev = 0;
-        for c in 1..60 {
-            let size = class_size(c);
-            assert!(size > prev, "classes grow");
-            assert_eq!(class_of(size), c);
-            assert_eq!(class_of(prev + 1), c, "no length falls between classes");
-            assert!(size <= 8 || 4 * size < 5 * (prev + 1), "under 25% waste");
-            prev = size;
-        }
-    }
-
-    #[test]
-    fn slab_reuses_freed_blocks_and_keeps_large_records_apart() {
-        let mut slab = Slab::default();
-        let (a, ca) = slab.alloc(11);
-        let (b, _) = slab.alloc(3);
-        assert_eq!((class_size(ca), slab.words), (12, 12 + 3));
-        slab.release(a, ca);
-        assert_eq!(slab.free_words, 12);
-        assert_eq!(slab.alloc(12), (a, ca), "same class, same block");
-        slab.release(a, ca);
-        assert_eq!(slab.alloc(9), (a, ca), "a block two classes up fits");
-        assert_eq!(slab.free_words, 0);
-        // A record larger than a chunk gets a chunk of its own, returned
-        // whole on release and reused by the next large record.
-        let (big, cb) = slab.alloc(SLAB_CHUNK + 5);
-        assert_eq!(big & (SLAB_CHUNK as u32 - 1), 0);
-        assert_eq!(slab.get(big, SLAB_CHUNK + 5).len(), SLAB_CHUNK + 5);
-        slab.release(big, cb);
-        assert_eq!(slab.words, 15);
-        assert_eq!(slab.alloc(SLAB_CHUNK + 1).0, big);
-        // Filling past a chunk retires its tail into free blocks.
-        let before = slab.chunks.len();
-        let mut used = 15;
-        while slab.chunks.len() == before {
-            slab.alloc(4000);
-            used += class_size(class_of(4000));
-        }
-        assert_eq!(slab.words - (SLAB_CHUNK + 1), used + slab.free_words);
-        let copy = slab.clone();
-        assert_eq!(copy.get(b, 3), slab.get(b, 3));
-        assert_eq!(copy.words, slab.words);
     }
 }

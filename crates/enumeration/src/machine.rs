@@ -50,7 +50,7 @@ use crate::index::{BoxRecord, EnumIndex};
 use crate::relation::{child_relation_into, RelRef, Relation};
 use crate::scratch::{EnumScratch, Triple, VarPart};
 use std::ops::ControlFlow;
-use treenum_circuits::{BoxId, Circuit, Side, UnionGate, UnionInput};
+use treenum_circuits::{BoxId, Circuit, Side, UnionInput};
 
 /// What a machine run reads: the circuit, its index (required in
 /// [`BoxEnumMode::Indexed`]) and the `box-enum` implementation to use.
@@ -86,12 +86,12 @@ impl<'a> EnumSource<'a> {
     }
 
     /// Where the var- and ×-inputs of box `b` are read: its index record
-    /// in indexed mode, the circuit's gates in reference mode.
+    /// in indexed mode, the circuit's content record in reference mode.
     #[inline]
     fn inputs(&self, b: BoxId) -> BoxInputs<'a> {
         match self.mode {
             BoxEnumMode::Indexed => BoxInputs::Record(self.index().of(b)),
-            BoxEnumMode::Reference => BoxInputs::Gates(self.circuit.union_gates(b)),
+            BoxEnumMode::Reference => BoxInputs::Circuit(self.circuit, b),
         }
     }
 }
@@ -100,23 +100,22 @@ impl<'a> EnumSource<'a> {
 #[derive(Clone, Copy)]
 enum BoxInputs<'a> {
     Record(BoxRecord<'a>),
-    Gates(&'a [UnionGate]),
+    Circuit(&'a Circuit, BoxId),
 }
 
 impl BoxInputs<'_> {
     fn width(&self) -> usize {
         match self {
             BoxInputs::Record(rec) => rec.width(),
-            BoxInputs::Gates(gates) => gates.len(),
+            BoxInputs::Circuit(circuit, b) => circuit.box_width(*b),
         }
     }
 
     fn var_count(&self, gi: usize) -> usize {
         match self {
             BoxInputs::Record(rec) => rec.var_input_count(gi),
-            BoxInputs::Gates(gates) => gates[gi]
-                .inputs
-                .iter()
+            BoxInputs::Circuit(circuit, b) => circuit
+                .gate_inputs(*b, gi)
                 .filter(|i| matches!(i, UnionInput::Var { .. }))
                 .count(),
         }
@@ -135,7 +134,7 @@ impl BoxInputs<'_> {
                     f(UnionInput::Times { left, right });
                 }
             }
-            BoxInputs::Gates(gates) => gates[gi].inputs.iter().for_each(|&i| f(i)),
+            BoxInputs::Circuit(circuit, b) => circuit.gate_inputs(*b, gi).for_each(f),
         }
     }
 }

@@ -369,9 +369,9 @@ pub fn child_relation(circuit: &Circuit, b: BoxId, side: Side) -> Relation {
 pub fn child_relation_into(circuit: &Circuit, b: BoxId, side: Side, out: &mut Relation) {
     debug_assert_eq!(out.cols, circuit.box_width(b), "output cols mismatch");
     debug_assert!(out.is_empty(), "output must be cleared");
-    for (gi, gate) in circuit.union_gates(b).iter().enumerate() {
-        for input in &gate.inputs {
-            if let UnionInput::Child { side: s, gate: g } = *input {
+    for gi in 0..circuit.box_width(b) {
+        for input in circuit.gate_inputs(b, gi) {
+            if let UnionInput::Child { side: s, gate: g } = input {
                 if s == side {
                     out.set(g as usize, gi);
                 }

@@ -16,9 +16,8 @@ pub fn enumerate_union_with_duplicates(
     gate: u32,
 ) -> Vec<OutputAssignment> {
     let mut out = Vec::new();
-    let g = &circuit.union_gates(b)[gate as usize];
-    for input in &g.inputs {
-        match *input {
+    for input in circuit.gate_inputs(b, gate as usize) {
+        match input {
             UnionInput::Var { vars, leaf_token } => out.push(vec![(vars, leaf_token)]),
             UnionInput::Child { side, gate } => {
                 let (l, r) = circuit.children(b).expect("child wire in a leaf box");
@@ -129,7 +128,7 @@ mod tests {
         let ac = build_assignment_circuit(&tva, &t);
         let b = ac.circuit.root();
         assert_eq!(
-            enumerate_state_with_duplicates(&ac.circuit, b, ac.circuit.gamma(b)[0]),
+            enumerate_state_with_duplicates(&ac.circuit, b, ac.circuit.gamma(b).get(0)),
             vec![Vec::new()]
         );
     }

@@ -10,6 +10,8 @@
 //!   terms and v-trees.
 //! * [`Alphabet`] / [`Label`]: interned tree labels.
 //! * [`valuation`]: valuations, assignments and singletons (`⟨Z : n⟩`).
+//! * [`chunked`]: [`ChunkedVec`], the fixed-chunk arena the update path's
+//!   id-indexed arrays grow in without copying.
 //! * [`generate`]: random tree / workload generators used by tests and benchmarks.
 //! * [`serial`]: arena-exact binary serialization of trees and edit ops — the
 //!   snapshot and WAL-record formats used by `treenum-wal`.
@@ -19,6 +21,7 @@
 //! `treenum-balance`).
 
 pub mod binary;
+pub mod chunked;
 pub mod edit;
 pub mod generate;
 pub mod label;
@@ -27,6 +30,7 @@ pub mod unranked;
 pub mod valuation;
 
 pub use binary::{BinaryNodeId, BinaryTree};
+pub use chunked::ChunkedVec;
 pub use edit::{EditFeed, EditOp, EditStream, NodeSampler};
 pub use label::{Alphabet, Label};
 pub use serial::{decode_op, encode_op, from_bytes, op_applicable, to_bytes, SerialError};
