@@ -64,41 +64,31 @@ impl ContentStaging {
         let ContentStaging { inputs, words } = self;
         inputs.sort_unstable();
         inputs.dedup();
-        let mut width = 0;
-        let mut last = None;
-        for &(q, _) in inputs.iter() {
-            let q = q as usize;
-            let top = words[q / 64] >> (q % 64) & 1 != 0;
+        // A `⊤` state gets no ∪-gate (and has no inputs when the automaton
+        // is homogenized).
+        inputs.retain(|&(q, _)| {
+            let top = words[q as usize / 64] >> (q % 64) & 1 != 0;
             debug_assert!(
                 !top,
                 "automaton is not homogenized: state {q} captures both the empty and a non-empty assignment"
             );
-            if !top && last != Some(q) {
-                let i = num_states + q;
-                words[i / 64] |= 1 << (i % 64);
-                width += 1;
-                last = Some(q);
-            }
-        }
+            !top
+        });
+        let width = inputs.chunk_by(|a, b| a.0 == b.0).count();
         words.resize(header_words(num_states, width), 0);
-        let (mut gate, mut last) = (0usize, None);
-        for &(q, key) in inputs.iter() {
-            let qi = q as usize;
-            if words[qi / 64] >> (qi % 64) & 1 != 0 {
-                continue;
+        for (g, gate) in inputs.chunk_by(|a, b| a.0 == b.0).enumerate() {
+            let i = num_states + gate[0].0 as usize;
+            words[i / 64] |= 1 << (i % 64);
+            if g > 0 {
+                let at = words.len();
+                set_gate_start(words, num_states, g, at);
             }
-            if last != Some(q) {
-                if gate > 0 {
-                    let at = words.len();
-                    set_gate_start(words, num_states, gate, at);
+            for &(_, key) in gate {
+                if var_keys {
+                    push_var_words(words, VarSet(key));
+                } else {
+                    words.push(key);
                 }
-                gate += 1;
-                last = Some(q);
-            }
-            if var_keys {
-                push_var_words(words, VarSet(key));
-            } else {
-                words.push(key);
             }
         }
         BoxContent::new(words, num_states)

@@ -465,6 +465,7 @@ impl QueryIndex {
     /// changes are word comparisons of the records: the `γ` words, then the
     /// whole record.
     fn rebuild_box_for(&mut self, doc: &Document, n: TermNodeId) -> (BoxId, bool, bool) {
+        let existing = self.box_of_checked(n).filter(|&b| self.circuit.is_live(b));
         let QueryIndex {
             plan,
             circuit,
@@ -477,12 +478,7 @@ impl QueryIndex {
             .term
             .children(n)
             .map(|(l, r)| (box_in(box_of, l), box_in(box_of, r)));
-        match box_of
-            .get(n.index())
-            .copied()
-            .flatten()
-            .filter(|&b| circuit.is_live(b))
-        {
+        match existing {
             Some(b) => {
                 // Same child ids are not enough: a freed slot reused by a fresh
                 // box within this edit carries a cleared parent pointer, so the
