@@ -24,9 +24,7 @@ use std::collections::HashMap;
 use std::ops::ControlFlow;
 use treenum_automata::ops::determinize;
 use treenum_automata::StepwiseTva;
-use treenum_circuits::{
-    internal_box_content, leaf_box_content, BoxId, Circuit, ContentStaging, StateGate,
-};
+use treenum_circuits::{internal_box_content, leaf_box_content, BoxId, Circuit, ContentStaging};
 use treenum_core::TreeEnumerator;
 use treenum_enumeration::boxenum::BoxEnumMode;
 use treenum_enumeration::dedup::enumerate_root;
@@ -130,20 +128,10 @@ impl UnbalancedBaseline {
     /// Enumerates all answers, mapping leaf tokens back to unranked nodes.
     pub fn assignments(&self) -> Vec<Assignment> {
         let root_box = self.box_of[&self.binary.root()];
-        let gamma = self.circuit.gamma(root_box);
-        let mut gates = Vec::new();
-        let mut empty = false;
-        for &f in self.binary_tva.final_states() {
-            match gamma.get(f.index()) {
-                StateGate::Top => empty = true,
-                StateGate::Bot => {}
-                StateGate::Union(u) => {
-                    if !gates.contains(&u) {
-                        gates.push(u);
-                    }
-                }
-            }
-        }
+        let (gates, empty) = self
+            .circuit
+            .gamma(root_box)
+            .boxed_set(self.binary_tva.final_states());
         let mut out = Vec::new();
         let _ = enumerate_root(
             &self.circuit,

@@ -206,21 +206,7 @@ impl AssignmentCircuit {
     /// a `⊤` root gate).
     pub fn root_query(&self, tva: &BinaryTva, tree: &BinaryTree) -> (Vec<u32>, bool) {
         let root_box = self.box_of[&tree.root()];
-        let gamma = self.circuit.gamma(root_box);
-        let mut gates = Vec::new();
-        let mut empty_accepted = false;
-        for &f in tva.final_states() {
-            match gamma.get(f.index()) {
-                StateGate::Top => empty_accepted = true,
-                StateGate::Bot => {}
-                StateGate::Union(u) => {
-                    if !gates.contains(&u) {
-                        gates.push(u);
-                    }
-                }
-            }
-        }
-        (gates, empty_accepted)
+        self.circuit.gamma(root_box).boxed_set(tva.final_states())
     }
 }
 

@@ -37,6 +37,7 @@
 
 use crate::slab::{Block, Slab};
 use std::fmt;
+use treenum_automata::State;
 use treenum_trees::valuation::VarSet;
 use treenum_trees::ChunkedVec;
 
@@ -248,6 +249,23 @@ impl<'a> Gamma<'a> {
     #[inline]
     pub fn width(&self) -> usize {
         ones(self.words, self.num_states, 2 * self.num_states)
+    }
+
+    /// The ∪-gates `γ(n, q)` of `states`, each once in first-seen order,
+    /// and whether some state maps to `⊤`: at the root box and for the
+    /// final states, the boxed set of a query's non-empty answers and
+    /// whether it accepts the empty assignment.
+    pub fn boxed_set(&self, states: &[State]) -> (Vec<u32>, bool) {
+        let (mut gates, mut top) = (Vec::new(), false);
+        for q in states {
+            match self.get(q.index()) {
+                StateGate::Top => top = true,
+                StateGate::Bot => {}
+                StateGate::Union(u) if !gates.contains(&u) => gates.push(u),
+                StateGate::Union(_) => {}
+            }
+        }
+        (gates, top)
     }
 
     /// The gates `γ(n, q)` for every state `q`, in state order.

@@ -18,9 +18,7 @@ use treenum_automata::StepwiseTva;
 use treenum_balance::build::{build_balanced_term, check_phi, Phi};
 use treenum_balance::term::{Term, TermNodeId};
 use treenum_balance::update::apply_edits;
-use treenum_circuits::{
-    internal_box_content, BoxContent, BoxId, Circuit, ContentStaging, StateGate,
-};
+use treenum_circuits::{internal_box_content, BoxContent, BoxId, Circuit, ContentStaging};
 use treenum_enumeration::boxenum::BoxEnumMode;
 use treenum_enumeration::index::IndexStats;
 use treenum_enumeration::{EnumIndex, EnumScratch, EnumSource, EnumStats};
@@ -613,19 +611,7 @@ impl QueryIndex {
     fn root_query(&self) -> (BoxId, Vec<u32>, bool) {
         let root_box = self.circuit.root();
         let gamma = self.circuit.gamma(root_box);
-        let mut gates = Vec::new();
-        let mut empty = false;
-        for &f in self.plan.tva().final_states() {
-            match gamma.get(f.index()) {
-                StateGate::Top => empty = true,
-                StateGate::Bot => {}
-                StateGate::Union(u) => {
-                    if !gates.contains(&u) {
-                        gates.push(u);
-                    }
-                }
-            }
-        }
+        let (gates, empty) = gamma.boxed_set(self.plan.tva().final_states());
         (root_box, gates, empty)
     }
 
