@@ -4,9 +4,10 @@
 //! only by scattered counter assertions and reviewer memory:
 //!
 //! * [`RULE_MAP`] — no `HashMap`/`BTreeMap` *imports* (or fully-qualified
-//!   `collections::…` paths) in `crates/enumeration`, `crates/balance` and
-//!   `crates/core` non-test code.  The enumeration/update hot paths are
-//!   dense-slab only (φ and the term-to-box map included); the one
+//!   `collections::…` paths) in `crates/circuits`, `crates/enumeration`,
+//!   `crates/balance` and `crates/core` non-test code.  The
+//!   enumeration/update hot paths are dense-slab only (φ included, and a
+//!   box is named by its tree node, so no node-to-box map exists); the one
 //!   sanctioned map (the process-wide query-plan cache in
 //!   `crates/core/src/plan.rs`) carries a `// analyze: allow(map): <reason>`.
 //! * [`RULE_ALLOC`] — no allocation-prone calls (`Vec::new`, `.clone()`,
@@ -363,7 +364,7 @@ pub fn check_map_imports(file: &SourceFile) -> Vec<Diagnostic> {
             file: file.path.clone(),
             line: t.line,
             msg: format!(
-                "{} `{}` in a hot-path crate — enumeration/balance/core use dense arena slabs, \
+                "{} `{}` in a hot-path crate — circuits/enumeration/balance/core use dense arena slabs, \
                  not hashing (justify sanctioned uses with `// analyze: allow(map): <reason>`)",
                 how, t.text
             ),
@@ -772,7 +773,8 @@ impl Workspace {
         let mut fields = Vec::new();
         let mut test_idents: HashSet<String> = HashSet::new();
         for f in &self.files {
-            if self.path_has(f, "crates/enumeration/src")
+            if self.path_has(f, "crates/circuits/src")
+                || self.path_has(f, "crates/enumeration/src")
                 || self.path_has(f, "crates/balance/src")
                 || self.path_has(f, "crates/core/src")
             {

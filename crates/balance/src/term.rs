@@ -9,7 +9,7 @@
 
 use std::fmt;
 use treenum_trees::unranked::NodeId;
-use treenum_trees::{ChunkedVec, Label};
+use treenum_trees::{ChunkedVec, Label, Topology};
 
 /// The five forest-algebra operators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -161,14 +161,45 @@ impl TermAlphabet {
     }
 }
 
+/// A `u32` link to no node.
+const NONE: u32 = u32::MAX;
+
+/// One term node's kind and weight.
 #[derive(Clone, Debug)]
 struct Node {
     kind: TermNodeKind,
-    parent: Option<TermNodeId>,
-    children: Option<(TermNodeId, TermNodeId)>,
-    /// Number of term leaves (= encoded tree nodes) in this subterm.
+    /// Number of term leaves (= encoded tree nodes) in this subterm; 0 for
+    /// a freed slot.
     weight: u32,
-    free: bool,
+}
+
+/// One term node's links (12 bytes), plain indices with [`NONE`] for none.
+/// They sit apart from the rest of the node because every walk over the
+/// term — each query's enumeration walks it — reads only them.
+#[derive(Clone, Copy, Debug)]
+struct Links {
+    parent: u32,
+    /// The left operand; [`NONE`] for a leaf.
+    left: u32,
+    right: u32,
+}
+
+impl Links {
+    const NONE: Links = Links {
+        parent: NONE,
+        left: NONE,
+        right: NONE,
+    };
+
+    #[inline]
+    fn parent(&self) -> Option<TermNodeId> {
+        (self.parent != NONE).then_some(TermNodeId(self.parent))
+    }
+
+    #[inline]
+    fn children(&self) -> Option<(TermNodeId, TermNodeId)> {
+        (self.left != NONE).then_some((TermNodeId(self.left), TermNodeId(self.right)))
+    }
 }
 
 /// An arena of forest-algebra term nodes with a designated root.
@@ -177,6 +208,8 @@ pub struct Term {
     /// A `Vec`, not a [`ChunkedVec`]: the term's splices and builds are
     /// node-access bound, and the chunk lookup made them 10–40% slower.
     nodes: Vec<Node>,
+    /// The links of each node, parallel to `nodes`.
+    links: Vec<Links>,
     free_list: Vec<u32>,
     root: Option<TermNodeId>,
     /// Memo of [`Term::depth_memoized`], parallel to `nodes`: slot `i` holds
@@ -203,30 +236,38 @@ impl Term {
 
     /// Declares `n` the root.
     pub fn set_root(&mut self, n: TermNodeId) {
-        assert!(self.node(n).parent.is_none());
+        assert!(self.parent(n).is_none());
         self.forget_depths();
         self.root = Some(n);
     }
 
+    #[inline]
     fn node(&self, n: TermNodeId) -> &Node {
         let node = &self.nodes[n.index()];
-        debug_assert!(!node.free, "access to freed term node {:?}", n);
+        debug_assert!(node.weight != 0, "access to freed term node {:?}", n);
         node
     }
 
     fn node_mut(&mut self, n: TermNodeId) -> &mut Node {
         let node = &mut self.nodes[n.index()];
-        debug_assert!(!node.free, "access to freed term node {:?}", n);
+        debug_assert!(node.weight != 0, "access to freed term node {:?}", n);
         node
     }
 
-    fn alloc(&mut self, node: Node) -> TermNodeId {
+    #[inline]
+    fn links(&self, n: TermNodeId) -> &Links {
+        &self.links[n.index()]
+    }
+
+    fn alloc(&mut self, node: Node, links: Links) -> TermNodeId {
         self.forget_depths();
         if let Some(i) = self.free_list.pop() {
             self.nodes[i as usize] = node;
+            self.links[i as usize] = links;
             TermNodeId(i)
         } else {
             self.nodes.push(node);
+            self.links.push(links);
             TermNodeId(self.nodes.len() as u32 - 1)
         }
     }
@@ -237,23 +278,14 @@ impl Term {
             !matches!(kind, TermNodeKind::Op(_)),
             "leaves cannot be operators"
         );
-        self.alloc(Node {
-            kind,
-            parent: None,
-            children: None,
-            weight: 1,
-            free: false,
-        })
+        self.alloc(Node { kind, weight: 1 }, Links::NONE)
     }
 
     /// Adds an operator node over two detached operands, checking sorts.
     pub fn add_op(&mut self, op: TermOp, left: TermNodeId, right: TermNodeId) -> TermNodeId {
+        assert!(self.parent(left).is_none(), "left operand already attached");
         assert!(
-            self.node(left).parent.is_none(),
-            "left operand already attached"
-        );
-        assert!(
-            self.node(right).parent.is_none(),
+            self.parent(right).is_none(),
             "right operand already attached"
         );
         // A real assert (not debug_assert): the sort discipline is what keeps
@@ -273,19 +305,25 @@ impl Term {
             op
         );
         let weight = self.node(left).weight + self.node(right).weight;
-        let id = self.alloc(Node {
-            kind: TermNodeKind::Op(op),
-            parent: None,
-            children: Some((left, right)),
-            weight,
-            free: false,
-        });
-        self.node_mut(left).parent = Some(id);
-        self.node_mut(right).parent = Some(id);
+        let links = Links {
+            parent: NONE,
+            left: left.0,
+            right: right.0,
+        };
+        let id = self.alloc(
+            Node {
+                kind: TermNodeKind::Op(op),
+                weight,
+            },
+            links,
+        );
+        self.links[left.index()].parent = id.0;
+        self.links[right.index()].parent = id.0;
         id
     }
 
     /// The kind of node `n`.
+    #[inline]
     pub fn kind(&self, n: TermNodeId) -> TermNodeKind {
         self.node(n).kind
     }
@@ -294,7 +332,7 @@ impl Term {
     /// that turn an `a_□` back into an `a_t`).
     pub fn set_leaf_kind(&mut self, n: TermNodeId, kind: TermNodeKind) {
         assert!(
-            self.node(n).children.is_none(),
+            self.children(n).is_none(),
             "set_leaf_kind on an internal node"
         );
         assert!(!matches!(kind, TermNodeKind::Op(_)));
@@ -311,18 +349,20 @@ impl Term {
     }
 
     /// Parent of `n`.
+    #[inline]
     pub fn parent(&self, n: TermNodeId) -> Option<TermNodeId> {
-        self.node(n).parent
+        self.links(n).parent()
     }
 
     /// Children of `n`, if internal.
+    #[inline]
     pub fn children(&self, n: TermNodeId) -> Option<(TermNodeId, TermNodeId)> {
-        self.node(n).children
+        self.links(n).children()
     }
 
     /// `true` iff `n` is a leaf.
     pub fn is_leaf(&self, n: TermNodeId) -> bool {
-        self.node(n).children.is_none()
+        self.links(n).left == NONE
     }
 
     /// Weight (number of term leaves, i.e. encoded tree nodes) of the subterm at `n`.
@@ -332,19 +372,14 @@ impl Term {
 
     /// `true` iff the slot is live.
     pub fn is_live(&self, n: TermNodeId) -> bool {
-        n.index() < self.nodes.len() && !self.nodes[n.index()].free
-    }
-
-    /// The arena capacity: one more than the largest `TermNodeId` ever
-    /// allocated (freed slots included).  Parallel dense structures — the
-    /// engine's term-to-box slab and dirty bitmaps — size themselves by this.
-    pub fn arena_len(&self) -> usize {
-        self.nodes.len()
+        self.nodes
+            .get(n.index())
+            .is_some_and(|node| node.weight != 0)
     }
 
     /// Number of live nodes.
     pub fn len(&self) -> usize {
-        self.nodes.iter().filter(|n| !n.free).count()
+        self.nodes.iter().filter(|n| n.weight != 0).count()
     }
 
     /// `true` iff the arena has no live nodes.
@@ -423,11 +458,8 @@ impl Term {
     /// Replaces child `old` of node `parent` by `new` (which must be detached),
     /// updating weights up to the root.
     pub fn replace_child(&mut self, parent: TermNodeId, old: TermNodeId, new: TermNodeId) {
-        assert!(
-            self.node(new).parent.is_none(),
-            "replacement must be detached"
-        );
-        let (l, r) = self.node(parent).children.expect("replace_child on a leaf");
+        assert!(self.parent(new).is_none(), "replacement must be detached");
+        let (l, r) = self.children(parent).expect("replace_child on a leaf");
         let children = if l == old {
             (new, r)
         } else {
@@ -435,15 +467,16 @@ impl Term {
             (l, new)
         };
         self.forget_depths();
-        self.node_mut(parent).children = Some(children);
-        self.node_mut(old).parent = None;
-        self.node_mut(new).parent = Some(parent);
+        let p = &mut self.links[parent.index()];
+        (p.left, p.right) = (children.0 .0, children.1 .0);
+        self.links[old.index()].parent = NONE;
+        self.links[new.index()].parent = parent.0;
         self.recompute_weights_upwards(parent);
     }
 
     /// Replaces the root of the term by a detached node.
     pub fn replace_root(&mut self, new: TermNodeId) {
-        assert!(self.node(new).parent.is_none());
+        assert!(self.parent(new).is_none());
         self.forget_depths();
         self.root = Some(new);
     }
@@ -452,31 +485,26 @@ impl Term {
     pub fn recompute_weights_upwards(&mut self, n: TermNodeId) {
         let mut cur = Some(n);
         while let Some(x) = cur {
-            if let Some((l, r)) = self.node(x).children {
+            if let Some((l, r)) = self.children(x) {
                 let w = self.node(l).weight + self.node(r).weight;
                 self.node_mut(x).weight = w;
             }
-            cur = self.node(x).parent;
+            cur = self.parent(x);
         }
     }
 
     /// Frees the subterm rooted at `n` (which must be detached).
     pub fn free_subtree(&mut self, n: TermNodeId) {
-        assert!(
-            self.node(n).parent.is_none(),
-            "free_subtree on an attached node"
-        );
+        assert!(self.parent(n).is_none(), "free_subtree on an attached node");
         self.forget_depths();
         let mut stack = vec![n];
         while let Some(x) = stack.pop() {
-            if let Some((l, r)) = self.node(x).children {
+            if let Some((l, r)) = self.children(x) {
                 stack.push(l);
                 stack.push(r);
             }
-            let slot = &mut self.nodes[x.index()];
-            slot.free = true;
-            slot.parent = None;
-            slot.children = None;
+            self.nodes[x.index()].weight = 0;
+            self.links[x.index()] = Links::NONE;
             self.free_list.push(x.0);
         }
     }
@@ -576,6 +604,7 @@ impl Term {
     }
 
     /// The `φ` mapping: term leaf → encoded tree node.
+    #[inline]
     pub fn leaf_tree_node(&self, n: TermNodeId) -> Option<NodeId> {
         match self.kind(n) {
             TermNodeKind::TreeLeaf { node, .. } | TermNodeKind::ContextLeaf { node, .. } => {
@@ -583,6 +612,32 @@ impl Term {
             }
             TermNodeKind::Op(_) => None,
         }
+    }
+}
+
+/// The shape every query's circuit, index and enumeration read: a box is
+/// its term node, named by the node's arena index, and a leaf's token is
+/// the tree node it encodes.
+impl<I: Copy + Eq + From<u32> + Into<u32>> Topology<I> for Term {
+    #[inline]
+    fn root(&self) -> I {
+        I::from(Term::root(self).0)
+    }
+
+    #[inline]
+    fn parent(&self, n: I) -> Option<I> {
+        Term::parent(self, TermNodeId(n.into())).map(|p| I::from(p.0))
+    }
+
+    #[inline]
+    fn children(&self, n: I) -> Option<(I, I)> {
+        let children = Term::children(self, TermNodeId(n.into()));
+        children.map(|(l, r)| (I::from(l.0), I::from(r.0)))
+    }
+
+    #[inline]
+    fn leaf_token(&self, n: I) -> Option<u32> {
+        self.leaf_tree_node(TermNodeId(n.into())).map(|node| node.0)
     }
 }
 
@@ -620,6 +675,7 @@ mod tests {
         assert_eq!(term.sort(a), Sort::Context);
         assert_eq!(term.subtree_leaves(root), vec![a, b, c]);
         assert_eq!(term.height(), 2);
+        assert_eq!(std::mem::size_of::<Links>(), 12);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! batch.
 //!
 //! [`apply_edits`] reports every term node whose subterm changed (`dirty`,
-//! bottom-up) and every freed node, so the engine can repair the assignment
-//! circuit and the enumeration index for exactly those boxes.
+//! bottom-up), every node that got new children (`relinked`) and every freed
+//! node, so the engine can repair the assignment circuit and the enumeration
+//! index for exactly those boxes.
 
 use crate::build::{build_context_subterm, build_forest_subterm, set_phi, Phi};
 use crate::term::{Sort, Term, TermNodeId, TermNodeKind, TermOp};
@@ -31,8 +32,24 @@ pub struct UpdateReport {
     pub dirty: Vec<TermNodeId>,
     /// Term nodes that were removed from the term (their boxes must be freed).
     pub freed: Vec<TermNodeId>,
+    /// Internal term nodes that got new children, in splice order, each
+    /// with the children it had before (a node made in this edit is new
+    /// anyway and not listed).  A relinked node may keep both children's
+    /// `γ` — a deletion hoists an unchanged sibling under its grandparent —
+    /// so its box must be recomputed even then.
+    pub relinked: Vec<Relink>,
     /// The tree node created by an insertion, if any.
     pub inserted: Option<NodeId>,
+}
+
+/// A term node that got new children, and the children it had before.
+pub type Relink = (TermNodeId, (TermNodeId, TermNodeId));
+
+/// `term.replace_child(parent, old, new)`, returning the relink it makes.
+fn relink(term: &mut Term, parent: TermNodeId, old: TermNodeId, new: TermNodeId) -> Relink {
+    let before = term.children(parent).expect("a parent is internal");
+    term.replace_child(parent, old, new);
+    (parent, before)
 }
 
 /// The merged outcome of applying a batch of edits ([`apply_edits`]).
@@ -137,8 +154,7 @@ fn splice_edit(
             term.set_leaf_kind(leaf, kind);
             UpdateReport {
                 dirty: ancestors_inclusive(term, leaf).collect(),
-                freed: Vec::new(),
-                inserted: None,
+                ..UpdateReport::default()
             }
         }
         EditOp::InsertFirstChild { parent, label } => {
@@ -190,14 +206,14 @@ fn placeholder(term: &mut Term, sort: Sort) -> TermNodeId {
 
 /// Wraps `target` under a fresh `op` node whose other operand is `sibling`
 /// (`sibling_on_left` selects the operand order), keeping the term attached.
-/// Returns the new operator node.
+/// Returns the new operator node and its parent's relink, if it has one.
 fn wrap_above(
     term: &mut Term,
     target: TermNodeId,
     op: TermOp,
     sibling: TermNodeId,
     sibling_on_left: bool,
-) -> TermNodeId {
+) -> (TermNodeId, Option<Relink>) {
     let parent = term.parent(target);
     // A placeholder of the same sort as `target` so the sort checks in `add_op` pass.
     let sort = term.sort(target);
@@ -207,16 +223,19 @@ fn wrap_above(
     } else {
         term.add_op(op, placeholder, sibling)
     };
-    match parent {
-        Some(p) => term.replace_child(p, target, new_op),
-        None => term.replace_root(new_op),
-    }
+    let relinked = match parent {
+        Some(p) => Some(relink(term, p, target, new_op)),
+        None => {
+            term.replace_root(new_op);
+            None
+        }
+    };
     term.replace_child(new_op, placeholder, target);
     term.free_subtree(placeholder);
     if let Some(p) = parent {
         term.recompute_weights_upwards(p);
     }
-    new_op
+    (new_op, relinked)
 }
 
 /// `fresh` becomes the only child of the (previous) tree leaf `parent`:
@@ -240,14 +259,14 @@ fn insert_below_leaf(
         label: tree.label(fresh),
         node: fresh,
     });
-    let new_op = wrap_above(term, old_leaf, TermOp::OdotVH, fresh_leaf, false);
+    let (new_op, relinked) = wrap_above(term, old_leaf, TermOp::OdotVH, fresh_leaf, false);
     set_phi(phi, fresh, fresh_leaf);
     let mut dirty = vec![old_leaf, fresh_leaf];
     dirty.extend(ancestors_inclusive(term, new_op));
     UpdateReport {
         dirty,
-        freed: Vec::new(),
-        inserted: None,
+        relinked: relinked.into_iter().collect(),
+        ..UpdateReport::default()
     }
 }
 
@@ -268,14 +287,14 @@ fn insert_left_of(
         Sort::Forest => TermOp::OplusHH,
         Sort::Context => TermOp::OplusHV,
     };
-    let new_op = wrap_above(term, anchor_leaf, op, fresh_leaf, true);
+    let (new_op, relinked) = wrap_above(term, anchor_leaf, op, fresh_leaf, true);
     set_phi(phi, fresh, fresh_leaf);
     let mut dirty = vec![fresh_leaf];
     dirty.extend(ancestors_inclusive(term, new_op));
     UpdateReport {
         dirty,
-        freed: Vec::new(),
-        inserted: None,
+        relinked: relinked.into_iter().collect(),
+        ..UpdateReport::default()
     }
 }
 
@@ -296,14 +315,14 @@ fn insert_right_of(
         Sort::Forest => TermOp::OplusHH,
         Sort::Context => TermOp::OplusVH,
     };
-    let new_op = wrap_above(term, anchor_leaf, op, fresh_leaf, false);
+    let (new_op, relinked) = wrap_above(term, anchor_leaf, op, fresh_leaf, false);
     set_phi(phi, fresh, fresh_leaf);
     let mut dirty = vec![fresh_leaf];
     dirty.extend(ancestors_inclusive(term, new_op));
     UpdateReport {
         dirty,
-        freed: Vec::new(),
-        inserted: None,
+        relinked: relinked.into_iter().collect(),
+        ..UpdateReport::default()
     }
 }
 
@@ -329,10 +348,13 @@ fn delete_leaf(
             let placeholder = placeholder(term, sibling_sort);
             term.replace_child(parent, sibling, placeholder);
             let grand = term.parent(parent);
-            match grand {
-                Some(g) => term.replace_child(g, parent, sibling),
-                None => term.replace_root(sibling),
-            }
+            let relinked = match grand {
+                Some(g) => vec![relink(term, g, parent, sibling)],
+                None => {
+                    term.replace_root(sibling);
+                    Vec::new()
+                }
+            };
             term.free_subtree(parent);
             let dirty = match grand {
                 Some(g) => ancestors_inclusive(term, g).collect(),
@@ -341,6 +363,7 @@ fn delete_leaf(
             UpdateReport {
                 dirty,
                 freed: vec![parent, leaf, placeholder],
+                relinked,
                 inserted: None,
             }
         }
@@ -373,10 +396,13 @@ fn rebuild_subterm(
         None => build_forest_subterm(tree, &roots, term, phi),
         Some(h) => build_context_subterm(tree, &roots, h, term, phi),
     };
-    match parent_of_z {
-        Some(p) => term.replace_child(p, z, new_sub),
-        None => term.replace_root(new_sub),
-    }
+    let relinked = match parent_of_z {
+        Some(p) => vec![relink(term, p, z, new_sub)],
+        None => {
+            term.replace_root(new_sub);
+            Vec::new()
+        }
+    };
     let freed = term.subtree_postorder(z);
     term.free_subtree(z);
     if let Some(p) = parent_of_z {
@@ -387,6 +413,7 @@ fn rebuild_subterm(
     UpdateReport {
         dirty,
         freed,
+        relinked,
         inserted: None,
     }
 }

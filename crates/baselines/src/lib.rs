@@ -28,7 +28,7 @@ use treenum_circuits::{internal_box_content, leaf_box_content, BoxId, Circuit, C
 use treenum_core::TreeEnumerator;
 use treenum_enumeration::boxenum::BoxEnumMode;
 use treenum_enumeration::dedup::enumerate_root;
-use treenum_enumeration::EnumIndex;
+use treenum_enumeration::{EnumIndex, EnumSource};
 use treenum_trees::binary::{left_child_right_sibling, BinaryNodeId};
 use treenum_trees::edit::EditOp;
 use treenum_trees::unranked::{NodeId, UnrankedTree};
@@ -83,9 +83,9 @@ impl RecomputeBaseline {
 pub struct UnbalancedBaseline {
     tree: UnrankedTree,
     binary_tva: treenum_automata::BinaryTva,
+    /// One box per node of `binary`, named by the node's arena index.
     circuit: Circuit,
     index: EnumIndex,
-    box_of: HashMap<BinaryNodeId, BoxId>,
     /// binary node -> encoded unranked node (for relabel routing and output mapping)
     node_of: HashMap<BinaryNodeId, NodeId>,
     binary: treenum_trees::binary::BinaryTree,
@@ -104,15 +104,14 @@ impl UnbalancedBaseline {
         nil_label: Label,
     ) -> Self {
         let (binary, mapping) = left_child_right_sibling(&tree, nil_label);
-        let ac = treenum_circuits::build_assignment_circuit(&binary_tva, &binary);
-        let index = EnumIndex::build(&ac.circuit);
+        let circuit = treenum_circuits::build_assignment_circuit(&binary_tva, &binary);
+        let index = EnumIndex::build(&circuit, &binary);
         let node_of: HashMap<BinaryNodeId, NodeId> = mapping.into_iter().collect();
         UnbalancedBaseline {
             tree,
             binary_tva,
-            circuit: ac.circuit,
+            circuit,
             index,
-            box_of: ac.box_of,
             node_of,
             binary,
             nil_label,
@@ -122,21 +121,24 @@ impl UnbalancedBaseline {
     /// The depth of the circuit (equal to the encoding height): the quantity that
     /// makes this baseline's updates linear on deep trees.
     pub fn circuit_depth(&self) -> usize {
-        self.circuit.height()
+        self.binary.height()
     }
 
     /// Enumerates all answers, mapping leaf tokens back to unranked nodes.
     pub fn assignments(&self) -> Vec<Assignment> {
-        let root_box = self.box_of[&self.binary.root()];
+        let root_box = BoxId(self.binary.root().0);
         let (gates, empty) = self
             .circuit
             .gamma(root_box)
             .boxed_set(self.binary_tva.final_states());
         let mut out = Vec::new();
         let _ = enumerate_root(
-            &self.circuit,
-            Some(&self.index),
-            BoxEnumMode::Indexed,
+            EnumSource::new(
+                &self.circuit,
+                &self.binary,
+                Some(&self.index),
+                BoxEnumMode::Indexed,
+            ),
             root_box,
             &gates,
             empty,
@@ -174,20 +176,20 @@ impl UnbalancedBaseline {
         let mut cur = Some(binary_node);
         let mut staging = ContentStaging::default();
         while let Some(n) = cur {
-            let b = self.box_of[&n];
+            let b = BoxId(n.0);
             let label = self.binary.label(n);
             let content = match self.binary.children(n) {
                 None => leaf_box_content(&self.binary_tva, label, &mut staging),
                 Some((l, r)) => internal_box_content(
                     &self.binary_tva,
                     label,
-                    self.circuit.gamma(self.box_of[&l]),
-                    self.circuit.gamma(self.box_of[&r]),
+                    self.circuit.gamma(BoxId(l.0)),
+                    self.circuit.gamma(BoxId(r.0)),
                     &mut staging,
                 ),
             };
-            self.circuit.replace_content(b, content);
-            self.index.rebuild_box(&self.circuit, b);
+            self.circuit.set_content(b, content);
+            self.index.rebuild_box(&self.circuit, &self.binary, b);
             touched += 1;
             cur = self.binary.parent(n);
         }

@@ -10,24 +10,10 @@ use crate::circuit::{
     child_word, header_words, push_var_words, set_gate_start, times_word, BoxContent, BoxId,
     Circuit, Gamma, Side, StateGate,
 };
-use std::collections::HashMap;
 use treenum_automata::BinaryTva;
-use treenum_trees::binary::{BinaryNodeId, BinaryTree};
+use treenum_trees::binary::BinaryTree;
 use treenum_trees::valuation::VarSet;
 use treenum_trees::Label;
-
-/// An assignment circuit together with the mapping from tree nodes to boxes.
-///
-/// This is the output of the *static* construction over a [`BinaryTree`]; the
-/// incremental engine in `treenum-core` maintains the same structure keyed by
-/// forest-algebra term nodes instead.
-#[derive(Clone, Debug)]
-pub struct AssignmentCircuit {
-    /// The circuit.
-    pub circuit: Circuit,
-    /// `box_of[n]` is the box built for binary tree node `n` (indexed by arena id).
-    pub box_of: HashMap<BinaryNodeId, BoxId>,
-}
 
 /// Reusable buffers the content builders write a record into, so building
 /// a box's content allocates nothing once they have grown to the largest
@@ -166,48 +152,29 @@ pub fn internal_box_content<'s>(
 }
 
 /// Builds the assignment circuit of a homogenized binary TVA on a binary tree
-/// (Lemma 3.7): one box per tree node, processed bottom-up, in time
-/// `O(|T| × |A|)`.  Leaf tokens are the binary node identifiers.
-pub fn build_assignment_circuit(tva: &BinaryTva, tree: &BinaryTree) -> AssignmentCircuit {
+/// (Lemma 3.7): one box per tree node, named by the node's arena index,
+/// processed bottom-up, in time `O(|T| × |A|)`.  The tree is the circuit's
+/// [`treenum_trees::Topology`]; leaf tokens are the binary node identifiers.
+/// The gates `γ(root, q)` of the final states (see [`Gamma::boxed_set`])
+/// capture the non-empty satisfying assignments.
+pub fn build_assignment_circuit(tva: &BinaryTva, tree: &BinaryTree) -> Circuit {
     let mut circuit = Circuit::new(tva.num_states());
-    let mut box_of: HashMap<BinaryNodeId, BoxId> = HashMap::new();
     let mut staging = ContentStaging::default();
     for n in tree.postorder() {
         let label = tree.label(n);
-        let b = match tree.children(n) {
-            None => {
-                let content = leaf_box_content(tva, label, &mut staging);
-                circuit.add_leaf_box(content, n.0)
-            }
-            Some((l, r)) => {
-                let bl = box_of[&l];
-                let br = box_of[&r];
-                let content = internal_box_content(
-                    tva,
-                    label,
-                    circuit.gamma(bl),
-                    circuit.gamma(br),
-                    &mut staging,
-                );
-                circuit.add_internal_box(content, bl, br)
-            }
+        let content = match tree.children(n) {
+            None => leaf_box_content(tva, label, &mut staging),
+            Some((l, r)) => internal_box_content(
+                tva,
+                label,
+                circuit.gamma(BoxId(l.0)),
+                circuit.gamma(BoxId(r.0)),
+                &mut staging,
+            ),
         };
-        box_of.insert(n, b);
+        circuit.set_content(BoxId(n.0), content);
     }
-    let root_box = box_of[&tree.root()];
-    circuit.set_root(root_box);
-    AssignmentCircuit { circuit, box_of }
-}
-
-impl AssignmentCircuit {
-    /// The gates `γ(root, q)` for the final states of `tva`: the boxed set whose
-    /// captured assignments are exactly the non-empty satisfying assignments, plus a
-    /// flag telling whether the empty assignment is satisfying (some final 0-state has
-    /// a `⊤` root gate).
-    pub fn root_query(&self, tva: &BinaryTva, tree: &BinaryTree) -> (Vec<u32>, bool) {
-        let root_box = self.box_of[&tree.root()];
-        self.circuit.gamma(root_box).boxed_set(tva.final_states())
-    }
+    circuit
 }
 
 #[cfg(test)]
@@ -218,7 +185,7 @@ mod tests {
     use treenum_automata::binary::select_a_leaves;
     use treenum_automata::State;
     use treenum_trees::valuation::{Var, VarSet};
-    use treenum_trees::Alphabet;
+    use treenum_trees::{Alphabet, Topology};
 
     fn chain_tree(depth: usize, leaf_label: Label, internal_label: Label) -> BinaryTree {
         let mut t = BinaryTree::leaf(leaf_label);
@@ -239,11 +206,13 @@ mod tests {
         let tva = select_a_leaves(a, f, Var(0));
         assert!(tva.is_homogenized());
         let tree = chain_tree(6, a, f);
-        let ac = build_assignment_circuit(&tva, &tree);
-        ac.circuit.validate();
-        assert!(ac.circuit.width() <= tva.num_states());
-        assert_eq!(ac.circuit.num_boxes(), tree.len());
-        assert_eq!(ac.circuit.height(), tree.height());
+        let circuit = build_assignment_circuit(&tva, &tree);
+        circuit.validate(&tree);
+        assert!(circuit.width() <= tva.num_states());
+        assert_eq!(circuit.num_boxes(), tree.len());
+        // The boxes' topology is the tree's.
+        let depth = |n: BoxId| Topology::depth(&tree, n);
+        assert_eq!(circuit.boxes().map(depth).max(), Some(tree.height()));
     }
 
     #[test]
@@ -253,11 +222,10 @@ mod tests {
         let f = sigma.get("f").unwrap();
         let tva = select_a_leaves(a, f, Var(0));
         let tree = chain_tree(3, a, f);
-        let ac = build_assignment_circuit(&tva, &tree);
+        let circuit = build_assignment_circuit(&tva, &tree);
         // The root gate for the final state q1 must capture exactly the singletons
         // {⟨x : leaf⟩} for every a-leaf.
-        let root_box = ac.box_of[&tree.root()];
-        let captured = capture_state(&ac.circuit, root_box, State(1));
+        let captured = capture_state(&circuit, &tree, BoxId(tree.root().0), State(1));
         let expected: std::collections::HashSet<_> = tva
             .satisfying_assignments(&tree)
             .into_iter()
@@ -320,8 +288,9 @@ mod tests {
         tva.add_transition(f, State(0), State(0), State(0));
         tva.add_final(State(0));
         let tree = chain_tree(2, a, f);
-        let ac = build_assignment_circuit(&tva, &tree);
-        let (gates, empty) = ac.root_query(&tva, &tree);
+        let circuit = build_assignment_circuit(&tva, &tree);
+        let root = circuit.gamma(BoxId(tree.root().0));
+        let (gates, empty) = root.boxed_set(tva.final_states());
         assert!(gates.is_empty());
         assert!(empty);
     }

@@ -30,20 +30,36 @@
 //! stored.  The content builders emit each gate's inputs sorted by word,
 //! i.e. ×-gates, then left wires, then right wires, or var-gates by `Y`.
 //!
-//! A box's slot in the arena is `Copy` topology (parent, children, leaf
-//! token), the record's [`Block`] and the width, so [`Circuit::box_width`]
-//! is one slot load and a clone of the circuit copies chunks of plain
-//! data.
+//! A box's slot in the arena is the record's [`Block`] and the width, so
+//! [`Circuit::box_width`] is one slot load and a clone of the circuit
+//! copies chunks of plain data.  The slot holds no links: a box is named by
+//! the arena index of its tree node, and the tree's [`Topology`] is its
+//! parent, children and leaf token.
 
 use crate::slab::{Block, Slab};
 use std::fmt;
 use treenum_automata::State;
 use treenum_trees::valuation::VarSet;
-use treenum_trees::ChunkedVec;
+use treenum_trees::{ChunkedVec, Topology};
 
-/// Identifier of a box (equivalently, of a v-tree node) of a [`Circuit`].
+/// Identifier of a box of a [`Circuit`]: the arena index of the tree node
+/// (equivalently, v-tree node) the box belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BoxId(pub u32);
+
+impl From<u32> for BoxId {
+    #[inline]
+    fn from(i: u32) -> Self {
+        BoxId(i)
+    }
+}
+
+impl From<BoxId> for u32 {
+    #[inline]
+    fn from(b: BoxId) -> Self {
+        b.0
+    }
+}
 
 impl BoxId {
     /// Arena index of this box.
@@ -384,40 +400,29 @@ impl Iterator for GateInputs<'_> {
     }
 }
 
-/// A `u32` link with no box (or no leaf token).
-const NONE: u32 = u32::MAX;
+/// A var-gate's leaf token in a box with none (an internal box).
+const NO_TOKEN: u32 = u32::MAX;
 
-/// One box: `Copy` topology, where its record lives, and its width (24
-/// bytes).  A free slot has no record.
-#[derive(Clone, Copy, Debug)]
+/// One box: where its record lives and its width (12 bytes).  A slot with
+/// no record has no box.
+#[derive(Clone, Copy, Debug, Default)]
 struct BoxSlot {
-    parent: u32,
-    /// The left child; [`NONE`] for a leaf box.
-    left: u32,
-    /// The right child of an internal box.  A leaf box keeps here the
-    /// token of the tree leaf it corresponds to ([`NONE`] if it has none).
-    right: u32,
     record: Block,
     width: u16,
 }
 
-#[inline]
-fn link(x: u32) -> Option<BoxId> {
-    (x != NONE).then_some(BoxId(x))
-}
-
 /// A box-structured complete structured DNNF (set circuit).
 ///
-/// The tree of boxes *is* the v-tree: leaf boxes are labelled (implicitly) by the
-/// singletons of their leaf token, and the structuring function maps every gate to
-/// the box containing it.  Box contents are word records in one slab (see
-/// the module docs).
+/// The circuit keeps box *content* only, in a slot per [`BoxId`]; the tree
+/// of boxes is the tree the circuit is built on, read through
+/// [`Topology`]: the v-tree and the structuring function of Lemma 3.7 map
+/// every gate to the tree node its box is named by, and a leaf box's
+/// var-gates carry that node's leaf token.  Box contents are word records
+/// in one slab (see the module docs).
 #[derive(Clone, Debug, Default)]
 pub struct Circuit {
     slots: ChunkedVec<BoxSlot>,
     slab: Slab,
-    free_list: Vec<u32>,
-    root: Option<BoxId>,
     num_states: usize,
 }
 
@@ -435,139 +440,44 @@ impl Circuit {
         self.num_states
     }
 
-    /// The root box.
-    ///
-    /// # Panics
-    /// Panics if no root has been declared yet.
-    pub fn root(&self) -> BoxId {
-        self.root.expect("circuit has no root box")
-    }
-
-    /// Declares `b` as the root box.
-    pub fn set_root(&mut self, b: BoxId) {
-        assert!(
-            self.parent(b).is_none(),
-            "the root box cannot have a parent"
-        );
-        self.root = Some(b);
-    }
-
-    /// Number of live boxes.
+    /// Number of boxes.
     pub fn num_boxes(&self) -> usize {
         self.slots.iter().filter(|s| !s.record.is_none()).count()
-    }
-
-    /// `true` iff the circuit has no boxes yet.
-    pub fn is_empty(&self) -> bool {
-        self.num_boxes() == 0
     }
 
     #[inline]
     fn slot(&self, b: BoxId) -> &BoxSlot {
         let s = &self.slots[b.index()];
-        debug_assert!(!s.record.is_none(), "access to freed box {:?}", b);
+        debug_assert!(!s.record.is_none(), "access to missing box {:?}", b);
         s
     }
 
-    #[inline]
-    fn slot_mut(&mut self, b: BoxId) -> &mut BoxSlot {
-        let s = &mut self.slots[b.index()];
-        debug_assert!(!s.record.is_none(), "access to freed box {:?}", b);
-        s
-    }
-
-    /// Stores `content` as a new box with the given links (see
-    /// [`BoxSlot`]).
-    fn alloc(&mut self, content: BoxContent<'_>, left: u32, right: u32) -> BoxId {
+    /// Stores `content` as the content of box `b`, which becomes a box if
+    /// it was none: a word copy into the box's block, or into a new block
+    /// if the record no longer fits.
+    // hot-path: runs once per built or changed box on the repair path.
+    pub fn set_content(&mut self, b: BoxId, content: BoxContent<'_>) {
         debug_assert_eq!(content.num_states, self.num_states);
         let width = content.width();
         assert!(width <= u16::MAX as usize, "box of width {width}");
-        let slot = BoxSlot {
-            parent: NONE,
-            left,
-            right,
-            record: self.slab.store(Block::NONE, content.words),
-            width: width as u16,
-        };
-        if let Some(i) = self.free_list.pop() {
-            self.slots[i as usize] = slot;
-            BoxId(i)
-        } else {
-            self.slots.push(slot);
-            BoxId(self.slots.len() as u32 - 1)
-        }
-    }
-
-    /// Adds a leaf box with the given content and leaf token.
-    pub fn add_leaf_box(&mut self, content: BoxContent<'_>, leaf_token: u32) -> BoxId {
-        self.alloc(content, NONE, leaf_token)
-    }
-
-    /// Adds an internal box with the given content and children.
-    ///
-    /// # Panics
-    /// Panics if either child already has a parent.
-    pub fn add_internal_box(
-        &mut self,
-        content: BoxContent<'_>,
-        left: BoxId,
-        right: BoxId,
-    ) -> BoxId {
-        assert!(
-            self.parent(left).is_none(),
-            "left child box already attached"
-        );
-        assert!(
-            self.parent(right).is_none(),
-            "right child box already attached"
-        );
-        let id = self.alloc(content, left.0, right.0);
-        self.slot_mut(left).parent = id.0;
-        self.slot_mut(right).parent = id.0;
-        id
-    }
-
-    /// Replaces the content of box `b` (used by the update machinery when a box is
-    /// recomputed bottom-up after a tree hollowing): a word copy into the
-    /// box's block, or into a new block if the record no longer fits.
-    // hot-path: runs once per changed box on the repair path.
-    pub fn replace_content(&mut self, b: BoxId, content: BoxContent<'_>) {
-        debug_assert_eq!(content.num_states, self.num_states);
-        let width = content.width();
-        assert!(width <= u16::MAX as usize, "box of width {width}");
-        let old = self.slot(b).record;
-        let record = self.slab.store(old, content.words);
-        let slot = self.slot_mut(b);
-        slot.record = record;
+        let slot = self.slots.at_mut(b.index(), BoxSlot::default());
+        slot.record = self.slab.store(slot.record, content.words);
         slot.width = width as u16;
     }
 
-    /// The parent box of `b`.
-    #[inline]
-    pub fn parent(&self, b: BoxId) -> Option<BoxId> {
-        link(self.slot(b).parent)
-    }
-
-    /// The two child boxes of `b`, if it is internal.
-    #[inline]
-    pub fn children(&self, b: BoxId) -> Option<(BoxId, BoxId)> {
-        let s = self.slot(b);
-        (s.left != NONE).then_some((BoxId(s.left), BoxId(s.right)))
-    }
-
-    /// `true` iff `b` is a leaf box.
-    pub fn is_leaf(&self, b: BoxId) -> bool {
-        self.slot(b).left == NONE
-    }
-
-    /// The leaf token of `b`, if it is a leaf box.
-    pub fn leaf_token(&self, b: BoxId) -> Option<u32> {
-        let s = self.slot(b);
-        if s.left == NONE {
-            link(s.right).map(|t| t.0)
-        } else {
-            None
+    /// Removes box `b`, returning its record's block to the slab (a no-op
+    /// if `b` has no box).
+    pub fn free(&mut self, b: BoxId) {
+        if let Some(slot) = self.slots.get_mut(b.index()) {
+            self.slab.release(std::mem::take(slot).record);
         }
+    }
+
+    /// `true` iff `b` is a box (has content).
+    pub fn is_live(&self, b: BoxId) -> bool {
+        self.slots
+            .get(b.index())
+            .is_some_and(|s| !s.record.is_none())
     }
 
     /// The content record of box `b`.
@@ -585,12 +495,13 @@ impl Circuit {
         self.content(b).gamma()
     }
 
-    /// The decoded inputs of ∪-gate `g` of box `b`, in record order.
+    /// The decoded inputs of ∪-gate `g` of box `b` in the tree `shape`, in
+    /// record order.
     #[inline]
-    pub fn gate_inputs(&self, b: BoxId, g: usize) -> GateInputs<'_> {
-        let s = self.slot(b);
-        let leaf_token = if s.left == NONE { s.right } else { NONE };
-        self.content(b).inputs_of(g, s.width as usize, leaf_token)
+    pub fn gate_inputs<S: Topology<BoxId>>(&self, shape: &S, b: BoxId, g: usize) -> GateInputs<'_> {
+        let leaf_token = shape.leaf_token(b).unwrap_or(NO_TOKEN);
+        self.content(b)
+            .inputs_of(g, self.slot(b).width as usize, leaf_token)
     }
 
     /// Number of ∪-gates of box `b`.
@@ -610,32 +521,12 @@ impl Circuit {
         self.slab.words()
     }
 
-    /// Bytes of the box arena: one slot per box ever allocated.
+    /// Bytes of the box arena: one slot per id up to the largest box.
     pub fn slot_bytes(&self) -> usize {
         self.slots.len() * std::mem::size_of::<BoxSlot>()
     }
 
-    /// Depth of box `b` below the root (root has depth 0), computed by climbing.
-    pub fn depth(&self, b: BoxId) -> usize {
-        let mut d = 0;
-        let mut cur = b;
-        while let Some(p) = self.parent(cur) {
-            d += 1;
-            cur = p;
-        }
-        d
-    }
-
-    /// Height of the box tree.
-    pub fn height(&self) -> usize {
-        self.boxes_preorder()
-            .iter()
-            .map(|&b| self.depth(b))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Iterates over all live boxes (arena order, includes floating boxes).
+    /// Iterates over all boxes, in id order.
     pub fn boxes(&self) -> impl Iterator<Item = BoxId> + '_ {
         self.slots
             .iter()
@@ -644,128 +535,19 @@ impl Circuit {
             .map(|(i, _)| BoxId(i as u32))
     }
 
-    /// The boxes of the tree rooted at the root box, in preorder.
-    pub fn boxes_preorder(&self) -> Vec<BoxId> {
-        let Some(root) = self.root else {
-            return Vec::new();
-        };
-        self.subtree_preorder(root)
-    }
-
-    /// The boxes of the subtree rooted at `b`, in preorder (node, left, right).
-    pub fn subtree_preorder(&self, b: BoxId) -> Vec<BoxId> {
-        let mut out = Vec::new();
-        let mut stack = vec![b];
-        while let Some(x) = stack.pop() {
-            out.push(x);
-            if let Some((l, r)) = self.children(x) {
-                stack.push(r);
-                stack.push(l);
-            }
-        }
-        out
-    }
-
-    /// The boxes of the tree rooted at the root box, in postorder (children first).
-    pub fn boxes_postorder(&self) -> Vec<BoxId> {
-        let Some(root) = self.root else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        let mut stack = vec![root];
-        while let Some(x) = stack.pop() {
-            out.push(x);
-            if let Some((l, r)) = self.children(x) {
-                stack.push(l);
-                stack.push(r);
-            }
-        }
-        out.reverse();
-        out
-    }
-
-    /// Least common ancestor of `a` and `b` in the box tree, computed by climbing
-    /// (`O(height)`).
-    pub fn lca(&self, a: BoxId, b: BoxId) -> BoxId {
-        let (mut x, mut y) = (a, b);
-        let (mut dx, mut dy) = (self.depth(x), self.depth(y));
-        while dx > dy {
-            x = self.parent(x).expect("depth accounting broken");
-            dx -= 1;
-        }
-        while dy > dx {
-            y = self.parent(y).expect("depth accounting broken");
-            dy -= 1;
-        }
-        while x != y {
-            x = self.parent(x).expect("boxes are in different trees");
-            y = self.parent(y).expect("boxes are in different trees");
-        }
-        x
-    }
-
-    /// `true` iff `ancestor` is an ancestor of `b` (a box is an ancestor of itself).
-    pub fn is_ancestor(&self, ancestor: BoxId, b: BoxId) -> bool {
-        let mut cur = Some(b);
-        while let Some(x) = cur {
-            if x == ancestor {
-                return true;
-            }
-            cur = self.parent(x);
-        }
-        false
-    }
-
-    /// Compares two boxes by their position in the preorder traversal of the box tree
-    /// (`O(height)`).  Returns `Less` if `a` comes strictly before `b`.
-    pub fn preorder_cmp(&self, a: BoxId, b: BoxId) -> std::cmp::Ordering {
-        use std::cmp::Ordering;
-        if a == b {
-            return Ordering::Equal;
-        }
-        let lca = self.lca(a, b);
-        if lca == a {
-            return Ordering::Less; // ancestors come first in preorder
-        }
-        if lca == b {
-            return Ordering::Greater;
-        }
-        // Find the children of the lca on the paths to a and b.
-        let child_towards = |target: BoxId| -> BoxId {
-            let mut cur = target;
-            loop {
-                let p = self.parent(cur).expect("lca computation broken");
-                if p == lca {
-                    return cur;
-                }
-                cur = p;
-            }
-        };
-        let ca = child_towards(a);
-        let cb = child_towards(b);
-        let (l, _r) = self
-            .children(lca)
-            .expect("lca with two distinct descendants must be internal");
-        if ca == l {
-            debug_assert_ne!(cb, l);
-            Ordering::Less
-        } else {
-            Ordering::Greater
-        }
-    }
-
-    /// Validates the structural invariants of a complete structured DNNF:
-    /// parent/child pointers are consistent, `γ` maps no state to both `⊤`
-    /// and a ∪-gate and refers to exactly the box's ∪-gates, `×`-gates
-    /// reference existing ∪-gates of the child boxes, `var`-gates appear
-    /// only in leaf boxes, cross-box wires point to existing gates of child
-    /// boxes, and every ∪-gate has at least one input.
+    /// Validates the structural invariants of a complete structured DNNF
+    /// over the tree `shape`: every node has a box, `γ` maps no state to
+    /// both `⊤` and a ∪-gate and refers to exactly the box's ∪-gates,
+    /// `×`-gates reference existing ∪-gates of the child boxes, `var`-gates
+    /// appear only in leaf boxes, cross-box wires point to existing gates
+    /// of child boxes, and every ∪-gate has at least one input.
     ///
     /// # Panics
     /// Panics (with a descriptive message) if an invariant is violated.
-    pub fn validate(&self) {
+    pub fn validate<S: Topology<BoxId>>(&self, shape: &S) {
         let n = self.num_states;
-        for b in self.boxes_preorder() {
+        for b in shape.postorder() {
+            assert!(self.is_live(b), "tree node {b:?} has no box");
             let gamma = self.gamma(b);
             assert!(
                 (0..n).all(|q| !(bit(gamma.words, q) && bit(gamma.words, n + q))),
@@ -776,115 +558,38 @@ impl Circuit {
                 self.box_width(b),
                 "γ and the slot disagree on the width of {b:?}"
             );
-            if let Some((l, r)) = self.children(b) {
-                assert_eq!(self.parent(l), Some(b));
-                assert_eq!(self.parent(r), Some(b));
-            }
+            let children = shape.children(b);
+            let child = |side| {
+                let (l, r) = children.expect("a wire into a leaf box's children");
+                if side == Side::Left {
+                    l
+                } else {
+                    r
+                }
+            };
             for gi in 0..self.box_width(b) {
                 assert!(
-                    self.gate_inputs(b, gi).next().is_some(),
+                    self.gate_inputs(shape, b, gi).next().is_some(),
                     "∪-gate {gi} of {b:?} has no inputs"
                 );
-                for input in self.gate_inputs(b, gi) {
-                    match input {
+                for input in self.gate_inputs(shape, b, gi) {
+                    let dangling = match input {
                         UnionInput::Var { .. } => {
-                            assert!(self.is_leaf(b), "var-gate outside a leaf box in {:?}", b);
+                            assert!(children.is_none(), "var-gate outside a leaf box in {b:?}");
+                            false
                         }
                         UnionInput::Times { left, right } => {
-                            let (l, r) = self.children(b).expect("×-gate in a leaf box");
-                            assert!(
-                                (left as usize) < self.box_width(l),
-                                "dangling × left wire in {:?}",
-                                b
-                            );
-                            assert!(
-                                (right as usize) < self.box_width(r),
-                                "dangling × right wire in {:?}",
-                                b
-                            );
+                            left as usize >= self.box_width(child(Side::Left))
+                                || right as usize >= self.box_width(child(Side::Right))
                         }
                         UnionInput::Child { side, gate } => {
-                            let (l, r) = self.children(b).expect("child wire in a leaf box");
-                            let target = match side {
-                                Side::Left => l,
-                                Side::Right => r,
-                            };
-                            assert!(
-                                (gate as usize) < self.box_width(target),
-                                "dangling child wire in {:?}",
-                                b
-                            );
+                            gate as usize >= self.box_width(child(side))
                         }
-                    }
+                    };
+                    assert!(!dangling, "dangling wire in {b:?}");
                 }
             }
         }
-    }
-}
-
-impl Circuit {
-    /// `true` iff `b` refers to a live (non-freed) box slot.
-    pub fn is_live(&self, b: BoxId) -> bool {
-        self.slots
-            .get(b.index())
-            .is_some_and(|s| !s.record.is_none())
-    }
-
-    /// The arena capacity: one more than the largest `BoxId` ever allocated
-    /// (freed slots included).  Parallel dense structures — the enumeration
-    /// index's address table, the engine's repair marks — size themselves
-    /// by this.
-    pub fn arena_len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Adds a detached box with no children; `leaf_token` marks leaf boxes.
-    /// Used by the incremental engine, which wires children explicitly with
-    /// [`Circuit::set_children`].
-    pub fn add_orphan_box(&mut self, content: BoxContent<'_>, leaf_token: Option<u32>) -> BoxId {
-        self.alloc(content, NONE, leaf_token.unwrap_or(NONE))
-    }
-
-    /// Overwrites the children of `b` (and the parent pointers of the new children).
-    /// Old children are left untouched; the caller is responsible for freeing or
-    /// re-attaching them.  Used by the incremental engine when repairing the box tree
-    /// after a tree hollowing.  A leaf box set to have no children keeps its
-    /// leaf token.
-    pub fn set_children(&mut self, b: BoxId, children: Option<(BoxId, BoxId)>) {
-        let slot = self.slot_mut(b);
-        match children {
-            Some((l, r)) => (slot.left, slot.right) = (l.0, r.0),
-            None if slot.left != NONE => (slot.left, slot.right) = (NONE, NONE),
-            None => {}
-        }
-        if let Some((l, r)) = children {
-            self.slot_mut(l).parent = b.0;
-            self.slot_mut(r).parent = b.0;
-        }
-    }
-
-    /// Marks a single box slot as free (no recursion into children),
-    /// returning its record's block to the slab.
-    pub fn free_single(&mut self, b: BoxId) {
-        let slot = &mut self.slots[b.index()];
-        if slot.record.is_none() {
-            return;
-        }
-        self.slab.release(slot.record);
-        slot.record = Block::NONE;
-        slot.parent = NONE;
-        slot.left = NONE;
-        slot.right = NONE;
-        self.free_list.push(b.0);
-        if self.root == Some(b) {
-            self.root = None;
-        }
-    }
-
-    /// Declares `b` the root box, clearing its parent pointer unconditionally.
-    pub fn set_root_force(&mut self, b: BoxId) {
-        self.slot_mut(b).parent = NONE;
-        self.root = Some(b);
     }
 }
 
@@ -892,6 +597,7 @@ impl Circuit {
 mod tests {
     use super::*;
     use treenum_trees::chunked::CHUNK;
+    use treenum_trees::{BinaryTree, Label};
 
     /// A record over `num_states` states: `γ` bits, the offset table and
     /// the inputs, in the module docs' layout.
@@ -984,120 +690,106 @@ mod tests {
         record(num_states, &[0], &[])
     }
 
-    #[test]
-    fn build_a_small_box_tree() {
-        let mut c = Circuit::new(2);
-        let leaf = tiny(2);
-        let l1 = c.add_leaf_box(BoxContent::new(&leaf, 2), 10);
-        let l2 = c.add_leaf_box(BoxContent::new(&leaf, 2), 11);
-        let root_content = record(2, &[], &[(1, vec![times_word(0, 0)])]);
-        let root = c.add_internal_box(BoxContent::new(&root_content, 2), l1, l2);
-        c.set_root(root);
-        c.validate();
-        assert_eq!(c.num_boxes(), 3);
-        assert_eq!(c.width(), 1);
-        assert_eq!(c.height(), 1);
-        assert_eq!(c.boxes_preorder(), vec![root, l1, l2]);
-        assert_eq!(c.boxes_postorder(), vec![l1, l2, root]);
-        assert_eq!(c.leaf_token(l1), Some(10));
-        assert_eq!(c.leaf_token(root), None);
-        c.set_children(l1, None);
-        assert_eq!(c.leaf_token(l1), Some(10), "a leaf keeps its token");
-        assert_eq!(std::mem::size_of::<BoxSlot>(), 24);
-        assert!(c.is_leaf(l2));
-        assert_eq!(
-            c.gate_inputs(l2, 0).collect::<Vec<_>>(),
-            [UnionInput::Var {
-                vars: VarSet(1),
-                leaf_token: 11
-            }],
-            "a var-gate carries its box's token"
-        );
-        assert_eq!(c.lca(l1, l2), root);
-        assert_eq!(c.preorder_cmp(l1, l2), std::cmp::Ordering::Less);
-        assert_eq!(c.preorder_cmp(root, l2), std::cmp::Ordering::Less);
-        assert_eq!(c.preorder_cmp(l2, l1), std::cmp::Ordering::Greater);
+    /// Two leaves under a root, and their boxes.
+    fn cherry() -> (BinaryTree, [BoxId; 3]) {
+        let mut t = BinaryTree::leaf(Label(0));
+        let l1 = t.root();
+        let l2 = t.add_leaf(Label(0));
+        let root = t.add_internal(Label(1), l1, l2);
+        t.set_root(root);
+        (t, [l1, l2, root].map(|n| BoxId(n.0)))
     }
 
     #[test]
-    fn detach_and_free_subtrees() {
+    fn build_a_small_box_tree() {
+        let (t, [l1, l2, root]) = cherry();
+        let mut c = Circuit::new(2);
+        let leaf = tiny(2);
+        c.set_content(l1, BoxContent::new(&leaf, 2));
+        c.set_content(l2, BoxContent::new(&leaf, 2));
+        let root_content = record(2, &[], &[(1, vec![times_word(0, 0)])]);
+        c.set_content(root, BoxContent::new(&root_content, 2));
+        c.validate(&t);
+        assert_eq!(c.num_boxes(), 3);
+        assert_eq!(c.width(), 1);
+        assert_eq!(std::mem::size_of::<BoxSlot>(), 12);
+        assert_eq!(
+            c.gate_inputs(&t, l2, 0).collect::<Vec<_>>(),
+            [UnionInput::Var {
+                vars: VarSet(1),
+                leaf_token: l2.0
+            }],
+            "a var-gate carries its tree node's token"
+        );
+    }
+
+    #[test]
+    fn a_freed_box_leaves_its_block_for_the_next_box() {
         let mut c = Circuit::new(1);
         let t = top(1);
-        let mk = || BoxContent::new(&t, 1);
-        let l1 = c.add_leaf_box(mk(), 0);
-        let l2 = c.add_leaf_box(mk(), 1);
-        let root = c.add_internal_box(mk(), l1, l2);
-        c.set_root(root);
-        assert_eq!(c.num_boxes(), 3);
-        // Detach the children the way the engine's repair does, then free
-        // one slot.
-        c.set_children(root, None);
-        assert_eq!(c.children(root), None);
-        assert_eq!(c.leaf_token(root), None, "a detached box has no token");
+        for b in 0..3 {
+            c.set_content(BoxId(b), BoxContent::new(&t, 1));
+        }
         let words = c.slab_words();
-        c.free_single(l2);
+        c.free(BoxId(1));
+        c.free(BoxId(1));
+        c.free(BoxId(7));
         assert_eq!(c.num_boxes(), 2);
-        // The freed slot and its record's block are reused.
-        let l3 = c.add_leaf_box(mk(), 2);
-        assert_eq!(l3, l2);
-        assert_eq!(c.slab_words(), words);
+        assert!(!c.is_live(BoxId(1)) && !c.is_live(BoxId(7)));
+        c.set_content(BoxId(1), BoxContent::new(&t, 1));
+        assert_eq!(c.slab_words(), words, "the freed block is reused");
     }
 
     #[test]
     fn replaced_content_moves_only_when_it_outgrows_its_block() {
         let mut c = Circuit::new(2);
         let (t, leaf) = (top(2), tiny(2));
-        let b = c.add_leaf_box(BoxContent::new(&t, 2), 4);
-        c.replace_content(b, BoxContent::new(&leaf, 2));
+        let b = BoxId(4);
+        c.set_content(b, BoxContent::new(&t, 2));
+        c.set_content(b, BoxContent::new(&leaf, 2));
         assert_eq!((c.box_width(b), c.content(b).words()), (1, &leaf[..]));
         let words = c.slab_words();
-        c.replace_content(b, BoxContent::new(&t, 2));
+        c.set_content(b, BoxContent::new(&t, 2));
         assert_eq!((c.box_width(b), c.content(b).words()), (0, &t[..]));
         assert_eq!(c.slab_words(), words, "a smaller record stays in its block");
     }
 
     #[test]
     fn arena_spans_chunks_clones_and_reuses_slots() {
-        let t = top(1);
-        let mk = || BoxContent::new(&t, 1);
+        let (t, wide) = (top(1), record(1, &[], &[(0, var_words(VarSet(1)))]));
         let n = 2 * CHUNK + 5;
         let mut c = Circuit::new(1);
-        for token in 0..n as u32 {
-            assert_eq!(c.add_leaf_box(mk(), token), BoxId(token));
+        for b in 0..n as u32 {
+            c.set_content(BoxId(b), BoxContent::new(&t, 1));
         }
-        assert_eq!((c.arena_len(), c.num_boxes()), (n, n));
+        assert_eq!(c.num_boxes(), n);
         assert_eq!(c.slab_words(), n, "one word per width-0 box");
         assert_eq!(c.slot_bytes(), n * std::mem::size_of::<BoxSlot>());
         // A clone grows on its own; the original is untouched.
         let mut d = c.clone();
-        let extra = d.add_leaf_box(mk(), n as u32);
-        assert_eq!(extra, BoxId(n as u32));
-        assert_eq!(c.arena_len(), n);
+        let (extra, mid) = (BoxId(n as u32), BoxId(CHUNK as u32 + 7));
+        d.set_content(extra, BoxContent::new(&t, 1));
+        d.set_content(mid, BoxContent::new(&wide, 1));
         assert!(!c.is_live(extra) && d.is_live(extra));
-        // A freed slot in a middle chunk is reused, and every slot still
-        // reads back its own token, in arena order.
-        let mid = BoxId(CHUNK as u32 + 7);
-        d.free_single(mid);
-        assert_eq!(d.add_leaf_box(mk(), 7_000_000), mid);
-        assert_eq!(d.leaf_token(mid), Some(7_000_000));
-        for (i, b) in d.boxes().enumerate() {
-            assert_eq!(b, BoxId(i as u32));
-            if b != mid {
-                assert_eq!(d.leaf_token(b), Some(i as u32));
-            }
-        }
+        assert_eq!((c.box_width(mid), d.box_width(mid)), (0, 1));
+        assert!(d.boxes().eq((0..=n as u32).map(BoxId)));
+        // A freed slot in a middle chunk takes a box again.
+        d.free(mid);
+        assert!(!d.is_live(mid) && d.num_boxes() == n);
+        d.set_content(mid, BoxContent::new(&t, 1));
+        assert_eq!((d.num_boxes(), d.box_width(mid)), (n + 1, 0));
     }
 
     #[test]
     #[should_panic]
     fn validate_rejects_dangling_wires() {
+        let (t, [l1, l2, root]) = cherry();
         let mut c = Circuit::new(1);
-        let t = top(1);
-        let l1 = c.add_leaf_box(BoxContent::new(&t, 1), 0);
-        let l2 = c.add_leaf_box(BoxContent::new(&t, 1), 1);
+        let top = top(1);
+        c.set_content(l1, BoxContent::new(&top, 1));
+        c.set_content(l2, BoxContent::new(&top, 1));
         let bad = record(1, &[], &[(0, vec![times_word(3, 0)])]);
-        let root = c.add_internal_box(BoxContent::new(&bad, 1), l1, l2);
-        c.set_root(root);
-        c.validate();
+        c.set_content(root, BoxContent::new(&bad, 1));
+        c.validate(&t);
     }
 }

@@ -18,7 +18,9 @@
 //!
 //! This crate provides the box-structured circuit representation ([`Circuit`]),
 //! whose box contents are plain-data word records in a [`Slab`] (the allocator
-//! the enumeration index's records live in too), the construction of box
+//! the enumeration index's records live in too) and whose tree of boxes is
+//! the tree it is built on, read through `treenum_trees::Topology` (a box
+//! is named by its tree node's arena index), the construction of box
 //! contents from a homogenized `BinaryTva` ([`build::leaf_box_content`],
 //! [`build::internal_box_content`]), the static
 //! construction over a whole `BinaryTree` ([`build::build_assignment_circuit`]),
@@ -30,9 +32,6 @@ pub mod circuit;
 pub mod semantics;
 pub mod slab;
 
-pub use build::{
-    build_assignment_circuit, internal_box_content, leaf_box_content, AssignmentCircuit,
-    ContentStaging,
-};
+pub use build::{build_assignment_circuit, internal_box_content, leaf_box_content, ContentStaging};
 pub use circuit::{BoxContent, BoxId, Circuit, Gamma, GateInputs, Side, StateGate, UnionInput};
 pub use slab::{Block, Slab};

@@ -7,7 +7,7 @@
 //! then four per doubling, so a block wastes under 25%), and every freed or
 //! resized record returns its block to its class's free list for the next
 //! record of that class.  A record may also take a free block up to
-//! [`FIT_CLASSES`] classes larger.
+//! `FIT_CLASSES` classes larger.
 //!
 //! Blocks are carved from chunks that start at 2⁸ words and double up to
 //! 2¹⁶ words, so a small circuit or index holds little; a record larger
@@ -141,7 +141,7 @@ impl Slab {
 
     /// Stores `record` in place of the record at `old` (or anew if `old`
     /// is [`Block::NONE`]): in `old`'s block while it fits within
-    /// [`FIT_CLASSES`], else in a new block, `old`'s going back to the
+    /// `FIT_CLASSES`, else in a new block, `old`'s going back to the
     /// free lists.  Returns where the record now lives.
     // hot-path: runs once per stored record on the repair path.
     pub fn store(&mut self, old: Block, record: &[u64]) -> Block {

@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex, TryLockError};
 use treenum_automata::StepwiseTva;
 use treenum_balance::build::{build_balanced_term, check_phi, Phi};
 use treenum_balance::term::{Term, TermNodeId};
-use treenum_balance::update::apply_edits;
+use treenum_balance::update::{apply_edits, Relink};
 use treenum_circuits::{internal_box_content, BoxContent, BoxId, Circuit, ContentStaging};
 use treenum_enumeration::boxenum::BoxEnumMode;
 use treenum_enumeration::index::IndexStats;
@@ -25,7 +25,7 @@ use treenum_enumeration::{EnumIndex, EnumScratch, EnumSource, EnumStats};
 use treenum_trees::edit::EditOp;
 use treenum_trees::unranked::{NodeId, UnrankedTree};
 use treenum_trees::valuation::{Assignment, Singleton, VarSet};
-use treenum_trees::ChunkedVec;
+use treenum_trees::{ChunkedVec, Topology};
 
 /// Structural statistics of the enumeration structure (reported by benchmarks and
 /// examples to make the complexity parameters of the paper observable).
@@ -87,6 +87,12 @@ pub struct DocumentBatch {
     /// Live term nodes whose subterm changed, each once, children before
     /// parents.
     dirty: Vec<TermNodeId>,
+    /// Live term nodes whose children at the end of the batch are not the
+    /// ones they had before it (see [`UpdateReport::relinked`]): every
+    /// query recomputes their boxes, even when neither child's `γ` changed.
+    ///
+    /// [`UpdateReport::relinked`]: treenum_balance::update::UpdateReport::relinked
+    relinked: Vec<TermNodeId>,
     deduped: u64,
     inserted: Vec<NodeId>,
 }
@@ -212,8 +218,11 @@ impl Document {
         let mut dirty: Vec<TermNodeId> = Vec::with_capacity(batch.dirty_len());
         // analyze: allow(alloc): one per-batch buffer, amortized over k edits
         let mut freed: Vec<TermNodeId> = Vec::new();
+        // analyze: allow(alloc): one per-batch buffer, amortized over k edits
+        let mut relinked: Vec<Relink> = Vec::new();
         let mut deduped = 0u64;
         for report in &batch.reports {
+            relinked.extend_from_slice(&report.relinked);
             for &f in &report.freed {
                 freed.push(f);
                 // A slot dirtied by an earlier edit and freed here must not
@@ -247,9 +256,18 @@ impl Document {
             dirty.sort_by_cached_key(|&d| (std::cmp::Reverse(term.depth_memoized(d)), d.0));
             dirty.dedup();
         }
+        // A node's first relink in the batch holds the children it started
+        // with; one that ends the batch with them kept its links (an id
+        // freed and reused meanwhile is a new node, with no box to keep).
+        relinked.sort_by_key(|&(n, _)| n.0);
+        relinked.dedup_by_key(|&mut (n, _)| n.0);
+        let term = &self.term;
+        relinked.retain(|&(n, before)| term.is_live(n) && term.children(n) != Some(before));
         DocumentBatch {
             freed,
             dirty,
+            // analyze: allow(alloc): the O(k) per-batch relink list.
+            relinked: relinked.into_iter().map(|(n, _)| n).collect(),
             deduped,
             // analyze: allow(alloc): the caller-facing O(k) result vector.
             inserted: batch.inserted().collect(),
@@ -264,10 +282,10 @@ impl Document {
     }
 }
 
-/// The circuit box of term node `n` in a `box_of` slab.
+/// The box of term node `n`: a box is named by its term node's arena index.
 #[inline]
-fn box_in(box_of: &[Option<BoxId>], n: TermNodeId) -> BoxId {
-    box_of[n.index()].expect("term node has no circuit box")
+fn box_at(n: TermNodeId) -> BoxId {
+    BoxId(n.0)
 }
 
 /// The from-scratch content of term node `n`'s box, given current child
@@ -276,7 +294,6 @@ fn box_in(box_of: &[Option<BoxId>], n: TermNodeId) -> BoxId {
 fn content_of<'a>(
     plan: &'a QueryPlan,
     circuit: &Circuit,
-    box_of: &[Option<BoxId>],
     staging: &'a mut ContentStaging,
     doc: &Document,
     n: TermNodeId,
@@ -287,8 +304,8 @@ fn content_of<'a>(
         Some((l, r)) => internal_box_content(
             plan.tva(),
             label,
-            circuit.gamma(box_in(box_of, l)),
-            circuit.gamma(box_in(box_of, r)),
+            circuit.gamma(box_at(l)),
+            circuit.gamma(box_at(r)),
             staging,
         ),
     }
@@ -299,10 +316,11 @@ fn content_of<'a>(
 /// index (Lemma 6.3) and a pooled enumeration scratch.
 ///
 /// The query-only parts (translated automaton, leaf box skeletons) live in a
-/// shared [`QueryPlan`].  The term-to-box mapping is a dense slab parallel
-/// to the term arena — no hashing on the per-edit path.  A `QueryIndex` is
-/// only meaningful together with the document it was built from and
-/// repaired against; enumeration needs the index alone.
+/// shared [`QueryPlan`].  A box is its term node: box ids are term arena
+/// indices, so the circuit and the index hold content only and read their
+/// topology from the document's term — one copy of it for every query.  A
+/// `QueryIndex` is only meaningful together with the document it was built
+/// from and repaired against, which every enumeration reads too.
 ///
 /// Cloning copies the structure, starts an empty pooled scratch and draws a
 /// fresh [`QueryIndex::stamp`], so a run parked on the original never
@@ -310,8 +328,6 @@ fn content_of<'a>(
 pub struct QueryIndex {
     plan: Arc<QueryPlan>,
     circuit: Circuit,
-    /// `box_of[n.index()]`: the circuit box of term node `n`.
-    box_of: Vec<Option<BoxId>>,
     index: EnumIndex,
     mode: BoxEnumMode,
     /// The batch epoch of `repair`'s marks (see [`Document`]).
@@ -342,7 +358,6 @@ impl Clone for QueryIndex {
         QueryIndex {
             plan: Arc::clone(&self.plan),
             circuit: self.circuit.clone(),
-            box_of: self.box_of.clone(),
             index: self.index.clone(),
             mode: self.mode,
             epoch: self.epoch,
@@ -362,7 +377,6 @@ impl QueryIndex {
         let mut q = QueryIndex {
             plan,
             circuit: Circuit::new(num_states),
-            box_of: Vec::new(),
             index: EnumIndex::default(),
             mode: BoxEnumMode::Indexed,
             epoch: 0,
@@ -374,9 +388,7 @@ impl QueryIndex {
         for n in doc.term.subtree_postorder(doc.term.root()) {
             q.rebuild_box_for(doc, n);
         }
-        let root_box = q.box_of(doc.term.root());
-        q.circuit.set_root_force(root_box);
-        q.index = EnumIndex::build(&q.circuit);
+        q.index = EnumIndex::build(&q.circuit, &doc.term);
         q
     }
 
@@ -398,28 +410,6 @@ impl QueryIndex {
             Err(TryLockError::Poisoned(p)) => p.into_inner().stats(),
             Err(TryLockError::WouldBlock) => EnumStats::default(),
         }
-    }
-
-    #[inline]
-    fn box_of(&self, n: TermNodeId) -> BoxId {
-        box_in(&self.box_of, n)
-    }
-
-    #[inline]
-    fn box_of_checked(&self, n: TermNodeId) -> Option<BoxId> {
-        self.box_of.get(n.index()).copied().flatten()
-    }
-
-    fn set_box_of(&mut self, doc: &Document, n: TermNodeId, b: BoxId) {
-        if n.index() >= self.box_of.len() {
-            self.box_of
-                .resize(doc.term.arena_len().max(n.index() + 1), None);
-        }
-        self.box_of[n.index()] = Some(b);
-    }
-
-    fn take_box_of(&mut self, n: TermNodeId) -> Option<BoxId> {
-        self.box_of.get_mut(n.index()).and_then(Option::take)
     }
 
     /// The heap footprint of the circuit and the index (see
@@ -456,73 +446,45 @@ impl QueryIndex {
     }
 
     /// (Re)computes the circuit box of term node `n` (children boxes must be
-    /// current).  Returns the box, whether its content or child links
-    /// actually changed — ancestors whose recomputed content is identical need
-    /// no index repair (the spine-only early exit of the update path) — and
-    /// whether its `γ` changed, which a new box always counts as.  Both
-    /// changes are word comparisons of the records: the `γ` words, then the
-    /// whole record.
-    fn rebuild_box_for(&mut self, doc: &Document, n: TermNodeId) -> (BoxId, bool, bool) {
-        let existing = self.box_of_checked(n).filter(|&b| self.circuit.is_live(b));
+    /// current).  Returns whether its content changed — ancestors whose
+    /// recomputed content is identical need no index repair (the spine-only
+    /// early exit of the update path) — and whether its `γ` changed.  Both
+    /// are word comparisons of the records: the `γ` words, then the whole
+    /// record.  A term node with no box is new, and counts as both.
+    fn rebuild_box_for(&mut self, doc: &Document, n: TermNodeId) -> (bool, bool) {
+        let b = box_at(n);
         let QueryIndex {
             plan,
             circuit,
-            box_of,
             staging,
             ..
         } = self;
-        let content = content_of(plan, circuit, box_of, staging, doc, n);
-        let children = doc
-            .term
-            .children(n)
-            .map(|(l, r)| (box_in(box_of, l), box_in(box_of, r)));
-        match existing {
-            Some(b) => {
-                // Same child ids are not enough: a freed slot reused by a fresh
-                // box within this edit carries a cleared parent pointer, so the
-                // link must be re-established even though the ids match.
-                let children_ok = circuit.children(b) == children
-                    && children.is_none_or(|(l, r)| {
-                        circuit.parent(l) == Some(b) && circuit.parent(r) == Some(b)
-                    });
-                let old = circuit.content(b);
-                let gamma_changed = old.gamma() != content.gamma();
-                let content_changed = gamma_changed || old != content;
-                if content_changed {
-                    circuit.replace_content(b, content);
-                }
-                if !children_ok {
-                    circuit.set_children(b, children);
-                }
-                (b, content_changed || !children_ok, gamma_changed)
-            }
-            None => {
-                let leaf_token = doc.term.leaf_tree_node(n).map(|node| node.0);
-                let b = circuit.add_orphan_box(content, leaf_token);
-                circuit.set_children(b, children);
-                self.set_box_of(doc, n, b);
-                (b, true, true)
-            }
+        let content = content_of(plan, circuit, staging, doc, n);
+        if !circuit.is_live(b) {
+            circuit.set_content(b, content);
+            return (true, true);
         }
+        let old = circuit.content(b);
+        let gamma_changed = old.gamma() != content.gamma();
+        let content_changed = gamma_changed || old != content;
+        if content_changed {
+            circuit.set_content(b, content);
+        }
+        (content_changed, gamma_changed)
     }
 
     /// Whether internal term node `n`'s box provably holds the content a
-    /// recompute would give: the box is live, its children are `n`'s
-    /// children's boxes with intact parent links, and neither child's `γ`
-    /// changed this batch.  Leaves and new boxes never qualify.
+    /// recompute would give: the box exists, `n` kept its children this
+    /// batch (a relinked node is flagged [`CONTENT`] up front), and neither
+    /// child's `γ` changed.  Leaves and new boxes never qualify.
     fn content_is_current(&self, doc: &Document, n: TermNodeId, epoch: u64) -> bool {
         let Some((l, r)) = doc.term.children(n) else {
             return false;
         };
-        let Some(b) = self.box_of_checked(n).filter(|&b| self.circuit.is_live(b)) else {
-            return false;
-        };
-        let (bl, br) = (self.box_of(l), self.box_of(r));
-        self.circuit.children(b) == Some((bl, br))
-            && self.circuit.parent(bl) == Some(b)
-            && self.circuit.parent(br) == Some(b)
-            && !flagged(&self.marks, epoch, bl.index(), GAMMA)
-            && !flagged(&self.marks, epoch, br.index(), GAMMA)
+        self.circuit.is_live(box_at(n))
+            && !flagged(&self.marks, epoch, n.index(), CONTENT)
+            && !flagged(&self.marks, epoch, l.index(), GAMMA)
+            && !flagged(&self.marks, epoch, r.index(), GAMMA)
     }
 
     /// Repairs the circuit boxes and index entries of exactly the term
@@ -532,17 +494,18 @@ impl QueryIndex {
     ///
     /// Three layers of spine-only narrowing on top of the dirty set:
     ///
-    /// * an internal box whose child links are intact and neither of whose
-    ///   children's `γ` changed this batch keeps its content without a
-    ///   recompute.  This is sound because an internal box's content is
+    /// * an internal box whose term node kept its children (it is not in the
+    ///   batch's relinked list) and neither of whose children's `γ` changed
+    ///   this batch keeps its content without a recompute.  This is sound
+    ///   because an internal box's content is
     ///   `internal_box_content(tva, label, γ(l), γ(r))`, and only leaves
-    ///   change kind (hence label) in place; a freed slot's box is dropped
-    ///   through the batch's freed list first, so a reused slot gets a new
+    ///   change kind (hence label) in place; a freed node's box is dropped
+    ///   through the batch's freed list first, so a reused id gets a new
     ///   box, which counts as changed.  Leaves always recompute;
-    /// * a box whose recomputed content and child links are unchanged is left in
-    ///   place (gamma changes usually fixpoint a few steps up the spine, so the
-    ///   ancestors above that point keep their contents, and by the first
-    ///   layer are not even recomputed);
+    /// * a box whose recomputed content is unchanged and whose node was not
+    ///   relinked is left in place (gamma changes usually fixpoint a few
+    ///   steps up the spine, so the ancestors above that point keep their
+    ///   contents, and by the first layer are not even recomputed);
     /// * an index entry is rebuilt only if the box itself changed or a
     ///   descendant's index entry was rebuilt — unchanged boxes above a
     ///   fixpointed spine keep their entries too.
@@ -559,15 +522,17 @@ impl QueryIndex {
         self.stamp = fresh_stamp();
         self.epoch += 1;
         let epoch = self.epoch;
-        // Free the boxes of removed term nodes first (their arena slots may
-        // have been reused by nodes created later in the same batch).
+        // Free the boxes of removed term nodes first (their ids may have
+        // been reused by nodes created later in the same batch, which then
+        // have no box and count as new).
         for &freed in &batch.freed {
-            if let Some(b) = self.take_box_of(freed) {
-                self.index.remove_box(b);
-                if self.circuit.is_live(b) {
-                    self.circuit.free_single(b);
-                }
-            }
+            self.index.remove_box(box_at(freed));
+            self.circuit.free(box_at(freed));
+        }
+        // A relinked node's box changes with its links, whatever its
+        // content does.
+        for &n in &batch.relinked {
+            flag(&mut self.marks, epoch, n.index(), CONTENT);
         }
         // Contents bottom-up, then index entries bottom-up.
         let mut skipped = 0u64;
@@ -576,40 +541,41 @@ impl QueryIndex {
                 skipped += 1;
                 continue;
             }
-            let (b, changed, gamma_changed) = self.rebuild_box_for(doc, d);
+            let (changed, gamma_changed) = self.rebuild_box_for(doc, d);
             if changed {
-                flag(&mut self.marks, epoch, b.index(), CONTENT);
+                flag(&mut self.marks, epoch, d.index(), CONTENT);
             }
             if gamma_changed {
-                flag(&mut self.marks, epoch, b.index(), GAMMA);
+                flag(&mut self.marks, epoch, d.index(), GAMMA);
             }
         }
-        let root_box = self.box_of(doc.term.root());
-        self.circuit.set_root_force(root_box);
         // An entry is stale iff the box's own wires changed or a child's
         // *entry* changed; a rebuilt-but-identical child entry stops the
         // propagation (the entry is a function of the box's wires and the
         // children's entries only).
         for &d in &batch.dirty {
-            let b = self.box_of(d);
-            let entry_stale = flagged(&self.marks, epoch, b.index(), CONTENT)
-                || self.circuit.children(b).is_some_and(|(l, r)| {
+            let entry_stale = flagged(&self.marks, epoch, d.index(), CONTENT)
+                || doc.term.children(d).is_some_and(|(l, r)| {
                     flagged(&self.marks, epoch, l.index(), ENTRY)
                         || flagged(&self.marks, epoch, r.index(), ENTRY)
                 })
-                || !self.index.has(b);
-            if entry_stale && self.index.rebuild_box_changed(&self.circuit, b) {
-                flag(&mut self.marks, epoch, b.index(), ENTRY);
+                || !self.index.has(box_at(d));
+            if entry_stale
+                && self
+                    .index
+                    .rebuild_box_changed(&self.circuit, &doc.term, box_at(d))
+            {
+                flag(&mut self.marks, epoch, d.index(), ENTRY);
             }
         }
         self.index
             .record_batch(batch.deduped, batch.dirty.len() as u64, skipped);
     }
 
-    /// The root ∪-gates of the final states and whether the empty assignment is
-    /// accepted.
-    fn root_query(&self) -> (BoxId, Vec<u32>, bool) {
-        let root_box = self.circuit.root();
+    /// The root box of `doc`'s term, its ∪-gates of the final states and
+    /// whether the empty assignment is accepted.
+    fn root_query(&self, doc: &Document) -> (BoxId, Vec<u32>, bool) {
+        let root_box = box_at(doc.term.root());
         let gamma = self.circuit.gamma(root_box);
         let (gates, empty) = gamma.boxed_set(self.plan.tva().final_states());
         (root_box, gates, empty)
@@ -628,29 +594,30 @@ impl QueryIndex {
         }
     }
 
-    fn source(&self) -> EnumSource<'_> {
+    fn source<'a>(&'a self, doc: &'a Document) -> EnumSource<'a, Term> {
         let index = match self.mode {
             BoxEnumMode::Indexed => Some(&self.index),
             BoxEnumMode::Reference => None,
         };
-        EnumSource::new(&self.circuit, index, self.mode)
+        EnumSource::new(&self.circuit, &doc.term, index, self.mode)
     }
 
     /// Starts the enumeration machine on the root query.
-    fn start(&self, scratch: &mut EnumScratch) {
-        let (root_box, gates, empty) = self.root_query();
-        scratch.start_root(self.source(), root_box, &gates, empty);
+    fn start(&self, doc: &Document, scratch: &mut EnumScratch) {
+        let (root_box, gates, empty) = self.root_query(doc);
+        scratch.start_root(self.source(doc), root_box, &gates, empty);
     }
 
-    /// Enumerates every satisfying assignment, invoking `sink` once per answer,
-    /// without duplicates.  Return [`ControlFlow::Break`] from the sink to stop early.
+    /// Enumerates every satisfying assignment over `doc`, invoking `sink` once
+    /// per answer, without duplicates.  Return [`ControlFlow::Break`] from the
+    /// sink to stop early.
     ///
     /// The pooled [`EnumScratch`] is reused across calls (and across
     /// [`QueryIndex::repair`] cycles), so steady-state enumeration is
     /// allocation-free inside the per-answer loop; if the sink re-enters the
     /// same index, the nested enumeration runs on a throwaway scratch.
-    pub fn for_each(&self, sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>) {
-        self.with_scratch(|scratch| self.for_each_with(scratch, sink))
+    pub fn for_each(&self, doc: &Document, sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>) {
+        self.with_scratch(|scratch| self.for_each_with(doc, scratch, sink))
     }
 
     /// [`QueryIndex::for_each`] with a caller-provided [`EnumScratch`].
@@ -662,11 +629,12 @@ impl QueryIndex {
     /// state regardless of how many other readers enumerate the same index.
     pub fn for_each_with(
         &self,
+        doc: &Document,
         scratch: &mut EnumScratch,
         sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>,
     ) {
-        self.start(scratch);
-        let src = self.source();
+        self.start(doc, scratch);
+        let src = self.source(doc);
         while scratch.next_answer(src) {
             if sink(assignment_of(scratch.answer())).is_break() {
                 scratch.abandon();
@@ -677,9 +645,9 @@ impl QueryIndex {
 
     /// Collects all satisfying assignments (convenience wrapper around
     /// [`QueryIndex::for_each`]).
-    pub fn assignments(&self) -> Vec<Assignment> {
+    pub fn assignments(&self, doc: &Document) -> Vec<Assignment> {
         let mut out = Vec::new();
-        self.for_each(&mut |a| {
+        self.for_each(doc, &mut |a| {
             out.push(a);
             ControlFlow::Continue(())
         });
@@ -687,9 +655,9 @@ impl QueryIndex {
     }
 
     /// Counts the satisfying assignments by enumerating them.
-    pub fn count(&self) -> usize {
+    pub fn count(&self, doc: &Document) -> usize {
         let mut count = 0;
-        self.for_each(&mut |_| {
+        self.for_each(doc, &mut |_| {
             count += 1;
             ControlFlow::Continue(())
         });
@@ -698,12 +666,12 @@ impl QueryIndex {
 
     /// Returns the first `k` assignments (exercising the early-termination path that
     /// the delay guarantee is about).
-    pub fn first_k(&self, k: usize) -> Vec<Assignment> {
+    pub fn first_k(&self, doc: &Document, k: usize) -> Vec<Assignment> {
         let mut out = Vec::new();
         if k == 0 {
             return out;
         }
-        self.for_each(&mut |a| {
+        self.for_each(doc, &mut |a| {
             out.push(a);
             if out.len() >= k {
                 ControlFlow::Break(())
@@ -716,8 +684,8 @@ impl QueryIndex {
 
     /// [`QueryIndex::page_with`] on the pooled scratch (a lost `try_lock`
     /// pages on a throwaway scratch, i.e. restarts).
-    pub fn page(&self, position: usize, k: usize) -> (Vec<Assignment>, bool) {
-        self.with_scratch(|scratch| self.page_with(scratch, position, k))
+    pub fn page(&self, doc: &Document, position: usize, k: usize) -> (Vec<Assignment>, bool) {
+        self.with_scratch(|scratch| self.page_with(doc, scratch, position, k))
     }
 
     /// Up to `k` answers starting at `position` of the [`for_each`] order,
@@ -738,15 +706,16 @@ impl QueryIndex {
     /// [`for_each`]: QueryIndex::for_each
     pub fn page_with(
         &self,
+        doc: &Document,
         scratch: &mut EnumScratch,
         position: usize,
         k: usize,
     ) -> (Vec<Assignment>, bool) {
-        let src = self.source();
+        let src = self.source(doc);
         // A resumed run already holds the answer at `position`.
         let mut held = scratch.resume_page(self.stamp, position);
         if !held {
-            self.start(scratch);
+            self.start(doc, scratch);
             for _ in 0..position {
                 if !scratch.next_answer(src) {
                     return (Vec::new(), false);
@@ -771,60 +740,38 @@ impl QueryIndex {
         &self.plan
     }
 
-    /// Checks that this index mirrors `doc` (box tree mirrors the term,
-    /// index entries exist, contents and index entries match a from-scratch
-    /// rebuild); used by tests after update sequences.
+    /// Checks that this index mirrors `doc` (exactly the live term nodes
+    /// have boxes and index entries, and contents and index entries match
+    /// a from-scratch rebuild); used by tests after update sequences.
     pub fn check_consistency(&self, doc: &Document) {
-        for n in doc.term.subtree_postorder(doc.term.root()) {
-            let b = self
-                .box_of_checked(n)
-                .expect("missing box for a live term node");
-            assert!(self.circuit.is_live(b));
-            assert!(self.index.has(b), "missing index entry for a live box");
-            match doc.term.children(n) {
-                None => {
-                    // A leaf record names no leaf: its var-gates take the
-                    // box's token, which must be the term leaf's tree node.
-                    assert!(self.circuit.is_leaf(b));
-                    assert_eq!(
-                        self.circuit.leaf_token(b),
-                        doc.term.leaf_tree_node(n).map(|node| node.0),
-                        "stale leaf token for {n:?}"
-                    );
-                }
-                Some((l, r)) => {
-                    assert_eq!(
-                        self.circuit.children(b),
-                        Some((self.box_of(l), self.box_of(r)))
-                    );
-                }
-            }
+        let term = &doc.term;
+        for n in term.subtree_postorder(term.root()) {
+            assert!(self.circuit.is_live(box_at(n)), "missing box for {n:?}");
+            assert!(self.index.has(box_at(n)), "missing index entry for {n:?}");
         }
-        assert_eq!(self.circuit.root(), self.box_of(doc.term.root()));
+        assert_eq!(
+            self.circuit.num_boxes(),
+            term.len(),
+            "a box outlived its node"
+        );
+        assert_eq!(self.index.len(), term.len(), "an entry outlived its node");
         // The spine-only early exits must leave every box content equal to a
         // from-scratch recomputation (checked bottom-up, so the child gammas a
         // parent is checked against have themselves been validated first).
         let mut staging = ContentStaging::default();
-        for n in doc.term.subtree_postorder(doc.term.root()) {
+        for n in term.subtree_postorder(term.root()) {
             assert_eq!(
-                self.circuit.content(self.box_of(n)),
-                content_of(
-                    &self.plan,
-                    &self.circuit,
-                    &self.box_of,
-                    &mut staging,
-                    doc,
-                    n
-                ),
+                self.circuit.content(box_at(n)),
+                content_of(&self.plan, &self.circuit, &mut staging, doc, n),
                 "stale box content for {n:?}"
             );
         }
         // And every index entry must equal a from-scratch index build.
-        let fresh = EnumIndex::build(&self.circuit);
-        for b in self.circuit.boxes_postorder() {
+        let fresh = EnumIndex::build(&self.circuit, term);
+        for b in Topology::<BoxId>::postorder(term) {
             assert_eq!(self.index.of(b), fresh.of(b), "stale index entry for {b:?}");
         }
-        self.circuit.validate();
+        self.circuit.validate(term);
     }
 }
 
@@ -909,7 +856,7 @@ impl TreeEnumerator {
 
     /// See [`QueryIndex::for_each`].
     pub fn for_each(&self, sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>) {
-        self.query.for_each(sink)
+        self.query.for_each(&self.doc, sink)
     }
 
     /// See [`QueryIndex::for_each_with`].
@@ -918,28 +865,28 @@ impl TreeEnumerator {
         scratch: &mut EnumScratch,
         sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>,
     ) {
-        self.query.for_each_with(scratch, sink)
+        self.query.for_each_with(&self.doc, scratch, sink)
     }
 
     /// Collects all satisfying assignments.
     pub fn assignments(&self) -> Vec<Assignment> {
-        self.query.assignments()
+        self.query.assignments(&self.doc)
     }
 
     /// Counts the satisfying assignments by enumerating them.
     pub fn count(&self) -> usize {
-        self.query.count()
+        self.query.count(&self.doc)
     }
 
     /// Returns the first `k` assignments (exercising the early-termination path that
     /// the delay guarantee is about).
     pub fn first_k(&self, k: usize) -> Vec<Assignment> {
-        self.query.first_k(k)
+        self.query.first_k(&self.doc, k)
     }
 
     /// See [`QueryIndex::page`].
     pub fn page(&self, position: usize, k: usize) -> (Vec<Assignment>, bool) {
-        self.query.page(position, k)
+        self.query.page(&self.doc, position, k)
     }
 
     /// See [`QueryIndex::page_with`].
@@ -949,7 +896,7 @@ impl TreeEnumerator {
         position: usize,
         k: usize,
     ) -> (Vec<Assignment>, bool) {
-        self.query.page_with(scratch, position, k)
+        self.query.page_with(&self.doc, scratch, position, k)
     }
 
     /// Applies one edit operation (Definition 7.1): a one-op
@@ -1268,11 +1215,67 @@ mod tests {
                 doc.check_consistency();
                 for (q, e) in shared.iter().zip(&alone) {
                     q.check_consistency(&doc);
-                    assert_eq!(sorted(q.assignments()), sorted(e.assignments()));
+                    assert_eq!(sorted(q.assignments(&doc)), sorted(e.assignments()));
                 }
             }
             assert!(reused > 0, "the stream must reuse freed term slots");
         }
+    }
+
+    /// A deleted leaf whose ⊕ parent hoists its unchanged sibling under the
+    /// grandparent: neither of the grandparent's children changes `γ`, so
+    /// only the batch's relink report makes the repair recompute its box.
+    /// Every such leaf of a small tree is deleted in turn, for a unary and
+    /// a pair query.
+    #[test]
+    fn a_sibling_hoisted_under_its_grandparent_is_repaired() {
+        use treenum_balance::term::{TermNodeKind, TermOp};
+        let sigma = Alphabet::from_names(["a", "b"]);
+        let (a, b) = (sigma.get("a").unwrap(), sigma.get("b").unwrap());
+        let queries = [
+            queries::select_label(sigma.len(), b, Var(0)),
+            queries::ancestor_descendant(sigma.len(), a, Var(0), b, Var(1)),
+        ];
+        // a(b, b(a), a, b, b, a(b))
+        let mut tree = UnrankedTree::new(a);
+        let mut last = tree.insert_first_child(tree.root(), b);
+        tree.insert_first_child(last, a);
+        for label in [a, b, b, a] {
+            last = tree.insert_right_sibling(last, label);
+        }
+        tree.insert_first_child(last, b);
+        let mut hoists = 0;
+        for node in tree.preorder() {
+            let doc = Document::new(tree.clone());
+            let Some(leaf) = doc.phi[node.index()].filter(|&l| doc.term.is_leaf(l)) else {
+                continue;
+            };
+            let parent = doc.term.parent(leaf);
+            let oplus = parent.is_some_and(|p| {
+                matches!(
+                    doc.term.kind(p),
+                    TermNodeKind::Op(TermOp::OplusHH | TermOp::OplusHV | TermOp::OplusVH)
+                )
+            });
+            if !tree.is_leaf(node) || !oplus || doc.term.parent(parent.unwrap()).is_none() {
+                continue;
+            }
+            hoists += 1;
+            let op = EditOp::DeleteLeaf { node };
+            let mut shadow = tree.clone();
+            shadow.apply(&op);
+            for query in &queries {
+                let mut doc = doc.clone();
+                let mut q = QueryIndex::build(&doc, QueryPlan::for_query(query, sigma.len()));
+                let batch = doc.apply_batch(std::slice::from_ref(&op));
+                q.repair(&doc, &batch);
+                q.check_consistency(&doc);
+                let fresh = TreeEnumerator::new(shadow.clone(), query, sigma.len());
+                let answers = sorted(q.assignments(&doc));
+                assert_eq!(answers, sorted(fresh.assignments()), "deleting {node:?}");
+            }
+        }
+        assert!(hoists >= 3, "only {hoists} deletions hoist a sibling");
     }
 
     /// A cloned document and query index answer like the original, never
@@ -1288,33 +1291,33 @@ mod tests {
         let tree = random_tree(&mut sigma, 40, TreeShape::Deep, 12);
         let mut doc = Document::new(tree.clone());
         let mut q = QueryIndex::build(&doc, Arc::clone(&plan));
-        assert!(q.count() > 8, "the test needs several pages");
+        assert!(q.count(&doc) > 8, "the test needs several pages");
 
         // Park a page on the original's pooled scratch and on a caller's.
-        let (first, more) = q.page(0, 3);
+        let (first, more) = q.page(&doc, 0, 3);
         assert!(more);
         let mut own = EnumScratch::new();
-        q.page_with(&mut own, 0, 3);
+        q.page_with(&doc, &mut own, 0, 3);
 
         let mut doc2 = doc.clone();
         let mut q2 = q.clone();
         assert_ne!(q2.stamp(), q.stamp());
 
         // Neither parked run resumes on the clone.
-        let (clone_page, _) = q2.page(3, 3);
+        let (clone_page, _) = q2.page(&doc2, 3, 3);
         assert_eq!(q2.enum_stats().pages_restarted, 1);
         assert_eq!(q2.enum_stats().pages_resumed, 0);
         let own_restarted = own.stats().pages_restarted;
-        assert_eq!(q2.page_with(&mut own, 3, 3).0, clone_page);
+        assert_eq!(q2.page_with(&doc2, &mut own, 3, 3).0, clone_page);
         assert_eq!(own.stats().pages_restarted, own_restarted + 1);
         // The original's pooled run was parked before the clone: it resumes.
         let resumed = q.enum_stats().pages_resumed;
-        assert_eq!(q.page(3, 3).0, clone_page);
+        assert_eq!(q.page(&doc, 3, 3).0, clone_page);
         assert_eq!(q.enum_stats().pages_resumed, resumed + 1);
-        assert_eq!(q2.page(0, 3).0, first);
+        assert_eq!(q2.page(&doc2, 0, 3).0, first);
         assert_eq!(
-            q2.assignments(),
-            q.assignments(),
+            q2.assignments(&doc2),
+            q.assignments(&doc),
             "same answers, same order"
         );
 
@@ -1331,8 +1334,8 @@ mod tests {
             q2.repair(&doc2, &batch2);
             let fresh = TreeEnumerator::with_plan(shadow.clone(), Arc::clone(&plan));
             let fresh2 = TreeEnumerator::with_plan(shadow2.clone(), Arc::clone(&plan));
-            assert_eq!(sorted(q.assignments()), sorted(fresh.assignments()));
-            assert_eq!(sorted(q2.assignments()), sorted(fresh2.assignments()));
+            assert_eq!(sorted(q.assignments(&doc)), sorted(fresh.assignments()));
+            assert_eq!(sorted(q2.assignments(&doc2)), sorted(fresh2.assignments()));
         }
         assert!(!doc.tree().structurally_equal(doc2.tree()));
         q.check_consistency(&doc);

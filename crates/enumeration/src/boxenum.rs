@@ -21,12 +21,12 @@
 //! box-level test oracle both are checked against.
 
 use crate::bitset::GateSet;
-use crate::index::EnumIndex;
 use crate::machine::EnumSource;
 use crate::relation::{child_relation, Relation};
 use crate::scratch::EnumScratch;
 use std::ops::ControlFlow;
 use treenum_circuits::{BoxId, Circuit, Side, UnionInput};
+use treenum_trees::Topology;
 
 /// Which `box-enum` implementation the enumerator should use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -43,21 +43,33 @@ pub enum BoxEnumMode {
 pub type BoxSink<'s> = dyn FnMut(&mut EnumScratch, BoxId, &Relation) -> ControlFlow<()> + 's;
 
 /// `true` iff ∪-gate `gi` of box `b` has a var- or ×-input.
-fn has_own_input(circuit: &Circuit, b: BoxId, gi: usize) -> bool {
+fn has_own_input<S: Topology<BoxId>>(circuit: &Circuit, shape: &S, b: BoxId, gi: usize) -> bool {
     circuit
-        .gate_inputs(b, gi)
+        .gate_inputs(shape, b, gi)
         .any(|i| matches!(i, UnionInput::Var { .. } | UnionInput::Times { .. }))
 }
 
-fn is_interesting(circuit: &Circuit, b: BoxId, sources: &GateSet) -> bool {
-    sources.iter().any(|gi| has_own_input(circuit, b, gi))
+fn is_interesting<S: Topology<BoxId>>(
+    circuit: &Circuit,
+    shape: &S,
+    b: BoxId,
+    sources: &GateSet,
+) -> bool {
+    sources
+        .iter()
+        .any(|gi| has_own_input(circuit, shape, b, gi))
 }
 
 /// [`is_interesting`] reading the reachable sources straight off the
 /// relation's rows, so the pooled reference walk needs no materialized
 /// source [`GateSet`].
-pub(crate) fn is_interesting_rel(circuit: &Circuit, b: BoxId, r: &Relation) -> bool {
-    (0..r.rows()).any(|gi| !r.row_is_empty(gi) && has_own_input(circuit, b, gi))
+pub(crate) fn is_interesting_rel<S: Topology<BoxId>>(
+    circuit: &Circuit,
+    shape: &S,
+    b: BoxId,
+    r: &Relation,
+) -> bool {
+    (0..r.rows()).any(|gi| !r.row_is_empty(gi) && has_own_input(circuit, shape, b, gi))
 }
 
 /// The initial relation `R(B, Γ) = {(g, g) | g ∈ Γ}` for a boxed set `Γ` of box `B`.
@@ -66,21 +78,24 @@ pub fn initial_relation(circuit: &Circuit, b: BoxId, gamma: &GateSet) -> Relatio
     Relation::from_pairs(w, w, gamma.iter().map(|g| (g, g)))
 }
 
-/// Reference implementation: walk the subtree of `box(Γ)` top-down, maintaining the
-/// reachability relation, and emit it at every interesting box.
-pub fn box_enum_reference(
+/// Reference implementation: walk the subtree of `box(Γ)` in the tree `shape`
+/// top-down, maintaining the reachability relation, and emit it at every
+/// interesting box.
+pub fn box_enum_reference<S: Topology<BoxId>>(
     circuit: &Circuit,
+    shape: &S,
     scratch: &mut EnumScratch,
     b: BoxId,
     gamma: &GateSet,
     sink: &mut BoxSink<'_>,
 ) -> ControlFlow<()> {
     let r = initial_relation(circuit, b, gamma);
-    walk_reference(circuit, scratch, b, &r, sink)
+    walk_reference(circuit, shape, scratch, b, &r, sink)
 }
 
-fn walk_reference(
+fn walk_reference<S: Topology<BoxId>>(
     circuit: &Circuit,
+    shape: &S,
     scratch: &mut EnumScratch,
     b: BoxId,
     r: &Relation,
@@ -90,24 +105,24 @@ fn walk_reference(
     if sources.is_empty() {
         return ControlFlow::Continue(());
     }
-    if is_interesting(circuit, b, &sources) {
+    if is_interesting(circuit, shape, b, &sources) {
         sink(scratch, b, r)?;
     }
-    if let Some((l, rt)) = circuit.children(b) {
-        let rl = child_relation(circuit, b, Side::Left).compose(r);
+    if let Some((l, rt)) = shape.children(b) {
+        let rl = child_relation(circuit, shape, b, Side::Left).compose(r);
         if !rl.is_empty() {
-            walk_reference(circuit, scratch, l, &rl, sink)?;
+            walk_reference(circuit, shape, scratch, l, &rl, sink)?;
         }
-        let rr = child_relation(circuit, b, Side::Right).compose(r);
+        let rr = child_relation(circuit, shape, b, Side::Right).compose(r);
         if !rr.is_empty() {
-            walk_reference(circuit, scratch, rt, &rr, sink)?;
+            walk_reference(circuit, shape, scratch, rt, &rr, sink)?;
         }
     }
     ControlFlow::Continue(())
 }
 
-/// Runs either implementation depending on `mode` (the index may be `None` only in
-/// reference mode), on the [`EnumScratch`] pools:
+/// Runs either implementation depending on `src`'s mode (the index may be `None`
+/// only in reference mode), on the [`EnumScratch`] pools:
 ///
 /// * [`BoxEnumMode::Indexed`] is Algorithm 3: jump to the first interesting box
 ///   with `fib`, cover its subtree, then walk the path down to it, covering the
@@ -115,46 +130,35 @@ fn walk_reference(
 /// * [`BoxEnumMode::Reference`] is the top-down walk of [`box_enum_reference`]
 ///   (emission order included), so a warm steady-state run performs no heap
 ///   allocation.
-pub fn box_enum(
-    circuit: &Circuit,
-    index: Option<&EnumIndex>,
-    mode: BoxEnumMode,
+pub fn box_enum<S: Topology<BoxId>>(
+    src: EnumSource<'_, S>,
     scratch: &mut EnumScratch,
     b: BoxId,
     gamma: &GateSet,
     sink: &mut BoxSink<'_>,
 ) -> ControlFlow<()> {
-    scratch.walk_boxes(EnumSource::new(circuit, index, mode), b, gamma, sink)
+    scratch.walk_boxes(src, b, gamma, sink)
 }
 
 /// Collects the output of a `box-enum` run (for tests).
-pub fn collect_box_enum(
-    circuit: &Circuit,
-    index: Option<&EnumIndex>,
-    mode: BoxEnumMode,
+pub fn collect_box_enum<S: Topology<BoxId>>(
+    src: EnumSource<'_, S>,
     b: BoxId,
     gamma: &GateSet,
 ) -> Vec<(BoxId, Relation)> {
     let mut out = Vec::new();
     let mut scratch = EnumScratch::new();
-    let _ = box_enum(
-        circuit,
-        index,
-        mode,
-        &mut scratch,
-        b,
-        gamma,
-        &mut |scratch, bx, r| {
-            out.push((bx, scratch.clone_relation(r)));
-            ControlFlow::Continue(())
-        },
-    );
+    let _ = box_enum(src, &mut scratch, b, gamma, &mut |scratch, bx, r| {
+        out.push((bx, scratch.clone_relation(r)));
+        ControlFlow::Continue(())
+    });
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::EnumIndex;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use treenum_automata::binary::select_a_leaves;
@@ -234,17 +238,19 @@ mod tests {
             cur = t.add_internal(f, cur, l);
         }
         t.set_root(cur);
-        let ac = build_assignment_circuit(&tva, &t);
-        let index = EnumIndex::build(&ac.circuit);
-        let root = ac.circuit.root();
-        for g in 0..ac.circuit.box_width(root) {
-            let gamma = GateSet::singleton(ac.circuit.box_width(root), g);
-            let reference =
-                collect_box_enum(&ac.circuit, None, BoxEnumMode::Reference, root, &gamma);
+        let c = build_assignment_circuit(&tva, &t);
+        let shape = &t;
+        let index = EnumIndex::build(&c, shape);
+        let root: BoxId = Topology::root(shape);
+        for g in 0..c.box_width(root) {
+            let gamma = GateSet::singleton(c.box_width(root), g);
+            let reference = collect_box_enum(
+                EnumSource::new(&c, shape, None, BoxEnumMode::Reference),
+                root,
+                &gamma,
+            );
             let indexed = collect_box_enum(
-                &ac.circuit,
-                Some(&index),
-                BoxEnumMode::Indexed,
+                EnumSource::new(&c, shape, Some(&index), BoxEnumMode::Indexed),
                 root,
                 &gamma,
             );
@@ -267,11 +273,12 @@ mod tests {
                 continue;
             }
             let tree = random_binary_tree(15 + (seed % 10) as usize, 2, seed * 7 + 1);
-            let ac = build_assignment_circuit(&tva, &tree);
-            ac.circuit.validate();
-            let index = EnumIndex::build(&ac.circuit);
-            let root = ac.circuit.root();
-            let width = ac.circuit.box_width(root);
+            let c = build_assignment_circuit(&tva, &tree);
+            let shape = &tree;
+            c.validate(shape);
+            let index = EnumIndex::build(&c, shape);
+            let root: BoxId = Topology::root(shape);
+            let width = c.box_width(root);
             if width == 0 {
                 continue;
             }
@@ -280,12 +287,13 @@ mod tests {
             for mask in 1u32..(1 << limit) {
                 let gamma =
                     GateSet::from_indices(width, (0..limit).filter(|i| mask & (1 << i) != 0));
-                let mut reference =
-                    collect_box_enum(&ac.circuit, None, BoxEnumMode::Reference, root, &gamma);
+                let mut reference = collect_box_enum(
+                    EnumSource::new(&c, shape, None, BoxEnumMode::Reference),
+                    root,
+                    &gamma,
+                );
                 let mut indexed = collect_box_enum(
-                    &ac.circuit,
-                    Some(&index),
-                    BoxEnumMode::Indexed,
+                    EnumSource::new(&c, shape, Some(&index), BoxEnumMode::Indexed),
                     root,
                     &gamma,
                 );
@@ -302,12 +310,13 @@ mod tests {
     /// Collects a run of the *unpooled* reference walk (test oracle).
     fn collect_reference_unpooled(
         circuit: &Circuit,
+        shape: &BinaryTree,
         b: BoxId,
         gamma: &GateSet,
     ) -> Vec<(BoxId, Relation)> {
         let mut out = Vec::new();
         let mut scratch = EnumScratch::new();
-        let _ = box_enum_reference(circuit, &mut scratch, b, gamma, &mut |_s, bx, r| {
+        let _ = box_enum_reference(circuit, shape, &mut scratch, b, gamma, &mut |_s, bx, r| {
             out.push((bx, r.clone()));
             ControlFlow::Continue(())
         });
@@ -323,9 +332,10 @@ mod tests {
                 continue;
             }
             let tree = random_binary_tree(12 + (seed % 12) as usize, 2, seed * 3 + 2);
-            let ac = build_assignment_circuit(&tva, &tree);
-            let root = ac.circuit.root();
-            let width = ac.circuit.box_width(root);
+            let c = build_assignment_circuit(&tva, &tree);
+            let shape = &tree;
+            let root: BoxId = Topology::root(shape);
+            let width = c.box_width(root);
             if width == 0 {
                 continue;
             }
@@ -333,13 +343,11 @@ mod tests {
             for mask in 1u32..(1 << limit) {
                 let gamma =
                     GateSet::from_indices(width, (0..limit).filter(|i| mask & (1 << i) != 0));
-                let unpooled = collect_reference_unpooled(&ac.circuit, root, &gamma);
+                let unpooled = collect_reference_unpooled(&c, shape, root, &gamma);
                 let mut scratch = EnumScratch::new();
                 let mut pooled = Vec::new();
                 let _ = box_enum(
-                    &ac.circuit,
-                    None,
-                    BoxEnumMode::Reference,
+                    EnumSource::new(&c, shape, None, BoxEnumMode::Reference),
                     &mut scratch,
                     root,
                     &gamma,
@@ -360,9 +368,10 @@ mod tests {
     fn pooled_reference_is_allocation_free_when_warm() {
         let tva = random_tva(2, 3, 7);
         let tree = random_binary_tree(40, 2, 8);
-        let ac = build_assignment_circuit(&tva, &tree);
-        let root = ac.circuit.root();
-        let width = ac.circuit.box_width(root);
+        let c = build_assignment_circuit(&tva, &tree);
+        let shape = &tree;
+        let root: BoxId = Topology::root(shape);
+        let width = c.box_width(root);
         if width == 0 {
             return;
         }
@@ -371,9 +380,7 @@ mod tests {
         let run = |scratch: &mut EnumScratch| {
             let mut count = 0usize;
             let _ = box_enum(
-                &ac.circuit,
-                None,
-                BoxEnumMode::Reference,
+                EnumSource::new(&c, shape, None, BoxEnumMode::Reference),
                 scratch,
                 root,
                 &gamma,
@@ -403,9 +410,10 @@ mod tests {
     fn pooled_reference_releases_pools_on_early_break() {
         let tva = random_tva(2, 3, 21);
         let tree = random_binary_tree(30, 2, 22);
-        let ac = build_assignment_circuit(&tva, &tree);
-        let root = ac.circuit.root();
-        let width = ac.circuit.box_width(root);
+        let c = build_assignment_circuit(&tva, &tree);
+        let shape = &tree;
+        let root: BoxId = Topology::root(shape);
+        let width = c.box_width(root);
         if width == 0 {
             return;
         }
@@ -414,9 +422,7 @@ mod tests {
         let run = |scratch: &mut EnumScratch, stop_after: usize| {
             let mut count = 0usize;
             let _ = box_enum(
-                &ac.circuit,
-                None,
-                BoxEnumMode::Reference,
+                EnumSource::new(&c, shape, None, BoxEnumMode::Reference),
                 scratch,
                 root,
                 &gamma,
@@ -447,18 +453,17 @@ mod tests {
     fn indexed_emits_each_box_once() {
         let tva = random_tva(2, 3, 99);
         let tree = random_binary_tree(25, 2, 100);
-        let ac = build_assignment_circuit(&tva, &tree);
-        let index = EnumIndex::build(&ac.circuit);
-        let root = ac.circuit.root();
-        let width = ac.circuit.box_width(root);
+        let c = build_assignment_circuit(&tva, &tree);
+        let shape = &tree;
+        let index = EnumIndex::build(&c, shape);
+        let root: BoxId = Topology::root(shape);
+        let width = c.box_width(root);
         if width == 0 {
             return;
         }
         let gamma = GateSet::full(width);
         let boxes: Vec<BoxId> = collect_box_enum(
-            &ac.circuit,
-            Some(&index),
-            BoxEnumMode::Indexed,
+            EnumSource::new(&c, shape, Some(&index), BoxEnumMode::Indexed),
             root,
             &gamma,
         )
@@ -475,10 +480,11 @@ mod tests {
     fn indexed_box_enum_is_allocation_free_when_warm() {
         let tva = random_tva(2, 3, 7);
         let tree = random_binary_tree(40, 2, 8);
-        let ac = build_assignment_circuit(&tva, &tree);
-        let index = EnumIndex::build(&ac.circuit);
-        let root = ac.circuit.root();
-        let width = ac.circuit.box_width(root);
+        let c = build_assignment_circuit(&tva, &tree);
+        let shape = &tree;
+        let index = EnumIndex::build(&c, shape);
+        let root: BoxId = Topology::root(shape);
+        let width = c.box_width(root);
         if width == 0 {
             return;
         }
@@ -487,9 +493,7 @@ mod tests {
         let run = |scratch: &mut EnumScratch| {
             let mut count = 0usize;
             let _ = box_enum(
-                &ac.circuit,
-                Some(&index),
-                BoxEnumMode::Indexed,
+                EnumSource::new(&c, shape, Some(&index), BoxEnumMode::Indexed),
                 scratch,
                 root,
                 &gamma,

@@ -16,13 +16,12 @@
 //! enumerations; the plain entry points create a throwaway one.
 
 use crate::bitset::GateSet;
-use crate::boxenum::BoxEnumMode;
-use crate::index::EnumIndex;
 use crate::machine::EnumSource;
 use crate::scratch::EnumScratch;
 use std::ops::ControlFlow;
-use treenum_circuits::{BoxId, Circuit};
+use treenum_circuits::BoxId;
 use treenum_trees::valuation::VarSet;
+use treenum_trees::Topology;
 
 /// An assignment as produced by the enumerator: a list of `⟨Y : leaf_token⟩` parts.
 /// Leaf tokens are distinct across parts (decomposability), so the total size `|S|`
@@ -32,35 +31,30 @@ pub type OutputAssignment = Vec<(VarSet, u32)>;
 /// The sink type receiving `(assignment, provenance)` pairs.
 pub type AssignmentSink<'s> = dyn FnMut(&OutputAssignment, &GateSet) -> ControlFlow<()> + 's;
 
-/// Enumerates `S(Γ)` for the boxed set `gamma` of box `b`, without duplicates,
-/// reporting each assignment together with its provenance relative to `gamma`.
+/// Enumerates `S(Γ)` for the boxed set `gamma` of box `b` of `src`, without
+/// duplicates, reporting each assignment together with its provenance
+/// relative to `gamma`.
 ///
 /// Creates a throwaway [`EnumScratch`]; callers with repeated enumerations
 /// should use [`enumerate_boxed_set_with`] to keep the pools warm.
-pub fn enumerate_boxed_set(
-    circuit: &Circuit,
-    index: Option<&EnumIndex>,
-    mode: BoxEnumMode,
+pub fn enumerate_boxed_set<S: Topology<BoxId>>(
+    src: EnumSource<'_, S>,
     b: BoxId,
     gamma: &GateSet,
     sink: &mut AssignmentSink<'_>,
 ) -> ControlFlow<()> {
-    let mut scratch = EnumScratch::new();
-    enumerate_boxed_set_with(&mut scratch, circuit, index, mode, b, gamma, sink)
+    enumerate_boxed_set_with(&mut EnumScratch::new(), src, b, gamma, sink)
 }
 
 /// [`enumerate_boxed_set`] with a caller-provided scratch (the allocation-free
 /// steady-state entry point).
-pub fn enumerate_boxed_set_with(
+pub fn enumerate_boxed_set_with<S: Topology<BoxId>>(
     scratch: &mut EnumScratch,
-    circuit: &Circuit,
-    index: Option<&EnumIndex>,
-    mode: BoxEnumMode,
+    src: EnumSource<'_, S>,
     b: BoxId,
     gamma: &GateSet,
     sink: &mut AssignmentSink<'_>,
 ) -> ControlFlow<()> {
-    let src = EnumSource::new(circuit, index, mode);
     scratch.start_boxed_set(src, b, gamma);
     drive(scratch, src, &mut |s: &EnumScratch| {
         sink(s.answer(), s.provenance())
@@ -71,21 +65,16 @@ pub fn enumerate_boxed_set_with(
 /// circuit: the empty assignment first when `empty_accepted` holds, then the
 /// assignments captured by the root gates `root_gates` (the ∪-gates `γ(root, q_f)`
 /// of the final states).
-pub fn enumerate_root(
-    circuit: &Circuit,
-    index: Option<&EnumIndex>,
-    mode: BoxEnumMode,
+pub fn enumerate_root<S: Topology<BoxId>>(
+    src: EnumSource<'_, S>,
     root_box: BoxId,
     root_gates: &[u32],
     empty_accepted: bool,
     sink: &mut dyn FnMut(&OutputAssignment) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    let mut scratch = EnumScratch::new();
     enumerate_root_with(
-        &mut scratch,
-        circuit,
-        index,
-        mode,
+        &mut EnumScratch::new(),
+        src,
         root_box,
         root_gates,
         empty_accepted,
@@ -95,27 +84,23 @@ pub fn enumerate_root(
 
 /// [`enumerate_root`] with a caller-provided scratch (the allocation-free
 /// steady-state entry point).
-#[allow(clippy::too_many_arguments)]
-pub fn enumerate_root_with(
+pub fn enumerate_root_with<S: Topology<BoxId>>(
     scratch: &mut EnumScratch,
-    circuit: &Circuit,
-    index: Option<&EnumIndex>,
-    mode: BoxEnumMode,
+    src: EnumSource<'_, S>,
     root_box: BoxId,
     root_gates: &[u32],
     empty_accepted: bool,
     sink: &mut dyn FnMut(&OutputAssignment) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    let src = EnumSource::new(circuit, index, mode);
     scratch.start_root(src, root_box, root_gates, empty_accepted);
     drive(scratch, src, &mut |s: &EnumScratch| sink(s.answer()))
 }
 
 /// Feeds every answer of the started run to `sink`; a break abandons the
 /// run, returning its buffers to the pools.
-fn drive(
+fn drive<S: Topology<BoxId>>(
     scratch: &mut EnumScratch,
-    src: EnumSource<'_>,
+    src: EnumSource<'_, S>,
     sink: &mut dyn FnMut(&EnumScratch) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     while scratch.next_answer(src) {
@@ -129,27 +114,17 @@ fn drive(
 
 /// Convenience wrapper collecting all assignments into a vector (tests, baselines,
 /// small outputs).
-pub fn collect_all(
-    circuit: &Circuit,
-    index: Option<&EnumIndex>,
-    mode: BoxEnumMode,
+pub fn collect_all<S: Topology<BoxId>>(
+    src: EnumSource<'_, S>,
     root_box: BoxId,
     root_gates: &[u32],
     empty_accepted: bool,
 ) -> Vec<OutputAssignment> {
     let mut out = Vec::new();
-    let _ = enumerate_root(
-        circuit,
-        index,
-        mode,
-        root_box,
-        root_gates,
-        empty_accepted,
-        &mut |s| {
-            out.push(s.clone());
-            ControlFlow::Continue(())
-        },
-    );
+    let _ = enumerate_root(src, root_box, root_gates, empty_accepted, &mut |s| {
+        out.push(s.clone());
+        ControlFlow::Continue(())
+    });
     out
 }
 
@@ -166,6 +141,7 @@ mod tests {
     use treenum_automata::{BinaryTva, State};
     use treenum_circuits::build_assignment_circuit;
     use treenum_circuits::semantics::capture_boxed_set;
+    use treenum_circuits::Circuit;
     use treenum_trees::binary::BinaryTree;
     use treenum_trees::valuation::{Var, VarSet};
     use treenum_trees::{Alphabet, Label};
@@ -258,18 +234,13 @@ mod tests {
         let root = rebuild(&tree, tree.root(), &mut tree2, a, f);
         tree2.set_root(root);
 
-        let ac = build_assignment_circuit(&tva, &tree2);
-        let index = EnumIndex::build(&ac.circuit);
-        let (gates, empty) = ac.root_query(&tva, &tree2);
+        let c = build_assignment_circuit(&tva, &tree2);
+        let index = EnumIndex::build(&c, &tree2);
+        let root = BoxId(tree2.root().0);
+        let (gates, empty) = c.gamma(root).boxed_set(tva.final_states());
         for mode in [BoxEnumMode::Reference, BoxEnumMode::Indexed] {
-            let produced = collect_all(
-                &ac.circuit,
-                Some(&index),
-                mode,
-                ac.circuit.root(),
-                &gates,
-                empty,
-            );
+            let src = EnumSource::new(&c, &tree2, Some(&index), mode);
+            let produced = collect_all(src, root, &gates, empty);
             let as_sets: HashSet<_> = produced.iter().map(to_explicit).collect();
             assert_eq!(
                 as_sets.len(),
@@ -295,28 +266,22 @@ mod tests {
     /// tests below probe with a capped reference enumeration first and skip
     /// instances too large to check exhaustively.
     fn answer_count_exceeds(
-        circuit: &treenum_circuits::Circuit,
-        index: &EnumIndex,
-        root: treenum_circuits::BoxId,
+        circuit: &Circuit,
+        tree: &BinaryTree,
+        root: BoxId,
         gamma: &GateSet,
         cap: usize,
     ) -> bool {
         let mut count = 0usize;
-        enumerate_boxed_set(
-            circuit,
-            Some(index),
-            BoxEnumMode::Reference,
-            root,
-            gamma,
-            &mut |_s, _p| {
-                count += 1;
-                if count > cap {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            },
-        )
+        let src = EnumSource::new(circuit, tree, None, BoxEnumMode::Reference);
+        enumerate_boxed_set(src, root, gamma, &mut |_s, _p| {
+            count += 1;
+            if count > cap {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
         .is_break()
     }
 
@@ -344,35 +309,29 @@ mod tests {
                 7 + (seed % 5) as usize
             };
             let tree = random_binary_tree(size, 2, seed + 1000);
-            let ac = build_assignment_circuit(&tva, &tree);
-            let index = EnumIndex::build(&ac.circuit);
-            let root = ac.circuit.root();
-            let width = ac.circuit.box_width(root);
+            let c = build_assignment_circuit(&tva, &tree);
+            let index = EnumIndex::build(&c, &tree);
+            let root = BoxId(tree.root().0);
+            let width = c.box_width(root);
             if width == 0 {
                 continue;
             }
             let gamma = GateSet::full(width);
-            if answer_count_exceeds(&ac.circuit, &index, root, &gamma, MAX_ORACLE_ANSWERS) {
+            if answer_count_exceeds(&c, &tree, root, &gamma, MAX_ORACLE_ANSWERS) {
                 continue;
             }
             tested += 1;
             let expected: HashSet<BTreeSet<(Var, u32)>> =
-                capture_boxed_set(&ac.circuit, root, &(0..width as u32).collect::<Vec<_>>())
+                capture_boxed_set(&c, &tree, root, &(0..width as u32).collect::<Vec<_>>())
                     .into_iter()
                     .collect();
             for mode in [BoxEnumMode::Reference, BoxEnumMode::Indexed] {
                 let mut produced: Vec<OutputAssignment> = Vec::new();
-                let _ = enumerate_boxed_set(
-                    &ac.circuit,
-                    Some(&index),
-                    mode,
-                    root,
-                    &gamma,
-                    &mut |s, _p| {
-                        produced.push(s.clone());
-                        ControlFlow::Continue(())
-                    },
-                );
+                let src = EnumSource::new(&c, &tree, Some(&index), mode);
+                let _ = enumerate_boxed_set(src, root, &gamma, &mut |s, _p| {
+                    produced.push(s.clone());
+                    ControlFlow::Continue(())
+                });
                 let as_sets: HashSet<_> = produced.iter().map(to_explicit).collect();
                 assert_eq!(
                     as_sets.len(),
@@ -401,15 +360,15 @@ mod tests {
         for &seed in seeds {
             let tva = random_tva(2, 3, 1, seed);
             let tree = random_binary_tree(8, 2, seed + 5);
-            let ac = build_assignment_circuit(&tva, &tree);
-            let index = EnumIndex::build(&ac.circuit);
-            let root = ac.circuit.root();
-            let width = ac.circuit.box_width(root);
+            let c = build_assignment_circuit(&tva, &tree);
+            let index = EnumIndex::build(&c, &tree);
+            let root = BoxId(tree.root().0);
+            let width = c.box_width(root);
             if width == 0 {
                 continue;
             }
             let gamma = GateSet::full(width);
-            if answer_count_exceeds(&ac.circuit, &index, root, &gamma, MAX_ORACLE_ANSWERS) {
+            if answer_count_exceeds(&c, &tree, root, &gamma, MAX_ORACLE_ANSWERS) {
                 continue;
             }
             tested += 1;
@@ -417,29 +376,23 @@ mod tests {
             // gate, then constant-time membership checks per produced answer.
             let per_gate: Vec<HashSet<BTreeSet<(Var, u32)>>> = (0..width)
                 .map(|g| {
-                    capture_boxed_set(&ac.circuit, root, &[g as u32])
+                    capture_boxed_set(&c, &tree, root, &[g as u32])
                         .into_iter()
                         .collect()
                 })
                 .collect();
-            let _ = enumerate_boxed_set(
-                &ac.circuit,
-                Some(&index),
-                BoxEnumMode::Indexed,
-                root,
-                &gamma,
-                &mut |s, prov| {
-                    let explicit = to_explicit(s);
-                    for (g, captured) in per_gate.iter().enumerate() {
-                        assert_eq!(
-                            prov.contains(g),
-                            captured.contains(&explicit),
-                            "provenance wrong for gate {g} (seed {seed})"
-                        );
-                    }
-                    ControlFlow::Continue(())
-                },
-            );
+            let src = EnumSource::new(&c, &tree, Some(&index), BoxEnumMode::Indexed);
+            let _ = enumerate_boxed_set(src, root, &gamma, &mut |s, prov| {
+                let explicit = to_explicit(s);
+                for (g, captured) in per_gate.iter().enumerate() {
+                    assert_eq!(
+                        prov.contains(g),
+                        captured.contains(&explicit),
+                        "provenance wrong for gate {g} (seed {seed})"
+                    );
+                }
+                ControlFlow::Continue(())
+            });
         }
         assert!(tested >= 2, "too few random instances were exercised");
     }
@@ -457,15 +410,14 @@ mod tests {
             cur = t.add_internal(f, cur, l);
         }
         t.set_root(cur);
-        let ac = build_assignment_circuit(&tva, &t);
-        let index = EnumIndex::build(&ac.circuit);
-        let (gates, empty) = ac.root_query(&tva, &t);
+        let c = build_assignment_circuit(&tva, &t);
+        let index = EnumIndex::build(&c, &t);
+        let root = BoxId(t.root().0);
+        let (gates, empty) = c.gamma(root).boxed_set(tva.final_states());
         let mut count = 0;
         let _ = enumerate_root(
-            &ac.circuit,
-            Some(&index),
-            BoxEnumMode::Indexed,
-            ac.circuit.root(),
+            EnumSource::new(&c, &t, Some(&index), BoxEnumMode::Indexed),
+            root,
             &gates,
             empty,
             &mut |_s| {

@@ -38,8 +38,11 @@
 //! part* a parent's entry depends on; the inputs are there so that Algorithm
 //! 2 reads an emitted box's var- and ×-gates from the record it already
 //! holds instead of decoding them from the circuit's content record.  Box
-//! topology (children, parent, width) stays in the [`Circuit`], so a
-//! reparented box keeps a valid record without a rebuild.
+//! topology (children, parent) is the tree's, read through [`Topology`]; the
+//! header's child widths let an indexed walk step skip the circuit, so it
+//! touches the table entry, the record and the tree node.  A box's record
+//! depends on its subtree only, so a reparented box keeps a valid record
+//! without a rebuild.
 //!
 //! Records live in the circuit crate's [`Slab`], the allocator the
 //! circuit's content records use too: size-classed blocks reused through
@@ -50,7 +53,7 @@
 use crate::relation::{compose_rows, RelRef, Relation};
 use treenum_circuits::{Block, BoxId, Circuit, Side, Slab, UnionInput};
 use treenum_trees::valuation::VarSet;
-use treenum_trees::ChunkedVec;
+use treenum_trees::{ChunkedVec, Topology};
 
 /// Sentinel for "undefined" (`fbb` of a gate with no bidirectional box below it).
 pub const UNDEFINED: u32 = u32::MAX;
@@ -97,8 +100,10 @@ impl<'a> BoxRecord<'a> {
         field16(self.words[0], 1)
     }
 
+    /// The widths of the left and right child boxes (`(0, 0)` for a leaf
+    /// box).
     #[inline]
-    fn child_widths(&self) -> (usize, usize) {
+    pub fn child_widths(&self) -> (usize, usize) {
         (field16(self.words[0], 2), field16(self.words[0], 3))
     }
 
@@ -368,11 +373,12 @@ fn record_in<'a>(table: &ChunkedVec<Block>, slab: &'a Slab, b: BoxId) -> Option<
 }
 
 impl EnumIndex {
-    /// Builds the index for every box of the circuit, bottom-up.
-    pub fn build(circuit: &Circuit) -> Self {
+    /// Builds the index for every box of the circuit over the tree
+    /// `shape`, bottom-up.
+    pub fn build<S: Topology<BoxId>>(circuit: &Circuit, shape: &S) -> Self {
         let mut index = EnumIndex::default();
-        for b in circuit.boxes_postorder() {
-            index.rebuild_box(circuit, b);
+        for b in shape.postorder() {
+            index.rebuild_box(circuit, shape, b);
         }
         index
     }
@@ -469,8 +475,13 @@ impl EnumIndex {
     /// a reusable buffer, then copied into the slab.
     // hot-path: the per-edit spine-repair step; the O(polylog) update bound
     // assumes it stays free of per-call allocation.
-    pub fn rebuild_box(&mut self, circuit: &Circuit, b: BoxId) -> usize {
-        self.compute_entry(circuit, b);
+    pub fn rebuild_box<S: Topology<BoxId>>(
+        &mut self,
+        circuit: &Circuit,
+        shape: &S,
+        b: BoxId,
+    ) -> usize {
+        self.compute_entry(circuit, shape, b);
         let stored = self.staged().closure_len();
         self.stats.box_rebuilds += 1;
         self.stats.relations_stored += stored as u64;
@@ -487,8 +498,13 @@ impl EnumIndex {
     /// below do not alter).  A change to the box's var- or ×-inputs alone
     /// rewrites the record but reports `false`.
     // hot-path: the fixpoint variant of `rebuild_box`, same discipline.
-    pub fn rebuild_box_changed(&mut self, circuit: &Circuit, b: BoxId) -> bool {
-        self.compute_entry(circuit, b);
+    pub fn rebuild_box_changed<S: Topology<BoxId>>(
+        &mut self,
+        circuit: &Circuit,
+        shape: &S,
+        b: BoxId,
+    ) -> bool {
+        self.compute_entry(circuit, shape, b);
         self.stats.box_rebuilds += 1;
         let staged = self.staged();
         let stored = staged.closure_len() as u64;
@@ -522,11 +538,11 @@ impl EnumIndex {
         *slot = self.slab.store(*slot, &self.staging.record);
     }
 
-    /// Computes the record of `b` from the circuit and the children's
-    /// records into the staging buffer, without storing it.
+    /// Computes the record of `b` from the circuit, the tree `shape` and the
+    /// children's records into the staging buffer, without storing it.
     // hot-path: runs once per rebuilt box; every buffer it writes is a
     // reused staging vector.
-    fn compute_entry(&mut self, circuit: &Circuit, b: BoxId) {
+    fn compute_entry<S: Topology<BoxId>>(&mut self, circuit: &Circuit, shape: &S, b: BoxId) {
         let EnumIndex {
             table,
             slab,
@@ -534,7 +550,7 @@ impl EnumIndex {
             ..
         } = self;
         let width = circuit.box_width(b);
-        let children = circuit.children(b);
+        let children = shape.children(b);
         let child_record = |c: BoxId| record_in(table, slab, c).expect("child index missing");
         let (left, right) = match children {
             Some((l, r)) => (Some(child_record(l)), Some(child_record(r))),
@@ -555,7 +571,7 @@ impl EnumIndex {
         for gi in 0..width {
             let (mut own, mut fib_l, mut fib_r) = (false, UNDEFINED, UNDEFINED);
             let (mut to_left, mut to_right) = (false, false);
-            for input in circuit.gate_inputs(b, gi) {
+            for input in circuit.gate_inputs(shape, b, gi) {
                 match input {
                     UnionInput::Var { .. } | UnionInput::Times { .. } => own = true,
                     UnionInput::Child { side, gate: g } => {
@@ -582,8 +598,8 @@ impl EnumIndex {
             let fbb = match (to_left, to_right) {
                 (true, true) => b.0,
                 (false, false) => NO_BOX,
-                (true, false) => lca_of_fbbs(circuit, left, b, gi, Side::Left),
-                (false, true) => lca_of_fbbs(circuit, right, b, gi, Side::Right),
+                (true, false) => lca_of_fbbs(circuit, shape, left, b, gi, Side::Left),
+                (false, true) => lca_of_fbbs(circuit, shape, right, b, gi, Side::Right),
             };
             staging.fib.push(fib);
             staging.fbb.push(fbb);
@@ -605,12 +621,12 @@ impl EnumIndex {
         closure.extend_from_slice(targets);
         for i in 0..targets.len() {
             for j in (i + 1)..targets.len() {
-                closure.push(circuit.lca(targets[i], targets[j]));
+                closure.push(shape.lca(targets[i], targets[j]));
             }
         }
         closure.sort_unstable();
         closure.dedup();
-        closure.sort_unstable_by(|&x, &y| circuit.preorder_cmp(x, y));
+        closure.sort_unstable_by(|&x, &y| shape.preorder_cmp(x, y));
 
         let k = closure.len();
         assert!(
@@ -627,7 +643,7 @@ impl EnumIndex {
         let gates_at = right_at + wr * p;
         rec.resize(gates_at, 0);
         for gi in 0..width {
-            for input in circuit.gate_inputs(b, gi) {
+            for input in circuit.gate_inputs(shape, b, gi) {
                 if let UnionInput::Child { side, gate: g } = input {
                     let at = if side == Side::Left { 1 } else { right_at };
                     rec[at + g as usize * p + gi / 64] |= 1 << (gi % 64);
@@ -660,7 +676,7 @@ impl EnumIndex {
                 continue;
             }
             let (l, _) = children.expect("a strict descendant needs children");
-            let (child, child_rec, step_at, step_rows) = if circuit.is_ancestor(l, d) {
+            let (child, child_rec, step_at, step_rows) = if shape.is_ancestor(l, d) {
                 (l, left, 1, wl)
             } else {
                 (children.expect("internal").1, right, right_at, wr)
@@ -695,7 +711,7 @@ impl EnumIndex {
         for gi in 0..width {
             let at = rec.len() as u64;
             rec[gates_at + gi] |= at << 32;
-            for input in circuit.gate_inputs(b, gi) {
+            for input in circuit.gate_inputs(shape, b, gi) {
                 match input {
                     UnionInput::Var { vars, leaf_token } => {
                         assert!(var_kind, "var-gate outside a leaf box in {b:?}");
@@ -716,8 +732,9 @@ impl EnumIndex {
 /// The lca of the `fbb` boxes of the wires of gate `gi` of box `b` into
 /// the `side` child (whose record is `child`), or [`NO_BOX`] if none is
 /// defined.
-fn lca_of_fbbs(
+fn lca_of_fbbs<S: Topology<BoxId>>(
     circuit: &Circuit,
+    shape: &S,
     child: Option<BoxRecord<'_>>,
     b: BoxId,
     gi: usize,
@@ -725,7 +742,7 @@ fn lca_of_fbbs(
 ) -> u32 {
     let child = child.expect("child wires without a child");
     let mut lca: Option<BoxId> = None;
-    for input in circuit.gate_inputs(b, gi) {
+    for input in circuit.gate_inputs(shape, b, gi) {
         let UnionInput::Child { side: s, gate: g } = input else {
             continue;
         };
@@ -735,7 +752,7 @@ fn lca_of_fbbs(
         }
         let x = child.closure_box(slot as usize);
         lca = Some(match lca {
-            Some(l) if l != x => circuit.lca(l, x),
+            Some(l) if l != x => shape.lca(l, x),
             _ => x,
         });
     }
@@ -751,7 +768,7 @@ mod tests {
     use treenum_trees::binary::BinaryTree;
     use treenum_trees::{Alphabet, Var};
 
-    fn build_sample(depth: usize) -> (treenum_circuits::AssignmentCircuit, BinaryTree) {
+    fn build_sample(depth: usize) -> (Circuit, BinaryTree) {
         let sigma = Alphabet::from_names(["a", "f"]);
         let a = sigma.get("a").unwrap();
         let f = sigma.get("f").unwrap();
@@ -766,14 +783,23 @@ mod tests {
         (build_assignment_circuit(&tva, &t), t)
     }
 
+    /// The boxes of a circuit built on `t`, children first.
+    fn boxes(t: &BinaryTree) -> Vec<BoxId> {
+        Topology::postorder(t)
+    }
+
+    fn root(t: &BinaryTree) -> BoxId {
+        Topology::root(t)
+    }
+
     #[test]
     fn index_builds_for_every_box() {
-        let (ac, _t) = build_sample(5);
-        let index = EnumIndex::build(&ac.circuit);
-        assert_eq!(index.len(), ac.circuit.num_boxes());
-        for b in ac.circuit.boxes_preorder() {
+        let (c, t) = build_sample(5);
+        let index = EnumIndex::build(&c, &t);
+        assert_eq!(index.len(), c.num_boxes());
+        for b in boxes(&t) {
             let bi = index.of(b);
-            let width = ac.circuit.box_width(b);
+            let width = c.box_width(b);
             assert_eq!(bi.width(), width);
             // Every fib must be defined (every ∪-gate reaches some var/× gate),
             // and every fib/fbb names a closure slot.
@@ -785,24 +811,19 @@ mod tests {
             let closure: Vec<BoxId> = bi.closure().collect();
             assert_eq!(closure.len(), bi.closure_len());
             for w in closure.windows(2) {
-                assert_eq!(
-                    ac.circuit.preorder_cmp(w[0], w[1]),
-                    std::cmp::Ordering::Less
-                );
+                assert_eq!(t.preorder_cmp(w[0], w[1]), std::cmp::Ordering::Less);
             }
             // The inputs mirror the circuit's var- and ×-inputs per gate.
             for g in 0..width {
-                let vars: Vec<(_, _)> = ac
-                    .circuit
-                    .gate_inputs(b, g)
+                let vars: Vec<(_, _)> = c
+                    .gate_inputs(&t, b, g)
                     .filter_map(|i| match i {
                         UnionInput::Var { vars, leaf_token } => Some((vars, leaf_token)),
                         _ => None,
                     })
                     .collect();
-                let times: Vec<(_, _)> = ac
-                    .circuit
-                    .gate_inputs(b, g)
+                let times: Vec<(_, _)> = c
+                    .gate_inputs(&t, b, g)
                     .filter_map(|i| match i {
                         UnionInput::Times { left, right } => Some((left, right)),
                         _ => None,
@@ -817,12 +838,12 @@ mod tests {
 
     #[test]
     fn relations_in_index_match_walking() {
-        let (ac, _t) = build_sample(6);
-        let index = EnumIndex::build(&ac.circuit);
-        for b in ac.circuit.boxes_preorder() {
+        let (c, t) = build_sample(6);
+        let index = EnumIndex::build(&c, &t);
+        for b in boxes(&t) {
             let bi = index.of(b);
             for (i, d) in bi.closure().enumerate() {
-                let expected = relation_by_walking(&ac.circuit, b, d);
+                let expected = relation_by_walking(&c, &t, b, d);
                 assert_eq!(
                     bi.closure_rel(i).to_relation(),
                     expected,
@@ -836,11 +857,11 @@ mod tests {
 
     #[test]
     fn stored_child_relations_match_wire_derivation() {
-        let (ac, _t) = build_sample(6);
-        let index = EnumIndex::build(&ac.circuit);
-        for b in ac.circuit.boxes_preorder() {
+        let (c, t) = build_sample(6);
+        let index = EnumIndex::build(&c, &t);
+        for b in boxes(&t) {
             let bi = index.of(b);
-            match ac.circuit.children(b) {
+            match Topology::children(&t, b) {
                 None => {
                     assert_eq!(bi.child_rel(Side::Left).rows(), 0);
                     assert_eq!(bi.child_rel(Side::Right).rows(), 0);
@@ -849,7 +870,7 @@ mod tests {
                     for side in [Side::Left, Side::Right] {
                         assert_eq!(
                             bi.child_rel(side).to_relation(),
-                            child_relation(&ac.circuit, b, side)
+                            child_relation(&c, &t, b, side)
                         );
                     }
                 }
@@ -862,13 +883,13 @@ mod tests {
         // `rebuild_box` reads the child records in place; rebuilding every
         // box again, as an update spine repair would, reproduces the built
         // records in the blocks they already had.
-        let (ac, _t) = build_sample(6);
-        let mut index = EnumIndex::build(&ac.circuit);
+        let (c, t) = build_sample(6);
+        let mut index = EnumIndex::build(&c, &t);
         let built = index.clone();
         let words = index.slab_words();
-        let boxes = ac.circuit.boxes_postorder();
+        let boxes = boxes(&t);
         for &b in &boxes {
-            index.rebuild_box(&ac.circuit, b);
+            index.rebuild_box(&c, &t, b);
         }
         let stats = index.stats();
         assert_eq!(stats.box_rebuilds, 2 * boxes.len() as u64);
@@ -881,17 +902,17 @@ mod tests {
 
     #[test]
     fn slab_tracks_removal_and_reuse() {
-        let (ac, _t) = build_sample(4);
-        let mut index = EnumIndex::build(&ac.circuit);
+        let (c, t) = build_sample(4);
+        let mut index = EnumIndex::build(&c, &t);
         let n = index.len();
         let words = index.slab_words();
-        let root = ac.circuit.root();
+        let root = root(&t);
         let free = index.free_words();
         index.remove_box(root);
         assert_eq!(index.len(), n - 1);
         assert!(!index.has(root));
         assert!(index.free_words() > free, "the root's block is free");
-        index.rebuild_box(&ac.circuit, root);
+        index.rebuild_box(&c, &t, root);
         assert_eq!(index.len(), n);
         assert!(index.has(root));
         assert_eq!(index.free_words(), free, "the freed block is reused");
@@ -900,10 +921,10 @@ mod tests {
 
     #[test]
     fn remove_box_tolerates_already_removed_entries() {
-        let (ac, _t) = build_sample(4);
-        let mut index = EnumIndex::build(&ac.circuit);
+        let (c, t) = build_sample(4);
+        let mut index = EnumIndex::build(&c, &t);
         let n = index.len();
-        let boxes = ac.circuit.boxes_postorder();
+        let boxes = boxes(&t);
         // Remove a whole run bottom-up, then remove everything again: the
         // second pass (children already gone) must be a no-op, as must
         // removing a slot that never had an entry.
@@ -918,7 +939,7 @@ mod tests {
         assert_eq!(index.len(), 0);
         let words = index.slab_words();
         for &b in &boxes {
-            index.rebuild_box(&ac.circuit, b);
+            index.rebuild_box(&c, &t, b);
         }
         assert_eq!(index.len(), n);
         assert_eq!(
@@ -930,8 +951,8 @@ mod tests {
 
     #[test]
     fn record_batch_accumulates_counters() {
-        let (ac, _t) = build_sample(3);
-        let mut index = EnumIndex::build(&ac.circuit);
+        let (c, t) = build_sample(3);
+        let mut index = EnumIndex::build(&c, &t);
         assert_eq!(index.stats().batch_rebuilds, 0);
         index.record_batch(5, 11, 7);
         index.record_batch(0, 2, 0);
@@ -944,24 +965,22 @@ mod tests {
 
     #[test]
     fn rebuild_box_is_idempotent() {
-        let (ac, _t) = build_sample(4);
-        let mut index = EnumIndex::build(&ac.circuit);
-        let root = ac.circuit.root();
+        let (c, t) = build_sample(4);
+        let mut index = EnumIndex::build(&c, &t);
+        let root = root(&t);
         let before = index.of(root).words().to_vec();
-        index.rebuild_box(&ac.circuit, root);
+        index.rebuild_box(&c, &t, root);
         assert_eq!(index.of(root).words(), &before[..]);
-        assert!(!index.rebuild_box_changed(&ac.circuit, root));
+        assert!(!index.rebuild_box_changed(&c, &t, root));
     }
 
     #[test]
     fn an_inputs_only_change_rewrites_the_record_but_not_the_index_part() {
-        let (mut ac, _t) = build_sample(4);
-        let mut index = EnumIndex::build(&ac.circuit);
-        let leaf = ac
-            .circuit
-            .boxes_preorder()
+        let (mut c, t) = build_sample(4);
+        let mut index = EnumIndex::build(&c, &t);
+        let leaf = boxes(&t)
             .into_iter()
-            .find(|&b| ac.circuit.is_leaf(b) && ac.circuit.box_width(b) > 0)
+            .find(|&b| Topology::children(&t, b).is_none() && c.box_width(b) > 0)
             .expect("a leaf with ∪-gates");
         // The same automaton selecting into another variable: the same
         // gates, with other var-gate labels.
@@ -970,11 +989,11 @@ mod tests {
         let tva = select_a_leaves(a, f, Var(1));
         let mut staging = ContentStaging::default();
         let content = leaf_box_content(&tva, a, &mut staging);
-        assert_eq!(content.gamma(), ac.circuit.gamma(leaf));
-        ac.circuit.replace_content(leaf, content);
+        assert_eq!(content.gamma(), c.gamma(leaf));
+        c.set_content(leaf, content);
         let stats = index.stats();
         assert!(
-            !index.rebuild_box_changed(&ac.circuit, leaf),
+            !index.rebuild_box_changed(&c, &t, leaf),
             "new var-gate labels leave the index part as it was"
         );
         assert_eq!(index.stats().relations_stored, stats.relations_stored);
@@ -982,7 +1001,7 @@ mod tests {
         let rec = index.of(leaf);
         let x1 = VarSet::singleton(Var(1));
         assert!((0..rec.width()).all(|g| rec.var_inputs(g).all(|(vars, _)| vars == x1)));
-        let fresh = EnumIndex::build(&ac.circuit);
+        let fresh = EnumIndex::build(&c, &t);
         assert_eq!(
             index.of(leaf),
             fresh.of(leaf),

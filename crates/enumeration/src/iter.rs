@@ -11,19 +11,20 @@ use crate::dedup::OutputAssignment;
 use crate::machine::EnumSource;
 use crate::scratch::{EnumScratch, EnumStats};
 use treenum_circuits::BoxId;
+use treenum_trees::Topology;
 
 /// A pull-based iterator over the assignments of a circuit root (see
 /// [`crate::dedup::enumerate_root`] for the arguments).
-pub struct AssignmentIter<'a> {
-    src: EnumSource<'a>,
+pub struct AssignmentIter<'a, S> {
+    src: EnumSource<'a, S>,
     scratch: EnumScratch,
 }
 
-impl<'a> AssignmentIter<'a> {
+impl<'a, S: Topology<BoxId>> AssignmentIter<'a, S> {
     /// Starts the enumeration of the root gates `root_gates` of `root_box`
     /// (preceded by the empty assignment when `empty_accepted` holds).
     pub fn new(
-        src: EnumSource<'a>,
+        src: EnumSource<'a, S>,
         root_box: BoxId,
         root_gates: &[u32],
         empty_accepted: bool,
@@ -40,7 +41,7 @@ impl<'a> AssignmentIter<'a> {
     }
 }
 
-impl Iterator for AssignmentIter<'_> {
+impl<S: Topology<BoxId>> Iterator for AssignmentIter<'_, S> {
     type Item = OutputAssignment;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -57,13 +58,13 @@ mod tests {
     use crate::dedup::collect_all;
     use crate::index::EnumIndex;
     use treenum_automata::binary::select_a_leaves;
-    use treenum_circuits::{build_assignment_circuit, AssignmentCircuit};
+    use treenum_circuits::{build_assignment_circuit, Circuit};
     use treenum_trees::binary::BinaryTree;
     use treenum_trees::{Alphabet, Label, Var};
 
     /// A comb of `n + 1` `a`-leaves (or `f`-leaves when `a_leaves` is
     /// false) under `f`-nodes, with the select-`a`-leaves query.
-    fn comb(n: usize, a_leaves: bool) -> (AssignmentCircuit, EnumIndex, Vec<u32>, bool) {
+    fn comb(n: usize, a_leaves: bool) -> (Circuit, BinaryTree, EnumIndex, Vec<u32>, bool) {
         let sigma = Alphabet::from_names(["a", "f"]);
         let a = sigma.get("a").unwrap();
         let f = sigma.get("f").unwrap();
@@ -76,27 +77,20 @@ mod tests {
             cur = t.add_internal(f, cur, l);
         }
         t.set_root(cur);
-        let ac = build_assignment_circuit(&tva, &t);
-        let index = EnumIndex::build(&ac.circuit);
-        let (gates, empty) = ac.root_query(&tva, &t);
-        (ac, index, gates, empty)
+        let c = build_assignment_circuit(&tva, &t);
+        let index = EnumIndex::build(&c, &t);
+        let (gates, empty) = c.gamma(BoxId(cur.0)).boxed_set(tva.final_states());
+        (c, t, index, gates, empty)
     }
 
     #[test]
     fn yields_all_items_then_ends() {
-        let (ac, index, gates, empty) = comb(4, true);
-        let src = EnumSource::new(&ac.circuit, Some(&index), BoxEnumMode::Indexed);
-        let root = ac.circuit.root();
+        let (c, t, index, gates, empty) = comb(4, true);
+        let src = EnumSource::new(&c, &t, Some(&index), BoxEnumMode::Indexed);
+        let root = BoxId(t.root().0);
         let items: Vec<_> = AssignmentIter::new(src, root, &gates, empty).collect();
         assert_eq!(items.len(), 5);
-        let expected = collect_all(
-            &ac.circuit,
-            Some(&index),
-            BoxEnumMode::Indexed,
-            root,
-            &gates,
-            empty,
-        );
+        let expected = collect_all(src, root, &gates, empty);
         assert_eq!(
             items, expected,
             "same answers, same order as the callback driver"
@@ -105,9 +99,9 @@ mod tests {
 
     #[test]
     fn dropping_the_iterator_stops_the_producer() {
-        let (ac, index, gates, empty) = comb(64, true);
-        let src = EnumSource::new(&ac.circuit, Some(&index), BoxEnumMode::Indexed);
-        let mut iter = AssignmentIter::new(src, ac.circuit.root(), &gates, empty);
+        let (c, t, index, gates, empty) = comb(64, true);
+        let src = EnumSource::new(&c, &t, Some(&index), BoxEnumMode::Indexed);
+        let mut iter = AssignmentIter::new(src, BoxId(t.root().0), &gates, empty);
         assert!(iter.next().is_some());
         assert!(iter.next().is_some());
         // Pull-based: nothing was produced beyond what the consumer asked for.
@@ -117,10 +111,10 @@ mod tests {
 
     #[test]
     fn empty_producer_yields_nothing() {
-        let (ac, index, gates, empty) = comb(3, false);
+        let (c, t, index, gates, empty) = comb(3, false);
         assert!(gates.is_empty() && !empty, "no a-leaf, no answer");
-        let src = EnumSource::new(&ac.circuit, Some(&index), BoxEnumMode::Indexed);
-        let iter = AssignmentIter::new(src, ac.circuit.root(), &gates, empty);
+        let src = EnumSource::new(&c, &t, Some(&index), BoxEnumMode::Indexed);
+        let iter = AssignmentIter::new(src, BoxId(t.root().0), &gates, empty);
         assert_eq!(iter.count(), 0);
     }
 }

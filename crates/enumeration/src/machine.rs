@@ -38,10 +38,12 @@
 //! Every relation, gate set and buffer comes from the scratch pools, and
 //! every stack growth is counted, so a warm run performs no heap allocation
 //! ([`crate::EnumStats::per_answer_allocs`] stays flat).  In indexed mode
-//! the walk reads each box's jump pointers, relations, child steps and
-//! var-/×-inputs from its index record ([`crate::BoxRecord`]) and composes
-//! straight from the record's rows; every composition is counted in
-//! [`crate::EnumStats::compositions`].
+//! the walk reads each box's jump pointers, relations, child steps, child
+//! widths and var-/×-inputs from its index record ([`crate::BoxRecord`]) and
+//! composes straight from the record's rows; the links between boxes are
+//! the tree's ([`Topology`]), so a walk step reads the table entry, the
+//! record and the tree node, and no circuit slot.  Every composition is
+//! counted in [`crate::EnumStats::compositions`].
 
 use crate::bitset::GateSet;
 use crate::boxenum::{is_interesting_rel, BoxEnumMode, BoxSink};
@@ -51,29 +53,47 @@ use crate::relation::{child_relation_into, RelRef, Relation};
 use crate::scratch::{EnumScratch, Triple, VarPart};
 use std::ops::ControlFlow;
 use treenum_circuits::{BoxId, Circuit, Side, UnionInput};
+use treenum_trees::Topology;
 
-/// What a machine run reads: the circuit, its index (required in
-/// [`BoxEnumMode::Indexed`]) and the `box-enum` implementation to use.
-#[derive(Clone, Copy, Debug)]
-pub struct EnumSource<'a> {
+/// What a machine run reads: the circuit, the tree it is built on (its
+/// box topology), its index (required in [`BoxEnumMode::Indexed`]) and the
+/// `box-enum` implementation to use.
+#[derive(Debug)]
+pub struct EnumSource<'a, S> {
     /// The assignment circuit being enumerated.
     pub circuit: &'a Circuit,
+    /// The tree the circuit is built on.
+    pub shape: &'a S,
     /// The jump-pointer index (Definition 6.1); `None` only in reference mode.
     pub index: Option<&'a EnumIndex>,
     /// Which `box-enum` implementation drives the walk.
     pub mode: BoxEnumMode,
 }
 
-impl<'a> EnumSource<'a> {
+impl<S> Clone for EnumSource<'_, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S> Copy for EnumSource<'_, S> {}
+
+impl<'a, S: Topology<BoxId>> EnumSource<'a, S> {
     /// Bundles a run's inputs.  Panics if `mode` is
     /// [`BoxEnumMode::Indexed`] and no index is given.
-    pub fn new(circuit: &'a Circuit, index: Option<&'a EnumIndex>, mode: BoxEnumMode) -> Self {
+    pub fn new(
+        circuit: &'a Circuit,
+        shape: &'a S,
+        index: Option<&'a EnumIndex>,
+        mode: BoxEnumMode,
+    ) -> Self {
         assert!(
             mode == BoxEnumMode::Reference || index.is_some(),
             "indexed box-enum requires the index structure"
         );
         EnumSource {
             circuit,
+            shape,
             index,
             mode,
         }
@@ -88,34 +108,67 @@ impl<'a> EnumSource<'a> {
     /// Where the var- and ×-inputs of box `b` are read: its index record
     /// in indexed mode, the circuit's content record in reference mode.
     #[inline]
-    fn inputs(&self, b: BoxId) -> BoxInputs<'a> {
+    fn inputs(&self, b: BoxId) -> BoxInputs<'a, S> {
         match self.mode {
             BoxEnumMode::Indexed => BoxInputs::Record(self.index().of(b)),
-            BoxEnumMode::Reference => BoxInputs::Circuit(self.circuit, b),
+            BoxEnumMode::Reference => BoxInputs::Circuit(*self, b),
         }
+    }
+
+    /// The width of box `b`: from its index record in indexed mode.
+    #[inline]
+    fn width(&self, b: BoxId) -> usize {
+        match self.mode {
+            BoxEnumMode::Indexed => self.index().of(b).width(),
+            BoxEnumMode::Reference => self.circuit.box_width(b),
+        }
+    }
+
+    /// The `side` child of internal box `b` and its width.  In indexed mode
+    /// the width comes from `b`'s record header, so the step reads no
+    /// circuit slot.
+    #[inline]
+    fn child(&self, b: BoxId, side: Side) -> (BoxId, usize) {
+        let (l, r) = self
+            .shape
+            .children(b)
+            .expect("×-gates can only appear in internal boxes");
+        let child = if side == Side::Left { l } else { r };
+        let width = match self.mode {
+            BoxEnumMode::Indexed => {
+                let (wl, wr) = self.index().of(b).child_widths();
+                if side == Side::Left {
+                    wl
+                } else {
+                    wr
+                }
+            }
+            BoxEnumMode::Reference => self.circuit.box_width(child),
+        };
+        (child, width)
     }
 }
 
 /// The var- and ×-inputs of one box, per ∪-gate.
-#[derive(Clone, Copy)]
-enum BoxInputs<'a> {
+enum BoxInputs<'a, S> {
     Record(BoxRecord<'a>),
-    Circuit(&'a Circuit, BoxId),
+    Circuit(EnumSource<'a, S>, BoxId),
 }
 
-impl BoxInputs<'_> {
+impl<S: Topology<BoxId>> BoxInputs<'_, S> {
     fn width(&self) -> usize {
         match self {
             BoxInputs::Record(rec) => rec.width(),
-            BoxInputs::Circuit(circuit, b) => circuit.box_width(*b),
+            BoxInputs::Circuit(src, b) => src.circuit.box_width(*b),
         }
     }
 
     fn var_count(&self, gi: usize) -> usize {
         match self {
             BoxInputs::Record(rec) => rec.var_input_count(gi),
-            BoxInputs::Circuit(circuit, b) => circuit
-                .gate_inputs(*b, gi)
+            BoxInputs::Circuit(src, b) => src
+                .circuit
+                .gate_inputs(src.shape, *b, gi)
                 .filter(|i| matches!(i, UnionInput::Var { .. }))
                 .count(),
         }
@@ -134,7 +187,7 @@ impl BoxInputs<'_> {
                     f(UnionInput::Times { left, right });
                 }
             }
-            BoxInputs::Circuit(circuit, b) => circuit.gate_inputs(*b, gi).for_each(f),
+            BoxInputs::Circuit(src, b) => src.circuit.gate_inputs(src.shape, *b, gi).for_each(f),
         }
     }
 }
@@ -239,9 +292,9 @@ impl EnumScratch {
     /// root gates `root_gates` (the ∪-gates `γ(root, q_f)` of the final
     /// states).  Abandons any run in progress — returning its buffers to the
     /// pools — and forgets any parked position.
-    pub fn start_root(
+    pub fn start_root<S: Topology<BoxId>>(
         &mut self,
-        src: EnumSource<'_>,
+        src: EnumSource<'_, S>,
         root_box: BoxId,
         root_gates: &[u32],
         empty_accepted: bool,
@@ -249,7 +302,7 @@ impl EnumScratch {
         self.abandon();
         self.m.empty_pending = empty_accepted;
         if !root_gates.is_empty() {
-            let w = src.circuit.box_width(root_box);
+            let w = src.width(root_box);
             let mut r0 = self.take_relation(w, w);
             for &g in root_gates {
                 r0.set(g as usize, g as usize);
@@ -261,10 +314,15 @@ impl EnumScratch {
     /// Starts a run over `S(Γ)` for the boxed set `gamma` of box `b`; each
     /// answer's [`EnumScratch::provenance`] is relative to `gamma`.  Abandons
     /// any run in progress, like [`EnumScratch::start_root`].
-    pub fn start_boxed_set(&mut self, src: EnumSource<'_>, b: BoxId, gamma: &GateSet) {
+    pub fn start_boxed_set<S: Topology<BoxId>>(
+        &mut self,
+        src: EnumSource<'_, S>,
+        b: BoxId,
+        gamma: &GateSet,
+    ) {
         self.abandon();
         if !gamma.is_empty() {
-            let w = src.circuit.box_width(b);
+            let w = src.width(b);
             let mut r0 = self.take_relation(w, w);
             for g in gamma.iter() {
                 r0.set(g, g);
@@ -331,7 +389,7 @@ impl EnumScratch {
     /// the run was started with.
     // hot-path: the per-answer ENUM-S step; the delay bound assumes zero
     // allocation per emitted assignment (pools come from `EnumScratch`).
-    pub fn next_answer(&mut self, src: EnumSource<'_>) -> bool {
+    pub fn next_answer<S: Topology<BoxId>>(&mut self, src: EnumSource<'_, S>) -> bool {
         // Advancing moves the run off the answer it was parked on.
         self.m.parked = None;
         if self.m.empty_pending {
@@ -363,11 +421,7 @@ impl EnumScratch {
                         self.finish_box(t);
                     } else {
                         lv.phase = Phase::Times;
-                        let (bl, _) = src
-                            .circuit
-                            .children(lv.bprime)
-                            .expect("×-gates can only appear in internal boxes");
-                        let w = src.circuit.box_width(bl);
+                        let (bl, w) = src.child(lv.bprime, Side::Left);
                         let mut r0 = self.take_relation(w, w);
                         for &(l, _, _) in &self.m.levels[t].triples {
                             r0.set(l as usize, l as usize);
@@ -393,7 +447,7 @@ impl EnumScratch {
     /// reached the root as an output; `false` if it was absorbed (no
     /// surviving ×-gate or owner) or started a right level.
     // hot-path: runs once per level per answer.
-    fn deliver(&mut self, src: EnumSource<'_>, mut t: usize) -> bool {
+    fn deliver<S: Topology<BoxId>>(&mut self, src: EnumSource<'_, S>, mut t: usize) -> bool {
         loop {
             let p = self.m.levels[t].parent as usize;
             match self.m.levels[t].role {
@@ -412,11 +466,7 @@ impl EnumScratch {
                         self.put_triples(surviving);
                         return false;
                     }
-                    let (_, br) = src
-                        .circuit
-                        .children(self.m.levels[p].bprime)
-                        .expect("×-gates can only appear in internal boxes");
-                    let w = src.circuit.box_width(br);
+                    let (br, w) = src.child(self.m.levels[p].bprime, Side::Right);
                     let mut r0 = self.take_relation(w, w);
                     for &(_, r, _) in &surviving {
                         r0.set(r as usize, r as usize);
@@ -426,7 +476,7 @@ impl EnumScratch {
                     return false;
                 }
                 Role::Right => {
-                    let width_prime = src.circuit.box_width(self.m.levels[p].bprime);
+                    let width_prime = src.width(self.m.levels[p].bprime);
                     let mut owners = self.take_gate_set(width_prime);
                     for &(_, r, owner) in &self.m.levels[p].surviving {
                         if self.m.prov.contains(r as usize) {
@@ -458,7 +508,7 @@ impl EnumScratch {
     /// Level `t` takes the box `b1` its walk just emitted: groups the
     /// var-inputs of the reachable ∪-gates (provenance precomputed) and
     /// collects the ×-inputs.
-    fn start_box(&mut self, src: EnumSource<'_>, t: usize, b1: BoxId) {
+    fn start_box<S: Topology<BoxId>>(&mut self, src: EnumSource<'_, S>, t: usize, b1: BoxId) {
         let rel = self.m.walks.last_mut().and_then(|f| f.r1.take());
         let rel = rel.expect("an emitted box carries its relation");
         let inputs = src.inputs(b1);
@@ -511,9 +561,9 @@ impl EnumScratch {
     }
 
     /// Pushes an `enum-s` level over `R(b, Γ) = r0`.
-    fn push_level(
+    fn push_level<S>(
         &mut self,
-        src: EnumSource<'_>,
+        src: EnumSource<'_, S>,
         role: Role,
         parent: usize,
         b: BoxId,
@@ -587,7 +637,11 @@ impl EnumScratch {
     /// subtree it does not visit.
     // hot-path: the per-answer B-ENUM step; every relation it touches must
     // come from (and return to) the `EnumScratch` pools, never the allocator.
-    fn walk_next(&mut self, src: EnumSource<'_>, base: usize) -> Option<BoxId> {
+    fn walk_next<S: Topology<BoxId>>(
+        &mut self,
+        src: EnumSource<'_, S>,
+        base: usize,
+    ) -> Option<BoxId> {
         loop {
             let top = self.m.walks.len().checked_sub(1).filter(|&t| t >= base)?;
             let frame = &mut self.m.walks[top];
@@ -596,7 +650,7 @@ impl EnumScratch {
                 Stage::Start if mode == BoxEnumMode::Reference => {
                     frame.stage = Stage::Emitted;
                     let r1 = frame.r1.as_ref().expect("reference frame relation");
-                    if is_interesting_rel(src.circuit, b, r1) {
+                    if is_interesting_rel(src.circuit, src.shape, b, r1) {
                         return Some(b);
                     }
                 }
@@ -629,7 +683,7 @@ impl EnumScratch {
                 // Lines 7–10: cover both subtrees of `b1`.
                 Stage::Emitted | Stage::LeftDone => {
                     let left = frame.stage == Stage::Emitted;
-                    let Some((bl, br)) = src.circuit.children(b1) else {
+                    let Some((bl, br)) = src.shape.children(b1) else {
                         if mode == BoxEnumMode::Reference || b == b1 {
                             // A leaf with no path above it: the frame is done.
                             self.pop_walk();
@@ -674,7 +728,7 @@ impl EnumScratch {
                             break;
                         }
                         x = src
-                            .circuit
+                            .shape
                             .parent(x)
                             .expect("the first interesting box lies below its call box");
                     }
@@ -697,7 +751,7 @@ impl EnumScratch {
                         }
                         let here = self.m.path[at as usize];
                         let (bl, br) = src
-                            .circuit
+                            .shape
                             .children(here)
                             .expect("a strict ancestor of the first interesting box is internal");
                         let rec = src.index().of(here);
@@ -736,9 +790,9 @@ impl EnumScratch {
     /// `R(child, B) ∘ upper` for the `side` child of box `parent`: the child
     /// step comes precomposed from the index in indexed mode, and is derived
     /// from the wires in reference mode.
-    fn step(
+    fn step<S: Topology<BoxId>>(
         &mut self,
-        src: EnumSource<'_>,
+        src: EnumSource<'_, S>,
         mode: BoxEnumMode,
         parent: BoxId,
         side: Side,
@@ -750,11 +804,9 @@ impl EnumScratch {
                 self.compose(step, upper)
             }
             BoxEnumMode::Reference => {
-                let (bl, br) = src.circuit.children(parent).expect("internal box");
-                let child = if side == Side::Left { bl } else { br };
-                let rows = src.circuit.box_width(child);
+                let (_, rows) = src.child(parent, side);
                 let mut step = self.take_relation(rows, src.circuit.box_width(parent));
-                child_relation_into(src.circuit, parent, side, &mut step);
+                child_relation_into(src.circuit, src.shape, parent, side, &mut step);
                 let out = self.compose(step.view(), upper);
                 self.put_relation(step);
                 out
@@ -785,9 +837,9 @@ impl EnumScratch {
     /// Runs `box-enum` alone over the boxed set `gamma` of box `b`, handing
     /// every interesting box and its relation to `sink`.  Uses the walk
     /// stack above its current top, so it leaves a parked run intact.
-    pub(crate) fn walk_boxes(
+    pub(crate) fn walk_boxes<S: Topology<BoxId>>(
         &mut self,
-        src: EnumSource<'_>,
+        src: EnumSource<'_, S>,
         b: BoxId,
         gamma: &GateSet,
         sink: &mut BoxSink<'_>,
@@ -796,7 +848,7 @@ impl EnumScratch {
             return ControlFlow::Continue(());
         }
         let base = self.m.walks.len();
-        let w = src.circuit.box_width(b);
+        let w = src.width(b);
         let mut r0 = self.take_relation(w, w);
         for g in gamma.iter() {
             r0.set(g, g);
@@ -840,12 +892,13 @@ mod tests {
             cur = t.add_internal(f, cur, l);
         }
         t.set_root(cur);
-        let ac = build_assignment_circuit(&tva, &t);
-        let index = crate::EnumIndex::build(&ac.circuit);
-        let (gates, empty) = ac.root_query(&tva, &t);
-        let src = EnumSource::new(&ac.circuit, Some(&index), BoxEnumMode::Indexed);
+        let circuit = build_assignment_circuit(&tva, &t);
+        let index = crate::EnumIndex::build(&circuit, &t);
+        let root = BoxId(t.root().0);
+        let (gates, empty) = circuit.gamma(root).boxed_set(tva.final_states());
+        let src = EnumSource::new(&circuit, &t, Some(&index), BoxEnumMode::Indexed);
         let mut scratch = EnumScratch::new();
-        scratch.start_root(src, ac.circuit.root(), &gates, empty);
+        scratch.start_root(src, root, &gates, empty);
         assert!(scratch.next_answer(src));
         let first = scratch.answer().clone();
         scratch.park(7, 0);
@@ -862,7 +915,7 @@ mod tests {
         assert!(scratch.next_answer(src));
         assert!(!scratch.resume_page(7, 0), "advancing forgets the key");
         scratch.park(7, 1);
-        scratch.start_root(src, ac.circuit.root(), &gates, empty);
+        scratch.start_root(src, root, &gates, empty);
         assert!(!scratch.resume_page(7, 1), "restarting forgets the key");
         assert_eq!(scratch.stats().pages_resumed, 1);
         assert_eq!(

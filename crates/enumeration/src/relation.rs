@@ -14,6 +14,7 @@
 
 use crate::bitset::GateSet;
 use treenum_circuits::{BoxId, Circuit, Side, UnionInput};
+use treenum_trees::Topology;
 
 /// A boolean matrix relating `rows` source gates (a descendant box, or Γ itself) to
 /// `cols` target gates (an ancestor box, or the boxed set Γ).
@@ -349,9 +350,15 @@ fn bit_indices(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 }
 
 /// The single-step relation `R(child, B)` from the ∪-gates of the `side` child box of
-/// `b` to the ∪-gates of `b`: `(g', g)` iff `g` has a `Child { side, g' }` input.
-pub fn child_relation(circuit: &Circuit, b: BoxId, side: Side) -> Relation {
-    let (l, r) = circuit.children(b).expect("child_relation on a leaf box");
+/// `b` in the tree `shape` to the ∪-gates of `b`: `(g', g)` iff `g` has a
+/// `Child { side, g' }` input.
+pub fn child_relation<S: Topology<BoxId>>(
+    circuit: &Circuit,
+    shape: &S,
+    b: BoxId,
+    side: Side,
+) -> Relation {
+    let (l, r) = shape.children(b).expect("child_relation on a leaf box");
     let child = match side {
         Side::Left => l,
         Side::Right => r,
@@ -359,18 +366,24 @@ pub fn child_relation(circuit: &Circuit, b: BoxId, side: Side) -> Relation {
     let rows = circuit.box_width(child);
     let cols = circuit.box_width(b);
     let mut rel = Relation::zero(rows, cols);
-    child_relation_into(circuit, b, side, &mut rel);
+    child_relation_into(circuit, shape, b, side, &mut rel);
     rel
 }
 
 /// [`child_relation`] into a caller-provided relation (pre-sized to
 /// `width(child) × width(b)` and cleared), so pooled callers — the
 /// scratch-backed reference box-enum — derive child steps without allocating.
-pub fn child_relation_into(circuit: &Circuit, b: BoxId, side: Side, out: &mut Relation) {
+pub fn child_relation_into<S: Topology<BoxId>>(
+    circuit: &Circuit,
+    shape: &S,
+    b: BoxId,
+    side: Side,
+    out: &mut Relation,
+) {
     debug_assert_eq!(out.cols, circuit.box_width(b), "output cols mismatch");
     debug_assert!(out.is_empty(), "output must be cleared");
     for gi in 0..circuit.box_width(b) {
-        for input in circuit.gate_inputs(b, gi) {
+        for input in circuit.gate_inputs(shape, b, gi) {
             if let UnionInput::Child { side: s, gate: g } = input {
                 if s == side {
                     out.set(g as usize, gi);
@@ -384,12 +397,17 @@ pub fn child_relation_into(circuit: &Circuit, b: BoxId, side: Side, out: &mut Re
 /// the box tree and composing child relations (`O(distance · w³/64)`).  The
 /// oracle the index tests check its stored relations against; the index itself
 /// composes stored child-closure relations instead.
-pub fn relation_by_walking(circuit: &Circuit, from: BoxId, target: BoxId) -> Relation {
+pub fn relation_by_walking<S: Topology<BoxId>>(
+    circuit: &Circuit,
+    shape: &S,
+    from: BoxId,
+    target: BoxId,
+) -> Relation {
     // Build the path from `target` up to `from`.
     let mut path = vec![target];
     let mut cur = target;
     while cur != from {
-        cur = circuit
+        cur = shape
             .parent(cur)
             .expect("relation_by_walking: target is not a descendant of from");
         path.push(cur);
@@ -399,9 +417,9 @@ pub fn relation_by_walking(circuit: &Circuit, from: BoxId, target: BoxId) -> Rel
     let mut rel = Relation::identity(circuit.box_width(target));
     for pair in path.windows(2) {
         let (lower, upper) = (pair[0], pair[1]);
-        let (l, _r) = circuit.children(upper).expect("path is broken");
+        let (l, _r) = shape.children(upper).expect("path is broken");
         let side = if l == lower { Side::Left } else { Side::Right };
-        let step = child_relation(circuit, upper, side);
+        let step = child_relation(circuit, shape, upper, side);
         rel = rel.compose(&step);
     }
     rel

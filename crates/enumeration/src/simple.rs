@@ -7,30 +7,34 @@
 
 use crate::dedup::OutputAssignment;
 use treenum_circuits::{BoxId, Circuit, Side, StateGate, UnionInput};
+use treenum_trees::Topology;
 
-/// Enumerates (by collecting) the assignments captured by ∪-gate `gate` of box `b`,
-/// *with duplicates*, following Algorithm 1.
-pub fn enumerate_union_with_duplicates(
+/// Enumerates (by collecting) the assignments captured by ∪-gate `gate` of box `b`
+/// of `circuit` over the tree `shape`, *with duplicates*, following Algorithm 1.
+pub fn enumerate_union_with_duplicates<S: Topology<BoxId>>(
     circuit: &Circuit,
+    shape: &S,
     b: BoxId,
     gate: u32,
 ) -> Vec<OutputAssignment> {
     let mut out = Vec::new();
-    for input in circuit.gate_inputs(b, gate as usize) {
+    for input in circuit.gate_inputs(shape, b, gate as usize) {
         match input {
             UnionInput::Var { vars, leaf_token } => out.push(vec![(vars, leaf_token)]),
             UnionInput::Child { side, gate } => {
-                let (l, r) = circuit.children(b).expect("child wire in a leaf box");
+                let (l, r) = shape.children(b).expect("child wire in a leaf box");
                 let target = match side {
                     Side::Left => l,
                     Side::Right => r,
                 };
-                out.extend(enumerate_union_with_duplicates(circuit, target, gate));
+                out.extend(enumerate_union_with_duplicates(
+                    circuit, shape, target, gate,
+                ));
             }
             UnionInput::Times { left, right } => {
-                let (l, r) = circuit.children(b).expect("×-gate in a leaf box");
-                let left_assignments = enumerate_union_with_duplicates(circuit, l, left);
-                let right_assignments = enumerate_union_with_duplicates(circuit, r, right);
+                let (l, r) = shape.children(b).expect("×-gate in a leaf box");
+                let left_assignments = enumerate_union_with_duplicates(circuit, shape, l, left);
+                let right_assignments = enumerate_union_with_duplicates(circuit, shape, r, right);
                 for a in &left_assignments {
                     for c in &right_assignments {
                         let mut merged = a.clone();
@@ -46,15 +50,16 @@ pub fn enumerate_union_with_duplicates(
 
 /// Enumerates (with duplicates) the assignments captured by the gate `γ(b, q)` of a
 /// state, including the `⊤` / `⊥` cases.
-pub fn enumerate_state_with_duplicates(
+pub fn enumerate_state_with_duplicates<S: Topology<BoxId>>(
     circuit: &Circuit,
+    shape: &S,
     b: BoxId,
     gamma_entry: StateGate,
 ) -> Vec<OutputAssignment> {
     match gamma_entry {
         StateGate::Bot => Vec::new(),
         StateGate::Top => vec![Vec::new()],
-        StateGate::Union(u) => enumerate_union_with_duplicates(circuit, b, u),
+        StateGate::Union(u) => enumerate_union_with_duplicates(circuit, shape, b, u),
     }
 }
 
@@ -65,6 +70,7 @@ mod tests {
     use crate::boxenum::BoxEnumMode;
     use crate::dedup::enumerate_boxed_set;
     use crate::index::EnumIndex;
+    use crate::machine::EnumSource;
     use std::collections::BTreeSet;
     use std::collections::HashSet;
     use std::ops::ControlFlow;
@@ -93,18 +99,16 @@ mod tests {
             cur = t.add_internal(f, cur, l);
         }
         t.set_root(cur);
-        let ac = build_assignment_circuit(&tva, &t);
-        let index = EnumIndex::build(&ac.circuit);
-        let root = ac.circuit.root();
-        let width = ac.circuit.box_width(root);
+        let c = build_assignment_circuit(&tva, &t);
+        let index = EnumIndex::build(&c, &t);
+        let root = BoxId(t.root().0);
+        let width = c.box_width(root);
         for g in 0..width as u32 {
-            let dupes = enumerate_union_with_duplicates(&ac.circuit, root, g);
+            let dupes = enumerate_union_with_duplicates(&c, &t, root, g);
             let dupe_set: HashSet<_> = dupes.iter().map(to_set).collect();
             let mut dedup: Vec<OutputAssignment> = Vec::new();
             let _ = enumerate_boxed_set(
-                &ac.circuit,
-                Some(&index),
-                BoxEnumMode::Indexed,
+                EnumSource::new(&c, &t, Some(&index), BoxEnumMode::Indexed),
                 root,
                 &GateSet::singleton(width, g as usize),
                 &mut |s, _| {
@@ -125,10 +129,10 @@ mod tests {
         let f = sigma.get("f").unwrap();
         let tva = select_a_leaves(a, f, Var(0));
         let t = BinaryTree::leaf(a);
-        let ac = build_assignment_circuit(&tva, &t);
-        let b = ac.circuit.root();
+        let c = build_assignment_circuit(&tva, &t);
+        let b = BoxId(t.root().0);
         assert_eq!(
-            enumerate_state_with_duplicates(&ac.circuit, b, ac.circuit.gamma(b).get(0)),
+            enumerate_state_with_duplicates(&c, &t, b, c.gamma(b).get(0)),
             vec![Vec::new()]
         );
     }

@@ -345,7 +345,10 @@ impl Snapshot {
     /// [`Snapshot::for_each_with`].  For any other registered query go
     /// through [`Snapshot::query`].
     pub fn for_each(&self, sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>) {
-        self.inner.copy.primary().for_each(sink)
+        self.inner
+            .copy
+            .primary()
+            .for_each(&self.inner.copy.doc, sink)
     }
 
     /// [`Snapshot::for_each`] with a caller-owned [`EnumScratch`], the
@@ -359,24 +362,25 @@ impl Snapshot {
         scratch: &mut EnumScratch,
         sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>,
     ) {
-        self.inner.copy.primary().for_each_with(scratch, sink)
+        let copy = &self.inner.copy;
+        copy.primary().for_each_with(&copy.doc, scratch, sink)
     }
 
     /// Collects all satisfying assignments of the primary query.
     pub fn assignments(&self) -> Vec<Assignment> {
-        self.inner.copy.primary().assignments()
+        self.inner.copy.primary().assignments(&self.inner.copy.doc)
     }
 
     /// Counts the primary query's satisfying assignments by enumerating
     /// them.
     pub fn count(&self) -> usize {
-        self.inner.copy.primary().count()
+        self.inner.copy.primary().count(&self.inner.copy.doc)
     }
 
     /// The first `k` assignments of the primary query (the early-termination
     /// path).
     pub fn first_k(&self, k: usize) -> Vec<Assignment> {
-        self.inner.copy.primary().first_k(k)
+        self.inner.copy.primary().first_k(&self.inner.copy.doc, k)
     }
 
     /// The queries this snapshot serves, in attach order (index 0 is always
@@ -398,6 +402,7 @@ impl Snapshot {
     pub fn query(&self, id: QueryId) -> Result<QueryReader<'_>, ServeError> {
         match self.inner.copy.query(id) {
             Some(index) => Ok(QueryReader {
+                doc: &self.inner.copy.doc,
                 index,
                 id,
                 generation: self.inner.generation,
@@ -423,6 +428,7 @@ impl Snapshot {
 /// every read — and every pagination cursor — is pinned to one generation.
 #[derive(Clone, Copy)]
 pub struct QueryReader<'a> {
+    doc: &'a Document,
     index: &'a QueryIndex,
     id: QueryId,
     generation: u64,
@@ -443,7 +449,7 @@ impl QueryReader<'_> {
     /// Enumerates every satisfying assignment of this query (the pooled
     /// scratch path; see [`Snapshot::for_each`] for the contention caveat).
     pub fn for_each(&self, sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>) {
-        self.index.for_each(sink)
+        self.index.for_each(self.doc, sink)
     }
 
     /// [`QueryReader::for_each`] with a caller-owned [`EnumScratch`].  One
@@ -455,22 +461,22 @@ impl QueryReader<'_> {
         scratch: &mut EnumScratch,
         sink: &mut dyn FnMut(Assignment) -> ControlFlow<()>,
     ) {
-        self.index.for_each_with(scratch, sink)
+        self.index.for_each_with(self.doc, scratch, sink)
     }
 
     /// Collects all satisfying assignments of this query.
     pub fn assignments(&self) -> Vec<Assignment> {
-        self.index.assignments()
+        self.index.assignments(self.doc)
     }
 
     /// Counts this query's satisfying assignments by enumerating them.
     pub fn count(&self) -> usize {
-        self.index.count()
+        self.index.count(self.doc)
     }
 
     /// The first `k` assignments of this query (the early-termination path).
     pub fn first_k(&self, k: usize) -> Vec<Assignment> {
-        self.index.first_k(k)
+        self.index.first_k(self.doc, k)
     }
 
     /// One page of up to `k` assignments starting at `cursor` (`None` for
@@ -478,7 +484,7 @@ impl QueryReader<'_> {
     /// [`QueryReader::page_with`] for the cursor contract.
     pub fn page(&self, cursor: Option<PageCursor>, k: usize) -> Result<Page, ServeError> {
         let position = self.cursor_position(cursor)?;
-        let (answers, more) = self.index.page(position, k);
+        let (answers, more) = self.index.page(self.doc, position, k);
         Ok(self.page_from(position, answers, more))
     }
 
@@ -509,7 +515,7 @@ impl QueryReader<'_> {
         k: usize,
     ) -> Result<Page, ServeError> {
         let position = self.cursor_position(cursor)?;
-        let (answers, more) = self.index.page_with(scratch, position, k);
+        let (answers, more) = self.index.page_with(self.doc, scratch, position, k);
         Ok(self.page_from(position, answers, more))
     }
 

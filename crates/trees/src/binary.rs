@@ -6,6 +6,7 @@
 //! shape of v-trees and of forest-algebra terms.
 
 use crate::label::Label;
+use crate::topology::Topology;
 use crate::unranked::{NodeId, UnrankedTree};
 use std::fmt;
 
@@ -18,6 +19,28 @@ impl BinaryNodeId {
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+}
+
+/// The shape read by a circuit built on the tree, whose boxes are named by
+/// their node's arena index; a leaf's token is its node id.
+impl<I: Copy + Eq + From<u32> + Into<u32>> Topology<I> for BinaryTree {
+    fn root(&self) -> I {
+        I::from(self.root.0)
+    }
+
+    fn parent(&self, n: I) -> Option<I> {
+        self.nodes[n.into() as usize].parent.map(|p| I::from(p.0))
+    }
+
+    fn children(&self, n: I) -> Option<(I, I)> {
+        let children = self.nodes[n.into() as usize].children;
+        children.map(|(l, r)| (I::from(l.0), I::from(r.0)))
+    }
+
+    fn leaf_token(&self, n: I) -> Option<u32> {
+        let n = n.into();
+        self.nodes[n as usize].children.is_none().then_some(n)
     }
 }
 

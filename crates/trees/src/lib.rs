@@ -12,6 +12,8 @@
 //! * [`valuation`]: valuations, assignments and singletons (`⟨Z : n⟩`).
 //! * [`chunked`]: [`ChunkedVec`], the fixed-chunk arena the update path's
 //!   id-indexed arrays grow in without copying.
+//! * [`topology`]: [`Topology`], the shape of a binary tree as the circuit,
+//!   its index and the enumeration read it (one box per tree node).
 //! * [`generate`]: random tree / workload generators used by tests and benchmarks.
 //! * [`serial`]: arena-exact binary serialization of trees and edit ops — the
 //!   snapshot and WAL-record formats used by `treenum-wal`.
@@ -26,6 +28,7 @@ pub mod edit;
 pub mod generate;
 pub mod label;
 pub mod serial;
+pub mod topology;
 pub mod unranked;
 pub mod valuation;
 
@@ -34,5 +37,6 @@ pub use chunked::ChunkedVec;
 pub use edit::{EditFeed, EditOp, EditStream, NodeSampler};
 pub use label::{Alphabet, Label};
 pub use serial::{decode_op, encode_op, from_bytes, op_applicable, to_bytes, SerialError};
+pub use topology::Topology;
 pub use unranked::{NodeId, UnrankedTree};
 pub use valuation::{Assignment, Singleton, Valuation, Var, VarSet};

@@ -199,9 +199,9 @@ fn every_family_content_round_trips_through_its_record() {
         let circuits: Vec<_> = (0..4)
             .map(|_| {
                 let tree = random_binary_tree(&mut rng, 40, &leaf_labels, &inner_labels);
-                let ac = build_assignment_circuit(tva, &tree);
-                ac.circuit.validate();
-                ac.circuit
+                let circuit = build_assignment_circuit(tva, &tree);
+                circuit.validate(&tree);
+                circuit
             })
             .collect();
         let boxes: Vec<_> = circuits

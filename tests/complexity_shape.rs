@@ -66,13 +66,13 @@ fn circuit_bytes_per_box_stay_small_and_flat_as_the_tree_grows() {
         (
             "select_label",
             queries::select_label(sigma.len(), b, Var(0)),
-            48,
+            36,
         ),
-        ("exists_label", queries::exists_label(sigma.len(), b), 48),
+        ("exists_label", queries::exists_label(sigma.len(), b), 24),
         (
             "pair_query",
             queries::ancestor_descendant(sigma.len(), a, Var(0), b, Var(1)),
-            128,
+            76,
         ),
     ];
     let (lo, step) = (oracle_scale(10, 8), oracle_scale(3, 2));

@@ -377,6 +377,16 @@ fn two_shards_serve_independent_streams_concurrently() {
     let _ = handles;
 }
 
+/// A config under which only a barrier closes a flush: the `max_latency`
+/// deadline is out of reach, so a round ingested before its barrier lands
+/// as one flush however loaded the host is.
+fn barrier_only() -> ServeConfig {
+    ServeConfig {
+        max_latency: std::time::Duration::from_secs(60),
+        ..ServeConfig::default()
+    }
+}
+
 /// The off-path catch-up: in a closed loop where no snapshot outlives its
 /// round, the writer catches the retired copy up right after every ack —
 /// exactly one catch-up per data flush, none of them on a flush's path, so
@@ -387,12 +397,7 @@ fn closed_loop_catches_up_off_the_path_once_per_flush() {
     let labels: Vec<Label> = sigma.labels().collect();
     let query = select_b(&sigma);
     let tree = random_tree(&mut sigma, 300, TreeShape::Random, 23);
-    let server = TreeServer::new(
-        vec![tree.clone()],
-        &query,
-        sigma.len(),
-        ServeConfig::default(),
-    );
+    let server = TreeServer::new(vec![tree.clone()], &query, sigma.len(), barrier_only());
     let mut feed = EditFeed::new(&tree, EditStream::skewed(labels, 41));
     const ROUNDS: u64 = 12;
     for _ in 0..ROUNDS {
@@ -437,12 +442,7 @@ fn last_release_of_a_held_retired_copy_wakes_the_catch_up() {
     let labels: Vec<Label> = sigma.labels().collect();
     let query = select_b(&sigma);
     let tree = random_tree(&mut sigma, 300, TreeShape::Random, 31);
-    let server = TreeServer::new(
-        vec![tree.clone()],
-        &query,
-        sigma.len(),
-        ServeConfig::default(),
-    );
+    let server = TreeServer::new(vec![tree.clone()], &query, sigma.len(), barrier_only());
     let mut feed = EditFeed::new(&tree, EditStream::burst(labels, 43));
     server.ingest_batch(0, &feed.next_batch(16)).unwrap();
     server.flush(0).unwrap();
