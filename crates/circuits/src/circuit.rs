@@ -298,6 +298,8 @@ impl<'a> Gamma<'a> {
 pub struct BoxContent<'a> {
     words: &'a [u64],
     num_states: usize,
+    /// The number of ∪ bits of `γ`, counted once per view.
+    width: usize,
 }
 
 impl<'a> BoxContent<'a> {
@@ -305,7 +307,12 @@ impl<'a> BoxContent<'a> {
     /// states.
     pub fn new(words: &'a [u64], num_states: usize) -> Self {
         assert!(words.len() >= gamma_words(num_states), "a record without γ");
-        BoxContent { words, num_states }
+        let width = ones(words, num_states, 2 * num_states);
+        BoxContent {
+            words,
+            num_states,
+            width,
+        }
     }
 
     /// The record's words.
@@ -326,19 +333,14 @@ impl<'a> BoxContent<'a> {
     /// Number of ∪-gates (the box's contribution to the circuit width).
     #[inline]
     pub fn width(&self) -> usize {
-        self.gamma().width()
+        self.width
     }
 
     /// The inputs of ∪-gate `g`, var-gates carrying `leaf_token`.
-    pub fn inputs(&self, g: usize, leaf_token: u32) -> GateInputs<'a> {
-        self.inputs_of(g, self.width(), leaf_token)
-    }
-
-    /// [`BoxContent::inputs`] for a box of known width `w`.
     #[inline]
-    fn inputs_of(&self, g: usize, w: usize, leaf_token: u32) -> GateInputs<'a> {
+    pub fn inputs(&self, g: usize, leaf_token: u32) -> GateInputs<'a> {
+        let (n, w) = (self.num_states, self.width);
         debug_assert!(g < w, "gate {g} of a width-{w} box");
-        let n = self.num_states;
         let start = if g == 0 {
             header_words(n, w)
         } else {
@@ -483,9 +485,11 @@ impl Circuit {
     /// The content record of box `b`.
     #[inline]
     pub fn content(&self, b: BoxId) -> BoxContent<'_> {
+        let slot = self.slot(b);
         BoxContent {
-            words: self.slab.get(self.slot(b).record),
+            words: self.slab.get(slot.record),
             num_states: self.num_states,
+            width: slot.width as usize,
         }
     }
 
@@ -500,8 +504,7 @@ impl Circuit {
     #[inline]
     pub fn gate_inputs<S: Topology<BoxId>>(&self, shape: &S, b: BoxId, g: usize) -> GateInputs<'_> {
         let leaf_token = shape.leaf_token(b).unwrap_or(NO_TOKEN);
-        self.content(b)
-            .inputs_of(g, self.slot(b).width as usize, leaf_token)
+        self.content(b).inputs(g, leaf_token)
     }
 
     /// Number of ∪-gates of box `b`.

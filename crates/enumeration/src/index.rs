@@ -29,20 +29,19 @@
 //! |---|---|
 //! | 1 | header: `w`, `k`, `wl`, `wr` (16 bits each) |
 //! | `wl·p`, `wr·p` | the child-step relations `R(left, B)`, `R(right, B)` |
-//! | `w` | per gate: `fib` and `fbb` closure slots (16 bits each) and the record offset of the gate's inputs (32 bits) |
+//! | `w` | per gate: `fib` and `fbb` closure slots (16 bits each; the upper half is zero) |
 //! | `k` | per closure slot: the target box (32 bits) and the record offset of its relation (32 bits) |
-//! | `Σ w(D)·p` | the relations `R(D, B)`, one after the other |
-//! | rest | the var-inputs (two words each: vars, leaf token) of a leaf box, or the ×-inputs (one word: left, right) of an internal box, grouped per ∪-gate |
+//! | `Σ w(D)·p` | the relations `R(D, B)`, one after the other, to the record's end |
 //!
-//! Everything from the header through the closure relations is the *index
-//! part* a parent's entry depends on; the inputs are there so that Algorithm
-//! 2 reads an emitted box's var- and ×-gates from the record it already
-//! holds instead of decoding them from the circuit's content record.  Box
-//! topology (children, parent) is the tree's, read through [`Topology`]; the
-//! header's child widths let an indexed walk step skip the circuit, so it
-//! touches the table entry, the record and the tree node.  A box's record
-//! depends on its subtree only, so a reparented box keeps a valid record
-//! without a rebuild.
+//! Everything a parent's entry reads of its children is in these words,
+//! so a rebuild that reproduces them changes nothing above the box.  The
+//! record holds no gate inputs: Algorithm 2 reads an emitted box's var-
+//! and ×-gates from the circuit's content record, the one store of the
+//! inputs.  Box topology (children, parent) is the tree's, read through
+//! [`Topology`]; the header's child widths let an indexed walk step skip
+//! the circuit, so it touches the table entry, the record and the tree
+//! node.  A box's record depends on its subtree only, so a reparented box
+//! keeps a valid record without a rebuild.
 //!
 //! Records live in the circuit crate's [`Slab`], the allocator the
 //! circuit's content records use too: size-classed blocks reused through
@@ -52,7 +51,6 @@
 
 use crate::relation::{compose_rows, RelRef, Relation};
 use treenum_circuits::{Block, BoxId, Circuit, Side, Slab, UnionInput};
-use treenum_trees::valuation::VarSet;
 use treenum_trees::{ChunkedVec, Topology};
 
 /// Sentinel for "undefined" (`fbb` of a gate with no bidirectional box below it).
@@ -211,86 +209,10 @@ impl<'a> BoxRecord<'a> {
         let end = if slot + 1 < self.closure_len() {
             hi32(self.closure_word(slot + 1))
         } else {
-            self.index_len()
+            self.words.len()
         };
         let p = self.words_per_row();
         RelRef::new((end - at) / p, self.width(), &self.words[at..end])
-    }
-
-    /// Length of the index part: everything before the inputs.
-    #[inline]
-    fn index_len(&self) -> usize {
-        if self.width() == 0 {
-            self.words.len()
-        } else {
-            hi32(self.gate_word(0))
-        }
-    }
-
-    /// The input words of gate `g`.
-    #[inline]
-    fn inputs(&self, g: usize) -> &'a [u64] {
-        let at = hi32(self.gate_word(g));
-        let end = if g + 1 < self.width() {
-            hi32(self.gate_word(g + 1))
-        } else {
-            self.words.len()
-        };
-        &self.words[at..end]
-    }
-
-    /// `true` iff the inputs are var-inputs (a leaf box: no child widths).
-    #[inline]
-    fn has_var_inputs(&self) -> bool {
-        self.child_widths() == (0, 0)
-    }
-
-    /// Number of var-inputs of gate `g`.
-    #[inline]
-    pub fn var_input_count(&self, g: usize) -> usize {
-        if self.has_var_inputs() {
-            self.inputs(g).len() / 2
-        } else {
-            0
-        }
-    }
-
-    /// The var-inputs `⟨vars : leaf_token⟩` of gate `g`.
-    #[inline]
-    pub fn var_inputs(&self, g: usize) -> impl Iterator<Item = (VarSet, u32)> + 'a {
-        let words = if self.has_var_inputs() {
-            self.inputs(g)
-        } else {
-            &[]
-        };
-        words.chunks_exact(2).map(|p| (VarSet(p[0]), p[1] as u32))
-    }
-
-    /// The ×-inputs `(left, right)` of gate `g`.
-    #[inline]
-    pub fn times_inputs(&self, g: usize) -> impl Iterator<Item = (u32, u32)> + 'a {
-        let words = if self.has_var_inputs() {
-            &[]
-        } else {
-            self.inputs(g)
-        };
-        words.iter().map(|&t| (t as u32, (t >> 32) as u32))
-    }
-
-    /// Equality of the index parts (header, child steps, `fib`/`fbb`,
-    /// closure and its relations), ignoring the inputs: what a parent's
-    /// entry is computed from.
-    pub fn index_eq(&self, other: &BoxRecord<'_>) -> bool {
-        if self.words[0] != other.words[0] || self.index_len() != other.index_len() {
-            return false;
-        }
-        let (g, w, n) = (self.gates_at(), self.width(), self.index_len());
-        self.words[..g] == other.words[..g]
-            && self.words[g..g + w]
-                .iter()
-                .zip(&other.words[g..g + w])
-                .all(|(a, b)| (a ^ b) as u32 == 0)
-            && self.words[g + w..n] == other.words[g + w..n]
     }
 }
 
@@ -489,14 +411,15 @@ impl EnumIndex {
         stored
     }
 
-    /// Like [`EnumIndex::rebuild_box`], but reports whether the entry's
-    /// *index part* actually changed.  The update path uses this to stop
-    /// repairing the spine as soon as the recomputed entries fixpoint: an
-    /// unchanged child entry cannot invalidate its parent's entry (the entry
-    /// is a function of the box's own wires, the children's index parts, and
-    /// lca/preorder relationships between closure boxes, which edge splices
-    /// below do not alter).  A change to the box's var- or ×-inputs alone
-    /// rewrites the record but reports `false`.
+    /// Like [`EnumIndex::rebuild_box`], but stores the record only if it
+    /// changed and reports whether it did.  The update path uses this to
+    /// stop repairing the spine as soon as the recomputed entries fixpoint:
+    /// an unchanged child entry cannot invalidate its parent's entry (the
+    /// entry is a function of the box's own wires, the children's records,
+    /// and lca/preorder relationships between closure boxes, which edge
+    /// splices below do not alter).  A change to the box's var- or
+    /// ×-inputs alone leaves the record as it is: the inputs live in the
+    /// circuit only.
     // hot-path: the fixpoint variant of `rebuild_box`, same discipline.
     pub fn rebuild_box_changed<S: Topology<BoxId>>(
         &mut self,
@@ -507,18 +430,12 @@ impl EnumIndex {
         self.compute_entry(circuit, shape, b);
         self.stats.box_rebuilds += 1;
         let staged = self.staged();
-        let stored = staged.closure_len() as u64;
-        let (index_same, record_same) = match self.get(b) {
-            Some(old) => (old.index_eq(&staged), old == staged),
-            None => (false, false),
-        };
-        if !index_same {
-            self.stats.relations_stored += stored;
+        if self.get(b) == Some(staged) {
+            return false;
         }
-        if !record_same {
-            self.store_staged(b);
-        }
-        !index_same
+        self.stats.relations_stored += staged.closure_len() as u64;
+        self.store_staged(b);
+        true
     }
 
     /// The record `compute_entry` staged last.
@@ -705,27 +622,6 @@ impl EnumIndex {
                 out,
             );
         }
-
-        // The var-inputs (leaf) or ×-inputs (internal box), grouped per gate.
-        let var_kind = (wl, wr) == (0, 0);
-        for gi in 0..width {
-            let at = rec.len() as u64;
-            rec[gates_at + gi] |= at << 32;
-            for input in circuit.gate_inputs(shape, b, gi) {
-                match input {
-                    UnionInput::Var { vars, leaf_token } => {
-                        assert!(var_kind, "var-gate outside a leaf box in {b:?}");
-                        rec.push(vars.0);
-                        rec.push(leaf_token as u64);
-                    }
-                    UnionInput::Times { left, right } => {
-                        assert!(!var_kind, "×-gate in a leaf box {b:?}");
-                        rec.push(left as u64 | (right as u64) << 32);
-                    }
-                    UnionInput::Child { .. } => {}
-                }
-            }
-        }
     }
 }
 
@@ -762,10 +658,14 @@ fn lca_of_fbbs<S: Topology<BoxId>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::boxenum::BoxEnumMode;
+    use crate::dedup::collect_all;
+    use crate::machine::EnumSource;
     use crate::relation::{child_relation, relation_by_walking};
     use treenum_automata::binary::select_a_leaves;
     use treenum_circuits::{build_assignment_circuit, leaf_box_content, ContentStaging};
     use treenum_trees::binary::BinaryTree;
+    use treenum_trees::valuation::VarSet;
     use treenum_trees::{Alphabet, Var};
 
     fn build_sample(depth: usize) -> (Circuit, BinaryTree) {
@@ -812,26 +712,6 @@ mod tests {
             assert_eq!(closure.len(), bi.closure_len());
             for w in closure.windows(2) {
                 assert_eq!(t.preorder_cmp(w[0], w[1]), std::cmp::Ordering::Less);
-            }
-            // The inputs mirror the circuit's var- and ×-inputs per gate.
-            for g in 0..width {
-                let vars: Vec<(_, _)> = c
-                    .gate_inputs(&t, b, g)
-                    .filter_map(|i| match i {
-                        UnionInput::Var { vars, leaf_token } => Some((vars, leaf_token)),
-                        _ => None,
-                    })
-                    .collect();
-                let times: Vec<(_, _)> = c
-                    .gate_inputs(&t, b, g)
-                    .filter_map(|i| match i {
-                        UnionInput::Times { left, right } => Some((left, right)),
-                        _ => None,
-                    })
-                    .collect();
-                assert_eq!(bi.var_inputs(g).collect::<Vec<_>>(), vars);
-                assert_eq!(bi.var_input_count(g), vars.len());
-                assert_eq!(bi.times_inputs(g).collect::<Vec<_>>(), times);
             }
         }
     }
@@ -975,7 +855,7 @@ mod tests {
     }
 
     #[test]
-    fn an_inputs_only_change_rewrites_the_record_but_not_the_index_part() {
+    fn a_var_label_change_leaves_the_record_unwritten() {
         let (mut c, t) = build_sample(4);
         let mut index = EnumIndex::build(&c, &t);
         let leaf = boxes(&t)
@@ -983,29 +863,43 @@ mod tests {
             .find(|&b| Topology::children(&t, b).is_none() && c.box_width(b) > 0)
             .expect("a leaf with ∪-gates");
         // The same automaton selecting into another variable: the same
-        // gates, with other var-gate labels.
+        // gates and the same γ, with other var-gate labels.
         let sigma = Alphabet::from_names(["a", "f"]);
         let (a, f) = (sigma.get("a").unwrap(), sigma.get("f").unwrap());
         let tva = select_a_leaves(a, f, Var(1));
         let mut staging = ContentStaging::default();
         let content = leaf_box_content(&tva, a, &mut staging);
         assert_eq!(content.gamma(), c.gamma(leaf));
+        assert_ne!(content, c.content(leaf), "the labels differ");
         c.set_content(leaf, content);
-        let stats = index.stats();
+        let before = index.of(leaf).words().to_vec();
+        let (stats, words) = (index.stats(), index.slab_words());
         assert!(
             !index.rebuild_box_changed(&c, &t, leaf),
-            "new var-gate labels leave the index part as it was"
+            "new var-gate labels leave the record as it was"
         );
-        assert_eq!(index.stats().relations_stored, stats.relations_stored);
+        assert_eq!(index.of(leaf).words(), &before[..]);
         assert_eq!(index.stats().box_rebuilds, stats.box_rebuilds + 1);
-        let rec = index.of(leaf);
+        assert_eq!(index.stats().relations_stored, stats.relations_stored);
+        assert_eq!(index.slab_words(), words);
+
+        // An indexed run reads the new labels from the circuit.
+        let root = root(&t);
+        let (gates, empty) = c.gamma(root).boxed_set(tva.final_states());
+        let run = |mode| {
+            let src = EnumSource::new(&c, &t, Some(&index), mode);
+            let mut answers = collect_all(src, root, &gates, empty);
+            answers.sort_unstable();
+            answers
+        };
+        let indexed = run(BoxEnumMode::Indexed);
+        assert_eq!(indexed, run(BoxEnumMode::Reference), "as sets");
+        let token = Topology::leaf_token(&t, leaf).expect("a leaf token");
         let x1 = VarSet::singleton(Var(1));
-        assert!((0..rec.width()).all(|g| rec.var_inputs(g).all(|(vars, _)| vars == x1)));
-        let fresh = EnumIndex::build(&c, &t);
-        assert_eq!(
-            index.of(leaf),
-            fresh.of(leaf),
-            "the record holds the new inputs"
-        );
+        assert!(indexed.contains(&vec![(x1, token)]), "{indexed:?}");
+        assert!(indexed
+            .iter()
+            .flatten()
+            .all(|&(vars, tok)| tok != token || vars == x1));
     }
 }

@@ -38,17 +38,19 @@
 //! Every relation, gate set and buffer comes from the scratch pools, and
 //! every stack growth is counted, so a warm run performs no heap allocation
 //! ([`crate::EnumStats::per_answer_allocs`] stays flat).  In indexed mode
-//! the walk reads each box's jump pointers, relations, child steps, child
-//! widths and var-/×-inputs from its index record ([`crate::BoxRecord`]) and
-//! composes straight from the record's rows; the links between boxes are
-//! the tree's ([`Topology`]), so a walk step reads the table entry, the
-//! record and the tree node, and no circuit slot.  Every composition is
-//! counted in [`crate::EnumStats::compositions`].
+//! the walk reads each box's jump pointers, relations, child steps and
+//! child widths from its index record ([`crate::BoxRecord`]) and composes
+//! straight from the record's rows; the links between boxes are the
+//! tree's ([`Topology`]), so a walk step reads the table entry, the record
+//! and the tree node, and no circuit slot.  An emitted box's var- and
+//! ×-inputs are decoded from its circuit content record, in both modes:
+//! the circuit is their one store, read once per emitted box.  Every
+//! composition is counted in [`crate::EnumStats::compositions`].
 
 use crate::bitset::GateSet;
 use crate::boxenum::{is_interesting_rel, BoxEnumMode, BoxSink};
 use crate::dedup::OutputAssignment;
-use crate::index::{BoxRecord, EnumIndex};
+use crate::index::EnumIndex;
 use crate::relation::{child_relation_into, RelRef, Relation};
 use crate::scratch::{EnumScratch, Triple, VarPart};
 use std::ops::ControlFlow;
@@ -105,16 +107,6 @@ impl<'a, S: Topology<BoxId>> EnumSource<'a, S> {
             .expect("indexed box-enum requires the index structure")
     }
 
-    /// Where the var- and ×-inputs of box `b` are read: its index record
-    /// in indexed mode, the circuit's content record in reference mode.
-    #[inline]
-    fn inputs(&self, b: BoxId) -> BoxInputs<'a, S> {
-        match self.mode {
-            BoxEnumMode::Indexed => BoxInputs::Record(self.index().of(b)),
-            BoxEnumMode::Reference => BoxInputs::Circuit(*self, b),
-        }
-    }
-
     /// The width of box `b`: from its index record in indexed mode.
     #[inline]
     fn width(&self, b: BoxId) -> usize {
@@ -146,49 +138,6 @@ impl<'a, S: Topology<BoxId>> EnumSource<'a, S> {
             BoxEnumMode::Reference => self.circuit.box_width(child),
         };
         (child, width)
-    }
-}
-
-/// The var- and ×-inputs of one box, per ∪-gate.
-enum BoxInputs<'a, S> {
-    Record(BoxRecord<'a>),
-    Circuit(EnumSource<'a, S>, BoxId),
-}
-
-impl<S: Topology<BoxId>> BoxInputs<'_, S> {
-    fn width(&self) -> usize {
-        match self {
-            BoxInputs::Record(rec) => rec.width(),
-            BoxInputs::Circuit(src, b) => src.circuit.box_width(*b),
-        }
-    }
-
-    fn var_count(&self, gi: usize) -> usize {
-        match self {
-            BoxInputs::Record(rec) => rec.var_input_count(gi),
-            BoxInputs::Circuit(src, b) => src
-                .circuit
-                .gate_inputs(src.shape, *b, gi)
-                .filter(|i| matches!(i, UnionInput::Var { .. }))
-                .count(),
-        }
-    }
-
-    /// Calls `f` on each var- and ×-input of gate `gi` (a record keeps the
-    /// inputs of each kind in input order).
-    #[inline]
-    fn visit(&self, gi: usize, mut f: impl FnMut(UnionInput)) {
-        match self {
-            BoxInputs::Record(rec) => {
-                for (vars, leaf_token) in rec.var_inputs(gi) {
-                    f(UnionInput::Var { vars, leaf_token });
-                }
-                for (left, right) in rec.times_inputs(gi) {
-                    f(UnionInput::Times { left, right });
-                }
-            }
-            BoxInputs::Circuit(src, b) => src.circuit.gate_inputs(src.shape, *b, gi).for_each(f),
-        }
     }
 }
 
@@ -507,32 +456,46 @@ impl EnumScratch {
 
     /// Level `t` takes the box `b1` its walk just emitted: groups the
     /// var-inputs of the reachable ∪-gates (provenance precomputed) and
-    /// collects the ×-inputs.
+    /// collects the ×-inputs, decoded from the box's circuit record (in
+    /// both modes: the circuit is the one store of gate inputs).
+    // hot-path: runs once per emitted box; the decode must stay free of
+    // allocation (every buffer comes from the scratch pools).
     fn start_box<S: Topology<BoxId>>(&mut self, src: EnumSource<'_, S>, t: usize, b1: BoxId) {
         let rel = self.m.walks.last_mut().and_then(|f| f.r1.take());
         let rel = rel.expect("an emitted box carries its relation");
-        let inputs = src.inputs(b1);
-        let width_prime = inputs.width();
+        let content = src.circuit.content(b1);
+        let width_prime = content.width();
+        // Only a leaf box has var-inputs, all carrying its leaf token (read
+        // only for a leaf: the walk reads the tree's links, not its leaves).
+        let token = match src.shape.children(b1) {
+            Some(_) => None,
+            None => src.shape.leaf_token(b1),
+        };
+        let rows = || (0..rel.rows()).filter(|&gi| !rel.row_is_empty(gi));
         // Size the grouping table first: its capacity must cover every
         // insertion up front (it never grows mid-pass).
-        let mut var_inputs = 0usize;
-        for gi in (0..rel.rows()).filter(|&gi| !rel.row_is_empty(gi)) {
-            var_inputs += inputs.var_count(gi);
-        }
+        let var_inputs = match token {
+            Some(token) => rows().map(|gi| content.inputs(gi, token).count()).sum(),
+            None => 0,
+        };
         // Var inputs with identical labels are the same var-gate (S_var is
         // injective): group them and union the owners for the provenance.
         let mut triples = self.take_triples();
         self.begin_groups(var_inputs);
-        for gi in (0..rel.rows()).filter(|&gi| !rel.row_is_empty(gi)) {
-            inputs.visit(gi, |input| match input {
-                UnionInput::Var { vars, leaf_token } => {
-                    self.insert_group(vars, leaf_token, gi, width_prime);
+        for gi in rows() {
+            for input in content.inputs(gi, token.unwrap_or(u32::MAX)) {
+                match input {
+                    UnionInput::Var { vars, leaf_token } => {
+                        self.insert_group(vars, leaf_token, gi, width_prime);
+                    }
+                    UnionInput::Times { left, right } => {
+                        self.push_triple(&mut triples, (left, right, gi as u32));
+                    }
+                    // A record sorts a gate's ×-words before its wire
+                    // words: the rest of the gate's inputs are wires.
+                    UnionInput::Child { .. } => break,
                 }
-                UnionInput::Times { left, right } => {
-                    self.push_triple(&mut triples, (left, right, gi as u32));
-                }
-                UnionInput::Child { .. } => {}
-            });
+            }
         }
         let mut parts = self.take_parts();
         self.drain_groups_into(&rel, &mut parts);

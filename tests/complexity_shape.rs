@@ -7,11 +7,11 @@
 //!   step and each path step); per answer it must stay flat, within 10%,
 //!   from n = 2¹⁰ to 2¹⁶ nodes (2⁸ to 2¹² in debug builds, see
 //!   `oracle_scale`).
-//! * **Space** (Lemma 3.7 keeps the circuit polynomial in the automaton):
-//!   the circuit's bytes per box, counted from its own slots and slab
-//!   words (`Footprint`), stay under a fixed budget per query and flat,
-//!   within 10%, over the same sizes; a small query index holds a small
-//!   slab.
+//! * **Space** (Lemma 3.7 keeps the circuit polynomial in the automaton,
+//!   Definition 6.1 the index): the circuit's and the index's bytes per
+//!   box, counted from their own slots, tables and slab words
+//!   (`Footprint`), stay under a fixed budget per query and flat, within
+//!   10%, over the same sizes; a small query index holds a small slab.
 
 use treenum::automata::{queries, StepwiseTva};
 use treenum::core::{Footprint, TreeEnumerator};
@@ -61,22 +61,29 @@ fn compositions_per_answer_stay_flat_as_the_tree_grows() {
 fn circuit_bytes_per_box_stay_small_and_flat_as_the_tree_grows() {
     let mut sigma = Alphabet::from_names(["a", "b", "c"]);
     let (a, b) = (sigma.get("a").unwrap(), sigma.get("b").unwrap());
-    // (name, query, circuit budget in bytes per box)
+    // (name, query, circuit and index budgets in bytes per box)
     let queries = [
         (
             "select_label",
             queries::select_label(sigma.len(), b, Var(0)),
             36,
+            64,
         ),
-        ("exists_label", queries::exists_label(sigma.len(), b), 24),
+        (
+            "exists_label",
+            queries::exists_label(sigma.len(), b),
+            24,
+            16,
+        ),
         (
             "pair_query",
             queries::ancestor_descendant(sigma.len(), a, Var(0), b, Var(1)),
             76,
+            142,
         ),
     ];
     let (lo, step) = (oracle_scale(10, 8), oracle_scale(3, 2));
-    for (name, query, budget) in &queries {
+    for (name, query, budget, index_budget) in &queries {
         let mut per_box = Vec::new();
         for e in [lo, lo + step, lo + 2 * step] {
             let n = 1usize << e;
@@ -95,15 +102,21 @@ fn circuit_bytes_per_box_stay_small_and_flat_as_the_tree_grows() {
                 circuit <= *budget as f64,
                 "{name}: the circuit costs {circuit:.1} B per box at n = {n} (budget {budget})"
             );
-            per_box.push((n, circuit, index));
+            assert!(
+                index <= *index_budget as f64,
+                "{name}: the index costs {index:.1} B per box at n = {n} (budget {index_budget})"
+            );
+            per_box.push((n, [circuit, index]));
         }
         eprintln!("{name}: (n, circuit, index) bytes per box {per_box:?}");
-        let max = per_box.iter().map(|p| p.1).fold(f64::MIN, f64::max);
-        let min = per_box.iter().map(|p| p.1).fold(f64::MAX, f64::min);
-        assert!(
-            max / min <= 1.1,
-            "{name}: circuit bytes per box grow with the tree: {per_box:?}"
-        );
+        for (col, what) in ["circuit", "index"].into_iter().enumerate() {
+            let max = per_box.iter().map(|p| p.1[col]).fold(f64::MIN, f64::max);
+            let min = per_box.iter().map(|p| p.1[col]).fold(f64::MAX, f64::min);
+            assert!(
+                max / min <= 1.1,
+                "{name}: {what} bytes per box grow with the tree: {per_box:?}"
+            );
+        }
     }
 }
 
